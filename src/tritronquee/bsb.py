@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .elliptic import ParamPoint, PeriodData, Potential
-from .errors import NewtonDiverged, NotType320
+from .errors import NewtonDiverged, NotType320, NumericalError
 from .stokes import classify_graph, trace_stokes_lines
 
 TOL_NEWTON = 1e-10
@@ -90,14 +90,17 @@ def solve_period_targets(target2: complex, targetm2: complex, seed: ParamPoint,
     for _ in range(max_iter):
         if res < tol_newton:
             return ParamPoint(x[0], x[1]), res
-        step = np.linalg.solve(J, F)
+        try:
+            step = np.linalg.solve(J, F)
+        except np.linalg.LinAlgError as exc:
+            raise NewtonDiverged(f"singular period Jacobian: {exc}") from exc
         factor = 1.0
         for _ in range(max_halvings):
             x_try = x - factor * step
             try:
                 F_try, J_try = _period_residual(
                     ParamPoint(x_try[0], x_try[1]), target2, targetm2)
-            except Exception:
+            except NumericalError:
                 factor *= 0.5
                 continue
             res_try = float(abs(F_try[0]) + abs(F_try[1]))

@@ -17,6 +17,7 @@ sign is anchored by ``Re sqrt(V) -> +oo`` along the positive real semi-axis.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -172,6 +173,19 @@ def turning_points(pot: Potential, tol_root: float = TOL_ROOT,
 
 # ---------------------------------------------------------------------------
 # branch structure of sqrt(V)
+
+
+def branch_sqrt(pot: Potential, lam: complex, near: complex) -> complex:
+    """The value of sqrt(V(lam)) closer to ``near``.
+
+    Stepwise continuation of sqrt(V) along a path: with ``near`` the value at
+    the previous point, the sign choice follows one branch as long as the
+    steps stay short compared with the distance to the turning points.
+    """
+    w = cmath.sqrt(pot(lam))
+    if abs(w - near) > abs(w + near):
+        w = -w
+    return w
 
 
 def _dist_point_segment(z: complex, p: complex, q: complex) -> float:

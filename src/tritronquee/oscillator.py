@@ -28,10 +28,12 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import complex_ode
 from .bsb import BsbSolution, tilde_U
-from .elliptic import ParamPoint, Potential, TurningPoints, turning_points
+from .elliptic import (ParamPoint, Potential, TurningPoints, branch_sqrt,
+                       turning_points)
 from .errors import (DependentBasis, NewtonDiverged, OdeToleranceNotMet,
-                     OutsideDisc, PathNearTurningPoint, StepUnderflow)
+                     OutsideDisc, PathNearTurningPoint)
 
 TOL_ODE = 1e-12
 TOL_WKB = 1e-10
@@ -213,153 +215,7 @@ def _path_to(tp: TurningPoints, z0: complex, z1: complex) -> list[complex]:
 
 
 # ---------------------------------------------------------------------------
-# scalar Dormand-Prince core (hot path: plain complex arithmetic)
-
-_DP_C2, _DP_C3, _DP_C4, _DP_C5 = 0.2, 0.3, 0.8, 8.0 / 9.0
-_DP_A21 = 0.2
-_DP_A31, _DP_A32 = 3 / 40, 9 / 40
-_DP_A41, _DP_A42, _DP_A43 = 44 / 45, -56 / 15, 32 / 9
-_DP_A51, _DP_A52, _DP_A53, _DP_A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_DP_A61, _DP_A62, _DP_A63, _DP_A64, _DP_A65 = (
-    9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)
-_DP_B1, _DP_B3, _DP_B4, _DP_B5, _DP_B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_DP_E1, _DP_E3, _DP_E4, _DP_E5, _DP_E6, _DP_E7 = (
-    71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-
-
-def _dopri_triple(f, y0, rtol: float, atol: float, on_accept=None,
-                  max_steps: int = 400_000):
-    """Adaptive DP5(4) for a triple of complex unknowns on t in [0, 1].
-
-    Hot path of the accumulating outward legs; unrolled to stay on plain
-    complex arithmetic.
-    """
-    t = 0.0
-    y = tuple(complex(v) for v in y0)
-    f0 = f(t, y)
-    fmax = max(abs(f0[0]), abs(f0[1]), abs(f0[2]))
-    ymax = max(abs(y[0]), abs(y[1]), abs(y[2]))
-    h = min(1.0, 0.1 * (ymax + 1.0) / (fmax + 1e-300), 1e-2)
-    n = 0
-    while t < 1.0:
-        if n >= max_steps:
-            raise OdeToleranceNotMet(f"triple step limit reached at t={t:.6g}")
-        h = min(h, 1.0 - t)
-        k1 = f0
-        k2 = f(t + _DP_C2 * h, tuple(y[i] + h * _DP_A21 * k1[i] for i in range(3)))
-        k3 = f(t + _DP_C3 * h, tuple(y[i] + h * (_DP_A31 * k1[i] + _DP_A32 * k2[i])
-                                     for i in range(3)))
-        k4 = f(t + _DP_C4 * h, tuple(y[i] + h * (_DP_A41 * k1[i] + _DP_A42 * k2[i]
-                                                 + _DP_A43 * k3[i]) for i in range(3)))
-        k5 = f(t + _DP_C5 * h, tuple(y[i] + h * (_DP_A51 * k1[i] + _DP_A52 * k2[i]
-                                                 + _DP_A53 * k3[i] + _DP_A54 * k4[i])
-                                     for i in range(3)))
-        k6 = f(t + h, tuple(y[i] + h * (_DP_A61 * k1[i] + _DP_A62 * k2[i]
-                                        + _DP_A63 * k3[i] + _DP_A64 * k4[i]
-                                        + _DP_A65 * k5[i]) for i in range(3)))
-        y_new = tuple(y[i] + h * (_DP_B1 * k1[i] + _DP_B3 * k3[i] + _DP_B4 * k4[i]
-                                  + _DP_B5 * k5[i] + _DP_B6 * k6[i]) for i in range(3))
-        k7 = f(t + h, y_new)
-        enorm = 0.0
-        for i in range(3):
-            err = h * (_DP_E1 * k1[i] + _DP_E3 * k3[i] + _DP_E4 * k4[i]
-                       + _DP_E5 * k5[i] + _DP_E6 * k6[i] + _DP_E7 * k7[i])
-            scale = atol + rtol * max(abs(y[i]), abs(y_new[i]))
-            enorm = max(enorm, abs(err) / scale)
-        if not math.isfinite(enorm):
-            h *= 0.25
-            if h < 1e-15:
-                raise StepUnderflow("non-finite step in triple integrator")
-            continue
-        if enorm > 1.0:
-            h *= max(0.2, 0.9 * enorm ** -0.2)
-            if h < 1e-15:
-                raise StepUnderflow("triple step underflow")
-            continue
-        t += h
-        y, f0 = y_new, k7
-        n += 1
-        if on_accept is not None:
-            y_adj, action = on_accept(t, y)
-            if y_adj is not y:
-                y = y_adj
-                f0 = f(t, y)
-            if action == "stop":
-                return t, y, True
-        h *= min(5.0, max(0.2, 0.9 * enorm ** -0.2 if enorm > 0 else 5.0))
-    return t, y, False
-
-
-def _dopri_scalar(f, y0: complex, rtol: float, atol: float, on_accept=None,
-                  max_steps: int = 400_000) -> tuple[float, complex, bool]:
-    """Adaptive DP5(4) for one complex unknown on t in [0, 1]."""
-    t, y = 0.0, complex(y0)
-    f0 = f(t, y)
-    h = min(1.0, 0.1 * (abs(y) + 1.0) / (abs(f0) + 1e-300), 1e-2)
-    n = 0
-    while t < 1.0:
-        if n >= max_steps:
-            raise OdeToleranceNotMet(f"scalar step limit reached at t={t:.6g}")
-        h = min(h, 1.0 - t)
-        k1 = f0
-        k2 = f(t + _DP_C2 * h, y + h * (_DP_A21 * k1))
-        k3 = f(t + _DP_C3 * h, y + h * (_DP_A31 * k1 + _DP_A32 * k2))
-        k4 = f(t + _DP_C4 * h, y + h * (_DP_A41 * k1 + _DP_A42 * k2 + _DP_A43 * k3))
-        k5 = f(t + _DP_C5 * h, y + h * (_DP_A51 * k1 + _DP_A52 * k2
-                                        + _DP_A53 * k3 + _DP_A54 * k4))
-        k6 = f(t + h, y + h * (_DP_A61 * k1 + _DP_A62 * k2 + _DP_A63 * k3
-                               + _DP_A64 * k4 + _DP_A65 * k5))
-        y_new = y + h * (_DP_B1 * k1 + _DP_B3 * k3 + _DP_B4 * k4
-                         + _DP_B5 * k5 + _DP_B6 * k6)
-        k7 = f(t + h, y_new)
-        err = h * (_DP_E1 * k1 + _DP_E3 * k3 + _DP_E4 * k4 + _DP_E5 * k5
-                   + _DP_E6 * k6 + _DP_E7 * k7)
-        scale = atol + rtol * max(abs(y), abs(y_new))
-        enorm = abs(err) / scale
-        if not math.isfinite(enorm):
-            h *= 0.25
-            if h < 1e-15:
-                raise StepUnderflow("non-finite step in scalar integrator")
-            continue
-        if enorm > 1.0:
-            h *= max(0.2, 0.9 * enorm ** -0.2)
-            if h < 1e-15:
-                raise StepUnderflow("scalar step underflow")
-            continue
-        t += h
-        y, f0 = y_new, k7
-        n += 1
-        if on_accept is not None:
-            y_adj, action = on_accept(t, y)
-            if y_adj != y:
-                y = y_adj
-                f0 = f(t, y)
-            if action == "stop":
-                return t, y, True
-        h *= min(5.0, max(0.2, 0.9 * enorm ** -0.2 if enorm > 0 else 5.0))
-    return t, y, False
-
-
-# ---------------------------------------------------------------------------
 # Riccati integration with chart switching
-
-
-class _BranchTracker:
-    """Continuous branch of sqrt(V) along a path (sign-matched stepwise)."""
-
-    def __init__(self, pot: Potential, w0: complex):
-        self.pot = pot
-        self.w = w0
-
-    def at(self, z: complex) -> complex:
-        w = cmath.sqrt(self.pot(z))
-        if abs(w - self.w) > abs(w + self.w):
-            w = -w
-        return w
-
-    def accept(self, z: complex) -> complex:
-        self.w = self.at(z)
-        return self.w
 
 
 def _adiabatic_handoff(pot: Potential, ray: RaySpec,
@@ -371,11 +227,11 @@ def _adiabatic_handoff(pot: Potential, ray: RaySpec,
     the log-derivative equals the three-term WKB value up to corrections far
     below round-off once propagated inward.
     """
-    tracker = _BranchTracker(pot, _recessive_sqrtV(pot, waypoints[0], ray.angle))
+    w = _recessive_sqrtV(pot, waypoints[0], ray.angle)
     for idx in range(len(waypoints) - 1):
         z0, z1 = waypoints[idx], waypoints[idx + 1]
         if _eps_wkb(pot, z0) > _EPS_HANDOFF:
-            w = tracker.accept(z0)
+            w = branch_sqrt(pot, z0, w)
             return _wkb_logderivative(pot, z0, w), waypoints[idx:]
         prev = z0
         for j in range(1, _PHASE1_SAMPLES + 1):
@@ -388,13 +244,13 @@ def _adiabatic_handoff(pot: Potential, ray: RaySpec,
                         hi = mid
                     else:
                         lo = mid
-                w = tracker.accept(lo)
+                w = branch_sqrt(pot, lo, w)
                 return (_wkb_logderivative(pot, lo, w),
                         [lo, z1] + list(waypoints[idx + 2:]))
-            tracker.accept(z)
+            w = branch_sqrt(pot, z, w)
             prev = z
     z_end = waypoints[-1]
-    w = tracker.accept(z_end)
+    w = branch_sqrt(pot, z_end, w)
     return _wkb_logderivative(pot, z_end, w), [z_end]
 
 
@@ -430,8 +286,8 @@ def _integrate_s_inward(pot: Potential, ray: RaySpec, waypoints: list[complex],
                 z = z0 + t * dz
                 if abs(s) > _POLE_FACTOR * (1.0 + abs(pot(z)) ** 0.5):
                     switch["to"] = "r"
-                    return s, "stop"
-                return s, "continue"
+                    return s, complex_ode.STOP
+                return s, complex_ode.CONTINUE
         else:  # inverse chart r = 1/s
             def f(t, r):
                 z = z0 + t * dz
@@ -441,12 +297,14 @@ def _integrate_s_inward(pot: Potential, ray: RaySpec, waypoints: list[complex],
                 z = z0 + t * dz
                 if abs(r) * (1.0 + abs(pot(z)) ** 0.5) > 2.0 / _POLE_FACTOR:
                     switch["to"] = "s"
-                    return r, "stop"
-                return r, "continue"
+                    return r, complex_ode.STOP
+                return r, complex_ode.CONTINUE
 
-        t_end, value, stopped = _dopri_scalar(f, value, rtol, atol, on_accept)
-        z_cur = z0 + t_end * dz
-        if not stopped:
+        res = complex_ode.integrate(f, 0.0, 1.0, value, rtol=rtol, atol=atol,
+                                    on_accept=on_accept)
+        value = res.y
+        z_cur = z0 + res.t * dz
+        if not res.stopped:
             idx += 1
             z_cur = z1
             continue
@@ -523,14 +381,15 @@ def _integrate_pair_outward(pot: Potential, tp: TurningPoints, sA0: complex,
                     if abs(comp) > bound:
                         detour["z"] = z - 1.0 / comp
                         detour["at"] = z
-                        return y, "stop"
-                return y, "continue"
+                        return y, complex_ode.STOP
+                return y, complex_ode.CONTINUE
 
-            t_end, value, leg_stopped = _dopri_triple(f, value, rtol, atol,
-                                                      on_accept)
-            if leg_stopped:
+            res = complex_ode.integrate(f, 0.0, 1.0, value, rtol=rtol,
+                                        atol=atol, on_accept=on_accept)
+            value = res.y
+            if res.stopped:
                 stopped = True
-                z_stop = z0 + t_end * dz
+                z_stop = z0 + res.t * dz
                 break
         if not stopped:
             return value[2]

@@ -206,7 +206,7 @@ class PainlevePole:
 
 
 def _pi_rhs(z, y):
-    return np.array([y[1], 6.0 * y[0] * y[0] - z])
+    return (y[1], 6.0 * y[0] * y[0] - z)
 
 
 def seed_asymptotic(z0: complex, tol_seed: float = TOL_SEED,
@@ -226,7 +226,7 @@ def seed_asymptotic(z0: complex, tol_seed: float = TOL_SEED,
         raise ValueError("z0 outside the tritronquee sector")
     y0, yp0 = _asymptotic_state(z0, tol_seed)
     y1, yp1 = _asymptotic_state(2.0 * z0, tol_seed)
-    res = complex_ode.integrate_along_path(_pi_rhs, np.array([y1, yp1]),
+    res = complex_ode.integrate_along_path(_pi_rhs, (y1, yp1),
                                            [2.0 * z0, z0], rtol=1e-12,
                                            atol=1e-14)
     mismatch = max(abs(res.y[0] - y0), abs(res.y[1] - yp0))
@@ -273,7 +273,7 @@ def track(state: TritronqueeState, waypoints, fit_radius: float = FIT_RADIUS,
     """
     table = laurent_coefficients(laurent_order)
     z_cur = complex(state.z)
-    y_cur = np.array([state.y, state.yp], dtype=complex)
+    y_cur = (state.y, state.yp)
     poles: list[PainlevePole] = []
     pts = [complex(w) for w in waypoints]
     if abs(pts[0] - z_cur) > 1e-9 * (1.0 + abs(z_cur)):
@@ -294,7 +294,7 @@ def track(state: TritronqueeState, waypoints, fit_radius: float = FIT_RADIUS,
 
         def on_accept(z, y, z0=z0, dz=dz):
             if record_to is not None:
-                record_to.append((z, complex(y[0]), complex(y[1])))
+                record_to.append((z, *y))
             ay = abs(y[0])
             if ay < 8.0:
                 return y, complex_ode.CONTINUE
@@ -321,14 +321,13 @@ def track(state: TritronqueeState, waypoints, fit_radius: float = FIT_RADIUS,
 
         # first fit at the entry distance
         z_a = res.z
-        y_a, yp_a = complex(res.y[0]), complex(res.y[1])
+        y_a, yp_a = res.y
         a1, b1 = _fit_pole(table, z_a, y_a, yp_a, z_a + 2.0 * y_a / yp_a)
         # second fit at 0.8 of the entry distance, from re-integrated data
         z_b = a1 + 0.8 * (z_a - a1)
         res_b = complex_ode.integrate_along_path(
             _pi_rhs, res.y, [z_a, z_b], rtol=rtol, atol=1e-14)
-        a2, b2 = _fit_pole(table, z_b, complex(res_b.y[0]),
-                           complex(res_b.y[1]), a1, b1)
+        a2, b2 = _fit_pole(table, z_b, *res_b.y, a1, b1)
         fit_res = abs(a1 - a2) + abs(b1 - b2)
         if fit_res > tol_fit:
             raise PoleFitFailed(
@@ -340,7 +339,7 @@ def track(state: TritronqueeState, waypoints, fit_radius: float = FIT_RADIUS,
         z_exit = a2 - (z_b - a2)
         yF, ypF, *_ = table.eval_frame(a2, b2, z_exit)
         z_cur = z_exit
-        y_cur = np.array([yF, ypF], dtype=complex)
+        y_cur = (yF, ypF)
         # if the exit overshoots the current leg, move to the next one
         t_exit = ((z_exit - z0) / dz).real if dz != 0 else 0.0
         if t_exit >= 1.0:

@@ -18,13 +18,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import complex_ode
-from .elliptic import Potential, TurningPoints, turning_points
+from .elliptic import Potential, TurningPoints, branch_sqrt, turning_points
 from .errors import OdeToleranceNotMet, StepUnderflow, TraceStalled, UnresolvedTopology
 
 ESCAPE_FACTOR = 10.0
 MERGE_FACTOR = 1e-4
 TRACE_RTOL = 1e-9
-TOL_STOKES = 1e-6
 
 ASYMPTOTIC = "asymptotic"
 TURNING_POINT = "turning_point"
@@ -81,24 +80,16 @@ def _trace_single(pot: Potential, tp: TurningPoints, origin: int, angle: float,
              "left_origin": False, "terminus": (STALLED, None)}
     points = [start]
 
-    def branch_sqrt(lam: complex) -> complex:
-        w = cmath.sqrt(pot(lam))
-        if abs(w - state["w"]) > abs(w + state["w"]):
-            w = -w
-        return w
+    def g(t, lam):
+        w = branch_sqrt(pot, lam, state["w"])
+        return 1j * w.conjugate() / abs(w)
 
-    def g(t, y):
-        lam = complex(y[0])
-        w = branch_sqrt(lam)
-        return np.array([1j * w.conjugate() / abs(w)], dtype=complex)
-
-    def on_accept(t, y):
-        lam = complex(y[0])
+    def on_accept(t, lam):
         dlam = lam - state["lam"]
         # Simpson panel per accepted step; trapezoid error would leak into
         # the drift projection and bend the polyline off the level set
-        wm = branch_sqrt(state["lam"] + 0.5 * dlam)
-        w = branch_sqrt(lam)
+        wm = branch_sqrt(pot, state["lam"] + 0.5 * dlam, state["w"])
+        w = branch_sqrt(pot, lam, state["w"])
         state["action"] += (state["w"] + 4.0 * wm + w) * dlam / 6.0
         state["abs_action"] += (abs(state["w"]) + 4.0 * abs(wm)
                                 + abs(w)) * abs(dlam) / 6.0
@@ -106,31 +97,29 @@ def _trace_single(pot: Potential, tp: TurningPoints, origin: int, angle: float,
         drift = state["action"].real
         if abs(drift) > 1e-14 * max(1.0, state["abs_action"]) and abs(w) > 0:
             lam = lam - drift * w.conjugate() / (abs(w) ** 2)
-            w = branch_sqrt(lam)
+            w = branch_sqrt(pot, lam, state["w"])
             state["action"] = 1j * state["action"].imag
         state["w"] = w
         state["lam"] = lam
         points.append(lam)
-        y = np.array([lam], dtype=complex)
         if abs(lam) >= escape_radius:
             state["terminus"] = (ASYMPTOTIC, _gap_index(cmath.phase(lam)))
-            return y, complex_ode.STOP
+            return lam, complex_ode.STOP
         dist_origin = abs(lam - root)
         if not state["left_origin"] and dist_origin > 3.0 * tol_merge:
             state["left_origin"] = True
         if state["left_origin"] and dist_origin < tol_merge:
             state["terminus"] = (TURNING_POINT, origin)
-            return y, complex_ode.STOP
+            return lam, complex_ode.STOP
         for j, other in others:
             if abs(lam - other) < tol_merge:
                 state["terminus"] = (TURNING_POINT, j)
-                return y, complex_ode.STOP
-        return y, complex_ode.CONTINUE
+                return lam, complex_ode.STOP
+        return lam, complex_ode.CONTINUE
 
     max_arc = 40.0 * escape_radius
     try:
-        complex_ode.integrate(g, 0.0, max_arc, np.array([start], dtype=complex),
-                              rtol=rtol, atol=rtol * 1e-2,
+        complex_ode.integrate(g, 0.0, max_arc, start, rtol=rtol, atol=rtol * 1e-2,
                               on_accept=on_accept, max_steps=400_000)
     except StepUnderflow:
         raise TraceStalled(
@@ -227,13 +216,6 @@ def stokes_graph(pot: Potential, **kwargs) -> StokesGraph:
     """Trace and classify in one call."""
     g = trace_stokes_lines(pot, **kwargs)
     return replace(g, topology_label=classify_graph(g))
-
-
-def is_type_320(pot: Potential, **kwargs) -> bool:
-    try:
-        return classify_graph(trace_stokes_lines(pot, **kwargs)) == "320"
-    except (UnresolvedTopology, TraceStalled):
-        return False
 
 
 def polylines(g: StokesGraph) -> list[list[list[float]]]:

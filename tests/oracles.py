@@ -98,18 +98,18 @@ def linear_logderivative(pot: Potential, tp: TurningPoints, ray: RaySpec,
     s0, remaining = _adiabatic_handoff(pot, ray, waypoints)
 
     def f(z, y):
-        return np.array([y[1], pot(z) * y[0]])
+        return (y[1], pot(z) * y[0])
 
     def on_accept(z, y):
         m = max(abs(y[0]), abs(y[1]))
         if m > 1e100:
-            return y / m, complex_ode.CONTINUE
+            return (y[0] / m, y[1] / m), complex_ode.CONTINUE
         return y, complex_ode.CONTINUE
 
-    res = complex_ode.integrate_along_path(f, np.array([1.0, s0]), remaining,
+    res = complex_ode.integrate_along_path(f, (1.0, s0), remaining,
                                            rtol=rtol, atol=1e-30,
                                            on_accept=on_accept)
-    return complex(res.y[1] / res.y[0])
+    return res.y[1] / res.y[0]
 
 
 def polyline_action_drift(pot: Potential, points) -> tuple[float, float]:

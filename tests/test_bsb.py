@@ -192,3 +192,18 @@ def test_newton_diverges_on_exhausted_budget(anchor):
     seed = ParamPoint(anchor.point.a + 0.3, anchor.point.b + 0.1)
     with pytest.raises(NewtonDiverged):
         solve_period_targets(1j * math.pi, 1j * math.pi, seed, max_iter=1)
+
+
+def test_singular_jacobian_is_newton_diverged(monkeypatch, capsys):
+    from tritronquee import bsb
+    from tritronquee.cli import main
+    from tritronquee.errors import NewtonDiverged
+
+    def singular(point, target2, targetm2, tol_quad=1e-10):
+        return np.array([1.0 + 0j, 1.0 + 0j]), np.zeros((2, 2), dtype=complex)
+
+    monkeypatch.setattr(bsb, "_period_residual", singular)
+    with pytest.raises(NewtonDiverged):
+        solve_period_targets(1j * math.pi, 1j * math.pi, PRIMITIVE_11_SEED)
+    assert main(["bsb", "--n", "1", "--m", "1"]) == 3
+    assert "NewtonDiverged" in capsys.readouterr().err

@@ -6,9 +6,9 @@ import pytest
 
 from tritronquee.bsb import solve_period_targets
 from tritronquee.elliptic import (LEGENDRE_CONSTANT, CycleId, ParamPoint,
-                                  PeriodData, Potential, legendre_residual,
-                                  period, period_derivatives, sqrt_V,
-                                  turning_points)
+                                  PeriodData, Potential, branch_sqrt,
+                                  legendre_residual, period,
+                                  period_derivatives, sqrt_V, turning_points)
 from tritronquee.errors import DegenerateTurningPoints, OnBranchCut
 
 from oracles import (contour_period_trapezoid, continued_sqrt,
@@ -107,6 +107,18 @@ class TestSqrtV:
                for i in range(3001)]
         w_end = continued_sqrt(REF, pts, w0)
         assert abs(w_end + w0) < 1e-8 * abs(w0)
+
+    def test_branch_sqrt_follows_stepwise_oracle(self):
+        tp = turning_points(REF)
+        radius = 0.4 * tp.min_separation
+        pts = [tp.roots[1] + radius * cmath.exp(2j * math.pi * i / 600)
+               for i in range(601)]
+        w0 = cmath.sqrt(REF(pts[0]))
+        w = w0
+        for z in pts[1:]:
+            w = branch_sqrt(REF, z, w)
+        assert w == continued_sqrt(REF, pts, w0)
+        assert abs(w + w0) < 1e-8 * abs(w0)
 
     def test_against_stepwise_continuation_oracle(self):
         pot = REF
