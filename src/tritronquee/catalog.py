@@ -17,11 +17,12 @@ import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
 from . import __version__
-from .bsb import QuantumPair, descendant, solve_bsb
+from .bsb import BsbSolution, QuantumPair, descendant, solve_bsb
 from .config import ToolConfig
 from .errors import InsufficientData, NumericalError
 from .oscillator import refine_pole
@@ -127,12 +128,18 @@ def compute_entry(quantum: QuantumPair, k: int, painleve: bool = False,
     cfg = cfg or ToolConfig()
     primitive = solve_bsb(quantum, tol_newton=cfg.tol_newton)
     seed = descendant(primitive, k) if k else primitive
+    return _seed_entry(seed, painleve, cfg)
+
+
+def _seed_entry(seed: BsbSolution, painleve: bool,
+                cfg: ToolConfig) -> CatalogEntry:
+    """Refine one quantization seed and cross-check it."""
     try:
         rec = refine_pole(seed, radius_policy=(cfg.disc_alpha, cfg.disc_eps),
                           tol_dep=cfg.tol_dep, rtol=cfg.tol_ode)
     except NumericalError as exc:
         nan = float("nan")
-        return CatalogEntry(q=seed.q, k=k, seed_a=seed.point.a,
+        return CatalogEntry(q=seed.q, k=seed.k, seed_a=seed.point.a,
                             seed_b=seed.point.b, pole_a=complex(nan, nan),
                             pole_b=complex(nan, nan), dep_residual=nan,
                             bsb_residual=seed.residual, wkb_gap2=nan,
@@ -141,39 +148,41 @@ def compute_entry(quantum: QuantumPair, k: int, painleve: bool = False,
     pa, pb = (None, None)
     if painleve:
         pa, pb = _painleve_crosscheck(rec.pole.a, cfg.z_seed)
-    return CatalogEntry(q=seed.q, k=k, seed_a=seed.point.a, seed_b=seed.point.b,
-                        pole_a=rec.pole.a, pole_b=rec.pole.b,
-                        dep_residual=rec.dep_residual,
+    return CatalogEntry(q=seed.q, k=seed.k, seed_a=seed.point.a,
+                        seed_b=seed.point.b, pole_a=rec.pole.a,
+                        pole_b=rec.pole.b, dep_residual=rec.dep_residual,
                         bsb_residual=seed.residual,
                         wkb_gap2=rec.wkb_gap[0], wkb_gapm2=rec.wkb_gap[1],
                         error_a=abs(rec.pole.a - seed.point.a),
                         painleve_a=pa, painleve_b=pb)
 
 
-def _entry_worker(args):
-    n, m, k, painleve, cfg_dict = args
-    cfg = ToolConfig(**cfg_dict)
-    return compute_entry(QuantumPair(n, m), k, painleve, cfg)
-
-
 def build_catalog(q_list, K: int, cfg: ToolConfig | None = None,
                   painleve: bool = False, jobs: int = 1) -> dict:
-    """Catalog document for all (q, k <= K), deterministically ordered."""
+    """Catalog document for all (q, k <= K), deterministically ordered.
+
+    Each primitive is solved, Stokes check included, once per q; its
+    k-seeds are rescalings of it.
+    """
     cfg = cfg or ToolConfig()
-    tasks = [(q.n, q.m, k, painleve, dataclasses.asdict(cfg))
-             for q in q_list for k in range(K + 1)]
-    if jobs > 1 and len(tasks) > 1:
+    seeds = []
+    for q in q_list:
+        primitive = solve_bsb(q, tol_newton=cfg.tol_newton)
+        seeds.append(primitive)
+        seeds += [descendant(primitive, k) for k in range(1, K + 1)]
+    if jobs > 1 and len(seeds) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            entries = list(pool.map(_entry_worker, tasks))
+            entries = list(pool.map(_seed_entry, seeds, repeat(painleve),
+                                    repeat(cfg)))
     else:
-        entries = [_entry_worker(t) for t in tasks]
+        entries = [_seed_entry(seed, painleve, cfg) for seed in seeds]
     entries.sort(key=lambda e: (e.q, e.k))
     return {
         "meta": {
             "tool": "tritronquee",
             "version": __version__,
             "config_hash": cfg.digest(),
-            "tolerances": {k: v for k, v in dataclasses.asdict(cfg).items()},
+            "tolerances": dataclasses.asdict(cfg),
         },
         "entries": [entry_to_json(e) for e in entries],
     }

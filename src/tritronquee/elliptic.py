@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import DegenerateTurningPoints, OnBranchCut, QuadratureNotConverged
 
-TOL_ROOT = 1e-12
 TOL_QUAD = 1e-10
 TOL_CUT = 1e-9
 DEGENERACY_REL = 1e-6
@@ -130,7 +129,7 @@ class CycleId(Enum):
         return 2 if self is CycleId.C_MINUS1 else -2
 
 
-def turning_points(pot: Potential, tol_root: float = TOL_ROOT,
+def turning_points(pot: Potential,
                    degeneracy_rel: float = DEGENERACY_REL) -> TurningPoints:
     """Roots of V in canonical order, with the monic-cubic discriminant.
 
@@ -144,7 +143,7 @@ def turning_points(pot: Potential, tol_root: float = TOL_ROOT,
     q = -7.0 * b
     disc = -4.0 * p ** 3 - 27.0 * q ** 2
     roots = np.roots([4.0, 0.0, -2.0 * a, -28.0 * b]).astype(complex)
-    # one Newton polish pass tightens |V(root)| to round-off
+    # two Newton polish passes tighten |V(root)| to round-off
     for _ in range(2):
         v = 4.0 * roots ** 3 - 2.0 * a * roots - 28.0 * b
         dv = 12.0 * roots ** 2 - 2.0 * a

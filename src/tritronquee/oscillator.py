@@ -218,6 +218,22 @@ def _path_to(tp: TurningPoints, z0: complex, z1: complex) -> list[complex]:
 # Riccati integration with chart switching
 
 
+def _potential_fn(pot: Potential):
+    """V as a closure over the folded coefficients 2a and 28b.
+
+    The operations and their order are those of ``Potential.__call__``, so
+    the values are identical; the ODE right-hand sides evaluate V at every
+    stage and skip the attribute lookups and the two products this way.
+    """
+    c2a = 2.0 * pot.a
+    c28b = 28.0 * pot.b
+
+    def v(z):
+        return 4.0 * z * z * z - c2a * z - c28b
+
+    return v
+
+
 def _adiabatic_handoff(pot: Potential, ray: RaySpec,
                        waypoints: list[complex]):
     """Advance on the WKB manifold until the hand-off threshold.
@@ -262,6 +278,7 @@ def _integrate_s_inward(pot: Potential, ray: RaySpec, waypoints: list[complex],
     inverse-chart excursions across poles of s (with hysteresis).
     """
     value, remaining = _adiabatic_handoff(pot, ray, waypoints)
+    v = _potential_fn(pot)
     chart = "s"
     idx = 0
     z_cur = remaining[0]
@@ -280,22 +297,22 @@ def _integrate_s_inward(pot: Potential, ray: RaySpec, waypoints: list[complex],
         if chart == "s":
             def f(t, s):
                 z = z0 + t * dz
-                return (pot(z) - s * s) * dz
+                return (v(z) - s * s) * dz
 
             def on_accept(t, s):
                 z = z0 + t * dz
-                if abs(s) > _POLE_FACTOR * (1.0 + abs(pot(z)) ** 0.5):
+                if abs(s) > _POLE_FACTOR * (1.0 + abs(v(z)) ** 0.5):
                     switch["to"] = "r"
                     return s, complex_ode.STOP
                 return s, complex_ode.CONTINUE
         else:  # inverse chart r = 1/s
             def f(t, r):
                 z = z0 + t * dz
-                return (1.0 - pot(z) * r * r) * dz
+                return (1.0 - v(z) * r * r) * dz
 
             def on_accept(t, r):
                 z = z0 + t * dz
-                if abs(r) * (1.0 + abs(pot(z)) ** 0.5) > 2.0 / _POLE_FACTOR:
+                if abs(r) * (1.0 + abs(v(z)) ** 0.5) > 2.0 / _POLE_FACTOR:
                     switch["to"] = "s"
                     return r, complex_ode.STOP
                 return r, complex_ode.CONTINUE
@@ -351,12 +368,17 @@ def dependence_residual(pot: Potential, lam_match: complex | None = None,
 def _integrate_pair_outward(pot: Potential, tp: TurningPoints, sA0: complex,
                             sB0: complex, z_from: complex, z_to: complex,
                             rtol: float, atol: float) -> complex:
-    """Accumulate J = int (s_A - s_B) dlam from z_from to z_to.
+    """Accumulate J = int (s_A - s_B) dlam from z_from toward z_to.
 
+    Both carried log-derivatives are dominant on the way out, and the flow
+    contracts them onto one trajectory: once they are the same float, every
+    stage gives them identical values, J' = s_A - s_B is exactly 0 and J is
+    final, so the leg ends there.  ``z_to`` bounds how far the leg may run.
     Poles of either log-derivative on the way are dodged by bending the
     path around the estimated zero of psi; the exponential of J is
     insensitive to the dodge side.
     """
+    v = _potential_fn(pot)
     waypoints = _path_to(tp, z_from, z_to)
     value = (complex(sA0), complex(sB0), 0.0 + 0.0j)
     obstacles: list[tuple[complex, float]] = []
@@ -370,23 +392,27 @@ def _integrate_pair_outward(pot: Potential, tp: TurningPoints, sA0: complex,
                 continue
 
             def f(t, y, z0=z0, dz=dz):
-                v = pot(z0 + t * dz)
-                return ((v - y[0] * y[0]) * dz, (v - y[1] * y[1]) * dz,
-                        (y[0] - y[1]) * dz)
+                vz = v(z0 + t * dz)
+                s_a, s_b, _ = y
+                return ((vz - s_a * s_a) * dz, (vz - s_b * s_b) * dz,
+                        (s_a - s_b) * dz)
 
             def on_accept(t, y, z0=z0, dz=dz):
+                if y[0] == y[1]:
+                    return y, complex_ode.STOP
                 z = z0 + t * dz
-                bound = _POLE_FACTOR * (1.0 + abs(pot(z)) ** 0.5)
+                bound = _POLE_FACTOR * (1.0 + abs(v(z)) ** 0.5)
                 for comp in (y[0], y[1]):
                     if abs(comp) > bound:
                         detour["z"] = z - 1.0 / comp
-                        detour["at"] = z
                         return y, complex_ode.STOP
                 return y, complex_ode.CONTINUE
 
             res = complex_ode.integrate(f, 0.0, 1.0, value, rtol=rtol,
                                         atol=atol, on_accept=on_accept)
             value = res.y
+            if value[0] == value[1]:
+                return value[2]
             if res.stopped:
                 stopped = True
                 z_stop = z0 + res.t * dz
@@ -407,10 +433,12 @@ def u_values(pot: Potential, eval_radius: float | None = None,
              dependence_tol: float = 1e-10) -> tuple[complex, complex]:
     """Monodromy ratios (u_2, u_-2) from asymptotic-value ratios.
 
-    Each asymptotic value is the ratio of two recessive solutions at a
-    large-radius point on the evaluation ray, assembled from the integral of
-    the log-derivative difference along connecting paths (all normalization
-    constants cancel in the double ratio).
+    Each asymptotic value is the ratio of two recessive solutions far out on
+    the evaluation ray, assembled from the integral of the log-derivative
+    difference along connecting paths (all normalization constants cancel
+    in the double ratio).  The ratio is read where the two log-derivatives
+    coalesce to one float; ``eval_radius`` (default ``6 * scale``) is the
+    farthest a leg may run before that.
     """
     tp = turning_points(pot)
     lam = match_point(tp)

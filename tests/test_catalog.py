@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from tritronquee import catalog
 from tritronquee.bsb import QuantumPair
 from tritronquee.catalog import (CatalogEntry, build_catalog,
                                  compute_entry,
@@ -10,7 +11,7 @@ from tritronquee.catalog import (CatalogEntry, build_catalog,
                                  entry_to_json, pole_scatter, read_catalog,
                                  write_catalog)
 from tritronquee.config import ToolConfig, load_config
-from tritronquee.errors import InsufficientData
+from tritronquee.errors import InsufficientData, NewtonDiverged
 
 
 def _synthetic_doc(exponent=-1.2, C=0.05, n=5, q=Fraction(1)):
@@ -110,6 +111,24 @@ class TestPipeline:
         serial = build_catalog([QuantumPair(1, 1)], 1)
         parallel = build_catalog([QuantumPair(1, 1)], 1, jobs=2)
         assert json.dumps(serial) == json.dumps(parallel)
+
+    def test_primitive_solved_once_per_q(self, monkeypatch):
+        solve = catalog.solve_bsb
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return solve(*args, **kwargs)
+
+        def no_refinement(*args, **kwargs):
+            raise NewtonDiverged("refinement skipped")
+
+        monkeypatch.setattr(catalog, "solve_bsb", counting)
+        monkeypatch.setattr(catalog, "refine_pole", no_refinement)
+        q_list = [QuantumPair(1, 1), QuantumPair(3, 1)]
+        doc = build_catalog(q_list, 3)
+        assert len(calls) == len(q_list)
+        assert [e["k"] for e in doc["entries"]] == [0, 1, 2, 3] * 2
 
     def test_pole_scatter(self):
         doc = _synthetic_doc(n=3)

@@ -1,11 +1,13 @@
 import pytest
+from hypothesis import given, strategies as st
 
+from tritronquee import complex_ode
 from tritronquee.elliptic import Potential, turning_points
 from tritronquee.errors import OutsideDisc, PathNearTurningPoint
 from tritronquee.oscillator import (RaySpec, dependence_residual, match_point,
                                     psi_logderivative, ray_spec, refine_pole,
-                                    u_values, _recessive_sqrtV,
-                                    _wkb_logderivative)
+                                    u_values, _potential_fn,
+                                    _recessive_sqrtV, _wkb_logderivative)
 
 from oracles import linear_logderivative
 
@@ -20,6 +22,16 @@ FIRST_POLE_B = -0.0621357388
 
 def _pot(point):
     return Potential(point.a, point.b)
+
+
+_complex = st.complex_numbers(max_magnitude=1e6, allow_nan=False,
+                              allow_infinity=False)
+
+
+@given(_complex, _complex, _complex)
+def test_potential_fn_is_bit_identical(a, b, z):
+    pot = Potential(a, b)
+    assert _potential_fn(pot)(z) == pot(z)
 
 
 class TestRaySpec:
@@ -181,3 +193,19 @@ class TestUValues:
         for i in range(len(gaps) - 1):
             assert gaps[i + 1][0] < gaps[i][0]
             assert gaps[i + 1][1] < gaps[i][1]
+
+    def test_outward_legs_end_at_coalescence(self, anchor, monkeypatch):
+        """The carriers of each outward leg become one float long before the
+        evaluation radius; J is final there, so the legs stop.  Running on
+        to the radius takes 22,337 steps in all."""
+        integrate = complex_ode.integrate
+        steps = []
+
+        def counting(*args, **kwargs):
+            res = integrate(*args, **kwargs)
+            steps.append(res.n_steps)
+            return res
+
+        monkeypatch.setattr(complex_ode, "integrate", counting)
+        u_values(_pot(anchor.point))
+        assert sum(steps) <= 10_000
