@@ -30,6 +30,7 @@ from .oscillator import (  # noqa: F401
     PoleRecord,
     RaySpec,
     dependence_residual,
+    dependence_system,
     psi_logderivative,
     ray_spec,
     refine_pole,

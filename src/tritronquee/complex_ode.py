@@ -7,10 +7,13 @@ method is DP5(4) with the first-same-as-last (FSAL) property and local
 extrapolation (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.5).
 
 The state is either a bare ``complex`` (one unknown) or a tuple of complex
-(any number of unknowns); ``g`` returns a value of the same shape.  The type
-of ``y0`` selects the stage arithmetic: plain complex arithmetic for a
-scalar, componentwise tuple arithmetic otherwise.  The step controller is
-shared, so a scalar and a 1-tuple take identical steps.
+(any number of unknowns); ``g`` returns a value of the same shape.  The
+stage arithmetic is generated once per state shape from the one tableau,
+unrolled over the components (``_stage_fn``); every component is advanced
+with the operations of the scalar formula, so a scalar and a 1-tuple take
+identical steps.  The error norm may be restricted to the leading
+components (``error_dims``), which lets variational equations ride along
+on the steps of the state they differentiate.
 
 An ``on_accept(t, y) -> (y, action)`` callback runs after every accepted
 step; it can inspect and adjust the state (branch-drift correction, chart
@@ -21,6 +24,7 @@ and ``g`` is evaluated there afresh.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -30,16 +34,17 @@ from .errors import OdeToleranceNotMet, StepUnderflow
 CONTINUE = "continue"
 STOP = "stop"
 
-# Dormand-Prince 5(4) tableau; the zero entries of row 7 and of B are skipped
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920,
-                                -17253 / 339200, 22 / 525, -1 / 40)
+# Dormand-Prince 5(4) tableau: the nodes c2..c7, the stage rows a_j, the
+# 5th-order weights b and the error weights e (5th minus embedded 4th order)
+_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_A = ((1 / 5,),
+      (3 / 40, 9 / 40),
+      (44 / 45, -56 / 15, 32 / 9),
+      (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+      (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
+_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525,
+      -1 / 40)
 
 
 @dataclass
@@ -53,46 +58,77 @@ class IntegrationResult:
     z: complex | None = None
 
 
-def _step_scalar(g, t, y, k1, h, rtol, atol):
-    """One DP5(4) attempt on a bare complex: (y_new, g at y_new, error norm)."""
-    k2 = g(t + _C2 * h, y + h * (_A21 * k1))
-    k3 = g(t + _C3 * h, y + h * (_A31 * k1 + _A32 * k2))
-    k4 = g(t + _C4 * h, y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-    k5 = g(t + _C5 * h, y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
-    k6 = g(t + h, y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4
-                           + _A65 * k5))
-    y_new = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-    k7 = g(t + h, y_new)
-    err = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
-    return y_new, k7, abs(err) / (atol + rtol * max(abs(y), abs(y_new)))
+def _combination(coefs, names) -> str:
+    """Source of sum(c * name) over the nonzero coefficients, left to right."""
+    return " + ".join(f"{c!r} * {name}" for c, name in zip(coefs, names) if c)
 
 
-def _step_tuple(g, t, y, k1, h, rtol, atol):
-    """The same attempt componentwise on a tuple state.
+def _stage_source(arity: int | None, error_dims: int) -> str:
+    """Source of one DP5(4) attempt, unrolled over the state components.
 
-    ``tuple([...])`` rather than ``tuple(<generator>)``: the list form is
-    the faster of the two on short states.
+    ``arity`` None is a bare complex state, otherwise a tuple of that
+    length.  Every component is advanced as ``y + h * (a . k)`` with the
+    products summed left to right, the operation order of the scalar
+    formula, so each component's value does not depend on the arity.  Only
+    the first ``error_dims`` components enter the error norm.
     """
-    k2 = g(t + _C2 * h, tuple([v + h * (_A21 * a) for v, a in zip(y, k1)]))
-    k3 = g(t + _C3 * h, tuple([v + h * (_A31 * a + _A32 * b)
-                               for v, a, b in zip(y, k1, k2)]))
-    k4 = g(t + _C4 * h, tuple([v + h * (_A41 * a + _A42 * b + _A43 * c)
-                               for v, a, b, c in zip(y, k1, k2, k3)]))
-    k5 = g(t + _C5 * h, tuple([v + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
-                               for v, a, b, c, d in zip(y, k1, k2, k3, k4)]))
-    k6 = g(t + h, tuple([v + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d
-                                  + _A65 * e)
-                         for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)]))
-    y_new = tuple([v + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * f)
-                   for v, a, c, d, e, f in zip(y, k1, k3, k4, k5, k6)])
-    k7 = g(t + h, y_new)
-    ratios = [abs(h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * f + _E7 * k))
-              / (atol + rtol * max(abs(v), abs(w)))
-              for v, w, a, c, d, e, f, k in zip(y, y_new, k1, k3, k4, k5, k6, k7)]
-    enorm = max(ratios)
-    if math.isnan(sum(ratios)):  # max() drops a NaN that does not come first
-        enorm = math.nan
-    return y_new, k7, enorm
+    comps = [""] if arity is None else [f"_{i}" for i in range(arity)]
+
+    def pack(exprs):
+        return exprs[0] if arity is None else f"({', '.join(exprs)},)"
+
+    def unpack(stage):
+        names = ", ".join(f"k{stage}{c}" for c in comps)
+        return names if arity is None else names + ","
+
+    def stages(c, count):
+        return [f"k{j}{c}" for j in range(1, count + 1)]
+
+    def node(c):
+        return "t + h" if c == 1.0 else f"t + {c!r} * h"
+
+    lines = ["def step(g, t, y, k1, h, rtol, atol):"]
+    if arity is not None:
+        lines.append(f"    {', '.join(f'y{c}' for c in comps)}, = y")
+        lines.append(f"    {unpack(1)} = k1")
+    for stage, row in enumerate(_A, start=2):
+        args = [f"y{c} + h * ({_combination(row, stages(c, stage - 1))})"
+                for c in comps]
+        lines.append(f"    {unpack(stage)} = g({node(_C[stage - 2])}, "
+                     f"{pack(args)})")
+    for c in comps:
+        lines.append(f"    n{c} = y{c} + h * ({_combination(_B, stages(c, 6))})")
+    lines.append(f"    y_new = {pack([f'n{c}' for c in comps])}")
+    lines.append(f"    k7 = g({node(_C[5])}, y_new)")
+    if arity is not None:
+        lines.append(f"    {unpack(7)} = k7")
+    ratios = []
+    for c in comps[:error_dims]:
+        lines.append(f"    r{c} = abs(h * ({_combination(_E, stages(c, 7))})) "
+                     f"/ (atol + rtol * max(abs(y{c}), abs(n{c})))")
+        ratios.append(f"r{c}")
+    if len(ratios) == 1:
+        lines.append(f"    return y_new, k7, {ratios[0]}")
+    else:
+        # max() drops a NaN that does not come first; the sum keeps it
+        lines.append(f"    enorm = max({', '.join(ratios)})")
+        lines.append(f"    if isnan({' + '.join(ratios)}):")
+        lines.append("        enorm = nan")
+        lines.append("    return y_new, k7, enorm")
+    return "\n".join(lines) + "\n"
+
+
+@functools.cache
+def _stage_fn(arity: int | None, error_dims: int):
+    """The attempt for one state shape, generated on first use.
+
+    ``step(g, t, y, k1, h, rtol, atol) -> (y_new, g at y_new, error norm)``;
+    unrolling removes the per-component iteration a generic tuple step
+    pays on every stage.
+    """
+    namespace = {"isnan": math.isnan, "nan": math.nan}
+    exec(_stage_source(arity, error_dims), namespace)
+    return namespace["step"]
 
 
 def _max_abs(y) -> float:
@@ -101,25 +137,37 @@ def _max_abs(y) -> float:
 
 def integrate(g, t0: float, t1: float, y0, rtol: float = 1e-12,
               atol: float = 1e-14, on_accept=None,
-              max_steps: int = 500_000) -> IntegrationResult:
+              max_steps: int = 500_000,
+              error_dims: int | None = None) -> IntegrationResult:
     """Integrate y' = g(t, y) from t0 to t1 (t1 > t0).
 
     ``y0`` is a number (scalar state) or a sequence of numbers (tuple
     state).  ``on_accept(t, y) -> (y, action)`` runs after each accepted
     step; action ``STOP`` ends the integration at that point.
+
+    ``error_dims`` (default: all) is how many leading components of a
+    tuple state enter the error norm and the initial step size; the rest
+    ride along on the steps those components choose, unchecked, NaN
+    included.  With ``error_dims=1`` the first component takes exactly the
+    steps and values of a scalar run on its own equation.
     """
     span = t1 - t0
     if span <= 0.0:
         raise ValueError("t1 must exceed t0")
-    if isinstance(y0, numbers.Number):
-        y = complex(y0)
-        step, size = _step_scalar, abs
-    else:
-        y = tuple(complex(v) for v in y0)
-        step, size = _step_tuple, _max_abs
+    scalar = isinstance(y0, numbers.Number)
+    y = complex(y0) if scalar else tuple(complex(v) for v in y0)
+    dims = 1 if scalar else len(y)
+    checked = dims if error_dims is None else error_dims
+    if not 1 <= checked <= dims:
+        raise ValueError(f"error_dims must lie in 1..{dims}")
+    step = _stage_fn(None if scalar else dims, checked)
     t = float(t0)
     f = g(t, y)
-    h = min(1e-2 * span, 0.1 * (size(y) + 1.0) / (size(f) + 1e-300))
+    if scalar:
+        y_size, f_size = abs(y), abs(f)
+    else:
+        y_size, f_size = _max_abs(y[:checked]), _max_abs(f[:checked])
+    h = min(1e-2 * span, 0.1 * (y_size + 1.0) / (f_size + 1e-300))
     h = max(h, 1e-12 * span)
     n = 0
     min_h = 1e-15 * max(1.0, abs(span))

@@ -37,7 +37,6 @@ class ToolConfig:
     tol_ode: float = 1e-12
     tol_wkb: float = 1e-10
     tol_dep: float = 1e-9
-    jacobian_h: float = 1e-6
     disc_alpha: float = 1.0
     disc_eps: float = 1.0
 

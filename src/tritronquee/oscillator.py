@@ -16,7 +16,9 @@ Linear dependence of two recessive solutions is tested by matching their
 log-derivatives at one regular point, which eliminates all normalization
 constants.  The zeros of that dependence map in the (a, b) plane are the
 poles of the tritronquee solution; Newton refinement from quantization
-seeds produces certified pole records.
+seeds produces certified pole records.  The inward legs carry the
+derivatives of the log-derivative in a and b (the variational equations),
+so one pass gives the dependence residual together with its exact Jacobian.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .errors import (DependentBasis, NewtonDiverged, OdeToleranceNotMet,
 TOL_ODE = 1e-12
 TOL_WKB = 1e-10
 TOL_DEP = 1e-9
-JACOBIAN_H = 1e-6
 
 _POLE_FACTOR = 50.0
 _EPS_HANDOFF = 0.02
@@ -66,14 +67,24 @@ class RaySpec:
 
 @dataclass(frozen=True)
 class LogDerivativeSample:
+    """psi'/psi of the ray-k recessive solution at ``lam``, with its
+    derivatives in a and b at that fixed point."""
+
     lam: complex
     s: complex
     k: int
+    ds_da: complex
+    ds_db: complex
 
 
 @dataclass(frozen=True)
 class PoleRecord:
-    """One certified pole with the residuals of every verification route."""
+    """One certified pole with the residuals of every verification route.
+
+    ``jacobian_cond`` is cond(J) of the dependence Jacobian at the pole and
+    ``newton_step`` the infinity norm of J^-1 G there, the a-posteriori
+    distance in (a, b) to the root.
+    """
 
     q: Fraction
     k: int
@@ -82,6 +93,8 @@ class PoleRecord:
     dep_residual: float
     wkb_gap: tuple[float, float]
     newton_iterations: int
+    jacobian_cond: float
+    newton_step: float
     painleve_check: tuple[complex, complex] | None = None
 
 
@@ -104,6 +117,26 @@ def _wkb_logderivative(pot: Potential, z: complex, w: complex) -> complex:
     vpp = pot.deriv2(z)
     return (-w - vp / (4.0 * v)
             - vpp / (8.0 * v * w) + 5.0 * vp * vp / (32.0 * v * v * w))
+
+
+def _wkb_jet(pot: Potential, z: complex, w: complex):
+    """(s, ds/da, ds/db) of the three-term WKB expansion at the fixed point z.
+
+    Differentiates ``_wkb_logderivative`` with dV/da = -2z, dV'/da = -2,
+    dV/db = -28, dV'/db = 0, V'' independent of (a, b) and dw = dV / (2w).
+    """
+    v = pot(z)
+    vp = pot.deriv(z)
+    vpp = pot.deriv2(z)
+
+    def d(dv, dvp):
+        dw = dv / (2.0 * w)
+        return (-dw - (dvp * v - vp * dv) / (4.0 * v * v)
+                + vpp * (dv * w + v * dw) / (8.0 * v * v * w * w)
+                + 5.0 * vp * (2.0 * dvp * v * w - vp * (2.0 * dv * w + v * dw))
+                / (32.0 * v * v * v * w * w))
+
+    return _wkb_logderivative(pot, z, w), d(-2.0 * z, -2.0), d(-28.0, 0.0)
 
 
 def _eps_wkb(pot: Potential, z: complex) -> float:
@@ -238,7 +271,8 @@ def _adiabatic_handoff(pot: Potential, ray: RaySpec,
                        waypoints: list[complex]):
     """Advance on the WKB manifold until the hand-off threshold.
 
-    Returns (s at the hand-off point, remaining waypoints starting there).
+    Returns ((s, ds/da, ds/db) at the hand-off point, remaining waypoints
+    starting there).
     The contraction rate 2|sqrt(V)| exceeds every drift scale out here, so
     the log-derivative equals the three-term WKB value up to corrections far
     below round-off once propagated inward.
@@ -248,7 +282,7 @@ def _adiabatic_handoff(pot: Potential, ray: RaySpec,
         z0, z1 = waypoints[idx], waypoints[idx + 1]
         if _eps_wkb(pot, z0) > _EPS_HANDOFF:
             w = branch_sqrt(pot, z0, w)
-            return _wkb_logderivative(pot, z0, w), waypoints[idx:]
+            return _wkb_jet(pot, z0, w), waypoints[idx:]
         prev = z0
         for j in range(1, _PHASE1_SAMPLES + 1):
             z = z0 + (z1 - z0) * (j / _PHASE1_SAMPLES)
@@ -261,21 +295,31 @@ def _adiabatic_handoff(pot: Potential, ray: RaySpec,
                     else:
                         lo = mid
                 w = branch_sqrt(pot, lo, w)
-                return (_wkb_logderivative(pot, lo, w),
+                return (_wkb_jet(pot, lo, w),
                         [lo, z1] + list(waypoints[idx + 2:]))
             w = branch_sqrt(pot, z, w)
             prev = z
     z_end = waypoints[-1]
     w = branch_sqrt(pot, z_end, w)
-    return _wkb_logderivative(pot, z_end, w), [z_end]
+    return _wkb_jet(pot, z_end, w), [z_end]
+
+
+def _invert(y):
+    """Chart switch x -> 1/x of (x, dx/da, dx/db): d(1/x) = -dx / x^2."""
+    inv = 1.0 / y[0]
+    inv2 = inv * inv
+    return (inv, -y[1] * inv2, -y[2] * inv2)
 
 
 def _integrate_s_inward(pot: Potential, ray: RaySpec, waypoints: list[complex],
-                        rtol: float, atol: float) -> complex:
+                        rtol: float, atol: float):
     """Follow the recessive log-derivative from the ray start to the path end.
 
     Adiabatic WKB phase far out, then explicit Riccati integration with
-    inverse-chart excursions across poles of s (with hysteresis).
+    inverse-chart excursions across poles of s (with hysteresis).  The
+    state is (s, ds/da, ds/db): the variational equations ride along on the
+    steps that the error control of s alone chooses, so s takes exactly the
+    steps of a scalar run.  Returns the state at the path end.
     """
     value, remaining = _adiabatic_handoff(pot, ray, waypoints)
     v = _potential_fn(pot)
@@ -295,30 +339,41 @@ def _integrate_s_inward(pot: Potential, ray: RaySpec, waypoints: list[complex],
         switch = {"to": None}
 
         if chart == "s":
-            def f(t, s):
-                z = z0 + t * dz
-                return (v(z) - s * s) * dz
+            # s' = V - s^2, (ds/da)' = -2z - 2s ds/da, (ds/db)' = -28 - 2s ds/db
+            m2dz = -2.0 * dz
 
-            def on_accept(t, s):
+            def f(t, y):
                 z = z0 + t * dz
-                if abs(s) > _POLE_FACTOR * (1.0 + abs(v(z)) ** 0.5):
+                s, s_a, s_b = y
+                return ((v(z) - s * s) * dz, (z + s * s_a) * m2dz,
+                        (14.0 + s * s_b) * m2dz)
+
+            def on_accept(t, y):
+                z = z0 + t * dz
+                if abs(y[0]) > _POLE_FACTOR * (1.0 + abs(v(z)) ** 0.5):
                     switch["to"] = "r"
-                    return s, complex_ode.STOP
-                return s, complex_ode.CONTINUE
+                    return y, complex_ode.STOP
+                return y, complex_ode.CONTINUE
         else:  # inverse chart r = 1/s
-            def f(t, r):
+            # r' = 1 - V r^2, (dr/da)' = 2z r^2 - 2V r dr/da,
+            # (dr/db)' = 28 r^2 - 2V r dr/db
+            def f(t, y):
                 z = z0 + t * dz
-                return (1.0 - v(z) * r * r) * dz
+                r, r_a, r_b = y
+                vz = v(z)
+                r2dz = (r + r) * dz
+                return ((1.0 - vz * r * r) * dz, (z * r - vz * r_a) * r2dz,
+                        (14.0 * r - vz * r_b) * r2dz)
 
-            def on_accept(t, r):
+            def on_accept(t, y):
                 z = z0 + t * dz
-                if abs(r) * (1.0 + abs(v(z)) ** 0.5) > 2.0 / _POLE_FACTOR:
+                if abs(y[0]) * (1.0 + abs(v(z)) ** 0.5) > 2.0 / _POLE_FACTOR:
                     switch["to"] = "s"
-                    return r, complex_ode.STOP
-                return r, complex_ode.CONTINUE
+                    return y, complex_ode.STOP
+                return y, complex_ode.CONTINUE
 
         res = complex_ode.integrate(f, 0.0, 1.0, value, rtol=rtol, atol=atol,
-                                    on_accept=on_accept)
+                                    on_accept=on_accept, error_dims=1)
         value = res.y
         z_cur = z0 + res.t * dz
         if not res.stopped:
@@ -326,24 +381,48 @@ def _integrate_s_inward(pot: Potential, ray: RaySpec, waypoints: list[complex],
             z_cur = z1
             continue
         if switch["to"] is not None:
-            value = 1.0 / value
+            value = _invert(value)
             chart = switch["to"]
     if chart == "r":
-        value = 1.0 / value
+        value = _invert(value)
     return value
 
 
 def psi_logderivative(pot: Potential, ray: RaySpec, lam_match: complex,
                       rtol: float = TOL_ODE, atol: float = 1e-13) -> LogDerivativeSample:
     """Log-derivative of the recessive solution on ray k, continued to
-    ``lam_match`` along a turning-point-avoiding path."""
+    ``lam_match`` along a turning-point-avoiding path, with its derivatives
+    in a and b at that point."""
     tp = turning_points(pot)
     if min(abs(lam_match - r) for r in tp.roots) < 0.3 * _PATH_MARGIN * tp.min_separation:
         raise PathNearTurningPoint(
             f"match point {lam_match} too close to a turning point")
     waypoints = _path_to(tp, ray.start_point, complex(lam_match))
-    s = _integrate_s_inward(pot, ray, waypoints, rtol, atol)
-    return LogDerivativeSample(lam=complex(lam_match), s=s, k=ray.k)
+    s, ds_da, ds_db = _integrate_s_inward(pot, ray, waypoints, rtol, atol)
+    return LogDerivativeSample(lam=complex(lam_match), s=s, k=ray.k,
+                               ds_da=ds_da, ds_db=ds_db)
+
+
+def dependence_system(pot: Potential, lam_match: complex | None = None,
+                      rtol: float = TOL_ODE, tol_wkb: float = TOL_WKB):
+    """Dependence residual G and its Jacobian J = dG/d(a, b), in one pass.
+
+    G = (s_-1 - s_2, s_1 - s_-2) at the match point (the centroid rule of
+    ``match_point`` unless ``lam_match`` is given); J = ((dG_0/da,
+    dG_0/db), (dG_1/da, dG_1/db)) comes from the variational equations
+    carried along each inward leg.  J is the derivative at that fixed match
+    point.  When the match point follows (a, b), the full derivative adds
+    G_lam * dlam with G_lam = (s_2^2 - s_-1^2, s_-2^2 - s_1^2); that term
+    vanishes with G, so Newton on J stays quadratic near a pole.
+    """
+    tp = turning_points(pot)
+    lam = match_point(tp) if lam_match is None else complex(lam_match)
+    s = {k: psi_logderivative(pot, ray_spec(pot, k, tol_wkb), lam, rtol)
+         for k in (-1, 2, 1, -2)}
+    G = (s[-1].s - s[2].s, s[1].s - s[-2].s)
+    J = ((s[-1].ds_da - s[2].ds_da, s[-1].ds_db - s[2].ds_db),
+         (s[1].ds_da - s[-2].ds_da, s[1].ds_db - s[-2].ds_db))
+    return G, J
 
 
 def dependence_residual(pot: Potential, lam_match: complex | None = None,
@@ -352,13 +431,10 @@ def dependence_residual(pot: Potential, lam_match: complex | None = None,
     """(s_-1 - s_2, s_1 - s_-2) at the match point.
 
     Both components vanish exactly when the two linear-dependence conditions
-    characterizing a tritronquee pole hold.
+    characterizing a tritronquee pole hold.  This is the G of
+    ``dependence_system``.
     """
-    tp = turning_points(pot)
-    lam = match_point(tp) if lam_match is None else complex(lam_match)
-    s = {k: psi_logderivative(pot, ray_spec(pot, k, tol_wkb), lam, rtol).s
-         for k in (-1, 2, 1, -2)}
-    return (s[-1] - s[2], s[1] - s[-2])
+    return dependence_system(pot, lam_match, rtol, tol_wkb)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -466,14 +542,27 @@ def u_values(pot: Potential, eval_radius: float | None = None,
 # pole refinement
 
 
+def _newton_step(J, G):
+    try:
+        return np.linalg.solve(J, G)
+    except np.linalg.LinAlgError as exc:
+        raise NewtonDiverged(f"singular dependence Jacobian: {exc}")
+
+
 def refine_pole(seed: BsbSolution, radius_policy: tuple[float, float] = (1.0, 1.0),
                 tol_dep: float = TOL_DEP, rtol: float = TOL_ODE,
                 max_iter: int = 25, compute_gap: bool = True) -> PoleRecord:
     """Newton on the dependence residual starting from a quantization seed.
 
-    The refined point must stay within ``k^(-alpha) eps`` of the seed in the
-    a coordinate (the disc policy); the refined b is the quartic Laurent
-    coefficient of the tritronquee expansion at the pole.
+    Each trial point costs one ``dependence_system`` pass, which returns
+    the residual G with its exact Jacobian J; a full step is accepted when
+    it lowers |G_0| + |G_1|, otherwise it is halved.  A non-finite G or J
+    (the Jacobian is outside the integrator's error test) raises
+    ``NewtonDiverged``.  The refined point must stay within
+    ``k^(-alpha) eps`` of the seed in the a coordinate (the disc policy);
+    the refined b is the quartic Laurent coefficient of the tritronquee
+    expansion at the pole.  The record carries cond(J) and |J^-1 G|_inf at
+    the pole as its Newton certificate.
     """
     alpha, eps = radius_policy
     if not 0.2 < alpha < 1.2:
@@ -481,10 +570,15 @@ def refine_pole(seed: BsbSolution, radius_policy: tuple[float, float] = (1.0, 1.
     a = complex(seed.point.a)
     b = complex(seed.point.b)
 
-    def residual(av, bv):
-        return np.array(dependence_residual(Potential(av, bv), rtol=rtol))
+    def system(av, bv):
+        G, J = dependence_system(Potential(av, bv), rtol=rtol)
+        G, J = np.array(G), np.array(J)
+        if not (np.isfinite(G).all() and np.isfinite(J).all()):
+            raise NewtonDiverged(
+                f"non-finite dependence system at a={av}, b={bv}")
+        return G, J
 
-    G = residual(a, b)
+    G, J = system(a, b)
     res = float(abs(G[0]) + abs(G[1]))
     iterations = 0
     polished = False
@@ -497,24 +591,16 @@ def refine_pole(seed: BsbSolution, radius_policy: tuple[float, float] = (1.0, 1.
             # same point well inside the residual ball)
             polished = True
         iterations += 1
-        ha = JACOBIAN_H * (1.0 + abs(a))
-        hb = JACOBIAN_H * (1.0 + abs(b))
-        col_a = (residual(a + ha, b) - residual(a - ha, b)) / (2.0 * ha)
-        col_b = (residual(a, b + hb) - residual(a, b - hb)) / (2.0 * hb)
-        J = np.column_stack([col_a, col_b])
-        try:
-            step = np.linalg.solve(J, G)
-        except np.linalg.LinAlgError as exc:
-            raise NewtonDiverged(f"singular dependence Jacobian: {exc}")
+        step = _newton_step(J, G)
         factor = 1.0
         improved = False
         for _ in range(20):
             a_try = a - factor * step[0]
             b_try = b - factor * step[1]
-            G_try = residual(a_try, b_try)
+            G_try, J_try = system(a_try, b_try)
             res_try = float(abs(G_try[0]) + abs(G_try[1]))
             if res_try < res:
-                a, b, G, res = a_try, b_try, G_try, res_try
+                a, b, G, J, res = a_try, b_try, G_try, J_try, res_try
                 improved = True
                 break
             factor *= 0.5
@@ -540,4 +626,6 @@ def refine_pole(seed: BsbSolution, radius_policy: tuple[float, float] = (1.0, 1.
         gap = (abs(u2 - (tu2 + 1.0)), abs(um2 - (tum2 + 1.0)))
     return PoleRecord(q=seed.q, k=seed.k, seed=seed.point,
                       pole=ParamPoint(a, b), dep_residual=res, wkb_gap=gap,
-                      newton_iterations=iterations)
+                      newton_iterations=iterations,
+                      jacobian_cond=float(np.linalg.cond(J)),
+                      newton_step=float(np.abs(_newton_step(J, G)).max()))

@@ -5,6 +5,8 @@ roots come from Durand-Kerner instead of the companion matrix, periods from
 a dense trapezoid on a circular contour instead of the segment quadrature,
 branch values from stepwise continuation, and log-derivatives from the
 linear (psi, psi') system with rescaling instead of the Riccati flow.
+The DP5(4) attempts ``step_scalar`` and ``step_tuple`` are frozen copies of
+the hand-written stage code that ``complex_ode`` now generates per arity.
 """
 
 from __future__ import annotations
@@ -17,6 +19,56 @@ import numpy as np
 from tritronquee import complex_ode
 from tritronquee.elliptic import Potential, TurningPoints
 from tritronquee.oscillator import RaySpec, _adiabatic_handoff, _path_to
+
+
+# Dormand-Prince 5(4) tableau of the frozen attempts below
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920,
+                                -17253 / 339200, 22 / 525, -1 / 40)
+
+
+def step_scalar(g, t, y, k1, h, rtol, atol):
+    """One DP5(4) attempt on a bare complex: (y_new, g at y_new, error norm)."""
+    k2 = g(t + _C2 * h, y + h * (_A21 * k1))
+    k3 = g(t + _C3 * h, y + h * (_A31 * k1 + _A32 * k2))
+    k4 = g(t + _C4 * h, y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
+    k5 = g(t + _C5 * h, y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
+    k6 = g(t + h, y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4
+                           + _A65 * k5))
+    y_new = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
+    k7 = g(t + h, y_new)
+    err = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
+    return y_new, k7, abs(err) / (atol + rtol * max(abs(y), abs(y_new)))
+
+
+def step_tuple(g, t, y, k1, h, rtol, atol):
+    """The same attempt componentwise on a tuple state."""
+    k2 = g(t + _C2 * h, tuple([v + h * (_A21 * a) for v, a in zip(y, k1)]))
+    k3 = g(t + _C3 * h, tuple([v + h * (_A31 * a + _A32 * b)
+                               for v, a, b in zip(y, k1, k2)]))
+    k4 = g(t + _C4 * h, tuple([v + h * (_A41 * a + _A42 * b + _A43 * c)
+                               for v, a, b, c in zip(y, k1, k2, k3)]))
+    k5 = g(t + _C5 * h, tuple([v + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
+                               for v, a, b, c, d in zip(y, k1, k2, k3, k4)]))
+    k6 = g(t + h, tuple([v + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d
+                                  + _A65 * e)
+                         for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)]))
+    y_new = tuple([v + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * f)
+                   for v, a, c, d, e, f in zip(y, k1, k3, k4, k5, k6)])
+    k7 = g(t + h, y_new)
+    ratios = [abs(h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * f + _E7 * k))
+              / (atol + rtol * max(abs(v), abs(w)))
+              for v, w, a, c, d, e, f, k in zip(y, y_new, k1, k3, k4, k5, k6, k7)]
+    enorm = max(ratios)
+    if math.isnan(sum(ratios)):  # max() drops a NaN that does not come first
+        enorm = math.nan
+    return y_new, k7, enorm
 
 
 def durand_kerner_roots(pot: Potential, n_iter: int = 200) -> list[complex]:
@@ -95,7 +147,7 @@ def linear_logderivative(pot: Potential, tp: TurningPoints, ray: RaySpec,
                          lam_match: complex, rtol: float = 1e-12) -> complex:
     """s(lam_match) from the linear (psi, psi') system with rescaling."""
     waypoints = _path_to(tp, ray.start_point, complex(lam_match))
-    s0, remaining = _adiabatic_handoff(pot, ray, waypoints)
+    (s0, _, _), remaining = _adiabatic_handoff(pot, ray, waypoints)
 
     def f(z, y):
         return (y[1], pot(z) * y[0])

@@ -3,9 +3,12 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tritronquee import complex_ode
 from tritronquee.errors import OdeToleranceNotMet, StepUnderflow
+
+from oracles import step_scalar, step_tuple
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 LAMBDAS = (-1.0 + 2.0j, 0.5 - 3.0j, -0.2 + 0.1j)
@@ -63,6 +66,58 @@ def test_scalar_and_one_tuple_take_identical_steps():
     assert scalar.y == single.y[0]
     assert scalar.n_steps == single.n_steps > 10
     assert seen_scalar == seen_tuple
+
+
+def test_unchecked_sensitivities_ride_on_the_scalar_steps():
+    """(s, ds/dc, ds/dp) for s' = c - s^2 + p t s with error_dims=1: the
+    first component takes exactly the steps and values of the scalar run."""
+    def augmented(t, y):
+        s, s_c, s_p = y
+        return (_riccati(t, s), 1.0 - 2.0 * s * s_c + t * s_c,
+                t * s - 2.0 * s * s_p + t * s_p)
+
+    scalar = complex_ode.integrate(_riccati, 0.0, 3.0, 0.3 - 0.2j)
+    riding = complex_ode.integrate(augmented, 0.0, 3.0, (0.3 - 0.2j, 0.0, 0.0),
+                                   error_dims=1)
+    checked = complex_ode.integrate(augmented, 0.0, 3.0, (0.3 - 0.2j, 0.0, 0.0))
+    assert riding.y[0] == scalar.y
+    assert riding.n_steps == scalar.n_steps < checked.n_steps
+    assert abs(riding.y[1] - checked.y[1]) < 1e-8 * abs(checked.y[1])
+
+
+@pytest.mark.parametrize("error_dims", [0, 4])
+def test_error_dims_out_of_range_rejected(error_dims):
+    with pytest.raises(ValueError):
+        complex_ode.integrate(lambda t, y: y, 0.0, 1.0, (1.0, 1.0, 1.0),
+                              error_dims=error_dims)
+
+
+_component = st.complex_numbers(max_magnitude=4.0, allow_nan=False,
+                                allow_infinity=False)
+
+
+@given(st.integers(0, 4), st.lists(_component, min_size=8, max_size=8),
+       st.floats(1e-4, 0.5), st.floats(-2.0, 2.0))
+def test_generated_stages_match_the_frozen_step(arity, values, h, t):
+    """Arity 0 is a bare complex; the generated attempt must equal the
+    hand-written one bit for bit."""
+    coef = values[4:]
+
+    def g_scalar(tt, y):
+        return coef[0] - y * y + tt * y
+
+    def g_tuple(tt, y):
+        return tuple([c - v * v + tt * y[i - 1]
+                      for i, (c, v) in enumerate(zip(coef, y))])
+
+    if arity == 0:
+        y, g, frozen = values[0], g_scalar, step_scalar
+    else:
+        y, g, frozen = tuple(values[:arity]), g_tuple, step_tuple
+    k1 = g(t, y)
+    generated = complex_ode._stage_fn(arity or None, arity or 1)
+    assert generated(g, t, y, k1, h, 1e-12, 1e-14) == frozen(g, t, y, k1, h,
+                                                             1e-12, 1e-14)
 
 
 def test_returning_the_same_state_keeps_fsal():

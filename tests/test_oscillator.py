@@ -1,10 +1,14 @@
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tritronquee import complex_ode
+from tritronquee import complex_ode, oscillator
 from tritronquee.elliptic import Potential, turning_points
-from tritronquee.errors import OutsideDisc, PathNearTurningPoint
-from tritronquee.oscillator import (RaySpec, dependence_residual, match_point,
+from tritronquee.errors import NewtonDiverged, OutsideDisc, PathNearTurningPoint
+from tritronquee.oscillator import (RaySpec, dependence_residual,
+                                    dependence_system, match_point,
                                     psi_logderivative, ray_spec, refine_pole,
                                     u_values, _potential_fn,
                                     _recessive_sqrtV, _wkb_logderivative)
@@ -117,6 +121,25 @@ class TestDependenceResidual:
         assert 1e-4 < norm < 1.0
 
 
+@pytest.mark.parametrize("where", ["seed", "generic"])
+def test_jacobian_matches_central_differences(anchor, where):
+    """J of the variational equations against central differences of the
+    residual at the same fixed match point."""
+    a, b = ((anchor.point.a, anchor.point.b) if where == "seed"
+            else (-1.0 + 0.7j, 0.3 - 0.2j))
+    lam = match_point(turning_points(Potential(a, b)))
+    G, J = dependence_system(Potential(a, b), lam_match=lam)
+    assert G == dependence_residual(Potential(a, b), lam_match=lam)
+
+    def residual(av, bv):
+        return np.array(dependence_residual(Potential(av, bv), lam_match=lam))
+
+    ha, hb = 1e-5 * (1.0 + abs(a)), 1e-5 * (1.0 + abs(b))
+    fd = np.column_stack([(residual(a + ha, b) - residual(a - ha, b)) / (2 * ha),
+                          (residual(a, b + hb) - residual(a, b - hb)) / (2 * hb)])
+    assert np.abs(np.array(J) - fd).max() <= 1e-6 * np.abs(fd).max()
+
+
 class TestRefinePole:
     def test_first_pole_against_painleve_oracle(self, pole_table):
         rec = pole_table["records"][0]
@@ -138,6 +161,35 @@ class TestRefinePole:
         with pytest.raises(ValueError):
             refine_pole(q1_sequence[1], radius_policy=(1.3, 1.0),
                         compute_gap=False)
+
+    def test_newton_certificate(self, pole_table):
+        """|J^-1 G| at each returned q = 1 pole bounds its distance to the
+        root; it grows with k as the residual's scale shrinks."""
+        for rec in pole_table["records"]:
+            assert rec.newton_step <= 1e-8
+            assert 1.0 <= rec.jacobian_cond < 1e3
+
+    def test_non_finite_jacobian_is_newton_diverged(self, anchor, monkeypatch):
+        def nan_jacobian(pot, lam_match=None, rtol=None, tol_wkb=None):
+            return (0.1 + 0.0j, 0.1 + 0.0j), ((1.0, math.nan), (0.0, 1.0))
+
+        monkeypatch.setattr(oscillator, "dependence_system", nan_jacobian)
+        with pytest.raises(NewtonDiverged):
+            refine_pole(anchor, compute_gap=False)
+
+    def test_one_pass_per_trial_point(self, anchor, monkeypatch):
+        """The Jacobian comes with the residual: central differences made
+        84 recessive-solution integrations here."""
+        calls = []
+        psi = oscillator.psi_logderivative
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return psi(*args, **kwargs)
+
+        monkeypatch.setattr(oscillator, "psi_logderivative", counting)
+        refine_pole(anchor, compute_gap=False)
+        assert len(calls) <= 28
 
 
 class TestProportionality:
