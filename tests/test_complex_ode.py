@@ -47,7 +47,68 @@ class TestExactSolution:
         assert abs(res.y - cmath.exp(2.0j * lam)) < 1e-8 * abs(cmath.exp(2.0j * lam))
 
 
-def test_scalar_and_one_tuple_take_identical_steps():
+TABLEAUS = pytest.mark.parametrize(
+    "tableau", [complex_ode.DP54, complex_ode.DOP853], ids=["DP54", "DOP853"])
+
+
+class TestDop853:
+    def test_coefficients_match_scipy(self):
+        ref = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+        tab = complex_ode.DOP853
+        stages = len(tab.weights)
+        assert stages == ref.N_STAGES
+        assert tab.nodes == tuple(ref.C[1:stages + 1].tolist())
+        assert tab.rows == tuple(tuple(ref.A[i, :i].tolist())
+                                 for i in range(1, stages))
+        assert tab.weights == tuple(ref.B.tolist())
+        assert tab.error == tuple(ref.E5.tolist())
+        assert tab.error3 == tuple(ref.E3.tolist())
+
+    @pytest.mark.parametrize("tableau, order",
+                             [(complex_ode.DP54, 5), (complex_ode.DOP853, 8)],
+                             ids=["DP54", "DOP853"])
+    def test_order_conditions(self, tableau, order):
+        """sum b c^(q-1) = 1/q for q <= order, each node is its row sum,
+        and every error estimate is a difference of consistent weights."""
+        c = (0.0,) + tableau.nodes[:-1]
+        for q in range(1, order + 1):
+            moment = sum(b * ci ** (q - 1) for b, ci in zip(tableau.weights, c))
+            assert abs(moment - 1.0 / q) < 1e-14, q
+        for ci, row in zip(c[1:], tableau.rows):
+            assert abs(sum(row) - ci) < 1e-14
+        assert tableau.nodes[-1] == 1.0
+        for weights in (tableau.error, tableau.error3 or ()):
+            assert abs(sum(weights)) < 1e-14
+
+    @pytest.mark.parametrize("y0", [1.0 + 0.5j, (1.0, 2.0j, -1.0 + 1.0j)],
+                             ids=["scalar", "3-tuple"])
+    def test_exponential_in_half_the_steps(self, y0):
+        if isinstance(y0, complex):
+            def g(t, y):
+                return LAMBDAS[0] * y
+            exact = [y0 * cmath.exp(2.0 * LAMBDAS[0])]
+        else:
+            def g(t, y):
+                return tuple([lam * v for lam, v in zip(LAMBDAS, y)])
+            exact = [v * cmath.exp(2.0 * lam) for lam, v in zip(LAMBDAS, y0)]
+        runs = {tab: complex_ode.integrate(g, 0.0, 2.0, y0, rtol=1e-12,
+                                           tableau=tab)
+                for tab in (complex_ode.DP54, complex_ode.DOP853)}
+        res = runs[complex_ode.DOP853]
+        values = [res.y] if isinstance(y0, complex) else res.y
+        for v, ref in zip(values, exact):
+            assert abs(v - ref) < 1e-10 * abs(ref)
+        assert 2 * res.n_steps <= runs[complex_ode.DP54].n_steps
+
+    def test_zero_error_estimate(self):
+        # both estimates vanish on a constant solution: no 0 / 0
+        res = complex_ode.integrate(lambda t, y: 0j, 0.0, 1.0, 1.0 + 1.0j,
+                                    tableau=complex_ode.DOP853)
+        assert res.y == 1.0 + 1.0j and res.t == 1.0
+
+
+@TABLEAUS
+def test_scalar_and_one_tuple_take_identical_steps(tableau):
     seen_scalar, seen_tuple = [], []
 
     def hook_scalar(t, y):
@@ -59,16 +120,18 @@ def test_scalar_and_one_tuple_take_identical_steps():
         return y, complex_ode.CONTINUE
 
     scalar = complex_ode.integrate(_riccati, 0.0, 3.0, 0.3 - 0.2j,
-                                   on_accept=hook_scalar)
+                                   on_accept=hook_scalar, tableau=tableau)
     single = complex_ode.integrate(lambda t, y: (_riccati(t, y[0]),), 0.0, 3.0,
-                                   (0.3 - 0.2j,), on_accept=hook_tuple)
+                                   (0.3 - 0.2j,), on_accept=hook_tuple,
+                                   tableau=tableau)
     assert scalar.t == single.t
     assert scalar.y == single.y[0]
     assert scalar.n_steps == single.n_steps > 10
     assert seen_scalar == seen_tuple
 
 
-def test_unchecked_sensitivities_ride_on_the_scalar_steps():
+@TABLEAUS
+def test_unchecked_sensitivities_ride_on_the_scalar_steps(tableau):
     """(s, ds/dc, ds/dp) for s' = c - s^2 + p t s with error_dims=1: the
     first component takes exactly the steps and values of the scalar run."""
     def augmented(t, y):
@@ -76,10 +139,12 @@ def test_unchecked_sensitivities_ride_on_the_scalar_steps():
         return (_riccati(t, s), 1.0 - 2.0 * s * s_c + t * s_c,
                 t * s - 2.0 * s * s_p + t * s_p)
 
-    scalar = complex_ode.integrate(_riccati, 0.0, 3.0, 0.3 - 0.2j)
+    scalar = complex_ode.integrate(_riccati, 0.0, 3.0, 0.3 - 0.2j,
+                                   tableau=tableau)
     riding = complex_ode.integrate(augmented, 0.0, 3.0, (0.3 - 0.2j, 0.0, 0.0),
-                                   error_dims=1)
-    checked = complex_ode.integrate(augmented, 0.0, 3.0, (0.3 - 0.2j, 0.0, 0.0))
+                                   error_dims=1, tableau=tableau)
+    checked = complex_ode.integrate(augmented, 0.0, 3.0, (0.3 - 0.2j, 0.0, 0.0),
+                                    tableau=tableau)
     assert riding.y[0] == scalar.y
     assert riding.n_steps == scalar.n_steps < checked.n_steps
     assert abs(riding.y[1] - checked.y[1]) < 1e-8 * abs(checked.y[1])
@@ -166,13 +231,17 @@ def test_nan_in_last_component_underflows():
     def g(t, y):
         return (1j * y[0], -y[1], math.nan if t > 0.5 else y[2])
 
-    with pytest.raises(StepUnderflow):
-        complex_ode.integrate(g, 0.0, 1.0, (1.0, 1.0, 1.0))
+    for tableau in (complex_ode.DP54, complex_ode.DOP853):
+        with pytest.raises(StepUnderflow):
+            complex_ode.integrate(g, 0.0, 1.0, (1.0, 1.0, 1.0),
+                                  tableau=tableau)
 
 
 def test_single_dormand_prince_tableau():
-    """The DP5(4) coefficients are defined in one place under src/."""
-    hits = [path for path in SRC.rglob("*.py")
-            for line in path.read_text().splitlines() if "19372 / 6561" in line]
-    assert len(hits) == 1, hits
-    assert hits[0].name == "complex_ode.py"
+    """The DP5(4) and the DOP853 coefficients are each defined in one place
+    under src/."""
+    for literal in ("19372 / 6561", "-4.34898841810699588477366255144e1"):
+        hits = [path for path in SRC.rglob("*.py")
+                for line in path.read_text().splitlines() if literal in line]
+        assert len(hits) == 1, (literal, hits)
+        assert hits[0].name == "complex_ode.py"

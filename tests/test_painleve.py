@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from tritronquee.errors import PoleFitFailed
-from tritronquee.painleve import (laurent_coefficients, seed_asymptotic,
-                                  track, tritronquee_series_coefficients)
+from tritronquee.painleve import (TOL_FIT, laurent_coefficients,
+                                  seed_asymptotic, track,
+                                  tritronquee_series_coefficients)
 
 from oracles import hermite_quintic_residual
 
@@ -15,6 +16,8 @@ from oracles import hermite_quintic_residual
 #: the values are cross-validated by chart-parameter halving below)
 FIRST_POLE_A = -2.3841687695685
 FIRST_POLE_B = -0.0621357388
+#: fifth real pole (k = 4), where route 2's reference is least certain
+FIFTH_POLE_A = -13.6179947029
 
 
 def _series_eval(table, a, b, z):
@@ -117,6 +120,22 @@ class TestTrack:
         assert all(p.fit_residual < 1e-6 for p in poles)
         gaps = np.diff([p.a.real for p in poles])
         assert all(g < 0 for g in gaps)
+
+    def test_fit_residual_compares_two_fits(self):
+        """The second Laurent fit starts from its own blow-up estimate, so
+        the two fits are independent and their disagreement is not 0."""
+        st = seed_asymptotic(40.0)
+        _, poles = track(st, [40.0, -12.0])
+        assert len(poles) == 4
+        assert all(0.0 < p.fit_residual < TOL_FIT for p in poles)
+
+    def test_reach_past_eight_real_poles(self):
+        st = seed_asymptotic(40.0)
+        _, poles = track(st, [40.0, -22.0])
+        assert len(poles) == 8
+        assert all(abs(p.a.imag) < 1e-9 for p in poles)
+        assert all(np.diff([p.a.real for p in poles]) < 0)
+        assert abs(poles[4].a - FIFTH_POLE_A) < 1e-9
 
     def test_dense_ode_residual(self):
         st = seed_asymptotic(40.0)
