@@ -7,6 +7,8 @@ of turning points, evaluated as doubled line integrals over the joining
 segments.  The substitution ``lam(theta) = mid + halfspan*cos(theta)``
 absorbs the square-root endpoint behaviour, so a Gauss-Legendre rule in
 ``theta`` converges geometrically; node doubling provides the error estimate.
+One doubling sweep per cycle shares the nodes and the third-root factor among
+chi, d chi/d a and d chi/d b, and each integral stops at its own converged n.
 
 Branch convention: cuts lie along the two segments joining the inner turning
 point to each outer one, plus a closure ray from the inner point to infinity
@@ -328,37 +330,40 @@ def _third_root_factor(tp: TurningPoints, which: int, theta: np.ndarray) -> np.n
     return np.sqrt(base) * np.sqrt(vals)
 
 
-def _cycle_integral(pot: Potential, cycle: CycleId, kind: str,
-                    tol_quad: float = TOL_QUAD) -> complex:
-    tp = turning_points(pot)
+def _cycle_sweep(tp: TurningPoints, cycle: CycleId, tol_quad: float = TOL_QUAD,
+                 kinds: tuple[str, ...] = ("chi", "da", "db")) -> dict[str, complex]:
+    """The integrals ``kinds`` over one cycle by kind; each stops at the
+    first n that agrees with n/2, and is left out if none does."""
     which = 1 if cycle is CycleId.C_MINUS1 else 2
     sigma = _SIGMA_CHI2 if cycle is CycleId.C_MINUS1 else _SIGMA_CHIM2
-    r0 = tp.roots[0]
-    rout = tp.roots[which]
+    r0, rout = tp.roots[0], tp.roots[which]
     c = (r0 + rout) / 2.0
     h = (rout - r0) / 2.0
-
-    def evaluate(n: int) -> complex:
+    prev, done = {}, {}
+    for n in (32, 64, 128, 256, 512, 1024, 2048, 4096):
         theta, wts = _gauss_nodes(n)
         w = _third_root_factor(tp, which, theta)
-        if kind == "chi":
-            integrand = np.sin(theta) ** 2 * w
-            return 4j * sigma * h * h * complex(np.sum(wts * integrand))
-        lam = c + h * np.cos(theta)
-        if kind == "da":
-            return 1j * sigma * complex(np.sum(wts * lam / w))
-        if kind == "db":
-            return 14j * sigma * complex(np.sum(wts / w))
-        raise ValueError(kind)
+        for kind in [k for k in kinds if k not in done]:
+            if kind == "chi":
+                integrand = np.sin(theta) ** 2 * w
+                cur = 4j * sigma * h * h * complex(np.sum(wts * integrand))
+            elif kind == "da":
+                cur = 1j * sigma * complex(np.sum(wts * (c + h * np.cos(theta)) / w))
+            else:
+                cur = 14j * sigma * complex(np.sum(wts / w))
+            if n > 32 and abs(cur - prev[kind]) <= tol_quad * max(1.0, abs(cur)):
+                done[kind] = cur
+            prev[kind] = cur
+        if len(done) == len(kinds):
+            break
+    return done
 
-    prev = evaluate(32)
-    for n in (64, 128, 256, 512, 1024, 2048, 4096):
-        cur = evaluate(n)
-        if abs(cur - prev) <= tol_quad * max(1.0, abs(cur)):
-            return cur
-        prev = cur
-    raise QuadratureNotConverged(
-        f"period quadrature for {cycle} ({kind}) did not converge")
+
+def _take(done: dict[str, complex], cycle: CycleId, kind: str) -> complex:
+    if kind not in done:
+        raise QuadratureNotConverged(
+            f"period quadrature for {cycle} ({kind}) did not converge")
+    return done[kind]
 
 
 def period(pot: Potential, cycle: CycleId, tol_quad: float = TOL_QUAD) -> complex:
@@ -367,7 +372,8 @@ def period(pot: Potential, cycle: CycleId, tol_quad: float = TOL_QUAD) -> comple
     Computed as twice the line integral between the two encircled turning
     points, with node-doubled Gauss-Legendre quadrature.
     """
-    return _cycle_integral(pot, cycle, "chi", tol_quad)
+    done = _cycle_sweep(turning_points(pot), cycle, tol_quad, ("chi",))
+    return _take(done, cycle, "chi")
 
 
 def period_derivatives(pot: Potential, cycle: CycleId,
@@ -377,9 +383,8 @@ def period_derivatives(pot: Potential, cycle: CycleId,
     d chi/d a integrates -lam dlam/mu, d chi/d b integrates -14 dlam/mu on the
     elliptic curve mu^2 = V.
     """
-    da = _cycle_integral(pot, cycle, "da", tol_quad)
-    db = _cycle_integral(pot, cycle, "db", tol_quad)
-    return da, db
+    done = _cycle_sweep(turning_points(pot), cycle, tol_quad, ("da", "db"))
+    return _take(done, cycle, "da"), _take(done, cycle, "db")
 
 
 @dataclass(frozen=True)
@@ -395,11 +400,16 @@ class PeriodData:
 
     @classmethod
     def compute(cls, pot: Potential, tol_quad: float = TOL_QUAD) -> "PeriodData":
-        chi2 = period(pot, CycleId.C_MINUS1, tol_quad)
-        chi_m2 = period(pot, CycleId.C_PLUS1, tol_quad)
-        d2a, d2b = period_derivatives(pot, CycleId.C_MINUS1, tol_quad)
-        dm2a, dm2b = period_derivatives(pot, CycleId.C_PLUS1, tol_quad)
-        return cls(chi2, chi_m2, d2a, d2b, dm2a, dm2b)
+        """One turning-point solve and one sweep per cycle; errors surface
+        in the order chi2, chi_m2, then the derivatives."""
+        tp = turning_points(pot)
+        c2, cm2 = CycleId.C_MINUS1, CycleId.C_PLUS1
+        done2 = _cycle_sweep(tp, c2, tol_quad)
+        chi2 = _take(done2, c2, "chi")
+        donem2 = _cycle_sweep(tp, cm2, tol_quad)
+        return cls(chi2, _take(donem2, cm2, "chi"),
+                   _take(done2, c2, "da"), _take(done2, c2, "db"),
+                   _take(donem2, cm2, "da"), _take(donem2, cm2, "db"))
 
     @property
     def jacobian_det(self) -> complex:

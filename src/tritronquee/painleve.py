@@ -20,6 +20,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
@@ -133,8 +134,11 @@ class LaurentTable:
         return y, yp, dy_da, dy_db, dyp_da, dyp_db
 
 
+@functools.cache
 def laurent_coefficients(order: int = LAURENT_ORDER) -> LaurentTable:
     """Recurrence table of the Laurent expansion about a movable pole.
+
+    Built once per order with exact fractions and shared by every caller.
 
     The leading term is (z-a)^(-2); the resonance sits at the quartic power,
     where the free coefficient b enters.  For j >= 7 (power j-2):
@@ -160,7 +164,9 @@ def laurent_coefficients(order: int = LAURENT_ORDER) -> LaurentTable:
             conv = _poly_add(conv, _poly_mul(coeffs[p], coeffs[q]))
         denom = (j - 2) * (j - 3) - 12
         coeffs[j] = _poly_scale(conv, Fraction(6, denom))
-    return LaurentTable(order=order, coeffs=tuple(coeffs))
+    # the cached table is shared by every caller, so its polynomials are read-only
+    return LaurentTable(order=order,
+                        coeffs=tuple(MappingProxyType(p) for p in coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +228,22 @@ class PainlevePole:
     fit_residual: float
 
 
-def _pi_rhs(z, y):
-    return (y[1], 6.0 * y[0] * y[0] - z)
+def _pi_leg(y0, z0: complex, z1: complex, rtol: float, on_accept=None):
+    """Integrate y'' = 6 y^2 - z on DOP853 along the segment z0 -> z1.
+
+    The leg runs in its parameter t in [0, 1] with dz = z1 - z0 folded into
+    the right-hand side; ``on_accept(t, y)`` sees t.  Returns the result and
+    the complex end point.
+    """
+    dz = z1 - z0
+
+    def rhs(t, y):
+        return (y[1] * dz, (6.0 * y[0] * y[0] - (z0 + t * dz)) * dz)
+
+    res = complex_ode.integrate(rhs, 0.0, 1.0, y0, rtol=rtol, atol=1e-14,
+                                on_accept=on_accept,
+                                tableau=complex_ode.DOP853)
+    return res, z0 + res.t * dz
 
 
 def seed_asymptotic(z0: complex, tol_seed: float = TOL_SEED,
@@ -243,10 +263,7 @@ def seed_asymptotic(z0: complex, tol_seed: float = TOL_SEED,
         raise ValueError("z0 outside the tritronquee sector")
     y0, yp0 = _asymptotic_state(z0, tol_seed)
     y1, yp1 = _asymptotic_state(2.0 * z0, tol_seed)
-    res = complex_ode.integrate_along_path(_pi_rhs, (y1, yp1),
-                                           [2.0 * z0, z0], rtol=1e-12,
-                                           atol=1e-14,
-                                           tableau=complex_ode.DOP853)
+    res, _ = _pi_leg((y1, yp1), 2.0 * z0, z0, rtol=1e-12)
     mismatch = max(abs(res.y[0] - y0), abs(res.y[1] - yp0))
     if mismatch > tol_match:
         raise SeedNotConverged(
@@ -260,13 +277,21 @@ def seed_asymptotic(z0: complex, tol_seed: float = TOL_SEED,
 
 def _fit_pole(table: LaurentTable, z: complex, y: complex, yp: complex,
               a0: complex, b0: complex = 0.0) -> tuple[complex, complex]:
-    """Newton solve of series(z; a, b) = (y, y') for the pole data."""
+    """Newton solve of series(z; a, b) = (y, y') for the pole data.
+
+    Stops at a relative residual below 1e-13, or below 1e-10 once a step
+    no longer halves it: quadratic convergence has then stalled at the
+    round-off floor, which grows with |a| along the real pole ladder.
+    """
     a, b = complex(a0), complex(b0)
+    r_prev = math.inf
     for _ in range(40):
         Y, Yp, da, db, dpa, dpb = table.eval_frame(a, b, z)
         F = np.array([Y - y, Yp - yp])
-        if abs(F[0]) / (1.0 + abs(y)) + abs(F[1]) / (1.0 + abs(yp)) < 1e-13:
+        r = abs(F[0]) / (1.0 + abs(y)) + abs(F[1]) / (1.0 + abs(yp))
+        if r < 1e-13 or (r < 1e-10 and r > 0.5 * r_prev):
             return a, b
+        r_prev = r
         J = np.array([[da, db], [dpa, dpb]])
         try:
             step = np.linalg.solve(J, F)
@@ -316,7 +341,8 @@ def track(state: TritronqueeState, waypoints, fit_radius: float = FIT_RADIUS,
             continue
         hit = {"z": None}
 
-        def on_accept(z, y, z0=z0, dz=dz):
+        def on_accept(t, y, z0=z0, dz=dz):
+            z = z0 + t * dz
             if record_to is not None:
                 record_to.append((z, *y))
             ay = abs(y[0])
@@ -334,9 +360,7 @@ def track(state: TritronqueeState, waypoints, fit_radius: float = FIT_RADIUS,
                 return y, complex_ode.STOP
             return y, complex_ode.CONTINUE
 
-        res = complex_ode.integrate_along_path(
-            _pi_rhs, y_cur, [z0, z1], rtol=rtol, atol=1e-14,
-            on_accept=on_accept, tableau=complex_ode.DOP853)
+        res, z_a = _pi_leg(y_cur, z0, z1, rtol, on_accept)
         if not res.stopped:
             z_cur = z1
             y_cur = res.y
@@ -344,15 +368,12 @@ def track(state: TritronqueeState, waypoints, fit_radius: float = FIT_RADIUS,
             continue
 
         # first fit at the entry distance
-        z_a = res.z
         y_a, yp_a = res.y
         a1, b1 = _fit_pole(table, z_a, y_a, yp_a, z_a + 2.0 * y_a / yp_a)
         # second fit at 0.8 of the entry distance, from re-integrated data
         # and its own start, so that the two fits are independent
         z_b = a1 + 0.8 * (z_a - a1)
-        res_b = complex_ode.integrate_along_path(
-            _pi_rhs, res.y, [z_a, z_b], rtol=rtol, atol=1e-14,
-            tableau=complex_ode.DOP853)
+        res_b, _ = _pi_leg(res.y, z_a, z_b, rtol)
         y_b, yp_b = res_b.y
         a2, b2 = _fit_pole(table, z_b, y_b, yp_b, z_b + 2.0 * y_b / yp_b)
         fit_res = abs(a1 - a2) + abs(b1 - b2)

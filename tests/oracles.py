@@ -6,7 +6,10 @@ a dense trapezoid on a circular contour instead of the segment quadrature,
 branch values from stepwise continuation, and log-derivatives from the
 linear (psi, psi') system with rescaling instead of the Riccati flow.
 The DP5(4) attempts ``step_scalar`` and ``step_tuple`` are frozen copies of
-the hand-written stage code that ``complex_ode`` now generates per arity.
+the hand-written stage code that ``complex_ode`` now generates per arity,
+and ``period_data_per_integral`` is a frozen copy of the period quadrature
+that solved the turning points and swept the nodes once per integral (on
+the module's own node and third-root helpers).
 """
 
 from __future__ import annotations
@@ -17,7 +20,11 @@ import math
 import numpy as np
 
 from tritronquee import complex_ode
-from tritronquee.elliptic import Potential, TurningPoints
+from tritronquee.elliptic import (_SIGMA_CHI2, _SIGMA_CHIM2, CycleId,
+                                  PeriodData, Potential, TurningPoints,
+                                  _gauss_nodes, _third_root_factor,
+                                  turning_points)
+from tritronquee.errors import QuadratureNotConverged
 from tritronquee.oscillator import RaySpec, _adiabatic_handoff, _path_to
 
 
@@ -69,6 +76,51 @@ def step_tuple(g, t, y, k1, h, rtol, atol):
     if math.isnan(sum(ratios)):  # max() drops a NaN that does not come first
         enorm = math.nan
     return y_new, k7, enorm
+
+
+def cycle_integral(pot: Potential, cycle: CycleId, kind: str,
+                    tol_quad: float) -> complex:
+    """One period integral from its own turning-point solve and sweep."""
+    tp = turning_points(pot)
+    which = 1 if cycle is CycleId.C_MINUS1 else 2
+    sigma = _SIGMA_CHI2 if cycle is CycleId.C_MINUS1 else _SIGMA_CHIM2
+    r0 = tp.roots[0]
+    rout = tp.roots[which]
+    c = (r0 + rout) / 2.0
+    h = (rout - r0) / 2.0
+
+    def evaluate(n: int) -> complex:
+        theta, wts = _gauss_nodes(n)
+        w = _third_root_factor(tp, which, theta)
+        if kind == "chi":
+            integrand = np.sin(theta) ** 2 * w
+            return 4j * sigma * h * h * complex(np.sum(wts * integrand))
+        lam = c + h * np.cos(theta)
+        if kind == "da":
+            return 1j * sigma * complex(np.sum(wts * lam / w))
+        return 14j * sigma * complex(np.sum(wts / w))
+
+    prev = evaluate(32)
+    for n in (64, 128, 256, 512, 1024, 2048, 4096):
+        cur = evaluate(n)
+        if abs(cur - prev) <= tol_quad * max(1.0, abs(cur)):
+            return cur
+        prev = cur
+    raise QuadratureNotConverged(
+        f"period quadrature for {cycle} ({kind}) did not converge")
+
+
+def period_data_per_integral(pot: Potential, tol_quad: float) -> PeriodData:
+    """``PeriodData`` from six independent integrals, in the order chi_2,
+    chi_-2, then the derivatives of chi_2 and of chi_-2."""
+    c2, cm2 = CycleId.C_MINUS1, CycleId.C_PLUS1
+    chi2 = cycle_integral(pot, c2, "chi", tol_quad)
+    chi_m2 = cycle_integral(pot, cm2, "chi", tol_quad)
+    return PeriodData(chi2, chi_m2,
+                      cycle_integral(pot, c2, "da", tol_quad),
+                      cycle_integral(pot, c2, "db", tol_quad),
+                      cycle_integral(pot, cm2, "da", tol_quad),
+                      cycle_integral(pot, cm2, "db", tol_quad))
 
 
 def durand_kerner_roots(pot: Potential, n_iter: int = 200) -> list[complex]:

@@ -3,16 +3,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from tritronquee import elliptic
 from tritronquee.bsb import solve_period_targets
-from tritronquee.elliptic import (LEGENDRE_CONSTANT, CycleId, ParamPoint,
-                                  PeriodData, Potential, branch_sqrt,
-                                  legendre_residual, period,
+from tritronquee.elliptic import (LEGENDRE_CONSTANT, TOL_QUAD, CycleId,
+                                  ParamPoint, PeriodData, Potential,
+                                  branch_sqrt, legendre_residual, period,
                                   period_derivatives, sqrt_V, turning_points)
-from tritronquee.errors import DegenerateTurningPoints, OnBranchCut
+from tritronquee.errors import (DegenerateTurningPoints, NumericalError,
+                                OnBranchCut)
 
 from oracles import (contour_period_trapezoid, continued_sqrt,
-                     continued_sqrt_path, durand_kerner_roots)
+                     continued_sqrt_path, cycle_integral,
+                     durand_kerner_roots, period_data_per_integral)
 
 REF = Potential(-2.34, -0.064)
 
@@ -201,6 +205,61 @@ class TestPeriodDerivatives:
         scaled = Potential(x * x * REF.a, x ** 3 * REF.b)
         da1, _ = period_derivatives(scaled, CycleId.C_MINUS1)
         assert abs(da1 - math.sqrt(x) * da0) < 1e-8 * abs(da1)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except NumericalError as exc:
+        return type(exc), str(exc)
+
+
+_coord = st.floats(-6.0, 6.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _potentials(draw):
+    """Generic (a, b), or turning points r, r + eps, -2r - eps whose close
+    pair makes the quadrature slow or keeps it from converging."""
+    r = complex(draw(_coord), draw(_coord)) / 3.0
+    if draw(st.booleans()):
+        return Potential(complex(draw(_coord), draw(_coord)),
+                         complex(draw(_coord), draw(_coord)) / 4.0)
+    eps = 10.0 ** draw(st.floats(-5.5, -1.0)) * complex(
+        draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
+    roots = (r, r + eps, -2.0 * r - eps)
+    e2 = roots[0] * roots[1] + roots[0] * roots[2] + roots[1] * roots[2]
+    return Potential(-2.0 * e2, roots[0] * roots[1] * roots[2] / 7.0)
+
+
+class TestSharedSweep:
+    @settings(max_examples=80, deadline=None)
+    @given(_potentials(), st.sampled_from([TOL_QUAD, 1e-13, 1e-14]))
+    def test_matches_per_integral_quadrature(self, pot, tol_quad):
+        """Each integral stops at its own n: values and errors are those
+        of separate sweeps, bit for bit, through all three entry points."""
+        shared = _outcome(lambda: PeriodData.compute(pot, tol_quad))
+        assert shared == _outcome(lambda: period_data_per_integral(pot,
+                                                                   tol_quad))
+        for cycle in CycleId:
+            assert (_outcome(lambda: period(pot, cycle, tol_quad))
+                    == _outcome(lambda: cycle_integral(pot, cycle, "chi",
+                                                       tol_quad)))
+            assert (_outcome(lambda: period_derivatives(pot, cycle, tol_quad))
+                    == _outcome(lambda: tuple(
+                        cycle_integral(pot, cycle, kind, tol_quad)
+                        for kind in ("da", "db"))))
+
+    def test_one_turning_point_solve(self, monkeypatch):
+        calls = []
+
+        def counted(pot, *args):
+            calls.append(pot)
+            return turning_points(pot, *args)
+
+        monkeypatch.setattr(elliptic, "turning_points", counted)
+        PeriodData.compute(REF)
+        assert len(calls) == 1
 
 
 class TestLegendreResidual:

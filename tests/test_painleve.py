@@ -51,6 +51,10 @@ class TestLaurentCoefficients:
         assert table.coeffs[10] == {(1, 1): Fraction(3, 110),
                                     (0, 0): Fraction(1, 264)}
 
+    def test_table_built_once_per_order(self):
+        assert laurent_coefficients(8) is laurent_coefficients(8)
+        assert laurent_coefficients(8) is not laurent_coefficients(10)
+
     def test_order_validation(self):
         with pytest.raises(ValueError):
             laurent_coefficients(3)
@@ -136,6 +140,16 @@ class TestTrack:
         assert all(abs(p.a.imag) < 1e-9 for p in poles)
         assert all(np.diff([p.a.real for p in poles]) < 0)
         assert abs(poles[4].a - FIFTH_POLE_A) < 1e-9
+
+    def test_reach_past_sixteen_real_poles(self):
+        """The Laurent fit stops at its round-off floor, which grows with
+        |a|, instead of at a fixed 1e-13."""
+        st = seed_asymptotic(40.0)
+        _, poles = track(st, [40.0, -40.0])
+        assert len(poles) == 17
+        assert all(abs(p.a.imag) < 1e-9 for p in poles)
+        assert all(np.diff([p.a.real for p in poles]) < 0)
+        assert all(0.0 < p.fit_residual < TOL_FIT for p in poles)
 
     def test_dense_ode_residual(self):
         st = seed_asymptotic(40.0)
