@@ -3,9 +3,9 @@
 The integrator advances ``y' = g(t, y)`` for a real parameter ``t``; paths
 in the complex plane are handled by the callers through the parametrization
 baked into ``g`` (``integrate_along_path`` does this for polylines).  One
-stage-code generator and one step controller run either of two explicit
-pairs with the first-same-as-last (FSAL) property and local extrapolation
-(Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.5 and II.10):
+code generator runs either of two explicit pairs with the
+first-same-as-last (FSAL) property and local extrapolation (Hairer, Norsett
+& Wanner, Solving ODEs I, II.4-II.5 and II.10):
 
 - ``DP54``, Dormand-Prince 5(4), the default: 6 stages per step.
 - ``DOP853``, Hairer's 8th-order method with the combined 5th/3rd-order
@@ -18,29 +18,55 @@ evaluations per step still leave a 3-4x gain.  The Stokes tracer stays on
 ``DP54``: at rtol 1e-9 its steps only halve, while every step would make
 twice the evaluations of its costly ``branch_sqrt`` right-hand side, so
 no time is saved.  The oscillator stays on ``DP54`` too, so its poles keep
-their values (ROADMAP item 3 has the measurements).
+their values (ROADMAP item 2 has the measurements).
 
 The state is either a bare ``complex`` (one unknown) or a tuple of complex
-(any number of unknowns); ``g`` returns a value of the same shape.  The
-stage arithmetic is generated once per tableau and state shape
-(``_stage_fn``), unrolled over the components; every component is advanced
-with the operations of the scalar formula, so a scalar and a 1-tuple take
-identical steps.  The error norm may be restricted to the leading
-components (``error_dims``), which lets variational equations ride along
-on the steps of the state they differentiate.
+(any number of unknowns).  Each run is one generated function
+(``_kernel``), made on first use per tableau, state shape, ``error_dims``
+and right-hand side and then cached: the right-hand side is written into
+every stage and the step controller around the attempts, so no stage makes
+a Python call and the state stays in local variables from the first step
+to the last.  The stages are unrolled over the components, and every
+component is advanced with the operations of the scalar formula, so a
+scalar and a 1-tuple take identical steps.  The error norm may be
+restricted to the leading components (``error_dims``), which lets
+variational equations ride along on the steps of the state they
+differentiate.
+
+The right-hand side is an ``Rhs``: source lines over named parameters.
+
+- The source reads the time ``T``, the state components ``Y0``, ``Y1``,
+  ... (``Y0`` alone for a bare complex state) and the parameters by the
+  names in ``Rhs.params``; ``integrate`` takes their values as the tuple
+  ``args``, in that order.  It sets the derivative components ``F0``,
+  ``F1``, ....
+- It may read the packed state ``Y`` (the tuple, or the bare complex) and
+  set the packed derivative ``F`` in one assignment instead.
+- It may use local names of its own and the builtins.  Names that begin
+  with an underscore belong to the kernel.
+- A callable ``g(t, y)`` is the shorthand for the one-line source
+  ``F = g(T, Y)`` with ``g`` as the one parameter (``CALL``), so callables
+  run in the same kernel.
+- The source runs with Python's operations in the order written.  A source
+  that keeps a closure's operations in the closure's order gives the
+  closure's values bit for bit; any other order (a polynomial in Horner
+  form, a sum taken in another order) changes the rounding.
 
 An ``on_accept(t, y) -> (y, action)`` callback runs after every accepted
 step; it can inspect and adjust the state (branch-drift correction, chart
 switching, rescaling) and end the run with ``STOP``.  Returning the same
 ``y`` object keeps the FSAL stage; any other object is taken as a new state
-and ``g`` is evaluated there afresh.
+and the right-hand side is evaluated there afresh.
 """
 
 from __future__ import annotations
 
+import ast
 import functools
 import math
 import numbers
+import re
+import textwrap
 from dataclasses import dataclass
 
 from .errors import OdeToleranceNotMet, StepUnderflow
@@ -61,7 +87,7 @@ class Tableau:
     component's error is |h| |e|^2 / sqrt(|e|^2 + 0.01 |e3|^2), Hairer's
     DOP853 estimate; without it, |h e|.  ``exponent`` is the controller's
     power of the error norm.  Compared and hashed by identity: the
-    stage-code cache keys on the module constants.
+    kernel cache keys on the module constants.
     """
 
     nodes: tuple[float, ...]
@@ -188,107 +214,260 @@ class IntegrationResult:
     z: complex | None = None
 
 
+@dataclass(frozen=True)
+class Rhs:
+    """A right-hand side given as source lines over named parameters.
+
+    The module docstring states what the source may read and must set;
+    ``integrate`` takes the parameter values in ``args``, in the order of
+    ``params``.  Compared and hashed by value: the kernel cache keys on it.
+    """
+
+    params: tuple[str, ...]
+    source: str
+
+
+#: The callable shorthand: ``integrate`` runs a callable ``g`` as this
+#: source, with ``g`` as the one parameter.
+CALL = Rhs(("g",), "F = g(T, Y)")
+
+
 def _combination(coefs, names) -> str:
     """Source of sum(c * name) over the nonzero coefficients, left to right."""
     return " + ".join(f"{c!r} * {name}" for c, name in zip(coefs, names) if c)
 
 
-def _stage_source(arity: int | None, error_dims: int,
-                  tableau: Tableau = DP54) -> str:
-    """Source of one attempt of ``tableau``, unrolled over the components.
+def _components(arity: int | None) -> list[str]:
+    """Name suffixes of the state components: one empty suffix for a bare
+    complex, ``_0``.. for a tuple."""
+    return [""] if arity is None else [f"_{i}" for i in range(arity)]
 
-    ``arity`` None is a bare complex state, otherwise a tuple of that
-    length.  Every component is advanced as ``y + h * (a . k)`` with the
-    products summed left to right, the operation order of the scalar
-    formula, so each component's value does not depend on the arity.  Only
-    the first ``error_dims`` components enter the error norm.
+
+def _pack(names, arity: int | None) -> str:
+    return names[0] if arity is None else f"({', '.join(names)},)"
+
+
+def _rhs_writer(rhs: Rhs, arity: int | None):
+    """``write(stage, t, inputs)``: the lines of one evaluation of ``rhs``
+    at time ``t`` and the state components ``inputs``, storing the
+    derivative in the components of ``_k<stage>``."""
+    source = textwrap.dedent(rhs.source).strip()
+    names = {node.id for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Name)} | set(rhs.params)
+    n = 1 if arity is None else arity
+    if any(name.startswith("_") for name in names):
+        raise ValueError("names beginning with '_' belong to the kernel")
+    if "F" not in names and not {f"F{i}" for i in range(n)} <= names:
+        raise ValueError(f"the source must set F or F0..F{n - 1}")
+    body = source.splitlines()
+    comps = _components(arity)
+
+    def write(stage, t, inputs):
+        ks = [f"_k{stage}{c}" for c in comps]
+        packed = ks[0] if arity is None else ", ".join(ks) + ","
+        lines = [f"T = {t}"] if "T" in names else []
+        lines += [f"Y{i} = {v}" for i, v in enumerate(inputs)
+                  if "Y" in names or f"Y{i}" in names]
+        if "Y" in names:
+            lines.append(f"Y = {_pack([f'Y{i}' for i in range(n)], arity)}")
+        lines += [re.sub(r"\bF(\d*)\b",
+                         lambda m: ks[int(m[1])] if m[1] else packed, line)
+                  for line in body]
+        return lines
+
+    return write
+
+
+def _attempt_lines(arity: int | None, error_dims: int, tableau: Tableau,
+                   write) -> list[str]:
+    """One attempt of ``tableau`` from ``_t``, ``_y`` and ``_k1`` with step
+    ``_h``: the new state ``_n``, its derivative (the FSAL stage) and the
+    error norm ``_enorm``.
+
+    Every component is advanced as ``y + h * (a . k)`` with the products
+    summed left to right, the operation order of the scalar formula, so
+    each component's value does not depend on the arity.  Only the first
+    ``error_dims`` components enter the error norm.
     """
-    comps = [""] if arity is None else [f"_{i}" for i in range(arity)]
-
-    def pack(exprs):
-        return exprs[0] if arity is None else f"({', '.join(exprs)},)"
-
-    def unpack(stage):
-        names = ", ".join(f"k{stage}{c}" for c in comps)
-        return names if arity is None else names + ","
+    comps = _components(arity)
 
     def stages(c, count):
-        return [f"k{j}{c}" for j in range(1, count + 1)]
+        return [f"_k{j}{c}" for j in range(1, count + 1)]
 
     def node(c):
-        return "t + h" if c == 1.0 else f"t + {c!r} * h"
+        return "_t + _h" if c == 1.0 else f"_t + {c!r} * _h"
 
     n_stages = len(tableau.weights)
-    fsal = f"k{n_stages + 1}"
-    lines = ["def step(g, t, y, k1, h, rtol, atol):"]
-    if arity is not None:
-        lines.append(f"    {', '.join(f'y{c}' for c in comps)}, = y")
-        lines.append(f"    {unpack(1)} = k1")
+    lines = []
     for stage, row in enumerate(tableau.rows, start=2):
-        args = [f"y{c} + h * ({_combination(row, stages(c, stage - 1))})"
-                for c in comps]
-        lines.append(f"    {unpack(stage)} = "
-                     f"g({node(tableau.nodes[stage - 2])}, {pack(args)})")
+        lines += write(stage, node(tableau.nodes[stage - 2]),
+                       [f"_y{c} + _h * ({_combination(row, stages(c, stage - 1))})"
+                        for c in comps])
     for c in comps:
-        lines.append(f"    n{c} = y{c} + h * "
+        lines.append(f"_n{c} = _y{c} + _h * "
                      f"({_combination(tableau.weights, stages(c, n_stages))})")
-    lines.append(f"    y_new = {pack([f'n{c}' for c in comps])}")
-    lines.append(f"    {fsal} = g({node(tableau.nodes[-1])}, y_new)")
-    if arity is not None:
-        lines.append(f"    {unpack(n_stages + 1)} = {fsal}")
+    lines += write(n_stages + 1, node(tableau.nodes[-1]),
+                   [f"_n{c}" for c in comps])
     ratios = []
     for c in comps[:error_dims]:
         err = _combination(tableau.error, stages(c, len(tableau.error)))
-        scale = f"(atol + rtol * max(abs(y{c}), abs(n{c})))"
+        scale = f"(_atol + _rtol * max(abs(_y{c}), abs(_n{c})))"
         if tableau.error3 is None:
-            lines.append(f"    r{c} = abs(h * ({err})) / {scale}")
+            lines.append(f"_r{c} = abs(_h * ({err})) / {scale}")
         else:
             # |e|^2 / sqrt(|e|^2 + 0.01 |e3|^2) as |e| * (|e| / hypot(...)),
             # which neither overflows nor underflows to 0 / 0
             err3 = _combination(tableau.error3,
                                 stages(c, len(tableau.error3)))
-            lines.append(f"    e{c} = abs({err})")
-            lines.append(f"    r{c} = abs(h) * e{c} * (e{c} / hypot(e{c}, "
-                         f"0.1 * abs({err3}))) / {scale} if e{c} else 0.0")
-        ratios.append(f"r{c}")
+            lines.append(f"_e{c} = abs({err})")
+            lines.append(f"_r{c} = abs(_h) * _e{c} * (_e{c} / _hypot(_e{c}, "
+                         f"0.1 * abs({err3}))) / {scale} if _e{c} else 0.0")
+        ratios.append(f"_r{c}")
     if len(ratios) == 1:
-        lines.append(f"    return y_new, {fsal}, {ratios[0]}")
+        lines.append(f"_enorm = {ratios[0]}")
     else:
         # max() drops a NaN that does not come first; the sum keeps it
-        lines.append(f"    enorm = max({', '.join(ratios)})")
-        lines.append(f"    if isnan({' + '.join(ratios)}):")
-        lines.append("        enorm = nan")
-        lines.append(f"    return y_new, {fsal}, enorm")
-    return "\n".join(lines) + "\n"
+        lines.append(f"_enorm = max({', '.join(ratios)})")
+        lines.append(f"if _isnan({' + '.join(ratios)}):")
+        lines.append("    _enorm = _nan")
+    return lines
+
+
+def _block(lines, depth: int) -> str:
+    return "\n".join("    " * depth + line for line in lines)
+
+
+# One whole run.  The slots are filled with blocks of generated lines; the
+# controller is the one of Hairer, Norsett & Wanner II.4 with FSAL, and an
+# ``on_accept`` that hands back its ``y`` object keeps the last stage.
+_LEG_TEMPLATE = """\
+def leg(_t, _t1, _y, _rtol, _atol, _on_accept, _max_steps, {params}):
+{unpack}
+{first}
+    _span = _t1 - _t
+    _h = min(1e-2 * _span, 0.1 * ({y_size} + 1.0) / ({f_size} + 1e-300))
+    _h = max(_h, 1e-12 * _span)
+    _count = 0
+    _min_h = 1e-15 * max(1.0, abs(_span))
+    while _t < _t1:
+        if _count >= _max_steps:
+            raise _OdeToleranceNotMet(
+                f"step limit {{_max_steps}} reached at t={{_t:.6g}}")
+        _h = min(_h, _t1 - _t)
+{attempt}
+        if not _isfinite(_enorm):
+            _h *= 0.25
+            if _h < _min_h:
+                raise _StepUnderflow("non-finite error estimate at minimal step")
+            continue
+        if _enorm > 1.0:
+            _h *= max(0.2, 0.9 * _enorm ** {expo})
+            if _h < _min_h:
+                raise _StepUnderflow(f"step underflow at t={{_t:.6g}}")
+            continue
+        _t += _h
+{advance}
+        _count += 1
+        if _on_accept is not None:
+{pack}
+            _ya, _action = _on_accept(_t, _y)
+            if _ya is not _y:
+{unpack_hooked}
+{refresh}
+            if _action == _STOP:
+                return _t, {state}, True, _count
+        _h *= min(5.0, max(0.2, 0.9 * _enorm ** {expo} if _enorm > 0 else 5.0))
+    return _t, {state}, False, _count
+"""
+
+
+def _kernel_source(arity: int | None, error_dims: int, tableau: Tableau,
+                   rhs: Rhs) -> str:
+    """Source of one whole run: ``leg(_t, _t1, _y, _rtol, _atol,
+    _on_accept, _max_steps, *params) -> (t, y, stopped, n_steps)``.
+
+    The right-hand side is written into every stage and the step
+    controller around the attempts, so the state stays in locals from the
+    first step to the last.
+    """
+    write = _rhs_writer(rhs, arity)
+    comps = _components(arity)
+    ys = [f"_y{c}" for c in comps]
+    fsal = len(tableau.weights) + 1
+    first = write(1, "_t", ys)
+
+    def size(prefix):
+        terms = [f"abs({prefix}{c})" for c in comps[:error_dims]]
+        return terms[0] if len(terms) == 1 else f"max({', '.join(terms)})"
+
+    unpack = [] if arity is None else [f"{', '.join(ys)}, = _y"]
+    return _LEG_TEMPLATE.format(
+        params=", ".join(rhs.params), state=_pack(ys, arity),
+        expo=f"({tableau.exponent!r})", y_size=size("_y"),
+        f_size=size("_k1"), unpack=_block(unpack, 1),
+        first=_block(first, 1),
+        attempt=_block(_attempt_lines(arity, error_dims, tableau, write), 2),
+        advance=_block([f"_y{c} = _n{c}" for c in comps]
+                       + [f"_k1{c} = _k{fsal}{c}" for c in comps], 2),
+        pack=_block([] if arity is None else [f"_y = {_pack(ys, arity)}"],
+                    3),
+        unpack_hooked=_block([f"{', '.join(ys)}, = _ya" if arity is not None
+                              else "_y = _ya"], 4),
+        refresh=_block(first, 4))
+
+
+_NAMESPACE = {"_isnan": math.isnan, "_nan": math.nan, "_hypot": math.hypot,
+              "_isfinite": math.isfinite, "_STOP": STOP,
+              "_OdeToleranceNotMet": OdeToleranceNotMet,
+              "_StepUnderflow": StepUnderflow}
+
+
+def _compile(source: str, name: str):
+    namespace = dict(_NAMESPACE)
+    exec(source, namespace)
+    return namespace[name]
 
 
 @functools.cache
-def _stage_fn(arity: int | None, error_dims: int, tableau: Tableau = DP54):
-    """The attempt for one tableau and state shape, generated on first use.
+def _kernel(arity: int | None, error_dims: int, tableau: Tableau, rhs: Rhs):
+    """The run for one tableau, state shape and right-hand side, generated
+    on first use."""
+    return _compile(_kernel_source(arity, error_dims, tableau, rhs), "leg")
 
-    ``step(g, t, y, k1, h, rtol, atol) -> (y_new, g at y_new, error norm)``;
-    unrolling removes the per-component iteration a generic tuple step
-    pays on every stage.
+
+@functools.cache
+def _stage_fn(arity: int | None, error_dims: int, tableau: Tableau = DP54,
+              rhs: Rhs = CALL):
+    """One attempt of the kernel on its own, from the same stage lines:
+    ``attempt(t, y, k1, h, rtol, atol, *params) -> (y_new, derivative at
+    y_new, error norm)``.  The tests check it against hand-written steps.
     """
-    namespace = {"isnan": math.isnan, "nan": math.nan, "hypot": math.hypot}
-    exec(_stage_source(arity, error_dims, tableau), namespace)
-    return namespace["step"]
-
-
-def _max_abs(y) -> float:
-    return max(abs(v) for v in y)
+    comps = _components(arity)
+    unpack = [] if arity is None else [
+        f"{', '.join(f'_y{c}' for c in comps)}, = _y",
+        f"{', '.join(f'_k1{c}' for c in comps)}, = _k1"]
+    fsal = len(tableau.weights) + 1
+    body = unpack + _attempt_lines(arity, error_dims, tableau,
+                                   _rhs_writer(rhs, arity)) + [
+        f"return {_pack([f'_n{c}' for c in comps], arity)}, "
+        f"{_pack([f'_k{fsal}{c}' for c in comps], arity)}, _enorm"]
+    return _compile(f"def attempt(_t, _y, _k1, _h, _rtol, _atol, "
+                    f"{', '.join(rhs.params)}):\n{_block(body, 1)}\n",
+                    "attempt")
 
 
 def integrate(g, t0: float, t1: float, y0, rtol: float = 1e-12,
               atol: float = 1e-14, on_accept=None,
               max_steps: int = 500_000,
               error_dims: int | None = None,
-              tableau: Tableau = DP54) -> IntegrationResult:
+              tableau: Tableau = DP54, args: tuple = ()) -> IntegrationResult:
     """Integrate y' = g(t, y) from t0 to t1 (t1 > t0).
 
-    ``y0`` is a number (scalar state) or a sequence of numbers (tuple
-    state).  ``on_accept(t, y) -> (y, action)`` runs after each accepted
-    step; action ``STOP`` ends the integration at that point.
+    ``g`` is an ``Rhs`` whose parameter values are ``args``, or a callable
+    ``g(t, y)`` (then ``args`` is unused).  ``y0`` is a number (scalar
+    state) or a sequence of numbers (tuple state).  ``on_accept(t, y) ->
+    (y, action)`` runs after each accepted step; action ``STOP`` ends the
+    integration at that point.
 
     ``error_dims`` (default: all) is how many leading components of a
     tuple state enter the error norm and the initial step size; the rest
@@ -307,45 +486,11 @@ def integrate(g, t0: float, t1: float, y0, rtol: float = 1e-12,
     checked = dims if error_dims is None else error_dims
     if not 1 <= checked <= dims:
         raise ValueError(f"error_dims must lie in 1..{dims}")
-    step = _stage_fn(None if scalar else dims, checked, tableau)
-    expo = tableau.exponent
-    t = float(t0)
-    f = g(t, y)
-    if scalar:
-        y_size, f_size = abs(y), abs(f)
-    else:
-        y_size, f_size = _max_abs(y[:checked]), _max_abs(f[:checked])
-    h = min(1e-2 * span, 0.1 * (y_size + 1.0) / (f_size + 1e-300))
-    h = max(h, 1e-12 * span)
-    n = 0
-    min_h = 1e-15 * max(1.0, abs(span))
-    while t < t1:
-        if n >= max_steps:
-            raise OdeToleranceNotMet(f"step limit {max_steps} reached at t={t:.6g}")
-        h = min(h, t1 - t)
-        y_new, f_new, enorm = step(g, t, y, f, h, rtol, atol)
-        if not math.isfinite(enorm):
-            h *= 0.25
-            if h < min_h:
-                raise StepUnderflow("non-finite error estimate at minimal step")
-            continue
-        if enorm > 1.0:
-            h *= max(0.2, 0.9 * enorm ** expo)
-            if h < min_h:
-                raise StepUnderflow(f"step underflow at t={t:.6g}")
-            continue
-        t += h
-        y, f = y_new, f_new
-        n += 1
-        if on_accept is not None:
-            y_adj, action = on_accept(t, y)
-            if y_adj is not y:
-                y = y_adj
-                f = g(t, y)
-            if action == STOP:
-                return IntegrationResult(t, y, True, n)
-        h *= min(5.0, max(0.2, 0.9 * enorm ** expo if enorm > 0 else 5.0))
-    return IntegrationResult(t, y, False, n)
+    if not isinstance(g, Rhs):
+        g, args = CALL, (g,)
+    leg = _kernel(None if scalar else dims, checked, tableau, g)
+    return IntegrationResult(*leg(float(t0), t1, y, rtol, atol, on_accept,
+                                  max_steps, *args))
 
 
 def integrate_along_path(f, y0, waypoints, rtol: float = 1e-12,

@@ -251,20 +251,45 @@ def _path_to(tp: TurningPoints, z0: complex, z1: complex) -> list[complex]:
 # Riccati integration with chart switching
 
 
-def _potential_fn(pot: Potential):
-    """V as a closure over the folded coefficients 2a and 28b.
+#: The parameters of every oscillator leg (``_leg_args``).  The right-hand
+#: sides run in the leg parameter t in [0, 1] on z = z0 + t dz, with dz
+#: folded in, and evaluate V = 4 z^3 - 2a z - 28b with the operations of
+#: ``Potential.__call__`` over c2a = 2a and c28b = 28b, so V has its values.
+_LEG_PARAMS = ("z0", "dz", "m2dz", "c2a", "c28b")
 
-    The operations and their order are those of ``Potential.__call__``, so
-    the values are identical; the ODE right-hand sides evaluate V at every
-    stage and skip the attribute lookups and the two products this way.
-    """
-    c2a = 2.0 * pot.a
-    c28b = 28.0 * pot.b
+# (s, ds/da, ds/db): s' = V - s^2, (ds/da)' = -2z - 2s ds/da,
+# (ds/db)' = -28 - 2s ds/db
+_S_CHART = complex_ode.Rhs(_LEG_PARAMS, """
+    Z = z0 + T * dz
+    F0 = (4.0 * Z * Z * Z - c2a * Z - c28b - Y0 * Y0) * dz
+    F1 = (Z + Y0 * Y1) * m2dz
+    F2 = (14.0 + Y0 * Y2) * m2dz
+""")
 
-    def v(z):
-        return 4.0 * z * z * z - c2a * z - c28b
+# the inverse chart r = 1/s: r' = 1 - V r^2, (dr/da)' = 2z r^2 - 2V r dr/da,
+# (dr/db)' = 28 r^2 - 2V r dr/db
+_R_CHART = complex_ode.Rhs(_LEG_PARAMS, """
+    Z = z0 + T * dz
+    V = 4.0 * Z * Z * Z - c2a * Z - c28b
+    R = (Y0 + Y0) * dz
+    F0 = (1.0 - V * Y0 * Y0) * dz
+    F1 = (Z * Y0 - V * Y1) * R
+    F2 = (14.0 * Y0 - V * Y2) * R
+""")
 
-    return v
+# two log-derivatives s_A, s_B and J = int (s_A - s_B) dlam
+_PAIR = complex_ode.Rhs(_LEG_PARAMS, """
+    Z = z0 + T * dz
+    V = 4.0 * Z * Z * Z - c2a * Z - c28b
+    F0 = (V - Y0 * Y0) * dz
+    F1 = (V - Y1 * Y1) * dz
+    F2 = (Y0 - Y1) * dz
+""")
+
+
+def _leg_args(pot: Potential, z0: complex, dz: complex) -> tuple:
+    """Values of ``_LEG_PARAMS`` for the segment z0 -> z0 + dz."""
+    return (z0, dz, -2.0 * dz, 2.0 * pot.a, 28.0 * pot.b)
 
 
 def _adiabatic_handoff(pot: Potential, ray: RaySpec,
@@ -322,7 +347,6 @@ def _integrate_s_inward(pot: Potential, ray: RaySpec, waypoints: list[complex],
     steps of a scalar run.  Returns the state at the path end.
     """
     value, remaining = _adiabatic_handoff(pot, ray, waypoints)
-    v = _potential_fn(pot)
     chart = "s"
     idx = 0
     z_cur = remaining[0]
@@ -339,41 +363,32 @@ def _integrate_s_inward(pot: Potential, ray: RaySpec, waypoints: list[complex],
         switch = {"to": None}
 
         if chart == "s":
-            # s' = V - s^2, (ds/da)' = -2z - 2s ds/da, (ds/db)' = -28 - 2s ds/db
-            m2dz = -2.0 * dz
-
-            def f(t, y):
-                z = z0 + t * dz
-                s, s_a, s_b = y
-                return ((v(z) - s * s) * dz, (z + s * s_a) * m2dz,
-                        (14.0 + s * s_b) * m2dz)
+            rhs = _S_CHART
 
             def on_accept(t, y):
+                s_abs = abs(y[0])
+                # the bound is at least _POLE_FACTOR: most steps stop here
+                if s_abs <= _POLE_FACTOR:
+                    return y, complex_ode.CONTINUE
                 z = z0 + t * dz
-                if abs(y[0]) > _POLE_FACTOR * (1.0 + abs(v(z)) ** 0.5):
+                if s_abs > _POLE_FACTOR * (1.0 + abs(pot(z)) ** 0.5):
                     switch["to"] = "r"
                     return y, complex_ode.STOP
                 return y, complex_ode.CONTINUE
         else:  # inverse chart r = 1/s
-            # r' = 1 - V r^2, (dr/da)' = 2z r^2 - 2V r dr/da,
-            # (dr/db)' = 28 r^2 - 2V r dr/db
-            def f(t, y):
-                z = z0 + t * dz
-                r, r_a, r_b = y
-                vz = v(z)
-                r2dz = (r + r) * dz
-                return ((1.0 - vz * r * r) * dz, (z * r - vz * r_a) * r2dz,
-                        (14.0 * r - vz * r_b) * r2dz)
+            rhs = _R_CHART
 
             def on_accept(t, y):
                 z = z0 + t * dz
-                if abs(y[0]) * (1.0 + abs(v(z)) ** 0.5) > 2.0 / _POLE_FACTOR:
+                if abs(y[0]) * (1.0 + abs(pot(z)) ** 0.5) > 2.0 / _POLE_FACTOR:
                     switch["to"] = "s"
                     return y, complex_ode.STOP
                 return y, complex_ode.CONTINUE
 
-        res = complex_ode.integrate(f, 0.0, 1.0, value, rtol=rtol, atol=atol,
-                                    on_accept=on_accept, error_dims=1)
+        res = complex_ode.integrate(rhs, 0.0, 1.0, value, rtol=rtol,
+                                    atol=atol, on_accept=on_accept,
+                                    error_dims=1,
+                                    args=_leg_args(pot, z0, dz))
         value = res.y
         z_cur = z0 + res.t * dz
         if not res.stopped:
@@ -404,7 +419,8 @@ def psi_logderivative(pot: Potential, ray: RaySpec, lam_match: complex,
 
 
 def dependence_system(pot: Potential, lam_match: complex | None = None,
-                      rtol: float = TOL_ODE, tol_wkb: float = TOL_WKB):
+                      rtol: float = TOL_ODE, tol_wkb: float = TOL_WKB,
+                      samples: dict | None = None):
     """Dependence residual G and its Jacobian J = dG/d(a, b), in one pass.
 
     G = (s_-1 - s_2, s_1 - s_-2) at the match point (the centroid rule of
@@ -414,11 +430,17 @@ def dependence_system(pot: Potential, lam_match: complex | None = None,
     point.  When the match point follows (a, b), the full derivative adds
     G_lam * dlam with G_lam = (s_2^2 - s_-1^2, s_-2^2 - s_1^2); that term
     vanishes with G, so Newton on J stays quadratic near a pole.
+
+    ``samples``, when given, is a dict that receives the four inward legs
+    (``LogDerivativeSample`` by ray index), so that ``u_values`` at the
+    same point can take over the legs of rays 2 and -2.
     """
     tp = turning_points(pot)
     lam = match_point(tp) if lam_match is None else complex(lam_match)
     s = {k: psi_logderivative(pot, ray_spec(pot, k, tol_wkb), lam, rtol)
          for k in (-1, 2, 1, -2)}
+    if samples is not None:
+        samples.update(s)
     G = (s[-1].s - s[2].s, s[1].s - s[-2].s)
     J = ((s[-1].ds_da - s[2].ds_da, s[-1].ds_db - s[2].ds_db),
          (s[1].ds_da - s[-2].ds_da, s[1].ds_db - s[-2].ds_db))
@@ -454,7 +476,6 @@ def _integrate_pair_outward(pot: Potential, tp: TurningPoints, sA0: complex,
     path around the estimated zero of psi; the exponential of J is
     insensitive to the dodge side.
     """
-    v = _potential_fn(pot)
     waypoints = _path_to(tp, z_from, z_to)
     value = (complex(sA0), complex(sB0), 0.0 + 0.0j)
     obstacles: list[tuple[complex, float]] = []
@@ -467,25 +488,23 @@ def _integrate_pair_outward(pot: Potential, tp: TurningPoints, sA0: complex,
             if dz == 0:
                 continue
 
-            def f(t, y, z0=z0, dz=dz):
-                vz = v(z0 + t * dz)
-                s_a, s_b, _ = y
-                return ((vz - s_a * s_a) * dz, (vz - s_b * s_b) * dz,
-                        (s_a - s_b) * dz)
-
             def on_accept(t, y, z0=z0, dz=dz):
                 if y[0] == y[1]:
                     return y, complex_ode.STOP
+                # the bound is at least _POLE_FACTOR: most steps stop here
+                if abs(y[0]) <= _POLE_FACTOR and abs(y[1]) <= _POLE_FACTOR:
+                    return y, complex_ode.CONTINUE
                 z = z0 + t * dz
-                bound = _POLE_FACTOR * (1.0 + abs(v(z)) ** 0.5)
+                bound = _POLE_FACTOR * (1.0 + abs(pot(z)) ** 0.5)
                 for comp in (y[0], y[1]):
                     if abs(comp) > bound:
                         detour["z"] = z - 1.0 / comp
                         return y, complex_ode.STOP
                 return y, complex_ode.CONTINUE
 
-            res = complex_ode.integrate(f, 0.0, 1.0, value, rtol=rtol,
-                                        atol=atol, on_accept=on_accept)
+            res = complex_ode.integrate(_PAIR, 0.0, 1.0, value, rtol=rtol,
+                                        atol=atol, on_accept=on_accept,
+                                        args=_leg_args(pot, z0, dz))
             value = res.y
             if value[0] == value[1]:
                 return value[2]
@@ -506,7 +525,8 @@ def _integrate_pair_outward(pot: Potential, tp: TurningPoints, sA0: complex,
 
 def u_values(pot: Potential, eval_radius: float | None = None,
              rtol: float = TOL_ODE, tol_wkb: float = TOL_WKB,
-             dependence_tol: float = 1e-10) -> tuple[complex, complex]:
+             dependence_tol: float = 1e-10,
+             samples: dict | None = None) -> tuple[complex, complex]:
     """Monodromy ratios (u_2, u_-2) from asymptotic-value ratios.
 
     Each asymptotic value is the ratio of two recessive solutions far out on
@@ -515,13 +535,21 @@ def u_values(pot: Potential, eval_radius: float | None = None,
     in the double ratio).  The ratio is read where the two log-derivatives
     coalesce to one float; ``eval_radius`` (default ``6 * scale``) is the
     farthest a leg may run before that.
+
+    ``samples`` may hold the inward legs of rays 2 and -2 from a
+    ``dependence_system`` pass at this potential with the same ``rtol`` and
+    ``tol_wkb``; only the ray-0 leg is integrated then.
     """
     tp = turning_points(pot)
     lam = match_point(tp)
     radius = 6.0 * tp.scale if eval_radius is None else float(eval_radius)
     atol = 1e-13
     s = {k: psi_logderivative(pot, ray_spec(pot, k, tol_wkb), lam, rtol).s
-         for k in (0, 2, -2)}
+         for k in (0, 2, -2) if samples is None or k == 0}
+    if samples is not None:
+        if samples[2].lam != lam or samples[-2].lam != lam:
+            raise ValueError("samples were taken at another match point")
+        s[2], s[-2] = samples[2].s, samples[-2].s
     if abs(s[0] - s[2]) < dependence_tol or abs(s[0] - s[-2]) < dependence_tol:
         raise DependentBasis(
             "psi_0 and psi_(+-2) are numerically linearly dependent")
@@ -562,7 +590,9 @@ def refine_pole(seed: BsbSolution, radius_policy: tuple[float, float] = (1.0, 1.
     ``k^(-alpha) eps`` of the seed in the a coordinate (the disc policy);
     the refined b is the quartic Laurent coefficient of the tritronquee
     expansion at the pole.  The record carries cond(J) and |J^-1 G|_inf at
-    the pole as its Newton certificate.
+    the pole as its Newton certificate.  The WKB gaps come from
+    ``u_values`` at the seed, which takes over the rays 2 and -2 legs of the
+    seed's own pass.
     """
     alpha, eps = radius_policy
     if not 0.2 < alpha < 1.2:
@@ -570,15 +600,18 @@ def refine_pole(seed: BsbSolution, radius_policy: tuple[float, float] = (1.0, 1.
     a = complex(seed.point.a)
     b = complex(seed.point.b)
 
-    def system(av, bv):
-        G, J = dependence_system(Potential(av, bv), rtol=rtol)
+    def system(av, bv, samples=None):
+        G, J = dependence_system(Potential(av, bv), rtol=rtol,
+                                 samples=samples)
         G, J = np.array(G), np.array(J)
         if not (np.isfinite(G).all() and np.isfinite(J).all()):
             raise NewtonDiverged(
                 f"non-finite dependence system at a={av}, b={bv}")
         return G, J
 
-    G, J = system(a, b)
+    # the seed's legs, reused by u_values at the same point
+    seed_samples: dict[int, LogDerivativeSample] = {}
+    G, J = system(a, b, seed_samples)
     res = float(abs(G[0]) + abs(G[1]))
     iterations = 0
     polished = False
@@ -621,7 +654,8 @@ def refine_pole(seed: BsbSolution, radius_policy: tuple[float, float] = (1.0, 1.
 
     gap = (math.nan, math.nan)
     if compute_gap:
-        u2, um2 = u_values(Potential(seed.point.a, seed.point.b), rtol=rtol)
+        u2, um2 = u_values(Potential(seed.point.a, seed.point.b), rtol=rtol,
+                           samples=seed_samples)
         tu2, tum2 = tilde_U(seed.point)
         gap = (abs(u2 - (tu2 + 1.0)), abs(um2 - (tum2 + 1.0)))
     return PoleRecord(q=seed.q, k=seed.k, seed=seed.point,

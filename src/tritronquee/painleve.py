@@ -228,6 +228,13 @@ class PainlevePole:
     fit_residual: float
 
 
+# (y, y') of y'' = 6 y^2 - z in the leg parameter t on z = z0 + t dz
+_PI_RHS = complex_ode.Rhs(("z0", "dz"), """
+    F0 = Y1 * dz
+    F1 = (6.0 * Y0 * Y0 - (z0 + T * dz)) * dz
+""")
+
+
 def _pi_leg(y0, z0: complex, z1: complex, rtol: float, on_accept=None):
     """Integrate y'' = 6 y^2 - z on DOP853 along the segment z0 -> z1.
 
@@ -236,13 +243,9 @@ def _pi_leg(y0, z0: complex, z1: complex, rtol: float, on_accept=None):
     the complex end point.
     """
     dz = z1 - z0
-
-    def rhs(t, y):
-        return (y[1] * dz, (6.0 * y[0] * y[0] - (z0 + t * dz)) * dz)
-
-    res = complex_ode.integrate(rhs, 0.0, 1.0, y0, rtol=rtol, atol=1e-14,
+    res = complex_ode.integrate(_PI_RHS, 0.0, 1.0, y0, rtol=rtol, atol=1e-14,
                                 on_accept=on_accept,
-                                tableau=complex_ode.DOP853)
+                                tableau=complex_ode.DOP853, args=(z0, dz))
     return res, z0 + res.t * dz
 
 

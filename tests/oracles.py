@@ -9,13 +9,19 @@ The DP5(4) attempts ``step_scalar`` and ``step_tuple`` are frozen copies of
 the hand-written stage code that ``complex_ode`` now generates per arity,
 and ``period_data_per_integral`` is a frozen copy of the period quadrature
 that solved the turning points and swept the nodes once per integral (on
-the module's own node and third-root helpers).
+the module's own node and third-root helpers).  ``closure_integrate`` is a
+frozen copy of the integrator that called its right-hand side as a Python
+function at every stage, with the generated attempt of ``_stage_source``,
+and ``s_chart``, ``r_chart``, ``pair_leg`` and ``pi_leg`` are the
+closures the oscillator and the Painleve legs ran on it.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import numbers
 
 import numpy as np
 
@@ -24,7 +30,8 @@ from tritronquee.elliptic import (_SIGMA_CHI2, _SIGMA_CHIM2, CycleId,
                                   PeriodData, Potential, TurningPoints,
                                   _gauss_nodes, _third_root_factor,
                                   turning_points)
-from tritronquee.errors import QuadratureNotConverged
+from tritronquee.errors import (OdeToleranceNotMet, QuadratureNotConverged,
+                               StepUnderflow)
 from tritronquee.oscillator import RaySpec, _adiabatic_handoff, _path_to
 
 
@@ -76,6 +83,213 @@ def step_tuple(g, t, y, k1, h, rtol, atol):
     if math.isnan(sum(ratios)):  # max() drops a NaN that does not come first
         enorm = math.nan
     return y_new, k7, enorm
+
+
+def _combination(coefs, names) -> str:
+    """Source of sum(c * name) over the nonzero coefficients, left to right."""
+    return " + ".join(f"{c!r} * {name}" for c, name in zip(coefs, names) if c)
+
+
+def _frozen_stage_source(arity: int | None, error_dims: int,
+                         tableau=complex_ode.DP54) -> str:
+    """Source of one attempt of ``tableau``, unrolled over the components.
+
+    ``arity`` None is a bare complex state, otherwise a tuple of that
+    length.  Every component is advanced as ``y + h * (a . k)`` with the
+    products summed left to right, the operation order of the scalar
+    formula, so each component's value does not depend on the arity.  Only
+    the first ``error_dims`` components enter the error norm.
+    """
+    comps = [""] if arity is None else [f"_{i}" for i in range(arity)]
+
+    def pack(exprs):
+        return exprs[0] if arity is None else f"({', '.join(exprs)},)"
+
+    def unpack(stage):
+        names = ", ".join(f"k{stage}{c}" for c in comps)
+        return names if arity is None else names + ","
+
+    def stages(c, count):
+        return [f"k{j}{c}" for j in range(1, count + 1)]
+
+    def node(c):
+        return "t + h" if c == 1.0 else f"t + {c!r} * h"
+
+    n_stages = len(tableau.weights)
+    fsal = f"k{n_stages + 1}"
+    lines = ["def step(g, t, y, k1, h, rtol, atol):"]
+    if arity is not None:
+        lines.append(f"    {', '.join(f'y{c}' for c in comps)}, = y")
+        lines.append(f"    {unpack(1)} = k1")
+    for stage, row in enumerate(tableau.rows, start=2):
+        args = [f"y{c} + h * ({_combination(row, stages(c, stage - 1))})"
+                for c in comps]
+        lines.append(f"    {unpack(stage)} = "
+                     f"g({node(tableau.nodes[stage - 2])}, {pack(args)})")
+    for c in comps:
+        lines.append(f"    n{c} = y{c} + h * "
+                     f"({_combination(tableau.weights, stages(c, n_stages))})")
+    lines.append(f"    y_new = {pack([f'n{c}' for c in comps])}")
+    lines.append(f"    {fsal} = g({node(tableau.nodes[-1])}, y_new)")
+    if arity is not None:
+        lines.append(f"    {unpack(n_stages + 1)} = {fsal}")
+    ratios = []
+    for c in comps[:error_dims]:
+        err = _combination(tableau.error, stages(c, len(tableau.error)))
+        scale = f"(atol + rtol * max(abs(y{c}), abs(n{c})))"
+        if tableau.error3 is None:
+            lines.append(f"    r{c} = abs(h * ({err})) / {scale}")
+        else:
+            # |e|^2 / sqrt(|e|^2 + 0.01 |e3|^2) as |e| * (|e| / hypot(...)),
+            # which neither overflows nor underflows to 0 / 0
+            err3 = _combination(tableau.error3,
+                                stages(c, len(tableau.error3)))
+            lines.append(f"    e{c} = abs({err})")
+            lines.append(f"    r{c} = abs(h) * e{c} * (e{c} / hypot(e{c}, "
+                         f"0.1 * abs({err3}))) / {scale} if e{c} else 0.0")
+        ratios.append(f"r{c}")
+    if len(ratios) == 1:
+        lines.append(f"    return y_new, {fsal}, {ratios[0]}")
+    else:
+        # max() drops a NaN that does not come first; the sum keeps it
+        lines.append(f"    enorm = max({', '.join(ratios)})")
+        lines.append(f"    if isnan({' + '.join(ratios)}):")
+        lines.append("        enorm = nan")
+        lines.append(f"    return y_new, {fsal}, enorm")
+    return "\n".join(lines) + "\n"
+
+
+@functools.cache
+def _frozen_stage_fn(arity: int | None, error_dims: int,
+                     tableau=complex_ode.DP54):
+    """``step(g, t, y, k1, h, rtol, atol) -> (y_new, g at y_new, error
+    norm)`` for one tableau and state shape."""
+    namespace = {"isnan": math.isnan, "nan": math.nan, "hypot": math.hypot}
+    exec(_frozen_stage_source(arity, error_dims, tableau), namespace)
+    return namespace["step"]
+
+
+def _max_abs(y) -> float:
+    return max(abs(v) for v in y)
+
+
+def closure_integrate(g, t0: float, t1: float, y0, rtol: float = 1e-12,
+                      atol: float = 1e-14, on_accept=None,
+                      max_steps: int = 500_000,
+                      error_dims: int | None = None,
+                      tableau=complex_ode.DP54):
+    """``complex_ode.integrate`` as it was with a callable ``g``: the step
+    controller in Python around one generated attempt per step, which calls
+    ``g`` at every stage."""
+    span = t1 - t0
+    if span <= 0.0:
+        raise ValueError("t1 must exceed t0")
+    scalar = isinstance(y0, numbers.Number)
+    y = complex(y0) if scalar else tuple(complex(v) for v in y0)
+    dims = 1 if scalar else len(y)
+    checked = dims if error_dims is None else error_dims
+    if not 1 <= checked <= dims:
+        raise ValueError(f"error_dims must lie in 1..{dims}")
+    step = _frozen_stage_fn(None if scalar else dims, checked, tableau)
+    expo = tableau.exponent
+    t = float(t0)
+    f = g(t, y)
+    if scalar:
+        y_size, f_size = abs(y), abs(f)
+    else:
+        y_size, f_size = _max_abs(y[:checked]), _max_abs(f[:checked])
+    h = min(1e-2 * span, 0.1 * (y_size + 1.0) / (f_size + 1e-300))
+    h = max(h, 1e-12 * span)
+    n = 0
+    min_h = 1e-15 * max(1.0, abs(span))
+    while t < t1:
+        if n >= max_steps:
+            raise OdeToleranceNotMet(f"step limit {max_steps} reached at t={t:.6g}")
+        h = min(h, t1 - t)
+        y_new, f_new, enorm = step(g, t, y, f, h, rtol, atol)
+        if not math.isfinite(enorm):
+            h *= 0.25
+            if h < min_h:
+                raise StepUnderflow("non-finite error estimate at minimal step")
+            continue
+        if enorm > 1.0:
+            h *= max(0.2, 0.9 * enorm ** expo)
+            if h < min_h:
+                raise StepUnderflow(f"step underflow at t={t:.6g}")
+            continue
+        t += h
+        y, f = y_new, f_new
+        n += 1
+        if on_accept is not None:
+            y_adj, action = on_accept(t, y)
+            if y_adj is not y:
+                y = y_adj
+                f = g(t, y)
+            if action == complex_ode.STOP:
+                return complex_ode.IntegrationResult(t, y, True, n)
+        h *= min(5.0, max(0.2, 0.9 * enorm ** expo if enorm > 0 else 5.0))
+    return complex_ode.IntegrationResult(t, y, False, n)
+
+
+def potential_fn(pot: Potential):
+    """V as a closure over the folded coefficients 2a and 28b."""
+    c2a = 2.0 * pot.a
+    c28b = 28.0 * pot.b
+
+    def v(z):
+        return 4.0 * z * z * z - c2a * z - c28b
+
+    return v
+
+
+def s_chart(pot: Potential, z0: complex, dz: complex):
+    """(s, ds/da, ds/db) on the leg z0 + t dz, with dz folded in."""
+    v = potential_fn(pot)
+    m2dz = -2.0 * dz
+
+    def f(t, y):
+        z = z0 + t * dz
+        s, s_a, s_b = y
+        return ((v(z) - s * s) * dz, (z + s * s_a) * m2dz,
+                (14.0 + s * s_b) * m2dz)
+
+    return f
+
+
+def r_chart(pot: Potential, z0: complex, dz: complex):
+    """(r, dr/da, dr/db) of the inverse chart r = 1/s on the same leg."""
+    v = potential_fn(pot)
+
+    def f(t, y):
+        z = z0 + t * dz
+        r, r_a, r_b = y
+        vz = v(z)
+        r2dz = (r + r) * dz
+        return ((1.0 - vz * r * r) * dz, (z * r - vz * r_a) * r2dz,
+                (14.0 * r - vz * r_b) * r2dz)
+
+    return f
+
+
+def pair_leg(pot: Potential, z0: complex, dz: complex):
+    """(s_A, s_B, int (s_A - s_B) dlam) on an outward leg."""
+    v = potential_fn(pot)
+
+    def f(t, y, z0=z0, dz=dz):
+        vz = v(z0 + t * dz)
+        s_a, s_b, _ = y
+        return ((vz - s_a * s_a) * dz, (vz - s_b * s_b) * dz,
+                (s_a - s_b) * dz)
+
+    return f
+
+
+def pi_leg(z0: complex, dz: complex):
+    """(y, y') of y'' = 6 y^2 - z on the leg z0 + t dz."""
+    def rhs(t, y):
+        return (y[1] * dz, (6.0 * y[0] * y[0] - (z0 + t * dz)) * dz)
+
+    return rhs
 
 
 def cycle_integral(pot: Potential, cycle: CycleId, kind: str,

@@ -150,6 +150,34 @@ def test_unchecked_sensitivities_ride_on_the_scalar_steps(tableau):
     assert abs(riding.y[1] - checked.y[1]) < 1e-8 * abs(checked.y[1])
 
 
+@pytest.mark.parametrize("source, y0", [
+    ("F0 = c - Y0 * Y0 + T * Y0", 0.3 - 0.2j),
+    ("F = c - Y * Y + T * Y", 0.3 - 0.2j),
+    ("F0 = c - Y0 * Y0 + T * Y0\nF1 = -Y1", (0.3 - 0.2j, 1.0)),
+    ("F = (c - Y[0] * Y[0] + T * Y[0], -Y[1])", (0.3 - 0.2j, 1.0))],
+    ids=["scalar", "scalar-packed", "tuple", "tuple-packed"])
+def test_source_takes_the_steps_of_its_callable(source, y0):
+    """A right-hand side given as source, by components or packed, runs
+    the operations of the equivalent callable and so its exact steps."""
+    def g(t, y):
+        if isinstance(y, complex):
+            return _riccati(t, y)
+        return (_riccati(t, y[0]), -y[1])
+
+    rhs = complex_ode.Rhs(("c",), source)
+    by_source = complex_ode.integrate(rhs, 0.0, 3.0, y0, args=(1.5j,))
+    by_callable = complex_ode.integrate(g, 0.0, 3.0, y0)
+    assert by_source == by_callable
+    assert by_source.n_steps > 10
+
+
+@pytest.mark.parametrize("source", ["F0 = Y0 * _c", "G0 = Y0"],
+                         ids=["kernel name", "no derivative"])
+def test_malformed_source_rejected(source):
+    with pytest.raises(ValueError):
+        complex_ode.integrate(complex_ode.Rhs((), source), 0.0, 1.0, 1.0)
+
+
 @pytest.mark.parametrize("error_dims", [0, 4])
 def test_error_dims_out_of_range_rejected(error_dims):
     with pytest.raises(ValueError):
@@ -181,7 +209,7 @@ def test_generated_stages_match_the_frozen_step(arity, values, h, t):
         y, g, frozen = tuple(values[:arity]), g_tuple, step_tuple
     k1 = g(t, y)
     generated = complex_ode._stage_fn(arity or None, arity or 1)
-    assert generated(g, t, y, k1, h, 1e-12, 1e-14) == frozen(g, t, y, k1, h,
+    assert generated(t, y, k1, h, 1e-12, 1e-14, g) == frozen(g, t, y, k1, h,
                                                              1e-12, 1e-14)
 
 

@@ -2,17 +2,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from tritronquee import complex_ode, oscillator
+from tritronquee import complex_ode, oscillator, painleve
 from tritronquee.elliptic import Potential, turning_points
-from tritronquee.errors import NewtonDiverged, OutsideDisc, PathNearTurningPoint
+from tritronquee.errors import (NewtonDiverged, OdeToleranceNotMet,
+                                OutsideDisc, PathNearTurningPoint,
+                                StepUnderflow)
 from tritronquee.oscillator import (RaySpec, dependence_residual,
                                     dependence_system, match_point,
                                     psi_logderivative, ray_spec, refine_pole,
-                                    u_values, _potential_fn,
-                                    _recessive_sqrtV, _wkb_logderivative)
+                                    u_values, _recessive_sqrtV,
+                                    _wkb_logderivative)
 
+import oracles
 from oracles import linear_logderivative
 
 #: regression anchors recorded from the full pipeline at (a, b) = (0, 1)
@@ -28,14 +31,75 @@ def _pot(point):
     return Potential(point.a, point.b)
 
 
-_complex = st.complex_numbers(max_magnitude=1e6, allow_nan=False,
+def _complex(magnitude):
+    return st.complex_numbers(max_magnitude=magnitude, allow_nan=False,
                               allow_infinity=False)
 
 
-@given(_complex, _complex, _complex)
-def test_potential_fn_is_bit_identical(a, b, z):
+def _stopping_hook(stop_at, refresh_every):
+    """Stops once |y_0| exceeds ``stop_at``; every ``refresh_every``-th
+    accepted step hands back an equal new tuple, which makes the integrator
+    evaluate the right-hand side afresh instead of reusing its last stage."""
+    accepted = [0]
+
+    def on_accept(t, y):
+        accepted[0] += 1
+        if abs(y[0]) > stop_at:
+            return y, complex_ode.STOP
+        if accepted[0] % refresh_every == 0:
+            return tuple([*y]), complex_ode.CONTINUE
+        return y, complex_ode.CONTINUE
+
+    return on_accept
+
+
+def _outcome(run):
+    try:
+        res = run()
+    except (OdeToleranceNotMet, StepUnderflow) as exc:
+        return type(exc), str(exc)
+    return res.t, res.y, res.n_steps, res.stopped
+
+
+@pytest.mark.parametrize("leg", ["s-chart", "r-chart", "pair", "painleve"])
+@settings(max_examples=40, deadline=None)
+@given(a=_complex(3.0), b=_complex(1.0), z0=_complex(2.0), dz=_complex(1.5),
+       state=st.tuples(_complex(2.0), _complex(2.0), _complex(2.0)),
+       stop_at=st.floats(2.0, 100.0), refresh_every=st.integers(2, 9))
+def test_inlined_legs_match_the_closure_path(leg, a, b, z0, dz, state,
+                                             stop_at, refresh_every):
+    """Each right-hand side written into the generated kernel takes the
+    steps and values of the closure it replaced on the old integrator
+    (frozen in ``oracles``), bit for bit, including its failures."""
     pot = Potential(a, b)
-    assert _potential_fn(pot)(z) == pot(z)
+    rtol = 1e-10
+
+    def new_path():
+        hook = _stopping_hook(stop_at, refresh_every)
+        if leg == "painleve":
+            return painleve._pi_leg(state[:2], z0, z0 + dz, rtol, hook)[0]
+        rhs = {"s-chart": oscillator._S_CHART, "r-chart": oscillator._R_CHART,
+               "pair": oscillator._PAIR}[leg]
+        return complex_ode.integrate(
+            rhs, 0.0, 1.0, state, rtol=rtol, atol=1e-13, on_accept=hook,
+            max_steps=3000, error_dims=None if leg == "pair" else 1,
+            args=oscillator._leg_args(pot, z0, dz))
+
+    def closure_path():
+        hook = _stopping_hook(stop_at, refresh_every)
+        if leg == "painleve":
+            return oracles.closure_integrate(
+                oracles.pi_leg(z0, (z0 + dz) - z0), 0.0, 1.0, state[:2],
+                rtol=rtol, atol=1e-14, on_accept=hook,
+                tableau=complex_ode.DOP853)
+        closure = {"s-chart": oracles.s_chart, "r-chart": oracles.r_chart,
+                   "pair": oracles.pair_leg}[leg]
+        return oracles.closure_integrate(
+            closure(pot, z0, dz), 0.0, 1.0, state, rtol=rtol, atol=1e-13,
+            on_accept=hook, max_steps=3000,
+            error_dims=None if leg == "pair" else 1)
+
+    assert _outcome(new_path) == _outcome(closure_path)
 
 
 class TestRaySpec:
@@ -170,7 +234,8 @@ class TestRefinePole:
             assert 1.0 <= rec.jacobian_cond < 1e3
 
     def test_non_finite_jacobian_is_newton_diverged(self, anchor, monkeypatch):
-        def nan_jacobian(pot, lam_match=None, rtol=None, tol_wkb=None):
+        def nan_jacobian(pot, lam_match=None, rtol=None, tol_wkb=None,
+                         samples=None):
             return (0.1 + 0.0j, 0.1 + 0.0j), ((1.0, math.nan), (0.0, 1.0))
 
         monkeypatch.setattr(oscillator, "dependence_system", nan_jacobian)
@@ -190,6 +255,27 @@ class TestRefinePole:
         monkeypatch.setattr(oscillator, "psi_logderivative", counting)
         refine_pole(anchor, compute_gap=False)
         assert len(calls) <= 28
+
+    def test_gap_reuses_the_seed_legs(self, anchor, monkeypatch):
+        """``u_values`` at the seed takes over the rays 2 and -2 legs of the
+        seed's dependence pass and integrates only ray 0: one recessive
+        solution on top of four per pass, where it used to integrate three."""
+        passes, legs = [], []
+        system = oscillator.dependence_system
+        psi = oscillator.psi_logderivative
+
+        def counting_system(*args, **kwargs):
+            passes.append(1)
+            return system(*args, **kwargs)
+
+        def counting_psi(*args, **kwargs):
+            legs.append(1)
+            return psi(*args, **kwargs)
+
+        monkeypatch.setattr(oscillator, "dependence_system", counting_system)
+        monkeypatch.setattr(oscillator, "psi_logderivative", counting_psi)
+        refine_pole(anchor)
+        assert len(legs) == 4 * len(passes) + 1
 
 
 class TestProportionality:
@@ -231,6 +317,21 @@ class TestUValues:
         u2, um2 = u_values(pot)
         assert abs(u2 - u2_x) < 1e-8 * abs(u2)
         assert abs(um2 - um2_x) < 1e-8 * abs(um2)
+
+    def test_reused_samples_give_identical_values(self, anchor):
+        pot = _pot(anchor.point)
+        samples = {}
+        dependence_system(pot, samples=samples)
+        assert sorted(samples) == [-2, -1, 1, 2]
+        assert u_values(pot, samples=samples) == u_values(pot)
+
+    def test_samples_from_another_match_point_rejected(self, anchor):
+        pot = _pot(anchor.point)
+        samples = {}
+        dependence_system(pot, lam_match=match_point(turning_points(pot))
+                          + 0.1, samples=samples)
+        with pytest.raises(ValueError):
+            u_values(pot, samples=samples)
 
     def test_evaluation_radius_stability(self, anchor):
         pot = _pot(anchor.point)
