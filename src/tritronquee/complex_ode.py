@@ -11,14 +11,17 @@ first-same-as-last (FSAL) property and local extrapolation (Hairer, Norsett
 - ``DOP853``, Hairer's 8th-order method with the combined 5th/3rd-order
   error estimate: 12 stages per step.
 
-The tableau is a per-call argument.  ``painleve`` runs on ``DOP853``: at
-its rtol 1e-12..1e-13 over spans of tens of units, 8th order takes about
-8x fewer steps (2,033 against 16,247 from 40 to -12), and twice the
-evaluations per step still leave a 3-4x gain.  The Stokes tracer stays on
-``DP54``: at rtol 1e-9 its steps only halve, while every step would make
-twice the evaluations of its costly ``branch_sqrt`` right-hand side, so
-no time is saved.  The oscillator stays on ``DP54`` too, so its poles keep
-their values (ROADMAP item 2 has the measurements).
+The tableau is a per-call argument.  ``painleve`` no longer runs here: its
+right-hand side 6 y^2 - z is a quadratic polynomial, so it steps with the
+solution's own Taylor series, whose coefficients follow exactly from a
+recurrence (244 steps from 40 to -12, where DOP853 took 2,033 and DP54
+16,247).  No other right-hand side here has that form.  The Stokes tracer
+stays on ``DP54``: at rtol 1e-9 DOP853's steps only halve, while every
+step would make twice the evaluations of its costly ``branch_sqrt``
+right-hand side, so no time is saved.  The oscillator stays on ``DP54``
+too, so its poles keep their values; ``DOP853`` stays for its move
+(ROADMAP item 2 has the measurements: about 3x fewer steps per
+``catalog`` pass), and as the tests' reference for the Taylor legs.
 
 The state is either a bare ``complex`` (one unknown) or a tuple of complex
 (any number of unknowns).  Each run is one generated function

@@ -404,11 +404,14 @@ def _integrate_s_inward(pot: Potential, ray: RaySpec, waypoints: list[complex],
 
 
 def psi_logderivative(pot: Potential, ray: RaySpec, lam_match: complex,
-                      rtol: float = TOL_ODE, atol: float = 1e-13) -> LogDerivativeSample:
+                      rtol: float = TOL_ODE, atol: float = 1e-13,
+                      tp: TurningPoints | None = None) -> LogDerivativeSample:
     """Log-derivative of the recessive solution on ray k, continued to
     ``lam_match`` along a turning-point-avoiding path, with its derivatives
-    in a and b at that point."""
-    tp = turning_points(pot)
+    in a and b at that point.  ``tp`` is ``turning_points(pot)``, solved
+    here unless the caller already holds it."""
+    if tp is None:
+        tp = turning_points(pot)
     if min(abs(lam_match - r) for r in tp.roots) < 0.3 * _PATH_MARGIN * tp.min_separation:
         raise PathNearTurningPoint(
             f"match point {lam_match} too close to a turning point")
@@ -437,7 +440,8 @@ def dependence_system(pot: Potential, lam_match: complex | None = None,
     """
     tp = turning_points(pot)
     lam = match_point(tp) if lam_match is None else complex(lam_match)
-    s = {k: psi_logderivative(pot, ray_spec(pot, k, tol_wkb), lam, rtol)
+    s = {k: psi_logderivative(pot, ray_spec(pot, k, tol_wkb), lam, rtol,
+                              tp=tp)
          for k in (-1, 2, 1, -2)}
     if samples is not None:
         samples.update(s)
@@ -544,7 +548,8 @@ def u_values(pot: Potential, eval_radius: float | None = None,
     lam = match_point(tp)
     radius = 6.0 * tp.scale if eval_radius is None else float(eval_radius)
     atol = 1e-13
-    s = {k: psi_logderivative(pot, ray_spec(pot, k, tol_wkb), lam, rtol).s
+    s = {k: psi_logderivative(pot, ray_spec(pot, k, tol_wkb), lam, rtol,
+                              tp=tp).s
          for k in (0, 2, -2) if samples is None or k == 0}
     if samples is not None:
         if samples[2].lam != lam or samples[-2].lam != lam:

@@ -2,10 +2,14 @@
 
 Seeding uses the asymptotic series y = -sqrt(z/6) (1 + sum c_j z^(-5j/2))
 whose coefficients follow from substituting the ansatz into the equation.
-Tracking runs the adaptive 8th-order DOP853 integrator over polyline
-paths (its tolerances of 1e-12..1e-13 are where high order pays); movable
-double poles are detected from the blow-up of y, fitted in the local
-Laurent frame
+Tracking steps along polyline paths with the solution's own Taylor
+series: the right-hand side is a quadratic polynomial, so the coefficients
+about any point follow exactly from an O(N^2) recurrence, and one step of
+order 20 spans about a ninth of the distance to the nearest pole (the
+local-series approach of Fornberg & Weideman, J. Comput. Phys. 230, 2011).
+From 40 to -12, through four poles, that is 244 steps where the
+8th-order DOP853 Runge-Kutta pair took 2,033.  Movable double poles are
+detected from the blow-up of y, fitted in the local Laurent frame
 
     y = (z-a)^(-2) + (a/10)(z-a)^2 + (1/6)(z-a)^3 + b (z-a)^4 + ...
 
@@ -25,7 +29,8 @@ from types import MappingProxyType
 import numpy as np
 
 from . import complex_ode
-from .errors import NewtonDiverged, PoleFitFailed, SeedNotConverged
+from .errors import (NewtonDiverged, OdeToleranceNotMet, PoleFitFailed,
+                     SeedNotConverged, StepUnderflow)
 
 TOL_SEED = 1e-10
 TOL_MATCH = 1e-8
@@ -68,10 +73,6 @@ def _poly_scale(p, c):
     return {k: v * c for k, v in p.items() if v * c != 0}
 
 
-def _poly_eval(p, a: complex, b: complex) -> complex:
-    return sum(complex(v) * a ** i * b ** j for (i, j), v in p.items())
-
-
 def _poly_diff(p, var: int):
     out = {}
     for (i, j), v in p.items():
@@ -97,41 +98,53 @@ class LaurentTable:
         return len(self.coeffs)
 
     @functools.cached_property
-    def _complex_coeffs(self):
-        """The coefficients and their a- and b-derivatives with complex
-        values, converted from the exact fractions once instead of in every
-        Laurent-fit iteration."""
-        def as_complex(p):
-            return {key: complex(v) for key, v in p.items()}
+    def _terms(self):
+        """Every term of the coefficients (series 0) and of their a- and
+        b-derivatives (series 1 and 2) as (series, j, value, i, k): the term
+        value a^i b^k of the coefficient of (z-a)^(j-2), converted from the
+        exact fractions once instead of in every Laurent-fit iteration."""
+        series = (self.coeffs, [_poly_diff(p, 0) for p in self.coeffs],
+                  [_poly_diff(p, 1) for p in self.coeffs])
+        return tuple((s, j, complex(v), i, k)
+                     for s, polys in enumerate(series)
+                     for j, p in enumerate(polys)
+                     for (i, k), v in p.items())
 
-        return tuple(tuple(as_complex(p) for p in polys)
-                     for polys in (self.coeffs,
-                                   [_poly_diff(p, 0) for p in self.coeffs],
-                                   [_poly_diff(p, 1) for p in self.coeffs]))
+    @functools.cached_property
+    def _degree(self) -> int:
+        return max(max(i, k) for _, _, _, i, k in self._terms)
+
+    def _series(self, a: complex, b: complex) -> list:
+        """The coefficients and their a- and b-derivatives at (a, b)."""
+        pa, pb = [1.0], [1.0]
+        for _ in range(self._degree):
+            pa.append(pa[-1] * a)
+            pb.append(pb[-1] * b)
+        out = [[0j] * self.n for _ in range(3)]
+        for s, j, v, i, k in self._terms:
+            out[s][j] += v * pa[i] * pb[k]
+        return out
 
     def numeric(self, a: complex, b: complex) -> np.ndarray:
-        return np.array([_poly_eval(c, a, b) for c in self._complex_coeffs[0]],
-                        dtype=complex)
+        return np.array(self._series(a, b)[0], dtype=complex)
 
     def eval_frame(self, a: complex, b: complex, z: complex):
-        """(Y, Y', dY/da, dY/db, dY'/da, dY'/db) at z for the pole (a, b)."""
+        """(Y, Y', dY/da, dY/db, dY'/da, dY'/db) at z for the pole (a, b).
+
+        Each series sum_j c_j t^(j-2), t = z - a, and its t-derivative run
+        by Horner in t over the coefficients, their a- and b-derivatives.
+        """
         t = z - a
-        c = self.numeric(a, b)
-        ca = np.array([_poly_eval(p, a, b) for p in self._complex_coeffs[1]],
-                      dtype=complex)
-        cb = np.array([_poly_eval(p, a, b) for p in self._complex_coeffs[2]],
-                      dtype=complex)
-        powers = np.arange(-2, self.order + 1)
-        tp = t ** powers
-        tpm = t ** (powers - 1)
-        y = np.sum(c * tp)
-        yp = np.sum(c * powers * tpm)
+        sums = []
+        for c in self._series(a, b):
+            s = ds = 0j
+            for j in range(self.n - 1, -1, -1):
+                s = s * t + c[j]
+                ds = ds * t + (j - 2) * c[j]
+            sums.append((s / (t * t), ds / (t * t * t)))
+        (y, yp), (y_a, yp_a), (y_b, yp_b) = sums
         ypp = 6.0 * y * y - z
-        dy_da = np.sum(ca * tp) - yp
-        dy_db = np.sum(cb * tp)
-        dyp_da = np.sum(ca * powers * tpm) - ypp
-        dyp_db = np.sum(cb * powers * tpm)
-        return y, yp, dy_da, dy_db, dyp_da, dyp_db
+        return y, yp, y_a - yp, y_b, yp_a - ypp, yp_b
 
 
 @functools.cache
@@ -228,25 +241,117 @@ class PainlevePole:
     fit_residual: float
 
 
-# (y, y') of y'' = 6 y^2 - z in the leg parameter t on z = z0 + t dz
-_PI_RHS = complex_ode.Rhs(("z0", "dz"), """
-    F0 = Y1 * dz
-    F1 = (6.0 * Y0 * Y0 - (z0 + T * dz)) * dz
-""")
+# ---------------------------------------------------------------------------
+# Taylor stepping
+
+#: Order N of the local Taylor polynomial of one step.
+TAYLOR_ORDER = 20
+#: Per-step error target as a fraction of rtol; ``_pi_leg`` states its use.
+TAYLOR_TARGET = 1e-2
+#: Points of a step's polynomial that ``track(record_to=...)`` records.
+DENSE_POINTS = 16
+_MAX_STEPS = 100_000
+#: 6 / ((k+1)(k+2)) for k = 0..N-2: a_{k+2} is the k-th convolution times it
+_SCALE = tuple(6.0 / ((k + 1) * (k + 2)) for k in range(TAYLOR_ORDER - 1))
+#: the index pairs (i, k-i), i < k-i, of the symmetric half of each convolution
+_PAIRS = tuple(tuple((i, k - i) for i in range((k + 1) // 2))
+               for k in range(TAYLOR_ORDER - 1))
+
+
+def _taylor_coefficients(y: complex, yp: complex, zc: complex) -> list:
+    """Coefficients a_0..a_N of the solution through (y, y') at zc.
+
+    They follow exactly from y'' = 6 y^2 - z:
+
+        (k+1)(k+2) a_{k+2} = 6 sum_{i+j=k} a_i a_j - [k=0] zc - [k=1],
+
+    with the convolution taken over its symmetric half.
+    """
+    a = [y, yp, 3.0 * y * y - 0.5 * zc, 2.0 * y * yp - 1.0 / 6.0]
+    for k in range(2, TAYLOR_ORDER - 1):
+        conv = 0j
+        for i, j in _PAIRS[k]:
+            conv += a[i] * a[j]
+        conv += conv
+        if k % 2 == 0:
+            conv += a[k // 2] * a[k // 2]
+        a.append(conv * _SCALE[k])
+    return a
+
+
+def _taylor_eval(a: list, s: complex) -> tuple[complex, complex]:
+    """(y, y') of the polynomial sum a_k s^k, by Horner."""
+    n = TAYLOR_ORDER
+    y, yp = a[n], n * a[n]
+    for k in range(n - 1, 0, -1):
+        y = y * s + a[k]
+        yp = yp * s + k * a[k]
+    return y * s + a[0], yp
 
 
 def _pi_leg(y0, z0: complex, z1: complex, rtol: float, on_accept=None):
-    """Integrate y'' = 6 y^2 - z on DOP853 along the segment z0 -> z1.
+    """Integrate y'' = 6 y^2 - z along the segment z0 -> z1 by Taylor steps.
 
-    The leg runs in its parameter t in [0, 1] with dz = z1 - z0 folded into
-    the right-hand side; ``on_accept(t, y)`` sees t.  Returns the result and
-    the complex end point.
+    Each step expands the solution about the current point to order
+    N = ``TAYLOR_ORDER`` and takes the largest step h at which the last two
+    terms of y, |a_{N-1}| h^(N-1) and |a_N| h^N, stay below
+    tol (1 + |y|), and those of y' below tol (1 + |y'|), with
+    tol = ``TAYLOR_TARGET * rtol`` (the step control of Jorba & Zou,
+    Exp. Math. 14, 2005).  The leg runs in its parameter t in [0, 1];
+    ``on_accept(t, (y, y'))`` sees t after every step and may end the leg
+    with ``STOP``.  Returns the result and the complex end point.
     """
     dz = z1 - z0
-    res = complex_ode.integrate(_PI_RHS, 0.0, 1.0, y0, rtol=rtol, atol=1e-14,
-                                on_accept=on_accept,
-                                tableau=complex_ode.DOP853, args=(z0, dz))
-    return res, z0 + res.t * dz
+    adz = abs(dz)
+    y, yp = complex(y0[0]), complex(y0[1])
+    t = 0.0
+    n = 0
+    N = TAYLOR_ORDER
+    while t < 1.0:
+        if n >= _MAX_STEPS:
+            raise OdeToleranceNotMet(
+                f"step limit {_MAX_STEPS} reached at t={t:.6g}")
+        a = _taylor_coefficients(y, yp, z0 + t * dz)
+        tail1 = abs(a[N - 1]) + 1e-300
+        tail = abs(a[N]) + 1e-300
+        if not math.isfinite(tail1 + tail):
+            raise StepUnderflow(f"non-finite Taylor coefficient at t={t:.6g}")
+        tol = TAYLOR_TARGET * rtol
+        tol_y = tol * (1.0 + abs(y))
+        tol_yp = tol * (1.0 + abs(yp))
+        reach = min((tol_y / tail1) ** (1.0 / (N - 1)),
+                    (tol_y / tail) ** (1.0 / N),
+                    (tol_yp / ((N - 1) * tail1)) ** (1.0 / (N - 2)),
+                    (tol_yp / (N * tail)) ** (1.0 / (N - 1)))
+        if reach >= (1.0 - t) * adz:
+            h, t = 1.0 - t, 1.0
+        else:
+            h = reach / adz
+            if h < 1e-15:
+                raise StepUnderflow(f"step underflow at t={t:.6g}")
+            t += h
+        y, yp = _taylor_eval(a, h * dz)
+        n += 1
+        if on_accept is not None:
+            (y, yp), action = on_accept(t, (y, yp))
+            if action == complex_ode.STOP:
+                return (complex_ode.IntegrationResult(t, (y, yp), True, n),
+                        z0 + t * dz)
+    return complex_ode.IntegrationResult(t, (y, yp), False, n), z0 + t * dz
+
+
+def _dense_points(zc: complex, state, z: complex, end_state) -> list:
+    """``DENSE_POINTS`` points (z, y, y') evenly spaced along the Taylor step
+    from zc, where the solution is ``state``, to z, where it is
+    ``end_state``; the last point is (z, *end_state)."""
+    a = _taylor_coefficients(*state, zc)
+    s = z - zc
+    points = []
+    for i in range(1, DENSE_POINTS):
+        si = s * (i / DENSE_POINTS)
+        points.append((zc + si, *_taylor_eval(a, si)))
+    points.append((z, *end_state))
+    return points
 
 
 def seed_asymptotic(z0: complex, tol_seed: float = TOL_SEED,
@@ -282,26 +387,28 @@ def _fit_pole(table: LaurentTable, z: complex, y: complex, yp: complex,
               a0: complex, b0: complex = 0.0) -> tuple[complex, complex]:
     """Newton solve of series(z; a, b) = (y, y') for the pole data.
 
-    Stops at a relative residual below 1e-13, or below 1e-10 once a step
-    no longer halves it: quadratic convergence has then stalled at the
-    round-off floor, which grows with |a| along the real pole ladder.
+    Converged at a relative residual below 1e-13, or below 1e-10 once a
+    step no longer halves it: quadratic convergence has then stalled at the
+    round-off floor, which grows with |a| along the real pole ladder.  The
+    step from the converged iterate is still taken: b enters the series at
+    (z-a)^4, so a residual of 1e-13 at the fit distance d leaves b wrong by
+    up to 1e-13 / d^6, and the state continued past the pole carries that
+    error to the next one.
     """
     a, b = complex(a0), complex(b0)
     r_prev = math.inf
     for _ in range(40):
         Y, Yp, da, db, dpa, dpb = table.eval_frame(a, b, z)
-        F = np.array([Y - y, Yp - yp])
-        r = abs(F[0]) / (1.0 + abs(y)) + abs(F[1]) / (1.0 + abs(yp))
+        f0, f1 = Y - y, Yp - yp
+        r = abs(f0) / (1.0 + abs(y)) + abs(f1) / (1.0 + abs(yp))
+        det = da * dpb - db * dpa
+        if det == 0:
+            raise NewtonDiverged("singular Laurent-fit Jacobian")
+        a -= (f0 * dpb - db * f1) / det
+        b -= (da * f1 - dpa * f0) / det
         if r < 1e-13 or (r < 1e-10 and r > 0.5 * r_prev):
             return a, b
         r_prev = r
-        J = np.array([[da, db], [dpa, dpb]])
-        try:
-            step = np.linalg.solve(J, F)
-        except np.linalg.LinAlgError as exc:
-            raise NewtonDiverged(f"singular Laurent-fit Jacobian: {exc}")
-        a -= complex(step[0])
-        b -= complex(step[1])
     raise NewtonDiverged("Laurent fit did not converge")
 
 
@@ -312,20 +419,21 @@ def track(state: TritronqueeState, waypoints, fit_radius: float = FIT_RADIUS,
           ) -> tuple[TritronqueeState, list[PainlevePole]]:
     """Integrate along the polyline, passing through movable poles.
 
-    The integration runs on ``complex_ode.DOP853``.  When the trajectory
+    The integration runs by Taylor steps (``_pi_leg``).  When the trajectory
     enters the fit radius of a pole (estimated from y/y'), the pole data
     (a, b) are fitted twice, at radii 1.0 and 0.8 times the entry distance,
     each fit starting from its own blow-up estimate; the disagreement is
     recorded as the fit residual, and the state is continued from the
     mirror point on the far side.
 
-    ``record_to`` receives ``(z, y, y')`` after every accepted step, so the
-    trail is as sparse as the 8th-order steps: 665 points from 40 to 5,
-    where DP5(4) took 4,723.
+    ``record_to`` receives ``(z, y, y')`` at ``DENSE_POINTS`` evenly spaced
+    points of every step, the last being its end, read off the step's
+    Taylor polynomial: the steps alone are too far apart for an
+    interpolant to check (25 from 40 to 5), the dense trail has 400 points.
     """
     table = laurent_coefficients(laurent_order)
     z_cur = complex(state.z)
-    y_cur = (state.y, state.yp)
+    y_cur = (complex(state.y), complex(state.yp))
     poles: list[PainlevePole] = []
     pts = [complex(w) for w in waypoints]
     if abs(pts[0] - z_cur) > 1e-9 * (1.0 + abs(z_cur)):
@@ -342,12 +450,14 @@ def track(state: TritronqueeState, waypoints, fit_radius: float = FIT_RADIUS,
         if dz == 0:
             idx += 1
             continue
-        hit = {"z": None}
+        # the start of the step that the next on_accept ends
+        step_start = [z0, y_cur]
 
         def on_accept(t, y, z0=z0, dz=dz):
             z = z0 + t * dz
             if record_to is not None:
-                record_to.append((z, *y))
+                record_to.extend(_dense_points(*step_start, z, y))
+                step_start[:] = z, y
             ay = abs(y[0])
             if ay < 8.0:
                 return y, complex_ode.CONTINUE
@@ -359,7 +469,6 @@ def track(state: TritronqueeState, waypoints, fit_radius: float = FIT_RADIUS,
             if last_pole is not None and abs(z - last_pole) < 1.3 * radius:
                 return y, complex_ode.CONTINUE
             if dist <= radius or ay >= blowup_threshold:
-                hit["z"] = z
                 return y, complex_ode.STOP
             return y, complex_ode.CONTINUE
 

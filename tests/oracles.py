@@ -13,7 +13,8 @@ the module's own node and third-root helpers).  ``closure_integrate`` is a
 frozen copy of the integrator that called its right-hand side as a Python
 function at every stage, with the generated attempt of ``_stage_source``,
 and ``s_chart``, ``r_chart``, ``pair_leg`` and ``pi_leg`` are the
-closures the oscillator and the Painleve legs ran on it.
+closures the oscillator and the Painleve legs ran on it; on DOP853,
+``pi_leg`` is the reference for the Taylor legs that replaced it.
 """
 
 from __future__ import annotations

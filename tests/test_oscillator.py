@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tritronquee import complex_ode, oscillator, painleve
+from tritronquee import complex_ode, oscillator
 from tritronquee.elliptic import Potential, turning_points
 from tritronquee.errors import (NewtonDiverged, OdeToleranceNotMet,
                                 OutsideDisc, PathNearTurningPoint,
@@ -61,7 +61,7 @@ def _outcome(run):
     return res.t, res.y, res.n_steps, res.stopped
 
 
-@pytest.mark.parametrize("leg", ["s-chart", "r-chart", "pair", "painleve"])
+@pytest.mark.parametrize("leg", ["s-chart", "r-chart", "pair"])
 @settings(max_examples=40, deadline=None)
 @given(a=_complex(3.0), b=_complex(1.0), z0=_complex(2.0), dz=_complex(1.5),
        state=st.tuples(_complex(2.0), _complex(2.0), _complex(2.0)),
@@ -76,8 +76,6 @@ def test_inlined_legs_match_the_closure_path(leg, a, b, z0, dz, state,
 
     def new_path():
         hook = _stopping_hook(stop_at, refresh_every)
-        if leg == "painleve":
-            return painleve._pi_leg(state[:2], z0, z0 + dz, rtol, hook)[0]
         rhs = {"s-chart": oscillator._S_CHART, "r-chart": oscillator._R_CHART,
                "pair": oscillator._PAIR}[leg]
         return complex_ode.integrate(
@@ -87,11 +85,6 @@ def test_inlined_legs_match_the_closure_path(leg, a, b, z0, dz, state,
 
     def closure_path():
         hook = _stopping_hook(stop_at, refresh_every)
-        if leg == "painleve":
-            return oracles.closure_integrate(
-                oracles.pi_leg(z0, (z0 + dz) - z0), 0.0, 1.0, state[:2],
-                rtol=rtol, atol=1e-14, on_accept=hook,
-                tableau=complex_ode.DOP853)
         closure = {"s-chart": oracles.s_chart, "r-chart": oracles.r_chart,
                    "pair": oracles.pair_leg}[leg]
         return oracles.closure_integrate(
@@ -183,6 +176,23 @@ class TestDependenceResidual:
         r = dependence_residual(_pot(anchor.point))
         norm = abs(r[0]) + abs(r[1])
         assert 1e-4 < norm < 1.0
+
+    def test_one_turning_point_solve_per_pass(self, anchor, monkeypatch):
+        """The four inward legs take the pass's turning points instead of
+        solving the cubic again; ``u_values`` hands its own to the ray-0
+        leg."""
+        calls = []
+
+        def counted(pot, *args):
+            calls.append(pot)
+            return turning_points(pot, *args)
+
+        monkeypatch.setattr(oscillator, "turning_points", counted)
+        pot = _pot(anchor.point)
+        samples = {}
+        dependence_system(pot, samples=samples)
+        u_values(pot, samples=samples)
+        assert len(calls) == 2
 
 
 @pytest.mark.parametrize("where", ["seed", "generic"])

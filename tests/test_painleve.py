@@ -4,12 +4,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tritronquee.errors import PoleFitFailed
+from tritronquee import complex_ode, painleve
+from tritronquee.errors import NumericalError, PoleFitFailed
 from tritronquee.painleve import (TOL_FIT, laurent_coefficients,
                                   seed_asymptotic, track,
                                   tritronquee_series_coefficients)
 
+import oracles
 from oracles import hermite_quintic_residual
 
 #: first real pole and its quartic coefficient (this module is the oracle;
@@ -18,6 +21,11 @@ FIRST_POLE_A = -2.3841687695685
 FIRST_POLE_B = -0.0621357388
 #: fifth real pole (k = 4), where route 2's reference is least certain
 FIFTH_POLE_A = -13.6179947029
+
+
+#: Relative agreement of a Taylor leg at rtol 1e-13 with DOP853 at rtol
+#: 1e-14, set from the step error target before the test was first run.
+LEG_AGREEMENT = 1e-9
 
 
 def _series_eval(table, a, b, z):
@@ -58,6 +66,32 @@ class TestLaurentCoefficients:
     def test_order_validation(self):
         with pytest.raises(ValueError):
             laurent_coefficients(3)
+
+    @pytest.mark.parametrize("a, b, t", [(-2.4, -0.06, 0.2),
+                                         (-13.6 + 0.5j, 0.3 - 0.1j, -0.1j),
+                                         (-38.5, 1.7, -0.08 + 0.05j)])
+    def test_eval_frame_matches_term_sums(self, a, b, t):
+        """Y and Y' equal the term sums of the exact table, and the a- and
+        b-derivatives their central differences, up to the differences'
+        round-off, about 1e-16 |Y| / h."""
+        table = laurent_coefficients(16)
+        z = a + t
+
+        def sums(a, b):
+            c = [sum(complex(v) * a ** i * b ** k for (i, k), v in p.items())
+                 for p in table.coeffs]
+            return (sum(cj * (z - a) ** (j - 2) for j, cj in enumerate(c)),
+                    sum(cj * (j - 2) * (z - a) ** (j - 3)
+                        for j, cj in enumerate(c)))
+
+        y, yp, y_a, y_b, yp_a, yp_b = table.eval_frame(a, b, z)
+        assert max(abs(u - v) / abs(v)
+                   for u, v in zip((y, yp), sums(a, b))) < 1e-13
+        h = 1e-6
+        for da, db, got in ((h, 0, (y_a, yp_a)), (0, h, (y_b, yp_b))):
+            hi, lo = sums(a + da, b + db), sums(a - da, b - db)
+            for g, u, v in zip(got, hi, lo):
+                assert abs(g - (u - v) / (2 * h)) < 1e-7 * (1 + abs(u))
 
     def test_truncated_series_residual_order(self):
         """Substituting the order-8 table into the equation leaves a
@@ -200,3 +234,66 @@ class TestTrack:
         assert len(poles) == 1
         assert final.chart == "laurent"
         assert abs(final.laurent_center - poles[0].a) < 1e-9
+
+
+def _complex(magnitude):
+    return st.complex_numbers(max_magnitude=magnitude, allow_nan=False,
+                              allow_infinity=False)
+
+
+def _stop_above(level):
+    def on_accept(t, y):
+        if abs(y[0]) > level:
+            return y, complex_ode.STOP
+        return y, complex_ode.CONTINUE
+
+    return on_accept
+
+
+@settings(max_examples=60, deadline=None)
+@given(z0=_complex(2.0), dz=_complex(1.5),
+       state=st.tuples(_complex(2.0), _complex(2.0)),
+       stop_at=st.floats(2.0, 100.0))
+def test_taylor_leg_matches_dop853(z0, dz, state, stop_at):
+    """A Taylor leg agrees with the DOP853 leg it replaced, run at rtol
+    1e-14 on the frozen closure path.  Where the reference stops because
+    |y| passed ``stop_at`` (a pole is near) or raises, the Taylor leg stops
+    too or raises a ``NumericalError``.  Its steps are longer, so it stops
+    at a quarter of that level: |y| ~ (z-a)^-2 then still lands inside
+    the disc the reference entered."""
+    try:
+        ref = oracles.closure_integrate(
+            oracles.pi_leg(z0, (z0 + dz) - z0), 0.0, 1.0, state, rtol=1e-14,
+            atol=1e-14, on_accept=_stop_above(stop_at), max_steps=20_000,
+            tableau=complex_ode.DOP853)
+    except NumericalError:
+        ref = None
+    if ref is None or ref.stopped:
+        try:
+            res, _ = painleve._pi_leg(state, z0, z0 + dz, 1e-13,
+                                      _stop_above(stop_at / 4.0))
+        except NumericalError:
+            return
+        assert res.stopped
+        return
+    res, z_end = painleve._pi_leg(state, z0, z0 + dz, 1e-13)
+    assert not res.stopped and res.t == 1.0 and z_end == z0 + dz
+    for got, want in zip(res.y, ref.y):
+        assert abs(got - want) <= LEG_AGREEMENT * (1.0 + abs(want))
+
+
+def test_route_three_work_count(monkeypatch):
+    """Seeding at 40 and tracking to -12 through four poles takes at most
+    400 Taylor steps over all legs (DOP853 took 2,033)."""
+    steps = []
+    leg = painleve._pi_leg
+
+    def counted(*args, **kwargs):
+        res = leg(*args, **kwargs)
+        steps.append(res[0].n_steps)
+        return res
+
+    monkeypatch.setattr(painleve, "_pi_leg", counted)
+    _, poles = track(seed_asymptotic(40.0), [40.0, -12.0])
+    assert len(poles) == 4
+    assert sum(steps) <= 400
