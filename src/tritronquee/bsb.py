@@ -2,9 +2,14 @@
 
 The system asks for points (a, b) with ``chi_2 = i pi (2n-1)`` and
 ``chi_-2 = i pi (2m-1)``.  Newton iteration uses the analytic Jacobian from
-the period derivatives; new quantum numbers are reached by a short homotopy
-in the right-hand side starting from the real (1,1) solution.  Solutions
-with coprime odd integers generate whole q-sequences by exact rescaling.
+the period derivatives; new quantum numbers are reached by a homotopy in
+the right-hand side starting from the real (1,1) solution, with targets
+at most 0.6 pi apart.  The homotopy is followed by Euler-Newton
+continuation (Allgower & Georg, Numerical Continuation Methods, 1990):
+one Newton step per intermediate target, which is both the predictor for
+the new target and the corrector for the last one, and a Newton solve to
+the tolerance at the final target only.  Solutions with coprime odd
+integers generate whole q-sequences by exact rescaling.
 """
 
 from __future__ import annotations
@@ -79,6 +84,34 @@ def _period_residual(point: ParamPoint, target2: complex, targetm2: complex,
     return F, J
 
 
+def _newton_step(x, F, J, res: float, target2: complex, targetm2: complex,
+                 max_halvings: int):
+    """One Newton step from x with residual F and Jacobian J there.
+
+    The step is halved while it raises a ``NumericalError`` or does not
+    lower the residual norm ``res``.  Returns (x, F, J, res) at the new
+    point.
+    """
+    try:
+        step = np.linalg.solve(J, F)
+    except np.linalg.LinAlgError as exc:
+        raise NewtonDiverged(f"singular period Jacobian: {exc}") from exc
+    factor = 1.0
+    for _ in range(max_halvings):
+        x_try = x - factor * step
+        try:
+            F_try, J_try = _period_residual(
+                ParamPoint(x_try[0], x_try[1]), target2, targetm2)
+        except NumericalError:
+            factor *= 0.5
+            continue
+        res_try = float(abs(F_try[0]) + abs(F_try[1]))
+        if res_try < res:
+            return x_try, F_try, J_try, res_try
+        factor *= 0.5
+    raise NewtonDiverged(f"line search exhausted at residual {res:.3e}")
+
+
 def solve_period_targets(target2: complex, targetm2: complex, seed: ParamPoint,
                          tol_newton: float = TOL_NEWTON,
                          max_iter: int = NEWTON_MAX_ITER,
@@ -90,27 +123,8 @@ def solve_period_targets(target2: complex, targetm2: complex, seed: ParamPoint,
     for _ in range(max_iter):
         if res < tol_newton:
             return ParamPoint(x[0], x[1]), res
-        try:
-            step = np.linalg.solve(J, F)
-        except np.linalg.LinAlgError as exc:
-            raise NewtonDiverged(f"singular period Jacobian: {exc}") from exc
-        factor = 1.0
-        for _ in range(max_halvings):
-            x_try = x - factor * step
-            try:
-                F_try, J_try = _period_residual(
-                    ParamPoint(x_try[0], x_try[1]), target2, targetm2)
-            except NumericalError:
-                factor *= 0.5
-                continue
-            res_try = float(abs(F_try[0]) + abs(F_try[1]))
-            if res_try < res:
-                x, F, J, res = x_try, F_try, J_try, res_try
-                break
-            factor *= 0.5
-        else:
-            raise NewtonDiverged(
-                f"line search exhausted at residual {res:.3e}")
+        x, F, J, res = _newton_step(x, F, J, res, target2, targetm2,
+                                    max_halvings)
     if res < tol_newton:
         return ParamPoint(x[0], x[1]), res
     raise NewtonDiverged(f"no convergence after {max_iter} iterations "
@@ -128,22 +142,45 @@ def _homotopy_targets(quantum: QuantumPair):
         yield 1j * s[0], 1j * s[1]
 
 
+def _follow_targets(seed: ParamPoint, targets) -> ParamPoint:
+    """One Newton step towards each target in turn, each from the last.
+
+    At a new target the residual is the old one minus the change of the
+    target, so the step x - J^-1 (F - dt) predicts the move along the path
+    and corrects what the last step left, for one period evaluation.
+    """
+    x = np.array([seed.a, seed.b], dtype=complex)
+    F, J = _period_residual(seed, *targets[0])
+    previous = targets[0]
+    for target in targets:
+        F = F - (np.array(target) - np.array(previous))
+        res = float(abs(F[0]) + abs(F[1]))
+        x, F, J, _ = _newton_step(x, F, J, res, *target, NEWTON_MAX_HALVINGS)
+        previous = target
+    return ParamPoint(x[0], x[1])
+
+
 def solve_bsb(quantum: QuantumPair, seed: ParamPoint | None = None,
               tol_newton: float = TOL_NEWTON, verify_graph: bool = True) -> BsbSolution:
     """Solve the quantization system for the given quantum numbers.
 
     Without an explicit seed, the (1,1) case starts from the known real
     point and other cases continue from it along a homotopy in the
-    right-hand side.  The converged point is checked to carry a "320" graph.
+    right-hand side: one Newton step per intermediate target
+    (``_follow_targets``), then Newton to ``tol_newton`` at the last one.
+    An explicit seed, and the (1,1) case with its single target, go
+    straight to that last solve.  The converged point is checked to carry
+    a "320" graph.
     """
-    target2 = 1j * math.pi * quantum.odd_n
-    targetm2 = 1j * math.pi * quantum.odd_m
     if seed is not None:
-        point, res = solve_period_targets(target2, targetm2, seed, tol_newton)
+        target2 = 1j * math.pi * quantum.odd_n
+        targetm2 = 1j * math.pi * quantum.odd_m
     else:
-        point = PRIMITIVE_11_SEED
-        for t2, tm2 in _homotopy_targets(quantum):
-            point, res = solve_period_targets(t2, tm2, point, tol_newton)
+        *path, (target2, targetm2) = _homotopy_targets(quantum)
+        seed = PRIMITIVE_11_SEED
+        if path:
+            seed = _follow_targets(seed, path)
+    point, res = solve_period_targets(target2, targetm2, seed, tol_newton)
     if verify_graph:
         label = classify_graph(trace_stokes_lines(Potential(point.a, point.b)))
         if label != "320":
@@ -157,7 +194,11 @@ def descendant(primitive: BsbSolution, k: int,
     """The k-th rescaled solution ((2k+1)^(4/5) a, (2k+1)^(6/5) b).
 
     The residual is re-evaluated against the scaled right-hand sides
-    i pi (2n-1)(2k+1), i pi (2m-1)(2k+1).
+    i pi (2n-1)(2k+1), i pi (2m-1)(2k+1).  The periods scale by (2k+1)
+    under the rescaling, chi(x^2 a, x^3 b) = x^(5/2) chi(a, b) with
+    x^(5/2) = 2k+1, so the residual is (2k+1) times the primitive's: a
+    primitive that meets ``TOL_NEWTON`` only just, at 1.2e-11 say, gives a
+    k = 4 descendant above 1e-10.
     """
     if primitive.k != 0:
         raise ValueError("descendant() expects a primitive solution")

@@ -17,8 +17,11 @@ solution's own Taylor series, whose coefficients follow exactly from a
 recurrence (244 steps from 40 to -12, where DOP853 took 2,033 and DP54
 16,247).  No other right-hand side here has that form.  The Stokes tracer
 stays on ``DP54``: at rtol 1e-9 DOP853's steps only halve, while every
-step would make twice the evaluations of its costly ``branch_sqrt``
-right-hand side, so no time is saved.  The oscillator stays on ``DP54``
+step would make twice the evaluations of its tangent, a complex square
+root of V with its branch choice, so no evaluation is saved.  The tangent
+runs in the kernel like every other right-hand side here, with the
+branch reference in a list that its ``on_accept`` updates.  The
+oscillator stays on ``DP54``
 too, so its poles keep their values; ``DOP853`` stays for its move
 (ROADMAP item 2 has the measurements: about 3x fewer steps per
 ``catalog`` pass), and as the tests' reference for the Taylor legs.

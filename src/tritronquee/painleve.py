@@ -207,7 +207,9 @@ _SERIES = tritronquee_series_coefficients()
 
 
 def _asymptotic_state(z: complex, tol_seed: float = TOL_SEED):
-    """(y, y') from the truncated asymptotic series at z."""
+    """(y, y') from the truncated asymptotic series at z, as Python
+    complex numbers (the terms are numpy scalars: ``_SERIES`` is an
+    array)."""
     lead = -cmath.sqrt(z / 6.0)
     y = 0.0 + 0.0j
     yp = 0.0 + 0.0j
@@ -222,7 +224,7 @@ def _asymptotic_state(z: complex, tol_seed: float = TOL_SEED):
         prev = abs(term)
         if abs(term) < tol_seed * abs(lead):
             break
-    return y, yp
+    return complex(y), complex(yp)
 
 
 @dataclass

@@ -65,6 +65,19 @@ def _gap_index(angle: float) -> int:
     return j if j <= 2 else j - 5
 
 
+#: The unit tangent i conj(w) / |w| of a Stokes line in arc length, with
+#: w = branch_sqrt(V(lam), near[0]): V in ``Potential.__call__``'s
+#: operation order over c2a = 2a and c28b = 28b, and ``branch_sqrt``'s sign
+#: rule, so the values are those of the two calls, bit for bit.
+_TANGENT = complex_ode.Rhs(("c2a", "c28b", "near", "sqrt"), """
+    w = sqrt(4.0 * Y0 * Y0 * Y0 - c2a * Y0 - c28b)
+    ref = near[0]
+    if abs(w - ref) > abs(w + ref):
+        w = -w
+    F = 1j * w.conjugate() / abs(w)
+""")
+
+
 def _trace_single(pot: Potential, tp: TurningPoints, origin: int, angle: float,
                   escape_radius: float, tol_merge: float,
                   rtol: float) -> StokesLine:
@@ -76,30 +89,30 @@ def _trace_single(pot: Potential, tp: TurningPoints, origin: int, angle: float,
     tau0 = 1j * w0.conjugate() / abs(w0)
     if (tau0 * cmath.exp(-1j * angle)).real < 0:
         w0 = -w0
-    state = {"w": w0, "lam": start, "action": 0.0j, "abs_action": 0.0,
+    # the branch reference: sqrt(V) at the last accepted point, which the
+    # tangent's branch choice reads
+    near = [w0]
+    state = {"lam": start, "action": 0.0j, "abs_action": 0.0,
              "left_origin": False, "terminus": (STALLED, None)}
     points = [start]
 
-    def g(t, lam):
-        w = branch_sqrt(pot, lam, state["w"])
-        return 1j * w.conjugate() / abs(w)
-
     def on_accept(t, lam):
+        w_prev = near[0]
         dlam = lam - state["lam"]
         # Simpson panel per accepted step; trapezoid error would leak into
         # the drift projection and bend the polyline off the level set
-        wm = branch_sqrt(pot, state["lam"] + 0.5 * dlam, state["w"])
-        w = branch_sqrt(pot, lam, state["w"])
-        state["action"] += (state["w"] + 4.0 * wm + w) * dlam / 6.0
-        state["abs_action"] += (abs(state["w"]) + 4.0 * abs(wm)
+        wm = branch_sqrt(pot, state["lam"] + 0.5 * dlam, w_prev)
+        w = branch_sqrt(pot, lam, w_prev)
+        state["action"] += (w_prev + 4.0 * wm + w) * dlam / 6.0
+        state["abs_action"] += (abs(w_prev) + 4.0 * abs(wm)
                                 + abs(w)) * abs(dlam) / 6.0
         # project out accumulated drift of the conserved real part
         drift = state["action"].real
         if abs(drift) > 1e-14 * max(1.0, state["abs_action"]) and abs(w) > 0:
             lam = lam - drift * w.conjugate() / (abs(w) ** 2)
-            w = branch_sqrt(pot, lam, state["w"])
+            w = branch_sqrt(pot, lam, w_prev)
             state["action"] = 1j * state["action"].imag
-        state["w"] = w
+        near[0] = w
         state["lam"] = lam
         points.append(lam)
         if abs(lam) >= escape_radius:
@@ -119,8 +132,11 @@ def _trace_single(pot: Potential, tp: TurningPoints, origin: int, angle: float,
 
     max_arc = 40.0 * escape_radius
     try:
-        complex_ode.integrate(g, 0.0, max_arc, start, rtol=rtol, atol=rtol * 1e-2,
-                              on_accept=on_accept, max_steps=400_000)
+        complex_ode.integrate(_TANGENT, 0.0, max_arc, start, rtol=rtol,
+                              atol=rtol * 1e-2, on_accept=on_accept,
+                              max_steps=400_000,
+                              args=(2.0 * pot.a, 28.0 * pot.b, near,
+                                    cmath.sqrt))
     except StepUnderflow:
         raise TraceStalled(
             f"stokes trace from turning point {origin} stalled near {state['lam']}")

@@ -17,6 +17,15 @@ def anchor():
 
 
 @pytest.fixture(scope="session")
+def coprime_primitives():
+    """Route-1 primitives, without the graph check, of the 19 pairs with
+    n, m <= 5 and 2n-1, 2m-1 coprime."""
+    pairs = [QuantumPair(n, m) for n in range(1, 6) for m in range(1, 6)]
+    return {q: solve_bsb(q, verify_graph=False)
+            for q in pairs if q.is_primitive}
+
+
+@pytest.fixture(scope="session")
 def q1_sequence(anchor):
     """Descendants k = 0..4 of the real primitive."""
     return [descendant(anchor, k) if k else anchor for k in range(5)]

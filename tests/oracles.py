@@ -15,6 +15,10 @@ function at every stage, with the generated attempt of ``_stage_source``,
 and ``s_chart``, ``r_chart``, ``pair_leg`` and ``pi_leg`` are the
 closures the oscillator and the Painleve legs ran on it; on DOP853,
 ``pi_leg`` is the reference for the Taylor legs that replaced it.
+``closure_trace_stokes_lines`` is a frozen copy of the Stokes tracer
+whose tangent was a closure over ``branch_sqrt``, run on
+``closure_integrate``, and ``homotopy_solve`` a frozen copy of route 1's
+homotopy that solved every intermediate target to the Newton tolerance.
 """
 
 from __future__ import annotations
@@ -26,13 +30,16 @@ import numbers
 
 import numpy as np
 
-from tritronquee import complex_ode
+from tritronquee import complex_ode, stokes
+from tritronquee.bsb import (PRIMITIVE_11_SEED, TOL_NEWTON, QuantumPair,
+                             _homotopy_targets, solve_period_targets)
 from tritronquee.elliptic import (_SIGMA_CHI2, _SIGMA_CHIM2, CycleId,
-                                  PeriodData, Potential, TurningPoints,
-                                  _gauss_nodes, _third_root_factor,
+                                  ParamPoint, PeriodData, Potential,
+                                  TurningPoints, _gauss_nodes,
+                                  _third_root_factor, branch_sqrt,
                                   turning_points)
 from tritronquee.errors import (OdeToleranceNotMet, QuadratureNotConverged,
-                               StepUnderflow)
+                               StepUnderflow, TraceStalled)
 from tritronquee.oscillator import RaySpec, _adiabatic_handoff, _path_to
 
 
@@ -498,3 +505,94 @@ def hermite_quintic_residual(records) -> float:
         rhs_mid = 6.0 * y_mid * y_mid - z_mid
         worst = max(worst, abs(ypp_mid - rhs_mid) / (1.0 + abs(rhs_mid)))
     return worst
+
+
+def _closure_trace_single(pot: Potential, tp: TurningPoints, origin: int,
+                          angle: float, escape_radius: float,
+                          tol_merge: float, rtol: float) -> stokes.StokesLine:
+    root = tp.roots[origin]
+    start = root + tol_merge * cmath.exp(1j * angle)
+    others = [(j, tp.roots[j]) for j in range(3) if j != origin]
+
+    w0 = cmath.sqrt(pot(start))
+    tau0 = 1j * w0.conjugate() / abs(w0)
+    if (tau0 * cmath.exp(-1j * angle)).real < 0:
+        w0 = -w0
+    state = {"w": w0, "lam": start, "action": 0.0j, "abs_action": 0.0,
+             "left_origin": False, "terminus": (stokes.STALLED, None)}
+    points = [start]
+
+    def g(t, lam):
+        w = branch_sqrt(pot, lam, state["w"])
+        return 1j * w.conjugate() / abs(w)
+
+    def on_accept(t, lam):
+        dlam = lam - state["lam"]
+        wm = branch_sqrt(pot, state["lam"] + 0.5 * dlam, state["w"])
+        w = branch_sqrt(pot, lam, state["w"])
+        state["action"] += (state["w"] + 4.0 * wm + w) * dlam / 6.0
+        state["abs_action"] += (abs(state["w"]) + 4.0 * abs(wm)
+                                + abs(w)) * abs(dlam) / 6.0
+        drift = state["action"].real
+        if abs(drift) > 1e-14 * max(1.0, state["abs_action"]) and abs(w) > 0:
+            lam = lam - drift * w.conjugate() / (abs(w) ** 2)
+            w = branch_sqrt(pot, lam, state["w"])
+            state["action"] = 1j * state["action"].imag
+        state["w"] = w
+        state["lam"] = lam
+        points.append(lam)
+        if abs(lam) >= escape_radius:
+            state["terminus"] = (stokes.ASYMPTOTIC,
+                                 stokes._gap_index(cmath.phase(lam)))
+            return lam, complex_ode.STOP
+        dist_origin = abs(lam - root)
+        if not state["left_origin"] and dist_origin > 3.0 * tol_merge:
+            state["left_origin"] = True
+        if state["left_origin"] and dist_origin < tol_merge:
+            state["terminus"] = (stokes.TURNING_POINT, origin)
+            return lam, complex_ode.STOP
+        for j, other in others:
+            if abs(lam - other) < tol_merge:
+                state["terminus"] = (stokes.TURNING_POINT, j)
+                return lam, complex_ode.STOP
+        return lam, complex_ode.CONTINUE
+
+    try:
+        closure_integrate(g, 0.0, 40.0 * escape_radius, start, rtol=rtol,
+                          atol=rtol * 1e-2, on_accept=on_accept,
+                          max_steps=400_000)
+    except StepUnderflow:
+        raise TraceStalled(f"stokes trace from turning point {origin} "
+                           f"stalled near {state['lam']}")
+    except OdeToleranceNotMet:
+        pass
+
+    kind, index = state["terminus"]
+    return stokes.StokesLine(origin=origin,
+                             points=np.asarray(points, dtype=complex),
+                             terminus_kind=kind, terminus_index=index,
+                             action_drift=abs(state["action"].real),
+                             action_scale=state["abs_action"])
+
+
+def closure_trace_stokes_lines(pot: Potential) -> stokes.StokesGraph:
+    """``stokes.trace_stokes_lines`` at its default tolerances, with the
+    tangent as a closure called at every stage."""
+    tp = turning_points(pot)
+    escape_radius = stokes.ESCAPE_FACTOR * tp.scale
+    tol_merge = stokes.MERGE_FACTOR * escape_radius
+    lines = [_closure_trace_single(pot, tp, i, angle, escape_radius,
+                                   tol_merge, stokes.TRACE_RTOL)
+             for i in range(3)
+             for angle in stokes._local_directions(pot, tp.roots[i])]
+    return stokes.StokesGraph(turning_points=tp, lines=tuple(lines))
+
+
+def homotopy_solve(quantum: QuantumPair,
+                   tol_newton: float = TOL_NEWTON) -> tuple[ParamPoint, float]:
+    """Route 1 from the (1,1) seed with every homotopy target solved to
+    ``tol_newton``: (point, residual) at the last target."""
+    point = PRIMITIVE_11_SEED
+    for t2, tm2 in _homotopy_targets(quantum):
+        point, res = solve_period_targets(t2, tm2, point, tol_newton)
+    return point, res

@@ -5,12 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tritronquee.bsb import (PRIMITIVE_11_SEED, QuantumPair,
+from tritronquee.bsb import (PRIMITIVE_11_SEED, TOL_NEWTON, QuantumPair,
                              descendant, linearization_frame,
                              linearized_tilde_u, q_sequence, solve_bsb,
                              solve_period_targets, tilde_U)
 from tritronquee.elliptic import (CycleId, ParamPoint, PeriodData, Potential,
                                   period)
+
+import oracles
 
 
 class TestQuantumPair:
@@ -74,6 +76,45 @@ class TestSolveBsb:
         for point in targets:
             assert abs(point.a - anchor.point.a) < 1e-8
             assert abs(point.b - anchor.point.b) < 1e-8
+
+
+class TestContinuation:
+    """Route 1's homotopy: one Newton step per intermediate target."""
+
+    def test_matches_solving_every_target(self, coprime_primitives):
+        assert len(coprime_primitives) == 19
+        for quantum, sol in coprime_primitives.items():
+            point, _ = oracles.homotopy_solve(quantum)
+            assert abs(sol.point.a - point.a) < 1e-12, quantum
+            assert abs(sol.point.b - point.b) < 1e-12, quantum
+            assert sol.residual < TOL_NEWTON
+
+    @staticmethod
+    def _period_evaluations(monkeypatch, quantum):
+        calls = []
+        compute = PeriodData.compute
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return compute(*args, **kwargs)
+
+        monkeypatch.setattr(PeriodData, "compute", counted)
+        solve_bsb(quantum, verify_graph=False)
+        return len(calls)
+
+    def test_one_period_evaluation_per_intermediate_target(self, monkeypatch):
+        # 14 targets: the seed, one step for each of the 13 intermediate
+        # ones, and the Newton solve at the last
+        assert self._period_evaluations(monkeypatch, QuantumPair(4, 5)) <= 24
+
+    def test_single_target_work_unchanged(self, monkeypatch):
+        assert self._period_evaluations(monkeypatch, QuantumPair(1, 1)) == 3
+
+    def test_descendant_residuals_below_tolerance(self, coprime_primitives):
+        # a descendant's residual is (2k+1) times its primitive's
+        for sol in coprime_primitives.values():
+            for k in range(1, 5):
+                assert descendant(sol, k).residual < TOL_NEWTON, (sol, k)
 
 
 class TestDescendant:

@@ -120,6 +120,10 @@ class TestAsymptoticSeries:
         # correction is O(|z|^{-5/2}) relative
         assert abs(st.y - lead) > 1e-7 * abs(lead)
 
+    def test_state_holds_python_complex(self):
+        st = seed_asymptotic(40.0)
+        assert type(st.y) is complex and type(st.yp) is complex
+
     def test_two_radius_certification(self):
         # seed_asymptotic raises unless the 2*z0 -> z0 integration matches
         st = seed_asymptotic(40.0)

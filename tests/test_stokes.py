@@ -10,11 +10,25 @@ from tritronquee.errors import DegenerateTurningPoints
 from tritronquee.stokes import (ASYMPTOTIC, TURNING_POINT, classify_graph,
                                 polylines, trace_stokes_lines)
 
-from oracles import polyline_action_drift
+from oracles import closure_trace_stokes_lines, polyline_action_drift
 
 #: labels recorded from the oracle runs of the tracer
 LABEL_10_0 = "g0,g2,tA;g3,g4,tI;g0,g1,g2"
 LABEL_SYMMETRIC = "g0,g1,g2;g0,g2,g4;g2,g3,g4"
+
+
+def test_tangent_kernel_matches_closure_path(coprime_primitives):
+    for sol in coprime_primitives.values():
+        pot = Potential(sol.point.a, sol.point.b)
+        got = trace_stokes_lines(pot).lines
+        ref = closure_trace_stokes_lines(pot).lines
+        assert len(got) == len(ref) == 9
+        for line, frozen in zip(got, ref):
+            assert np.array_equal(line.points, frozen.points)
+            assert line.terminus_kind == frozen.terminus_kind
+            assert line.terminus_index == frozen.terminus_index
+            assert line.action_drift == frozen.action_drift
+            assert line.action_scale == frozen.action_scale
 
 
 def test_degenerate_raises():
