@@ -145,12 +145,14 @@ def turning_points(pot: Potential,
     q = -7.0 * b
     disc = -4.0 * p ** 3 - 27.0 * q ** 2
     roots = np.roots([4.0, 0.0, -2.0 * a, -28.0 * b]).astype(complex)
-    # two Newton polish passes tighten |V(root)| to round-off
+    # two Newton polish passes tighten |V(root)| to round-off; a step that
+    # is not finite (V' zero, or subnormal so that 0 / V' is nan) is skipped
     for _ in range(2):
         v = 4.0 * roots ** 3 - 2.0 * a * roots - 28.0 * b
         dv = 12.0 * roots ** 2 - 2.0 * a
-        step = np.where(np.abs(dv) > 0, v / np.where(dv == 0, 1, dv), 0.0)
-        roots = roots - step
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            step = v / dv
+        roots = np.where(np.isfinite(step), roots - step, roots)
     r = [complex(z) for z in roots]
     scale = 1.0 + max(abs(z) for z in r)
     sep = min(abs(r[0] - r[1]), abs(r[0] - r[2]), abs(r[1] - r[2]))

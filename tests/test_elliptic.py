@@ -32,6 +32,11 @@ class TestTurningPoints:
         with pytest.raises(DegenerateTurningPoints):
             turning_points(Potential(0.0, 0.0))
 
+    def test_subnormal_coefficient_degenerate(self):
+        """0 / V' at a subnormal V' is nan; the polish must not spread it."""
+        with pytest.raises(DegenerateTurningPoints):
+            turning_points(Potential(-3.5614436e-317, 0.0))
+
     def test_cube_roots_of_unity(self):
         tp = turning_points(Potential(0.0, 1.0 / 7.0))
         expected = sorted([1.0 + 0j, cmath.exp(2j * math.pi / 3),
