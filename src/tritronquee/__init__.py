@@ -4,12 +4,8 @@ __version__ = "0.1.0"
 
 from .bsb import (  # noqa: F401
     BsbSolution,
-    LinearizationFrame,
     QuantumPair,
     descendant,
-    linearization_frame,
-    linearized_tilde_u,
-    q_sequence,
     solve_bsb,
     tilde_U,
 )
@@ -22,7 +18,6 @@ from .elliptic import (  # noqa: F401
     legendre_residual,
     period,
     period_derivatives,
-    sqrt_V,
     turning_points,
 )
 from .oscillator import (  # noqa: F401
@@ -47,6 +42,5 @@ from .stokes import (  # noqa: F401
     StokesGraph,
     StokesLine,
     classify_graph,
-    stokes_graph,
     trace_stokes_lines,
 )

@@ -70,22 +70,16 @@ class BsbSolution:
     q: Fraction
     k: int
 
-    @property
-    def scale_factor(self) -> float:
-        return float(2 * self.k + 1)
 
-
-def _period_residual(point: ParamPoint, target2: complex, targetm2: complex,
-                     tol_quad: float = 1e-10):
-    pd = PeriodData.compute(Potential(point.a, point.b), tol_quad)
+def _period_residual(point: ParamPoint, target2: complex, targetm2: complex):
+    pd = PeriodData.compute(Potential(point.a, point.b))
     F = np.array([pd.chi2 - target2, pd.chi_m2 - targetm2])
     J = np.array([[pd.dchi2_da, pd.dchi2_db],
                   [pd.dchim2_da, pd.dchim2_db]])
     return F, J
 
 
-def _newton_step(x, F, J, res: float, target2: complex, targetm2: complex,
-                 max_halvings: int):
+def _newton_step(x, F, J, res: float, target2: complex, targetm2: complex):
     """One Newton step from x with residual F and Jacobian J there.
 
     The step is halved while it raises a ``NumericalError`` or does not
@@ -97,7 +91,7 @@ def _newton_step(x, F, J, res: float, target2: complex, targetm2: complex,
     except np.linalg.LinAlgError as exc:
         raise NewtonDiverged(f"singular period Jacobian: {exc}") from exc
     factor = 1.0
-    for _ in range(max_halvings):
+    for _ in range(NEWTON_MAX_HALVINGS):
         x_try = x - factor * step
         try:
             F_try, J_try = _period_residual(
@@ -112,23 +106,27 @@ def _newton_step(x, F, J, res: float, target2: complex, targetm2: complex,
     raise NewtonDiverged(f"line search exhausted at residual {res:.3e}")
 
 
-def solve_period_targets(target2: complex, targetm2: complex, seed: ParamPoint,
-                         tol_newton: float = TOL_NEWTON,
-                         max_iter: int = NEWTON_MAX_ITER,
-                         max_halvings: int = NEWTON_MAX_HALVINGS) -> tuple[ParamPoint, float]:
-    """Newton with step-halving line search on the period residual norm."""
-    x = np.array([seed.a, seed.b], dtype=complex)
-    F, J = _period_residual(ParamPoint(x[0], x[1]), target2, targetm2)
+def _newton_solve(x, F, J, target2: complex, targetm2: complex,
+                  tol_newton: float, max_iter: int = NEWTON_MAX_ITER):
+    """Newton from x, where the residual is F and the Jacobian J."""
     res = float(abs(F[0]) + abs(F[1]))
     for _ in range(max_iter):
         if res < tol_newton:
             return ParamPoint(x[0], x[1]), res
-        x, F, J, res = _newton_step(x, F, J, res, target2, targetm2,
-                                    max_halvings)
+        x, F, J, res = _newton_step(x, F, J, res, target2, targetm2)
     if res < tol_newton:
         return ParamPoint(x[0], x[1]), res
     raise NewtonDiverged(f"no convergence after {max_iter} iterations "
                          f"(residual {res:.3e})")
+
+
+def solve_period_targets(target2: complex, targetm2: complex, seed: ParamPoint,
+                         tol_newton: float = TOL_NEWTON,
+                         max_iter: int = NEWTON_MAX_ITER) -> tuple[ParamPoint, float]:
+    """Newton with step-halving line search on the period residual norm."""
+    x = np.array([seed.a, seed.b], dtype=complex)
+    F, J = _period_residual(seed, target2, targetm2)
+    return _newton_solve(x, F, J, target2, targetm2, tol_newton, max_iter)
 
 
 def _homotopy_targets(quantum: QuantumPair):
@@ -142,22 +140,22 @@ def _homotopy_targets(quantum: QuantumPair):
         yield 1j * s[0], 1j * s[1]
 
 
-def _follow_targets(seed: ParamPoint, targets) -> ParamPoint:
+def _follow_targets(seed: ParamPoint, targets):
     """One Newton step towards each target in turn, each from the last.
 
     At a new target the residual is the old one minus the change of the
     target, so the step x - J^-1 (F - dt) predicts the move along the path
-    and corrects what the last step left, for one period evaluation.
+    and corrects what the last step left, for one period evaluation.  No
+    step is taken towards the last target: F is only shifted to it, and
+    (x, F, J) are returned for the final solve.
     """
     x = np.array([seed.a, seed.b], dtype=complex)
     F, J = _period_residual(seed, *targets[0])
-    previous = targets[0]
-    for target in targets:
-        F = F - (np.array(target) - np.array(previous))
+    for previous, target in zip(targets, targets[1:]):
         res = float(abs(F[0]) + abs(F[1]))
-        x, F, J, _ = _newton_step(x, F, J, res, *target, NEWTON_MAX_HALVINGS)
-        previous = target
-    return ParamPoint(x[0], x[1])
+        x, F, J, _ = _newton_step(x, F, J, res, *previous)
+        F = F - (np.array(target) - np.array(previous))
+    return x, F, J
 
 
 def solve_bsb(quantum: QuantumPair, seed: ParamPoint | None = None,
@@ -167,20 +165,22 @@ def solve_bsb(quantum: QuantumPair, seed: ParamPoint | None = None,
     Without an explicit seed, the (1,1) case starts from the known real
     point and other cases continue from it along a homotopy in the
     right-hand side: one Newton step per intermediate target
-    (``_follow_targets``), then Newton to ``tol_newton`` at the last one.
-    An explicit seed, and the (1,1) case with its single target, go
-    straight to that last solve.  The converged point is checked to carry
+    (``_follow_targets``), then Newton to ``tol_newton`` at the last one,
+    starting from the residual and Jacobian that the last step left.  An
+    explicit seed, and the (1,1) case with its single target, go straight
+    to ``solve_period_targets``.  The converged point is checked to carry
     a "320" graph.
     """
     if seed is not None:
-        target2 = 1j * math.pi * quantum.odd_n
-        targetm2 = 1j * math.pi * quantum.odd_m
+        targets = [(1j * math.pi * quantum.odd_n, 1j * math.pi * quantum.odd_m)]
     else:
-        *path, (target2, targetm2) = _homotopy_targets(quantum)
+        targets = list(_homotopy_targets(quantum))
         seed = PRIMITIVE_11_SEED
-        if path:
-            seed = _follow_targets(seed, path)
-    point, res = solve_period_targets(target2, targetm2, seed, tol_newton)
+    if len(targets) > 1:
+        x, F, J = _follow_targets(seed, targets)
+        point, res = _newton_solve(x, F, J, *targets[-1], tol_newton)
+    else:
+        point, res = solve_period_targets(*targets[0], seed, tol_newton)
     if verify_graph:
         label = classify_graph(trace_stokes_lines(Potential(point.a, point.b)))
         if label != "320":
@@ -189,8 +189,7 @@ def solve_bsb(quantum: QuantumPair, seed: ParamPoint | None = None,
                        q=quantum.q, k=0)
 
 
-def descendant(primitive: BsbSolution, k: int,
-               tol_quad: float = 1e-10) -> BsbSolution:
+def descendant(primitive: BsbSolution, k: int) -> BsbSolution:
     """The k-th rescaled solution ((2k+1)^(4/5) a, (2k+1)^(6/5) b).
 
     The residual is re-evaluated against the scaled right-hand sides
@@ -211,7 +210,7 @@ def descendant(primitive: BsbSolution, k: int,
     factor = float(2 * k + 1)
     point = ParamPoint(factor ** 0.8 * primitive.point.a,
                        factor ** 1.2 * primitive.point.b)
-    pd = PeriodData.compute(Potential(point.a, point.b), tol_quad)
+    pd = PeriodData.compute(Potential(point.a, point.b))
     target2 = 1j * math.pi * primitive.quantum.odd_n * (2 * k + 1)
     targetm2 = 1j * math.pi * primitive.quantum.odd_m * (2 * k + 1)
     res = abs(pd.chi2 - target2) + abs(pd.chi_m2 - targetm2)
@@ -219,78 +218,10 @@ def descendant(primitive: BsbSolution, k: int,
                        residual=float(res), q=primitive.q, k=k)
 
 
-def q_sequence(quantum: QuantumPair, K: int,
-               tol_newton: float = TOL_NEWTON,
-               verify_graph: bool = True) -> list[BsbSolution]:
-    """[primitive, descendant(1), ..., descendant(K)] with verified residuals."""
-    if not quantum.is_primitive:
-        raise ValueError("q_sequence requires a primitive quantum pair")
-    primitive = solve_bsb(quantum, tol_newton=tol_newton,
-                          verify_graph=verify_graph)
-    seq = [primitive]
-    for k in range(1, K + 1):
-        sol = descendant(primitive, k)
-        if verify_graph:
-            label = classify_graph(
-                trace_stokes_lines(Potential(sol.point.a, sol.point.b)))
-            if label != "320":
-                raise NotType320(f"descendant k={k} classifies as {label!r}")
-        seq.append(sol)
-    return seq
-
-
-def tilde_U(point: ParamPoint, tol_quad: float = 1e-10) -> tuple[complex, complex]:
+def tilde_U(point: ParamPoint) -> tuple[complex, complex]:
     """(u~2 - 1, u~-2 - 1) with u~(+-2) = -exp(chi_(+-2)).
 
     Vanishes exactly at solutions of the quantization system.
     """
-    pd = PeriodData.compute(Potential(point.a, point.b), tol_quad)
+    pd = PeriodData.compute(Potential(point.a, point.b))
     return (-np.exp(pd.chi2) - 1.0, -np.exp(pd.chi_m2) - 1.0)
-
-
-@dataclass(frozen=True)
-class LinearizationFrame:
-    """First-order data of u~(+-2) around a primitive solution.
-
-    c2, c_m2 are the a-derivatives and d2, d_m2 the b-derivatives of the
-    periods at the primitive; (z, w) are the rescaled coordinates
-    z = (2k+1)^alpha (a - a_k), w = (2k+1)^beta (b - b_k).
-    """
-
-    c2: complex
-    c_m2: complex
-    d2: complex
-    d_m2: complex
-    alpha: float
-    beta: float
-    z: complex
-    w: complex
-
-    @property
-    def jacobian_det(self) -> complex:
-        return self.c2 * self.d_m2 - self.c_m2 * self.d2
-
-    def exponents_in_range(self) -> bool:
-        return 0.2 < self.alpha < 1.2 and -0.2 < self.beta < 0.8
-
-
-def linearization_frame(primitive: BsbSolution, alpha: float, beta: float,
-                        z: complex, w: complex,
-                        tol_quad: float = 1e-10) -> LinearizationFrame:
-    """Build the frame from period derivatives at the primitive point."""
-    pd = PeriodData.compute(
-        Potential(primitive.point.a, primitive.point.b), tol_quad)
-    return LinearizationFrame(c2=pd.dchi2_da, c_m2=pd.dchim2_da,
-                              d2=pd.dchi2_db, d_m2=pd.dchim2_db,
-                              alpha=alpha, beta=beta, z=z, w=w)
-
-
-def linearized_tilde_u(frame: LinearizationFrame, k: int) -> tuple[complex, complex]:
-    """First-order predictions of (u~2, u~-2) at the rescaled coordinates."""
-    if not frame.exponents_in_range():
-        raise ValueError("frame exponents outside the admissible range")
-    s = float(2 * k + 1)
-    za = s ** (0.2 - frame.alpha) * frame.z
-    wb = s ** (-0.2 - frame.beta) * frame.w
-    return (1.0 + frame.c2 * za + frame.d2 * wb,
-            1.0 + frame.c_m2 * za + frame.d_m2 * wb)

@@ -107,12 +107,16 @@ def entry_from_json(data: dict) -> CatalogEntry:
     )
 
 
-def _painleve_crosscheck(pole_a: complex, z_seed: float):
+def _painleve_crosscheck(pole_a: complex, cfg: ToolConfig):
     """Track from the asymptotic sector to just past the predicted pole."""
-    state = seed_asymptotic(complex(z_seed, 0.0))
+    state = seed_asymptotic(complex(cfg.z_seed, 0.0), tol_seed=cfg.tol_seed,
+                            tol_match=cfg.tol_match, z_seed_min=cfg.z_seed,
+                            margin=cfg.seed_margin)
     direction = (pole_a - state.z) / abs(pole_a - state.z)
     end = pole_a + 0.6 * direction
-    _, poles = track(state, [state.z, end])
+    _, poles = track(state, [state.z, end], fit_radius=cfg.fit_radius,
+                     blowup_threshold=cfg.blowup_threshold,
+                     laurent_order=cfg.laurent_order, tol_fit=cfg.tol_fit)
     best = None
     for p in poles:
         if best is None or abs(p.a - pole_a) < abs(best.a - pole_a):
@@ -147,7 +151,7 @@ def _seed_entry(seed: BsbSolution, painleve: bool,
                             status=f"error:{type(exc).__name__}")
     pa, pb = (None, None)
     if painleve:
-        pa, pb = _painleve_crosscheck(rec.pole.a, cfg.z_seed)
+        pa, pb = _painleve_crosscheck(rec.pole.a, cfg)
     return CatalogEntry(q=seed.q, k=seed.k, seed_a=seed.point.a,
                         seed_b=seed.point.b, pole_a=rec.pole.a,
                         pole_b=rec.pole.b, dep_residual=rec.dep_residual,

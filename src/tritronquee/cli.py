@@ -31,11 +31,11 @@ from .stokes import classify_graph, polylines, trace_stokes_lines
 _ERROR_NOTE = """\
 error-name -> exit-code mapping:
   2  bad arguments (argument parsing, invalid quantum numbers, bad config)
-  3  numerical failure: DegenerateTurningPoints, OnBranchCut,
-     QuadratureNotConverged, TraceStalled, UnresolvedTopology,
-     NewtonDiverged, NotType320, PathNearTurningPoint, OdeToleranceNotMet,
-     StepUnderflow, DependentBasis, OutsideDisc, SeedNotConverged,
-     PoleFitFailed, InsufficientData (name is printed on stderr)
+  3  numerical failure: DegenerateTurningPoints, QuadratureNotConverged,
+     TraceStalled, UnresolvedTopology, NewtonDiverged, NotType320,
+     PathNearTurningPoint, OdeToleranceNotMet, StepUnderflow,
+     DependentBasis, OutsideDisc, SeedNotConverged, PoleFitFailed,
+     InsufficientData (name is printed on stderr)
   4  I/O failure (unreadable config, unwritable output)
 """
 

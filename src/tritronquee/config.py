@@ -1,54 +1,48 @@
 """Run configuration: tolerances, radii and path policies.
 
-Every knob has a default matching the module it feeds; a config file is a
-plain ``key = value`` text file (TOML-style scalars, ``#`` comments).  The
-canonical dump of the effective configuration is hashed into catalog headers
-so that runs are reproducible and comparable.
+Every knob takes its default from the module constant it overrides, and the
+comment over each group names the subcommands that read it.  A config file
+is a plain ``key = value`` text file (TOML-style scalars, ``#`` comments).
+The canonical dump of the effective configuration is hashed into catalog
+headers so that runs are reproducible and comparable.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, fields, replace
+
+from . import bsb, elliptic, oscillator, painleve, stokes
 
 
 @dataclass(frozen=True)
 class ToolConfig:
-    # elliptic periods
-    tol_root: float = 1e-12
-    tol_quad: float = 1e-10
-    tol_legendre: float = 1e-8
-    tol_cut: float = 1e-9
-    degeneracy_rel: float = 1e-6
+    # elliptic periods (periods)
+    tol_quad: float = elliptic.TOL_QUAD
 
-    # stokes complex
-    escape_factor: float = 10.0
-    merge_factor: float = 1e-4
-    tol_stokes: float = 1e-6
-    trace_rtol: float = 1e-9
+    # stokes complex (stokes)
+    escape_factor: float = stokes.ESCAPE_FACTOR
+    merge_factor: float = stokes.MERGE_FACTOR
+    trace_rtol: float = stokes.TRACE_RTOL
 
-    # B-S-B solver
-    tol_newton: float = 1e-10
-    newton_max_iter: int = 50
-    newton_max_halvings: int = 30
+    # B-S-B solver (bsb, refine, catalog)
+    tol_newton: float = bsb.TOL_NEWTON
 
-    # oscillator monodromy
-    tol_ode: float = 1e-12
-    tol_wkb: float = 1e-10
-    tol_dep: float = 1e-9
-    disc_alpha: float = 1.0
-    disc_eps: float = 1.0
+    # oscillator monodromy (refine, catalog)
+    tol_ode: float = oscillator.TOL_ODE
+    tol_dep: float = oscillator.TOL_DEP
+    disc_alpha: float = oscillator.DISC_ALPHA
+    disc_eps: float = oscillator.DISC_EPS
 
-    # Painleve tracker
-    tol_seed: float = 1e-10
-    tol_match: float = 1e-8
-    tol_fit: float = 1e-6
-    blowup_threshold: float = 1e4
-    fit_radius: float = 0.25
-    laurent_order: int = 16
-    z_seed: float = 40.0
-    seed_margin: float = math.pi / 10
+    # Painleve tracker (track, catalog --painleve)
+    tol_seed: float = painleve.TOL_SEED
+    tol_match: float = painleve.TOL_MATCH
+    tol_fit: float = painleve.TOL_FIT
+    blowup_threshold: float = painleve.BLOWUP_THRESHOLD
+    fit_radius: float = painleve.FIT_RADIUS
+    laurent_order: int = painleve.LAURENT_ORDER
+    z_seed: float = painleve.Z_SEED_MIN
+    seed_margin: float = painleve.SEED_MARGIN
 
     def canonical_dump(self) -> str:
         lines = []
@@ -81,7 +75,7 @@ def load_config(path: str | None) -> ToolConfig:
     cfg = ToolConfig()
     if path is None:
         return cfg
-    known = {f.name: f.type for f in fields(ToolConfig)}
+    known = {f.name for f in fields(ToolConfig)}
     overrides = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -94,9 +88,10 @@ def load_config(path: str | None) -> ToolConfig:
             if key not in known:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             parsed = _parse_scalar(value)
-            if isinstance(getattr(ToolConfig(), key), int) and not isinstance(parsed, bool):
+            default = getattr(cfg, key)
+            if isinstance(default, int) and not isinstance(parsed, bool):
                 parsed = int(parsed)
-            elif isinstance(getattr(ToolConfig(), key), float):
+            elif isinstance(default, float):
                 parsed = float(parsed)
             overrides[key] = parsed
     return replace(cfg, **overrides)

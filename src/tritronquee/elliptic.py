@@ -10,11 +10,15 @@ absorbs the square-root endpoint behaviour, so a Gauss-Legendre rule in
 One doubling sweep per cycle shares the nodes and the third-root factor among
 chi, d chi/d a and d chi/d b, and each integral stops at its own converged n.
 
-Branch convention: cuts lie along the two segments joining the inner turning
-point to each outer one, plus a closure ray from the inner point to infinity
-(three finite branch points force a third cut; the ray is aimed away from
-both outer points and never meets the positive real semi-axis).  The overall
-sign is anchored by ``Re sqrt(V) -> +oo`` along the positive real semi-axis.
+Branch rules: no global branch of sqrt(V) is fixed.  On the segment
+``lam = c + h cos(theta)`` the quadrature writes sqrt(V) as 2i h sin(theta)
+times the third-root factor sqrt(lam - r_other), taken as
+sqrt(c - r_other) * sqrt(1 + rho cos(theta)) with principal roots, and
+each cycle's sign is an orientation constant pinned at the real (1,1)
+solution.  Along a path, ``branch_sqrt`` continues sqrt(V) from the value
+at the previous point (the Stokes tracer and the oscillator's WKB phase);
+on each oscillator ray the start value is the sign whose action grows
+outward, Re(sqrt(V) e^(i angle)) > 0.
 """
 
 from __future__ import annotations
@@ -26,10 +30,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateTurningPoints, OnBranchCut, QuadratureNotConverged
+from .errors import DegenerateTurningPoints, QuadratureNotConverged
 
 TOL_QUAD = 1e-10
-TOL_CUT = 1e-9
 DEGENERACY_REL = 1e-6
 
 #: Jacobian of the period map, fixed by the Legendre relation.
@@ -69,14 +72,6 @@ class Potential:
         object.__setattr__(self, "a", complex(self.a))
         object.__setattr__(self, "b", complex(self.b))
 
-    @classmethod
-    def from_point(cls, point: ParamPoint) -> "Potential":
-        return cls(point.a, point.b)
-
-    @property
-    def point(self) -> ParamPoint:
-        return ParamPoint(self.a, self.b)
-
     def __call__(self, lam: complex) -> complex:
         return 4.0 * lam * lam * lam - 2.0 * self.a * lam - 28.0 * self.b
 
@@ -100,11 +95,6 @@ class TurningPoints:
     """
 
     roots: tuple[complex, complex, complex]
-    discriminant: complex
-
-    @property
-    def inner(self) -> complex:
-        return self.roots[0]
 
     @property
     def scale(self) -> float:
@@ -126,24 +116,15 @@ class CycleId(Enum):
     C_MINUS1 = "c-1"
     C_PLUS1 = "c1"
 
-    @property
-    def chi_subscript(self) -> int:
-        return 2 if self is CycleId.C_MINUS1 else -2
 
-
-def turning_points(pot: Potential,
-                   degeneracy_rel: float = DEGENERACY_REL) -> TurningPoints:
-    """Roots of V in canonical order, with the monic-cubic discriminant.
+def turning_points(pot: Potential) -> TurningPoints:
+    """Roots of V in canonical order.
 
     Raises DegenerateTurningPoints when two roots are closer than
-    ``degeneracy_rel * (1 + max |root|)``: period quadrature loses accuracy
+    ``DEGENERACY_REL * (1 + max |root|)``: period quadrature loses accuracy
     well before exact collision.
     """
     a, b = pot.a, pot.b
-    # monic depressed cubic lam^3 + p lam + q
-    p = -a / 2.0
-    q = -7.0 * b
-    disc = -4.0 * p ** 3 - 27.0 * q ** 2
     roots = np.roots([4.0, 0.0, -2.0 * a, -28.0 * b]).astype(complex)
     # two Newton polish passes tighten |V(root)| to round-off; a step that
     # is not finite (V' zero, or subnormal so that 0 / V' is nan) is skipped
@@ -156,7 +137,7 @@ def turning_points(pot: Potential,
     r = [complex(z) for z in roots]
     scale = 1.0 + max(abs(z) for z in r)
     sep = min(abs(r[0] - r[1]), abs(r[0] - r[2]), abs(r[1] - r[2]))
-    if sep < degeneracy_rel * scale:
+    if sep < DEGENERACY_REL * scale:
         raise DegenerateTurningPoints(
             f"turning points separated by {sep:.3e} at scale {scale:.3e}")
 
@@ -170,8 +151,7 @@ def turning_points(pot: Potential,
     inner_idx = min(candidates, key=lambda i: (r[i].real, r[i].imag))
     outers = [r[j] for j in range(3) if j != inner_idx]
     outers.sort(key=lambda z: (-z.imag, z.real))
-    return TurningPoints(roots=(r[inner_idx], outers[0], outers[1]),
-                         discriminant=complex(disc))
+    return TurningPoints(roots=(r[inner_idx], outers[0], outers[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -189,109 +169,6 @@ def branch_sqrt(pot: Potential, lam: complex, near: complex) -> complex:
     if abs(w - near) > abs(w + near):
         w = -w
     return w
-
-
-def _dist_point_segment(z: complex, p: complex, q: complex) -> float:
-    d = q - p
-    L2 = (d * d.conjugate()).real
-    if L2 == 0.0:
-        return abs(z - p)
-    t = ((z - p) * d.conjugate()).real / L2
-    t = min(1.0, max(0.0, t))
-    return abs(z - (p + t * d))
-
-
-def _dist_point_ray(z: complex, origin: complex, direction: complex) -> float:
-    t = ((z - origin) * direction.conjugate()).real
-    if t <= 0.0:
-        return abs(z - origin)
-    return abs(z - (origin + t * direction))
-
-
-def _ray_hits_positive_axis(origin: complex, direction: complex) -> bool:
-    if abs(direction.imag) < 1e-15:
-        return abs(origin.imag) < 1e-15 and (direction.real > 0 or origin.real > 0)
-    t = -origin.imag / direction.imag
-    if t < 0.0:
-        return False
-    return (origin + t * direction).real > 0.0
-
-
-@dataclass(frozen=True)
-class _Branch:
-    tp: TurningPoints
-    ray_dir: complex
-    sign: float
-
-
-def _closure_ray_direction(tp: TurningPoints) -> complex:
-    r0, r1, r2 = tp.roots
-    scale = tp.scale
-    if abs(r0) > 1e-12 * scale:
-        base = r0 / abs(r0)  # prolongation of the segment [0, inner]
-    else:
-        base = 1j * (r1 - r2) / abs(r1 - r2)
-    d1 = (r1 - r0) / abs(r1 - r0)
-    d2 = (r2 - r0) / abs(r2 - r0)
-
-    def angular_gap(u: complex, v: complex) -> float:
-        return abs(math.atan2((u * v.conjugate()).imag, (u * v.conjugate()).real))
-
-    for k in range(12):
-        cand = base * complex(math.cos(k * math.pi / 6), math.sin(k * math.pi / 6))
-        if _ray_hits_positive_axis(r0, cand):
-            continue
-        if angular_gap(cand, d1) > 0.35 and angular_gap(cand, d2) > 0.35:
-            return cand
-    return base
-
-
-def _branch(pot: Potential, tp: TurningPoints) -> _Branch:
-    ray_dir = _closure_ray_direction(tp)
-    b = _Branch(tp=tp, ray_dir=ray_dir, sign=1.0)
-    anchor = 10.0 * tp.scale
-    val = _sqrt_V_raw(pot, b, complex(anchor, 0.0))
-    if val.real < 0.0:
-        b = _Branch(tp=tp, ray_dir=ray_dir, sign=-1.0)
-    return b
-
-
-def _sqrt_V_raw(pot: Potential, br: _Branch, lam: complex) -> complex:
-    r0, r1, r2 = br.tp.roots
-    # pair factors with cuts exactly on the joining segments
-    c1, h1 = (r0 + r1) / 2.0, (r1 - r0) / 2.0
-    c2, h2 = (r0 + r2) / 2.0, (r2 - r0) / 2.0
-    u1 = lam - c1
-    u2 = lam - c2
-    p1 = u1 * np.sqrt(1.0 - (h1 / u1) ** 2)
-    p2 = u2 * np.sqrt(1.0 - (h2 / u2) ** 2)
-    # lone factor at the inner point, cut along the closure ray
-    phi = math.atan2(br.ray_dir.imag, br.ray_dir.real)
-    rot = complex(math.cos(phi + math.pi), math.sin(phi + math.pi))
-    q0 = np.sqrt((lam - r0) * rot.conjugate()) * complex(
-        math.cos((phi + math.pi) / 2.0), math.sin((phi + math.pi) / 2.0))
-    return br.sign * 2.0 * complex(p1) * complex(p2) * complex(q0) / (lam - r0)
-
-
-def _cut_distance(br: _Branch, lam: complex) -> float:
-    r0, r1, r2 = br.tp.roots
-    return min(_dist_point_segment(lam, r0, r1),
-               _dist_point_segment(lam, r0, r2),
-               _dist_point_ray(lam, r0, br.ray_dir))
-
-
-def sqrt_V(pot: Potential, tp: TurningPoints, lam: complex,
-           tol_cut: float = TOL_CUT) -> complex:
-    """Branch of sqrt(V) on the cut plane.
-
-    Continuous off the cut system; normalized so that the value has positive
-    real part far out on the positive real semi-axis.  Raises OnBranchCut for
-    points within ``tol_cut * scale`` of a cut.
-    """
-    br = _branch(pot, tp)
-    if _cut_distance(br, complex(lam)) < tol_cut * tp.scale:
-        raise OnBranchCut(f"lambda = {lam} lies on a branch cut")
-    return _sqrt_V_raw(pot, br, complex(lam))
 
 
 # ---------------------------------------------------------------------------

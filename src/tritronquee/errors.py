@@ -19,10 +19,6 @@ class DegenerateTurningPoints(NumericalError):
     """Two turning points coincide; the elliptic curve degenerates."""
 
 
-class OnBranchCut(NumericalError):
-    """Evaluation point lies on (or too close to) a branch cut."""
-
-
 class QuadratureNotConverged(NumericalError):
     """Node-doubling disagreement of the period quadrature stayed above tolerance."""
 

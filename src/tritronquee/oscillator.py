@@ -40,6 +40,8 @@ from .errors import (DependentBasis, NewtonDiverged, OdeToleranceNotMet,
 TOL_ODE = 1e-12
 TOL_WKB = 1e-10
 TOL_DEP = 1e-9
+DISC_ALPHA = 1.0
+DISC_EPS = 1.0
 
 _POLE_FACTOR = 50.0
 _EPS_HANDOFF = 0.02
@@ -95,7 +97,6 @@ class PoleRecord:
     newton_iterations: int
     jacobian_cond: float
     newton_step: float
-    painleve_check: tuple[complex, complex] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +145,7 @@ def _eps_wkb(pot: Potential, z: complex) -> float:
     return abs(pot.deriv(z)) / abs(v) ** 1.5 if v != 0 else math.inf
 
 
-def ray_spec(pot: Potential, k: int, tol_wkb: float = TOL_WKB) -> RaySpec:
+def ray_spec(pot: Potential, k: int) -> RaySpec:
     """Start radius grown until both WKB smallness bounds hold."""
     if k not in (-2, -1, 0, 1, 2):
         raise ValueError("ray index must lie in {-2,...,2}")
@@ -155,7 +156,7 @@ def ray_spec(pot: Potential, k: int, tol_wkb: float = TOL_WKB) -> RaySpec:
         w = _recessive_sqrtV(pot, z, angle)
         correction = abs(_wkb_logderivative(pot, z, w)
                          - (-w - pot.deriv(z) / (4.0 * pot(z))))
-        if _eps_wkb(pot, z) < tol_wkb and correction < tol_wkb:
+        if _eps_wkb(pot, z) < TOL_WKB and correction < TOL_WKB:
             return RaySpec(k=k, start_radius=radius)
         radius *= 2.0
     raise OdeToleranceNotMet("WKB start radius grew without meeting the bound")
@@ -165,9 +166,9 @@ def ray_spec(pot: Potential, k: int, tol_wkb: float = TOL_WKB) -> RaySpec:
 # path construction
 
 
-def match_point(tp: TurningPoints, margin_factor: float = _MATCH_MARGIN) -> complex:
+def match_point(tp: TurningPoints) -> complex:
     """Centroid of the turning points, displaced outside the safety discs."""
-    margin = margin_factor * tp.min_separation
+    margin = _MATCH_MARGIN * tp.min_separation
     z = tp.centroid
     for _ in range(12):
         dists = [(abs(z - r), r) for r in tp.roots]
@@ -422,8 +423,7 @@ def psi_logderivative(pot: Potential, ray: RaySpec, lam_match: complex,
 
 
 def dependence_system(pot: Potential, lam_match: complex | None = None,
-                      rtol: float = TOL_ODE, tol_wkb: float = TOL_WKB,
-                      samples: dict | None = None):
+                      rtol: float = TOL_ODE, samples: dict | None = None):
     """Dependence residual G and its Jacobian J = dG/d(a, b), in one pass.
 
     G = (s_-1 - s_2, s_1 - s_-2) at the match point (the centroid rule of
@@ -440,8 +440,7 @@ def dependence_system(pot: Potential, lam_match: complex | None = None,
     """
     tp = turning_points(pot)
     lam = match_point(tp) if lam_match is None else complex(lam_match)
-    s = {k: psi_logderivative(pot, ray_spec(pot, k, tol_wkb), lam, rtol,
-                              tp=tp)
+    s = {k: psi_logderivative(pot, ray_spec(pot, k), lam, rtol, tp=tp)
          for k in (-1, 2, 1, -2)}
     if samples is not None:
         samples.update(s)
@@ -452,15 +451,14 @@ def dependence_system(pot: Potential, lam_match: complex | None = None,
 
 
 def dependence_residual(pot: Potential, lam_match: complex | None = None,
-                        rtol: float = TOL_ODE,
-                        tol_wkb: float = TOL_WKB) -> tuple[complex, complex]:
+                        rtol: float = TOL_ODE) -> tuple[complex, complex]:
     """(s_-1 - s_2, s_1 - s_-2) at the match point.
 
     Both components vanish exactly when the two linear-dependence conditions
     characterizing a tritronquee pole hold.  This is the G of
     ``dependence_system``.
     """
-    return dependence_system(pot, lam_match, rtol, tol_wkb)[0]
+    return dependence_system(pot, lam_match, rtol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -528,8 +526,7 @@ def _integrate_pair_outward(pot: Potential, tp: TurningPoints, sA0: complex,
 
 
 def u_values(pot: Potential, eval_radius: float | None = None,
-             rtol: float = TOL_ODE, tol_wkb: float = TOL_WKB,
-             dependence_tol: float = 1e-10,
+             rtol: float = TOL_ODE,
              samples: dict | None = None) -> tuple[complex, complex]:
     """Monodromy ratios (u_2, u_-2) from asymptotic-value ratios.
 
@@ -541,21 +538,20 @@ def u_values(pot: Potential, eval_radius: float | None = None,
     farthest a leg may run before that.
 
     ``samples`` may hold the inward legs of rays 2 and -2 from a
-    ``dependence_system`` pass at this potential with the same ``rtol`` and
-    ``tol_wkb``; only the ray-0 leg is integrated then.
+    ``dependence_system`` pass at this potential with the same ``rtol``;
+    only the ray-0 leg is integrated then.
     """
     tp = turning_points(pot)
     lam = match_point(tp)
     radius = 6.0 * tp.scale if eval_radius is None else float(eval_radius)
     atol = 1e-13
-    s = {k: psi_logderivative(pot, ray_spec(pot, k, tol_wkb), lam, rtol,
-                              tp=tp).s
+    s = {k: psi_logderivative(pot, ray_spec(pot, k), lam, rtol, tp=tp).s
          for k in (0, 2, -2) if samples is None or k == 0}
     if samples is not None:
         if samples[2].lam != lam or samples[-2].lam != lam:
             raise ValueError("samples were taken at another match point")
         s[2], s[-2] = samples[2].s, samples[-2].s
-    if abs(s[0] - s[2]) < dependence_tol or abs(s[0] - s[-2]) < dependence_tol:
+    if abs(s[0] - s[2]) < 1e-10 or abs(s[0] - s[-2]) < 1e-10:
         raise DependentBasis(
             "psi_0 and psi_(+-2) are numerically linearly dependent")
 
@@ -582,9 +578,10 @@ def _newton_step(J, G):
         raise NewtonDiverged(f"singular dependence Jacobian: {exc}")
 
 
-def refine_pole(seed: BsbSolution, radius_policy: tuple[float, float] = (1.0, 1.0),
+def refine_pole(seed: BsbSolution,
+                radius_policy: tuple[float, float] = (DISC_ALPHA, DISC_EPS),
                 tol_dep: float = TOL_DEP, rtol: float = TOL_ODE,
-                max_iter: int = 25, compute_gap: bool = True) -> PoleRecord:
+                compute_gap: bool = True) -> PoleRecord:
     """Newton on the dependence residual starting from a quantization seed.
 
     Each trial point costs one ``dependence_system`` pass, which returns
@@ -620,7 +617,7 @@ def refine_pole(seed: BsbSolution, radius_policy: tuple[float, float] = (1.0, 1.
     res = float(abs(G[0]) + abs(G[1]))
     iterations = 0
     polished = False
-    for _ in range(max_iter):
+    for _ in range(25):
         if res < tol_dep and polished:
             break
         if res < tol_dep:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +52,6 @@ class StokesLine:
 class StokesGraph:
     turning_points: TurningPoints
     lines: tuple[StokesLine, ...]
-    topology_label: str | None = None
 
 
 def _local_directions(pot: Potential, root: complex) -> list[float]:
@@ -226,12 +225,6 @@ def classify_graph(g: StokesGraph) -> str:
     canonical label itself."""
     label = canonical_label(g)
     return "320" if label == _SIGNATURE_320 else label
-
-
-def stokes_graph(pot: Potential, **kwargs) -> StokesGraph:
-    """Trace and classify in one call."""
-    g = trace_stokes_lines(pot, **kwargs)
-    return replace(g, topology_label=classify_graph(g))
 
 
 def polylines(g: StokesGraph) -> list[list[list[float]]]:

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from tritronquee.bsb import (PRIMITIVE_11_SEED, TOL_NEWTON, QuantumPair,
-                             descendant, linearization_frame,
-                             linearized_tilde_u, q_sequence, solve_bsb,
-                             solve_period_targets, tilde_U)
+                             descendant, solve_bsb, solve_period_targets,
+                             tilde_U)
 from tritronquee.elliptic import (CycleId, ParamPoint, PeriodData, Potential,
                                   period)
+from tritronquee.stokes import classify_graph, trace_stokes_lines
 
 import oracles
 
@@ -107,6 +107,12 @@ class TestContinuation:
         # ones, and the Newton solve at the last
         assert self._period_evaluations(monkeypatch, QuantumPair(4, 5)) <= 24
 
+    def test_final_solve_starts_from_last_step(self, monkeypatch):
+        # the seed, 13 steps and 3 Newton steps at the last target: the
+        # residual and Jacobian at the start of that solve are not
+        # evaluated again
+        assert self._period_evaluations(monkeypatch, QuantumPair(4, 5)) == 17
+
     def test_single_target_work_unchanged(self, monkeypatch):
         assert self._period_evaluations(monkeypatch, QuantumPair(1, 1)) == 3
 
@@ -136,25 +142,23 @@ class TestDescendant:
 
 
 class TestQSequence:
-    def test_k0_single_element(self):
-        seq = q_sequence(QuantumPair(1, 1), 0)
-        assert len(seq) == 1
-        assert seq[0].k == 0
-
     def test_scaling_ratios(self, anchor, q1_sequence):
         a0 = abs(q1_sequence[0].point.a)
         for k in (1, 2, 3):
             ratio = abs(q1_sequence[k].point.a) / a0
             assert abs(ratio - (2 * k + 1) ** 0.8) < 1e-10
 
-    def test_non_primitive_rejected(self):
+    def test_non_primitive_rejected(self, anchor):
+        # (3, 3) are not coprime: the rescaling would not reach new poles
         with pytest.raises(ValueError):
-            q_sequence(QuantumPair(2, 2), 1)
+            descendant(replace(anchor, quantum=QuantumPair(2, 2)), 1)
 
     def test_q3_sequence(self):
-        seq = q_sequence(QuantumPair(3, 1), 1)
-        assert len(seq) == 2
-        for sol in seq:
+        primitive = solve_bsb(QuantumPair(3, 1))
+        d1 = descendant(primitive, 1)
+        assert classify_graph(
+            trace_stokes_lines(Potential(d1.point.a, d1.point.b))) == "320"
+        for sol in (primitive, d1):
             assert sol.residual < 1e-10
 
 
@@ -184,45 +188,6 @@ class TestTildeU:
         assert abs(det) > 1.0
 
 
-class TestLinearization:
-    def test_zero_offsets_give_unity(self, anchor):
-        frame = linearization_frame(anchor, alpha=1.0, beta=0.0, z=0.0, w=0.0)
-        assert linearized_tilde_u(frame, 3) == (1.0, 1.0)
-
-    def test_coefficient_of_z(self, anchor):
-        frame = linearization_frame(anchor, alpha=1.0, beta=0.0, z=1.0, w=0.0)
-        k = 2
-        pred2, _ = linearized_tilde_u(frame, k)
-        expected = 1.0 + frame.c2 * (2 * k + 1) ** (0.2 - 1.0)
-        assert pred2 == expected
-
-    def test_frame_determinant(self, anchor):
-        frame = linearization_frame(anchor, alpha=1.0, beta=0.0, z=0.0, w=0.0)
-        assert abs(frame.jacobian_det - (-28j * math.pi)) < 1e-8
-
-    def test_exponent_validation(self, anchor):
-        frame = linearization_frame(anchor, alpha=1.0, beta=0.0, z=0.0, w=0.0)
-        bad = replace(frame, alpha=2.0)
-        with pytest.raises(ValueError):
-            linearized_tilde_u(bad, 1)
-
-    def test_prediction_error_quadratic_in_z(self, anchor):
-        """At a descendant, the remainder of the first-order prediction of
-        u~2 shrinks quadratically with the rescaled offset z."""
-        k = 4
-        alpha, beta = 1.0, 0.0
-        dk = descendant(anchor, k)
-        remainders = []
-        for z in (0.2, 0.1):
-            frame = linearization_frame(anchor, alpha, beta, z, 0.0)
-            pred2, _ = linearized_tilde_u(frame, k)
-            a = dk.point.a + (2 * k + 1) ** (-alpha) * z
-            actual2 = 1.0 + tilde_U(ParamPoint(a, dk.point.b))[0]
-            remainders.append(abs(actual2 - pred2))
-        ratio = remainders[0] / remainders[1]
-        assert 2.5 < ratio < 6.0
-
-
 def test_builtin_seed_close_to_solution(anchor):
     assert abs(PRIMITIVE_11_SEED.a - anchor.point.a) < 0.01
     assert abs(PRIMITIVE_11_SEED.b - anchor.point.b) < 0.005
@@ -240,7 +205,7 @@ def test_singular_jacobian_is_newton_diverged(monkeypatch, capsys):
     from tritronquee.cli import main
     from tritronquee.errors import NewtonDiverged
 
-    def singular(point, target2, targetm2, tol_quad=1e-10):
+    def singular(point, target2, targetm2):
         return np.array([1.0 + 0j, 1.0 + 0j]), np.zeros((2, 2), dtype=complex)
 
     monkeypatch.setattr(bsb, "_period_residual", singular)

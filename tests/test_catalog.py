@@ -1,9 +1,14 @@
+import ast
+import dataclasses
+import inspect
 import json
+import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from tritronquee import catalog
+from tritronquee import catalog, cli, config
 from tritronquee.bsb import QuantumPair
 from tritronquee.catalog import (CatalogEntry, build_catalog,
                                  compute_entry,
@@ -152,6 +157,49 @@ class TestConfig:
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "conf"
-        path.write_text("tol_nonsense = 1\n")
-        with pytest.raises(ValueError):
-            load_config(str(path))
+        # tol_wkb was a key that nothing read; it is now unknown
+        for text in ("tol_nonsense = 1\n", "tol_wkb = 1e-11\n"):
+            path.write_text(text)
+            with pytest.raises(ValueError, match="unknown config key"):
+                load_config(str(path))
+
+    def test_every_key_is_read(self):
+        source = inspect.getsource(cli) + inspect.getsource(catalog)
+        for field in dataclasses.fields(ToolConfig):
+            assert re.search(rf"\bcfg\.{field.name}\b", source), field.name
+
+    def test_defaults_are_module_constants(self):
+        tree = ast.parse(inspect.getsource(config.ToolConfig))
+        defaults = [node.value for node in ast.walk(tree)
+                    if isinstance(node, ast.AnnAssign)]
+        assert len(defaults) == len(dataclasses.fields(ToolConfig)) == 17
+        for node in defaults:
+            assert isinstance(node, ast.Attribute), ast.unparse(node)
+
+    def test_painleve_crosscheck_reads_config(self, monkeypatch):
+        cfg = dataclasses.replace(
+            ToolConfig(), tol_seed=2e-10, tol_match=2e-8, seed_margin=0.2,
+            fit_radius=0.2, blowup_threshold=2e4, laurent_order=14,
+            tol_fit=2e-6)
+        seen = {}
+
+        def spy(name, fn):
+            def wrapper(*args, **kwargs):
+                seen[name] = kwargs
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def refine(seed, **kwargs):
+            return SimpleNamespace(pole=seed.point, dep_residual=0.0,
+                                   wkb_gap=(0.0, 0.0))
+
+        monkeypatch.setattr(catalog, "refine_pole", refine)
+        monkeypatch.setattr(catalog, "seed_asymptotic",
+                            spy("seed", catalog.seed_asymptotic))
+        monkeypatch.setattr(catalog, "track", spy("track", catalog.track))
+        doc = build_catalog([QuantumPair(1, 1)], 0, cfg, painleve=True)
+        assert doc["entries"][0]["painleve_a"] is not None
+        assert seen["seed"] == {"tol_seed": 2e-10, "tol_match": 2e-8,
+                                "z_seed_min": cfg.z_seed, "margin": 0.2}
+        assert seen["track"] == {"fit_radius": 0.2, "blowup_threshold": 2e4,
+                                 "laurent_order": 14, "tol_fit": 2e-6}

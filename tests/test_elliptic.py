@@ -10,9 +10,8 @@ from tritronquee.bsb import solve_period_targets
 from tritronquee.elliptic import (LEGENDRE_CONSTANT, TOL_QUAD, CycleId,
                                   ParamPoint, PeriodData, Potential,
                                   branch_sqrt, legendre_residual, period,
-                                  period_derivatives, sqrt_V, turning_points)
-from tritronquee.errors import (DegenerateTurningPoints, NumericalError,
-                                OnBranchCut)
+                                  period_derivatives, turning_points)
+from tritronquee.errors import DegenerateTurningPoints, NumericalError
 
 from oracles import (contour_period_trapezoid, continued_sqrt,
                      continued_sqrt_path, cycle_integral,
@@ -84,14 +83,14 @@ class TestTurningPoints:
         assert dists[0] == min(dists)
 
 
-class TestSqrtV:
-    def test_positive_axis_normalization(self):
-        pot = Potential(0.0, 1.0 / 7.0)
-        tp = turning_points(pot)
-        val = sqrt_V(pot, tp, 10.0)
-        assert val.real > 0
-        assert abs(val - cmath.sqrt(4e3 - 4.0)) < 1e-9 * abs(val)
+def _positive_sqrt(pot: Potential, lam: complex) -> complex:
+    """sqrt(V(lam)) with nonnegative real part: a start value for the
+    continuation checks, which hold for either sign."""
+    w = cmath.sqrt(pot(lam))
+    return -w if w.real < 0 else w
 
+
+class TestSqrtV:
     def test_continuation_closes_around_two_turning_points(self):
         tp = turning_points(REF)
         # loop tightly around the pair (inner, upper): contains 2 branch pts
@@ -99,7 +98,7 @@ class TestSqrtV:
         radius = 0.62 * abs(tp.roots[0] - tp.roots[1]) + 0.12
         assert abs(tp.roots[2] - center) > radius + 0.1
         start = center + radius
-        w0 = sqrt_V(REF, tp, start)
+        w0 = _positive_sqrt(REF, start)
         pts = [center + radius * cmath.exp(2j * math.pi * i / 3000)
                for i in range(3001)]
         w_end = continued_sqrt(REF, pts, w0)
@@ -111,7 +110,7 @@ class TestSqrtV:
         radius = 0.4 * tp.min_separation
         start = center + radius
         w0 = continued_sqrt_path(REF, 10.0 * tp.scale,
-                                 start, sqrt_V(REF, tp, 10.0 * tp.scale))
+                                 start, _positive_sqrt(REF, 10.0 * tp.scale))
         pts = [center + radius * cmath.exp(2j * math.pi * i / 3000)
                for i in range(3001)]
         w_end = continued_sqrt(REF, pts, w0)
@@ -128,32 +127,6 @@ class TestSqrtV:
             w = branch_sqrt(REF, z, w)
         assert w == continued_sqrt(REF, pts, w0)
         assert abs(w + w0) < 1e-8 * abs(w0)
-
-    def test_against_stepwise_continuation_oracle(self):
-        pot = REF
-        tp = turning_points(pot)
-        anchor = 10.0 * tp.scale
-        w_anchor = sqrt_V(pot, tp, anchor)
-        # sample just off the cut between the encircled pair (inner, upper),
-        # approaching on a cut-avoiding route from the target's side
-        r0, r1 = tp.roots[0], tp.roots[1]
-        normal = 1j * (r1 - r0) / abs(r1 - r0)
-        high = 2.8j * tp.scale
-        for frac in (0.25, 0.5, 0.75):
-            on_cut = r0 + frac * (r1 - r0)
-            target = on_cut + 1e-6 * normal
-            w = w_anchor
-            for z_from, z_to in ((anchor, high), (high, on_cut + 0.8 * normal),
-                                 (on_cut + 0.8 * normal, target)):
-                w = continued_sqrt_path(pot, z_from, z_to, w, n=4000)
-            w_impl = sqrt_V(pot, tp, target)
-            assert abs(w_impl - w) < 1e-8 * abs(w)
-
-    def test_on_cut_raises(self):
-        tp = turning_points(REF)
-        mid = (tp.roots[0] + tp.roots[1]) / 2.0
-        with pytest.raises(OnBranchCut):
-            sqrt_V(REF, tp, mid)
 
 
 class TestPeriods:
@@ -176,7 +149,7 @@ class TestPeriods:
             center = (r0 + rout) / 2.0
             radius = 0.6 * abs(rout - r0) + 0.1 * tp.min_separation
             start = center + radius
-            w_start = sqrt_V(pot, tp, start)
+            w_start = cmath.sqrt(pot(start))
             oracle = contour_period_trapezoid(pot, center, radius, w_start)
             chi = period(pot, cycle)
             assert min(abs(chi - oracle), abs(chi + oracle)) < 1e-8 * abs(chi)

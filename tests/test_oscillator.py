@@ -244,8 +244,7 @@ class TestRefinePole:
             assert 1.0 <= rec.jacobian_cond < 1e3
 
     def test_non_finite_jacobian_is_newton_diverged(self, anchor, monkeypatch):
-        def nan_jacobian(pot, lam_match=None, rtol=None, tol_wkb=None,
-                         samples=None):
+        def nan_jacobian(pot, lam_match=None, rtol=None, samples=None):
             return (0.1 + 0.0j, 0.1 + 0.0j), ((1.0, math.nan), (0.0, 1.0))
 
         monkeypatch.setattr(oscillator, "dependence_system", nan_jacobian)
