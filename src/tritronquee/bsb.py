@@ -167,20 +167,16 @@ def solve_bsb(quantum: QuantumPair, seed: ParamPoint | None = None,
     right-hand side: one Newton step per intermediate target
     (``_follow_targets``), then Newton to ``tol_newton`` at the last one,
     starting from the residual and Jacobian that the last step left.  An
-    explicit seed, and the (1,1) case with its single target, go straight
-    to ``solve_period_targets``.  The converged point is checked to carry
-    a "320" graph.
+    explicit seed has the final target alone.  The converged point is
+    checked to carry a "320" graph.
     """
     if seed is not None:
         targets = [(1j * math.pi * quantum.odd_n, 1j * math.pi * quantum.odd_m)]
     else:
         targets = list(_homotopy_targets(quantum))
         seed = PRIMITIVE_11_SEED
-    if len(targets) > 1:
-        x, F, J = _follow_targets(seed, targets)
-        point, res = _newton_solve(x, F, J, *targets[-1], tol_newton)
-    else:
-        point, res = solve_period_targets(*targets[0], seed, tol_newton)
+    x, F, J = _follow_targets(seed, targets)
+    point, res = _newton_solve(x, F, J, *targets[-1], tol_newton)
     if verify_graph:
         label = classify_graph(trace_stokes_lines(Potential(point.a, point.b)))
         if label != "320":

@@ -110,8 +110,7 @@ def entry_from_json(data: dict) -> CatalogEntry:
 def _painleve_crosscheck(pole_a: complex, cfg: ToolConfig):
     """Track from the asymptotic sector to just past the predicted pole."""
     state = seed_asymptotic(complex(cfg.z_seed, 0.0), tol_seed=cfg.tol_seed,
-                            tol_match=cfg.tol_match, z_seed_min=cfg.z_seed,
-                            margin=cfg.seed_margin)
+                            tol_match=cfg.tol_match, margin=cfg.seed_margin)
     direction = (pole_a - state.z) / abs(pole_a - state.z)
     end = pole_a + 0.6 * direction
     _, poles = track(state, [state.z, end], fit_radius=cfg.fit_radius,

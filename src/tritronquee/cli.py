@@ -241,8 +241,7 @@ def _cmd_refine(args, cfg: ToolConfig) -> int:
 def _cmd_track(args, cfg: ToolConfig) -> int:
     z0 = complex(cfg.z_seed, 0.0) if args.z0 is None else args.z0
     state = seed_asymptotic(z0, tol_seed=cfg.tol_seed,
-                            tol_match=cfg.tol_match, z_seed_min=cfg.z_seed,
-                            margin=cfg.seed_margin)
+                            tol_match=cfg.tol_match, margin=cfg.seed_margin)
     trail: list = []
     final, poles = track(state, [z0] + list(args.to),
                          fit_radius=cfg.fit_radius,

@@ -104,13 +104,8 @@ class TestContinuation:
 
     def test_one_period_evaluation_per_intermediate_target(self, monkeypatch):
         # 14 targets: the seed, one step for each of the 13 intermediate
-        # ones, and the Newton solve at the last
-        assert self._period_evaluations(monkeypatch, QuantumPair(4, 5)) <= 24
-
-    def test_final_solve_starts_from_last_step(self, monkeypatch):
-        # the seed, 13 steps and 3 Newton steps at the last target: the
-        # residual and Jacobian at the start of that solve are not
-        # evaluated again
+        # ones, and 3 Newton steps at the last, whose first starts from the
+        # residual and Jacobian that the last step left
         assert self._period_evaluations(monkeypatch, QuantumPair(4, 5)) == 17
 
     def test_single_target_work_unchanged(self, monkeypatch):

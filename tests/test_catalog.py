@@ -200,6 +200,6 @@ class TestConfig:
         doc = build_catalog([QuantumPair(1, 1)], 0, cfg, painleve=True)
         assert doc["entries"][0]["painleve_a"] is not None
         assert seen["seed"] == {"tol_seed": 2e-10, "tol_match": 2e-8,
-                                "z_seed_min": cfg.z_seed, "margin": 0.2}
+                                "margin": 0.2}
         assert seen["track"] == {"fit_radius": 0.2, "blowup_threshold": 2e4,
                                  "laurent_order": 14, "tol_fit": 2e-6}

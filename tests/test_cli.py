@@ -103,3 +103,11 @@ def test_bad_config_exit_code(tmp_path, capsys):
     conf.write_text("unknown_key = 3\n")
     code = main(["bsb", "--n", "1", "--m", "1", "--config", str(conf)])
     assert code == 2
+
+
+def test_track_z_seed_below_certified_radius(tmp_path, capsys):
+    # z_seed picks the seed point; painleve.Z_SEED_MIN stays the bound
+    conf = tmp_path / "conf"
+    conf.write_text("z_seed = 30\n")
+    assert main(["track", "--to=-3.5", "--config", str(conf)]) == 2
+    assert "seeding radius" in capsys.readouterr().err
