@@ -82,51 +82,47 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=_ERROR_NOTE,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=__version__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key = value configuration file")
-    common.add_argument("--json", action="store_true",
-                        help="machine-readable output on stdout")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers (catalog entries only)")
-    common.add_argument("--emit-plot", metavar="PATH",
-                        help="write plot-JSON (polylines/points/labels)")
+    json_opt = argparse.ArgumentParser(add_help=False)
+    json_opt.add_argument("--json", action="store_true",
+                          help="machine-readable output on stdout")
+    config_opt = argparse.ArgumentParser(add_help=False)
+    config_opt.add_argument("--config", help="key = value configuration file")
+    plot_opt = argparse.ArgumentParser(add_help=False)
+    plot_opt.add_argument("--emit-plot", metavar="PATH",
+                          help="write plot-JSON (polylines/points/labels)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("periods", parents=[common],
+    p = sub.add_parser("periods", parents=[json_opt],
                        help="cycle periods and the Legendre residual")
     p.add_argument("--a", type=_complex_arg, required=True)
     p.add_argument("--b", type=_complex_arg, required=True)
 
-    p = sub.add_parser("stokes", parents=[common],
+    p = sub.add_parser("stokes", parents=[json_opt, plot_opt],
                        help="trace and classify the Stokes graph")
     p.add_argument("--a", type=_complex_arg, required=True)
     p.add_argument("--b", type=_complex_arg, required=True)
 
-    p = sub.add_parser("bsb", parents=[common],
+    p = sub.add_parser("bsb", parents=[json_opt, config_opt],
                        help="solve the quantization system")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
 
-    p = sub.add_parser("refine", parents=[common],
+    p = sub.add_parser("refine", parents=[json_opt, config_opt],
                        help="refine a quantization seed to a certified pole")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, default=0)
-    p.add_argument("--alpha", type=float, default=None,
-                   help="disc exponent (default from config)")
-    p.add_argument("--eps", type=float, default=None,
-                   help="disc radius factor (default from config)")
     p.add_argument("--no-gap", action="store_true",
                    help="skip the WKB-gap measurement")
 
-    p = sub.add_parser("track", parents=[common],
+    p = sub.add_parser("track", parents=[json_opt, config_opt, plot_opt],
                        help="integrate the tritronquee solution along a path")
     p.add_argument("--z0", type=_complex_arg, default=None,
                    help="seed point (default from config)")
     p.add_argument("--to", type=_complex_arg, action="append", required=True,
                    help="waypoint (repeatable)")
 
-    p = sub.add_parser("catalog", parents=[common],
+    p = sub.add_parser("catalog", parents=[json_opt, config_opt, plot_opt],
                        help="build the pole catalog")
     p.add_argument("--q", type=_quantum_arg, action="append", default=[],
                    metavar="N,M", help="primitive quantum pair (repeatable)")
@@ -135,8 +131,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="catalog path")
     p.add_argument("--painleve", action="store_true",
                    help="cross-check each pole by direct integration")
+    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
 
-    p = sub.add_parser("convergence", parents=[common],
+    p = sub.add_parser("convergence", parents=[json_opt],
                        help="fit the decay exponent of a q-sequence")
     p.add_argument("--catalog", required=True)
     p.add_argument("--q", type=_fraction_arg, required=True, metavar="P/R")
@@ -145,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_periods(args, cfg: ToolConfig) -> int:
     pot = Potential(args.a, args.b)
-    pd = PeriodData.compute(pot, cfg.tol_quad)
+    pd = PeriodData.compute(pot)
     res = legendre_residual(pd)
     if args.json:
         print(json.dumps({
@@ -168,9 +165,7 @@ def _cmd_periods(args, cfg: ToolConfig) -> int:
 
 def _cmd_stokes(args, cfg: ToolConfig) -> int:
     pot = Potential(args.a, args.b)
-    graph = trace_stokes_lines(pot, escape_factor=cfg.escape_factor,
-                               merge_factor=cfg.merge_factor,
-                               rtol=cfg.trace_rtol)
+    graph = trace_stokes_lines(pot)
     label = classify_graph(graph)
     if args.emit_plot:
         _emit_plot(args.emit_plot, {
@@ -211,13 +206,12 @@ def _cmd_bsb(args, cfg: ToolConfig) -> int:
 
 
 def _cmd_refine(args, cfg: ToolConfig) -> int:
-    alpha = cfg.disc_alpha if args.alpha is None else args.alpha
-    eps = cfg.disc_eps if args.eps is None else args.eps
     primitive = solve_bsb(QuantumPair(args.n, args.m),
                           tol_newton=cfg.tol_newton)
     seed = descendant(primitive, args.k) if args.k else primitive
-    rec = refine_pole(seed, radius_policy=(alpha, eps), tol_dep=cfg.tol_dep,
-                      rtol=cfg.tol_ode, compute_gap=not args.no_gap)
+    rec = refine_pole(seed, radius_policy=(cfg.disc_alpha, cfg.disc_eps),
+                      tol_dep=cfg.tol_dep, rtol=cfg.tol_ode,
+                      compute_gap=not args.no_gap)
     if args.json:
         print(json.dumps({
             "q": f"{rec.q.numerator}/{rec.q.denominator}",
@@ -325,7 +319,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config)
+        cfg = load_config(getattr(args, "config", None))
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_CODE_IO

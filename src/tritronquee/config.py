@@ -1,10 +1,10 @@
 """Run configuration: tolerances, radii and path policies.
 
-Every knob takes its default from the module constant it overrides, and the
-comment over each group names the subcommands that read it.  A config file
-is a plain ``key = value`` text file (TOML-style scalars, ``#`` comments).
-The canonical dump of the effective configuration is hashed into catalog
-headers so that runs are reproducible and comparable.
+Every knob takes its default from the module constant it overrides and is
+read by the catalog, so the config hash in a catalog header describes the
+values its entries were computed with.  The comment over each group names
+the other subcommands that read it.  A config file is a plain
+``key = value`` text file (TOML-style scalars, ``#`` comments).
 """
 
 from __future__ import annotations
@@ -12,29 +12,21 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, fields, replace
 
-from . import bsb, elliptic, oscillator, painleve, stokes
+from . import bsb, oscillator, painleve
 
 
 @dataclass(frozen=True)
 class ToolConfig:
-    # elliptic periods (periods)
-    tol_quad: float = elliptic.TOL_QUAD
-
-    # stokes complex (stokes)
-    escape_factor: float = stokes.ESCAPE_FACTOR
-    merge_factor: float = stokes.MERGE_FACTOR
-    trace_rtol: float = stokes.TRACE_RTOL
-
-    # B-S-B solver (bsb, refine, catalog)
+    # B-S-B solver (bsb, refine)
     tol_newton: float = bsb.TOL_NEWTON
 
-    # oscillator monodromy (refine, catalog)
+    # oscillator monodromy (refine)
     tol_ode: float = oscillator.TOL_ODE
     tol_dep: float = oscillator.TOL_DEP
     disc_alpha: float = oscillator.DISC_ALPHA
     disc_eps: float = oscillator.DISC_EPS
 
-    # Painleve tracker (track, catalog --painleve)
+    # Painleve tracker (track; the catalog reads it with --painleve only)
     tol_seed: float = painleve.TOL_SEED
     tol_match: float = painleve.TOL_MATCH
     tol_fit: float = painleve.TOL_FIT

@@ -10,15 +10,16 @@ absorbs the square-root endpoint behaviour, so a Gauss-Legendre rule in
 One doubling sweep per cycle shares the nodes and the third-root factor among
 chi, d chi/d a and d chi/d b, and each integral stops at its own converged n.
 
-Branch rules: no global branch of sqrt(V) is fixed.  On the segment
-``lam = c + h cos(theta)`` the quadrature writes sqrt(V) as 2i h sin(theta)
-times the third-root factor sqrt(lam - r_other), taken as
-sqrt(c - r_other) * sqrt(1 + rho cos(theta)) with principal roots, and
-each cycle's sign is an orientation constant pinned at the real (1,1)
-solution.  Along a path, ``branch_sqrt`` continues sqrt(V) from the value
-at the previous point (the Stokes tracer and the oscillator's WKB phase);
-on each oscillator ray the start value is the sign whose action grows
-outward, Re(sqrt(V) e^(i angle)) > 0.
+Branch rules: no global branch of sqrt(V) is fixed; three rules pick a
+sign.  ``branch_sqrt`` continues sqrt(V) along a path from the value at the
+previous point (the Stokes tracer and the oscillator's WKB phase).
+``facing_sqrt`` starts such a path with Re(sqrt(V) * direction) >= 0: on
+the oscillator ray along e^(i phi) the action then grows outward, and a
+Stokes line leaving along e^(i phi) takes direction -i e^(i phi), so
+that its tangent i conj(sqrt(V)) points along the line.  The quadrature
+writes sqrt(V) on ``lam = c + h cos(theta)`` as 2i h sin(theta) times the
+third-root factor sqrt(c - r_other) * sqrt(1 + rho cos(theta)), with
+principal roots and a sign per cycle pinned at the real (1,1) solution.
 """
 
 from __future__ import annotations
@@ -167,6 +168,14 @@ def branch_sqrt(pot: Potential, lam: complex, near: complex) -> complex:
     """
     w = cmath.sqrt(pot(lam))
     if abs(w - near) > abs(w + near):
+        w = -w
+    return w
+
+
+def facing_sqrt(pot: Potential, lam: complex, direction: complex) -> complex:
+    """The value of sqrt(V(lam)) with Re(sqrt(V) * direction) >= 0."""
+    w = cmath.sqrt(pot(lam))
+    if (w * direction).real < 0.0:
         w = -w
     return w
 

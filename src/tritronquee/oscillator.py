@@ -33,7 +33,7 @@ import numpy as np
 from . import complex_ode
 from .bsb import BsbSolution, tilde_U
 from .elliptic import (ParamPoint, Potential, TurningPoints, branch_sqrt,
-                       turning_points)
+                       facing_sqrt, turning_points)
 from .errors import (DependentBasis, NewtonDiverged, OdeToleranceNotMet,
                      OutsideDisc, PathNearTurningPoint)
 
@@ -103,14 +103,6 @@ class PoleRecord:
 # WKB data
 
 
-def _recessive_sqrtV(pot: Potential, z: complex, angle: float) -> complex:
-    """Branch of sqrt(V) whose action grows outward along the ray."""
-    w = cmath.sqrt(pot(z))
-    if (w * cmath.exp(1j * angle)).real < 0.0:
-        w = -w
-    return w
-
-
 def _wkb_logderivative(pot: Potential, z: complex, w: complex) -> complex:
     """Three-term WKB expansion of psi'/psi on the branch w = sqrt(V)."""
     v = pot(z)
@@ -150,10 +142,10 @@ def ray_spec(pot: Potential, k: int) -> RaySpec:
     if k not in (-2, -1, 0, 1, 2):
         raise ValueError("ray index must lie in {-2,...,2}")
     radius = max(10.0, 5.0 * (1.0 + abs(pot.a) ** 0.5 + abs(pot.b) ** (1.0 / 3.0)))
-    angle = 2.0 * math.pi * k / 5.0
+    direction = cmath.exp(1j * (2.0 * math.pi * k / 5.0))
     for _ in range(60):
-        z = radius * cmath.exp(1j * angle)
-        w = _recessive_sqrtV(pot, z, angle)
+        z = radius * direction
+        w = facing_sqrt(pot, z, direction)
         correction = abs(_wkb_logderivative(pot, z, w)
                          - (-w - pot.deriv(z) / (4.0 * pot(z))))
         if _eps_wkb(pot, z) < TOL_WKB and correction < TOL_WKB:
@@ -303,7 +295,7 @@ def _adiabatic_handoff(pot: Potential, ray: RaySpec,
     the log-derivative equals the three-term WKB value up to corrections far
     below round-off once propagated inward.
     """
-    w = _recessive_sqrtV(pot, waypoints[0], ray.angle)
+    w = facing_sqrt(pot, waypoints[0], cmath.exp(1j * ray.angle))
     for idx in range(len(waypoints) - 1):
         z0, z1 = waypoints[idx], waypoints[idx + 1]
         if _eps_wkb(pot, z0) > _EPS_HANDOFF:

@@ -299,7 +299,12 @@ def _pi_leg(y0, z0: complex, z1: complex, rtol: float, on_accept=None):
     terms of y, |a_{N-1}| h^(N-1) and |a_N| h^N, stay below
     tol (1 + |y|), and those of y' below tol (1 + |y'|), with
     tol = ``TAYLOR_TARGET * rtol`` (the step control of Jorba & Zou,
-    Exp. Math. 14, 2005).  The leg runs in its parameter t in [0, 1];
+    Exp. Math. 14, 2005).  Both can vanish: about z = 0 the solution with
+    y = y' = 0 there, fixed by y(z) -> w^2 y(w z), w^5 = 1, has only the
+    powers 3, 8, 13, ...  So where the terms k = N-4..N-2 sum to more than
+    1e4 tol (1 + |y|) at h, each bounds h as the last two do, at that
+    looser tolerance; no generic step comes near it (46 tol at most from
+    40 to -40).  The leg runs in its parameter t in [0, 1];
     ``on_accept(t, (y, y'))`` sees t after every step and may end the leg
     with ``STOP``.  Returns the result and the complex end point.
     """
@@ -325,6 +330,12 @@ def _pi_leg(y0, z0: complex, z1: complex, rtol: float, on_accept=None):
                     (tol_y / tail) ** (1.0 / N),
                     (tol_yp / ((N - 1) * tail1)) ** (1.0 / (N - 2)),
                     (tol_yp / (N * tail)) ** (1.0 / (N - 1)))
+        slack = 1e4 * tol_y
+        s = min(reach, (1.0 - t) * adz)
+        if ((abs(a[N - 4]) + (abs(a[N - 3]) + abs(a[N - 2]) * s) * s)
+                * s ** (N - 4) > slack):
+            for k in range(N - 4, N - 1):
+                reach = min(reach, (slack / (abs(a[k]) + 1e-300)) ** (1.0 / k))
         if reach >= (1.0 - t) * adz:
             h, t = 1.0 - t, 1.0
         else:
@@ -358,16 +369,15 @@ def _dense_points(zc: complex, state, z: complex, end_state) -> list:
 
 def seed_asymptotic(z0: complex, tol_seed: float = TOL_SEED,
                     tol_match: float = TOL_MATCH,
-                    z_seed_min: float = Z_SEED_MIN,
                     margin: float = SEED_MARGIN) -> TritronqueeState:
     """Certified asymptotic-series state at z0.
 
-    Requires |z0| >= z_seed_min inside the sector |arg z| < 4 pi/5 - margin.
+    Requires |z0| >= Z_SEED_MIN inside the sector |arg z| < 4 pi/5 - margin.
     The state is cross-checked by integrating the series state at 2 z0
     inward to z0 and comparing.
     """
     z0 = complex(z0)
-    if abs(z0) < z_seed_min:
+    if abs(z0) < Z_SEED_MIN:
         raise ValueError(f"|z0| = {abs(z0):.3g} below the seeding radius")
     if abs(cmath.phase(z0)) > _SECTOR_HALF_WIDTH - margin:
         raise ValueError("z0 outside the tritronquee sector")
@@ -386,8 +396,8 @@ def seed_asymptotic(z0: complex, tol_seed: float = TOL_SEED,
 
 
 def _fit_pole(table: LaurentTable, z: complex, y: complex, yp: complex,
-              a0: complex, b0: complex = 0.0) -> tuple[complex, complex]:
-    """Newton solve of series(z; a, b) = (y, y') for the pole data.
+              a0: complex) -> tuple[complex, complex]:
+    """Newton solve of series(z; a, b) = (y, y') from (a, b) = (a0, 0).
 
     Converged at a relative residual below 1e-13, or below 1e-10 once a
     step no longer halves it: quadratic convergence has then stalled at the
@@ -397,7 +407,7 @@ def _fit_pole(table: LaurentTable, z: complex, y: complex, yp: complex,
     up to 1e-13 / d^6, and the state continued past the pole carries that
     error to the next one.
     """
-    a, b = complex(a0), complex(b0)
+    a, b = complex(a0), 0j
     r_prev = math.inf
     for _ in range(40):
         Y, Yp, da, db, dpa, dpb = table.eval_frame(a, b, z)
@@ -442,11 +452,9 @@ def track(state: TritronqueeState, waypoints, fit_radius: float = FIT_RADIUS,
         raise ValueError("path must start at the current state")
     last_pole: complex | None = None
     idx = 0
-    guard = 0
+    # pole passes since the last completed leg; a stuck pass must raise
+    passes = 0
     while idx < len(pts) - 1:
-        guard += 1
-        if guard > 200:
-            raise NewtonDiverged("pole passing did not settle")
         z0, z1 = z_cur, pts[idx + 1]
         dz = z1 - z0
         if dz == 0:
@@ -479,7 +487,11 @@ def track(state: TritronqueeState, waypoints, fit_radius: float = FIT_RADIUS,
             z_cur = z1
             y_cur = res.y
             idx += 1
+            passes = 0
             continue
+        passes += 1
+        if passes > 200:
+            raise NewtonDiverged("pole passing did not settle")
 
         # first fit at the entry distance
         y_a, yp_a = res.y
@@ -506,6 +518,7 @@ def track(state: TritronqueeState, waypoints, fit_radius: float = FIT_RADIUS,
         t_exit = ((z_exit - z0) / dz).real if dz != 0 else 0.0
         if t_exit >= 1.0:
             idx += 1
+            passes = 0
 
     final = TritronqueeState(z=z_cur, y=complex(y_cur[0]),
                              yp=complex(y_cur[1]))

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import complex_ode
-from .elliptic import Potential, TurningPoints, branch_sqrt, turning_points
+from .elliptic import (Potential, TurningPoints, branch_sqrt, facing_sqrt,
+                       turning_points)
 from .errors import OdeToleranceNotMet, StepUnderflow, TraceStalled, UnresolvedTopology
 
 ESCAPE_FACTOR = 10.0
@@ -55,7 +56,9 @@ class StokesGraph:
 
 
 def _local_directions(pot: Potential, root: complex) -> list[float]:
-    arg_vp = cmath.phase(pot.deriv(root))
+    # not cmath.phase, which raises OverflowError where the angle underflows
+    vp = pot.deriv(root)
+    arg_vp = math.atan2(vp.imag, vp.real)
     return [((2 * j + 1) * math.pi - arg_vp) / 3.0 for j in range(3)]
 
 
@@ -84,10 +87,8 @@ def _trace_single(pot: Potential, tp: TurningPoints, origin: int, angle: float,
     start = root + tol_merge * cmath.exp(1j * angle)
     others = [(j, tp.roots[j]) for j in range(3) if j != origin]
 
-    w0 = cmath.sqrt(pot(start))
-    tau0 = 1j * w0.conjugate() / abs(w0)
-    if (tau0 * cmath.exp(-1j * angle)).real < 0:
-        w0 = -w0
+    # the tangent i conj(w0) / |w0| points along the start direction
+    w0 = facing_sqrt(pot, start, -1j * cmath.exp(1j * angle))
     # the branch reference: sqrt(V) at the last accepted point, which the
     # tangent's branch choice reads
     near = [w0]
@@ -149,13 +150,11 @@ def _trace_single(pot: Potential, tp: TurningPoints, origin: int, angle: float,
                       action_scale=state["abs_action"])
 
 
-def trace_stokes_lines(pot: Potential, escape_factor: float = ESCAPE_FACTOR,
-                       merge_factor: float = MERGE_FACTOR,
-                       rtol: float = TRACE_RTOL) -> StokesGraph:
+def trace_stokes_lines(pot: Potential, rtol: float = TRACE_RTOL) -> StokesGraph:
     """Trace the three Stokes lines from every turning point."""
     tp = turning_points(pot)
-    escape_radius = escape_factor * tp.scale
-    tol_merge = merge_factor * escape_radius
+    escape_radius = ESCAPE_FACTOR * tp.scale
+    tol_merge = MERGE_FACTOR * escape_radius
     lines = []
     for i in range(3):
         for angle in _local_directions(pot, tp.roots[i]):

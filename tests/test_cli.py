@@ -1,8 +1,16 @@
 import json
+import re
 
 import pytest
 
+from tritronquee import cli, errors
 from tritronquee.cli import main
+
+_NUMERICAL_ERRORS = sorted(
+    (cls for cls in vars(errors).values()
+     if isinstance(cls, type) and issubclass(cls, errors.NumericalError)
+     and cls is not errors.NumericalError),
+    key=lambda cls: cls.__name__)
 
 
 def test_bsb_command(capsys):
@@ -111,3 +119,47 @@ def test_track_z_seed_below_certified_radius(tmp_path, capsys):
     conf.write_text("z_seed = 30\n")
     assert main(["track", "--to=-3.5", "--config", str(conf)]) == 2
     assert "seeding radius" in capsys.readouterr().err
+
+
+def _raising(exc):
+    def command(args, cfg):
+        raise exc
+    return command
+
+
+@pytest.mark.parametrize("cls", _NUMERICAL_ERRORS, ids=lambda c: c.__name__)
+def test_numerical_error_exit_code(monkeypatch, capsys, cls):
+    monkeypatch.setitem(cli._DISPATCH, "periods", _raising(cls("boom")))
+    assert main(["periods", "--a", "1", "--b", "1"]) == 3
+    assert cls.__name__ in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc, code", [(ValueError("bad"), 2),
+                                       (OSError("gone"), 4)])
+def test_other_error_exit_codes(monkeypatch, capsys, exc, code):
+    monkeypatch.setitem(cli._DISPATCH, "periods", _raising(exc))
+    assert main(["periods", "--a", "1", "--b", "1"]) == code
+    assert str(exc) in capsys.readouterr().err
+
+
+def test_error_note_names_every_numerical_error():
+    named = set(re.findall(r"\b[A-Z][a-z]+(?:[A-Z][a-z0-9]*)+\b",
+                           cli._ERROR_NOTE))
+    assert named == {cls.__name__ for cls in _NUMERICAL_ERRORS}
+    assert len(named) == 14
+
+
+@pytest.mark.parametrize("argv", [
+    ["periods", "--a", "1", "--b", "1", "--jobs", "2"],
+    ["stokes", "--a", "1", "--b", "1", "--config", "f"],
+    ["bsb", "--n", "1", "--m", "1", "--emit-plot", "p"],
+    ["refine", "--n", "1", "--m", "1", "--alpha", "1"],
+    ["refine", "--n", "1", "--m", "1", "--eps", "1"],
+    ["track", "--to=-3.5", "--jobs", "2"],
+    ["convergence", "--catalog", "c", "--q", "1/1", "--config", "f"],
+], ids=lambda argv: " ".join(argv[:1] + argv[-2:-1]))
+def test_unread_option_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -5,15 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tritronquee import complex_ode, oscillator
-from tritronquee.elliptic import Potential, turning_points
+from tritronquee.elliptic import Potential, facing_sqrt, turning_points
 from tritronquee.errors import (NewtonDiverged, OdeToleranceNotMet,
                                 OutsideDisc, PathNearTurningPoint,
                                 StepUnderflow)
 from tritronquee.oscillator import (RaySpec, dependence_residual,
                                     dependence_system, match_point,
                                     psi_logderivative, ray_spec, refine_pole,
-                                    u_values, _recessive_sqrtV,
-                                    _wkb_logderivative)
+                                    u_values, _wkb_logderivative)
 
 import oracles
 from oracles import linear_logderivative
@@ -103,7 +103,7 @@ class TestRaySpec:
             z = rs.start_point
             v = pot(z)
             assert abs(pot.deriv(z)) / abs(v) ** 1.5 < 1e-10
-            w = _recessive_sqrtV(pot, z, rs.angle)
+            w = facing_sqrt(pot, z, cmath.exp(1j * rs.angle))
             two_term = -w - pot.deriv(z) / (4.0 * v)
             assert abs(_wkb_logderivative(pot, z, w) - two_term) < 1e-10
 
@@ -119,7 +119,7 @@ class TestLogDerivative:
         pot = _pot(anchor.point)
         rs = ray_spec(pot, 2)
         z = rs.start_point
-        w = _recessive_sqrtV(pot, z, rs.angle)
+        w = facing_sqrt(pot, z, cmath.exp(1j * rs.angle))
         s_init = _wkb_logderivative(pot, z, w)
         assert abs(s_init - (-w - pot.deriv(z) / (4.0 * pot(z)))) < 1e-10
 

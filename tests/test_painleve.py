@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tritronquee import complex_ode, painleve
-from tritronquee.errors import NumericalError, PoleFitFailed
+from tritronquee.errors import NewtonDiverged, NumericalError, PoleFitFailed
 from tritronquee.painleve import (TOL_FIT, laurent_coefficients,
                                   seed_asymptotic, track,
                                   tritronquee_series_coefficients)
@@ -258,6 +258,8 @@ def _stop_above(level):
 @given(z0=_complex(2.0), dz=_complex(1.5),
        state=st.tuples(_complex(2.0), _complex(2.0)),
        stop_at=st.floats(2.0, 100.0))
+# the fixed point of y(z) -> w^2 y(w z): a_19 = a_20 = 0 at every step
+@example(z0=0j, dz=1 + 0j, state=(0j, 0j), stop_at=2.0)
 def test_taylor_leg_matches_dop853(z0, dz, state, stop_at):
     """A Taylor leg agrees with the DOP853 leg it replaced, run at rtol
     1e-14 on the frozen closure path.  Where the reference stops because
@@ -301,3 +303,32 @@ def test_route_three_work_count(monkeypatch):
     _, poles = track(seed_asymptotic(40.0), [40.0, -12.0])
     assert len(poles) == 4
     assert sum(steps) <= 400
+
+
+def test_track_many_waypoints():
+    """249 legs that pass no pole: the guard bounds pole passes per leg,
+    not the number of legs."""
+    waypoints = [40.0 - 0.1 * i for i in range(250)]
+    final, poles = track(seed_asymptotic(40.0), waypoints)
+    assert poles == []
+    assert final.z == waypoints[-1]
+    direct, _ = track(seed_asymptotic(40.0), [40.0, waypoints[-1]])
+    assert abs(final.y - direct.y) <= 1e-9 * abs(direct.y)
+    assert abs(final.yp - direct.yp) <= 1e-9 * abs(direct.yp)
+
+
+def test_track_stuck_pole_pass_raises(monkeypatch):
+    """Pole passes whose exit lands behind their entry never advance the
+    path; the guard still ends them."""
+    state = seed_asymptotic(40.0)
+
+    def stop_at_start(y, z0, z1, rtol, on_accept=None):
+        return complex_ode.IntegrationResult(0.0, y, True, 0), z0
+
+    # a pole 1e-7 behind each fit point: the two fits agree to 2e-8, and
+    # each exit lands 2.2e-7 behind its entry
+    monkeypatch.setattr(painleve, "_pi_leg", stop_at_start)
+    monkeypatch.setattr(painleve, "_fit_pole",
+                        lambda table, z, y, yp, a0: (z + 1e-7, 0j))
+    with pytest.raises(NewtonDiverged, match="did not settle"):
+        track(state, [40.0, -12.0])

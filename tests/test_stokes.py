@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tritronquee.bsb import solve_period_targets
-from tritronquee.elliptic import Potential, turning_points
-from tritronquee.errors import DegenerateTurningPoints
+from tritronquee.elliptic import PeriodData, Potential, turning_points
+from tritronquee.errors import DegenerateTurningPoints, NumericalError
 from tritronquee.stokes import (ASYMPTOTIC, TURNING_POINT, classify_graph,
                                 polylines, trace_stokes_lines)
 
@@ -195,3 +196,61 @@ def test_polylines_export(anchor):
     for line, ln in zip(data, g.lines):
         assert len(line) == len(ln.points)
         assert all(len(pair) == 2 for pair in line)
+
+
+# ---------------------------------------------------------------------------
+# failures over the parameter plane
+
+
+def _box(half_width):
+    side = st.floats(-half_width, half_width)
+    return st.builds(complex, side, side)
+
+
+def _coalescing(b, branch, rel):
+    """a with a^3 = 2646 b^2 (1 + rel)^3, where two turning points meet
+    at rel = 0."""
+    cube_root = (2646.0 * b * b) ** (1.0 / 3.0)
+    return cube_root * cmath.exp(2j * math.pi * branch / 3.0) * (1.0 + rel), b
+
+
+_PLANE = {
+    "coalescing": st.builds(_coalescing, _box(5.0), st.integers(0, 2),
+                            st.just(0.0) | st.floats(1e-16, 1e-1)),
+    # three real roots: the third lies on the carrier line of each cut
+    "third_root_on_cut": st.tuples(st.floats(1e-2, 50.0),
+                                   st.just(0.0) | st.floats(-1e-3, 1e-3)),
+    "large_a": st.tuples(
+        st.builds(lambda r, phi: r * cmath.exp(1j * phi),
+                  st.floats(1e2, 1e5), st.floats(-math.pi, math.pi)),
+        _box(100.0)),
+    # mostly graphs that are not of type "320"
+    "generic": st.tuples(_box(10.0), _box(2.0)),
+}
+
+
+@pytest.mark.parametrize("region", sorted(_PLANE))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_parameter_plane_raises_only_numerical_errors(region, data):
+    pot = Potential(*data.draw(_PLANE[region]))
+    for run in (lambda: turning_points(pot),
+                lambda: PeriodData.compute(pot),
+                lambda: classify_graph(trace_stokes_lines(pot))):
+        try:
+            run()
+        except NumericalError:
+            pass
+
+
+@pytest.mark.parametrize("a", [math.nan, math.inf])
+def test_non_finite_parameters_are_value_errors(a):
+    # numpy's LinAlgError, a ValueError: the CLI exits 2 on it
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+        turning_points(Potential(a, 0.0))
+
+
+def test_subnormal_coefficient_classifies():
+    # V' at the real root is 43.9 - 1e-323j, whose phase underflows
+    graph = trace_stokes_lines(Potential(5e-324j, 1.0))
+    assert classify_graph(graph) == LABEL_SYMMETRIC
