@@ -167,6 +167,8 @@ def build_catalog(q_list, K: int, cfg: ToolConfig | None = None,
     Each primitive is solved, Stokes check included, once per q; its
     k-seeds are rescalings of it.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, not {jobs}")
     cfg = cfg or ToolConfig()
     seeds = []
     for q in q_list:

@@ -15,7 +15,9 @@ The tableau is a per-call argument.  ``painleve`` no longer runs here: its
 right-hand side 6 y^2 - z is a quadratic polynomial, so it steps with the
 solution's own Taylor series, whose coefficients follow exactly from a
 recurrence (244 steps from 40 to -12, where DOP853 took 2,033 and DP54
-16,247).  No other right-hand side here has that form.  The Stokes tracer
+16,247).  Its Taylor legs and Laurent frames are generated straight-line
+code too, compiled by ``_compile`` as these kernels are.  No other
+right-hand side here has that form.  The Stokes tracer
 stays on ``DP54``: at rtol 1e-9 DOP853's steps only halve, while every
 step would make twice the evaluations of its tangent, a complex square
 root of V with its branch choice, so no evaluation is saved.  The tangent

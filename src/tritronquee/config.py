@@ -81,9 +81,10 @@ def load_config(path: str | None) -> ToolConfig:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             parsed = _parse_scalar(value)
             default = getattr(cfg, key)
-            if isinstance(default, int) and not isinstance(parsed, bool):
-                parsed = int(parsed)
-            elif isinstance(default, float):
+            if isinstance(default, int) and type(parsed) is not int:
+                raise ValueError(f"{path}:{lineno}: {key} takes an integer, "
+                                 f"not {value!r}")
+            if isinstance(default, float):
                 parsed = float(parsed)
             overrides[key] = parsed
     return replace(cfg, **overrides)

@@ -19,6 +19,11 @@ closures the oscillator and the Painleve legs ran on it; on DOP853,
 whose tangent was a closure over ``branch_sqrt``, run on
 ``closure_integrate``, and ``homotopy_solve`` a frozen copy of route 1's
 homotopy that solved every intermediate target to the Newton tolerance.
+``taylor_coefficients``, ``taylor_eval`` and ``taylor_leg`` are frozen
+copies of route 3's Taylor recurrence, Horner sum and leg as loops, and
+``laurent_series`` and ``laurent_frame`` of the Laurent-frame sums, which
+``painleve`` now generates as straight-line code with every operation in
+the same order.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import numbers
 
 import numpy as np
 
-from tritronquee import complex_ode, stokes
+from tritronquee import complex_ode, painleve, stokes
 from tritronquee.bsb import (PRIMITIVE_11_SEED, TOL_NEWTON, QuantumPair,
                              _homotopy_targets, solve_period_targets)
 from tritronquee.elliptic import (_SIGMA_CHI2, _SIGMA_CHIM2, CycleId,
@@ -596,3 +601,117 @@ def homotopy_solve(quantum: QuantumPair,
     for t2, tm2 in _homotopy_targets(quantum):
         point, res = solve_period_targets(t2, tm2, point, tol_newton)
     return point, res
+
+
+# ---------------------------------------------------------------------------
+# route 3's loops, frozen: the Taylor recurrence, its Horner evaluation and
+# the leg around them, and the Laurent-frame sums, as they ran before
+# ``painleve`` generated them as straight-line code
+
+#: 6 / ((k+1)(k+2)) for k = 0..N-2: a_{k+2} is the k-th convolution times it
+_TAYLOR_SCALE = tuple(6.0 / ((k + 1) * (k + 2))
+                      for k in range(painleve.TAYLOR_ORDER - 1))
+#: the index pairs (i, k-i), i < k-i, of the symmetric half of each convolution
+_TAYLOR_PAIRS = tuple(tuple((i, k - i) for i in range((k + 1) // 2))
+                      for k in range(painleve.TAYLOR_ORDER - 1))
+
+
+def taylor_coefficients(y: complex, yp: complex, zc: complex) -> list:
+    """Coefficients a_0..a_N of the solution through (y, y') at zc."""
+    a = [y, yp, 3.0 * y * y - 0.5 * zc, 2.0 * y * yp - 1.0 / 6.0]
+    for k in range(2, painleve.TAYLOR_ORDER - 1):
+        conv = 0j
+        for i, j in _TAYLOR_PAIRS[k]:
+            conv += a[i] * a[j]
+        conv += conv
+        if k % 2 == 0:
+            conv += a[k // 2] * a[k // 2]
+        a.append(conv * _TAYLOR_SCALE[k])
+    return a
+
+
+def taylor_eval(a: list, s: complex) -> tuple[complex, complex]:
+    """(y, y') of the polynomial sum a_k s^k, by Horner."""
+    n = painleve.TAYLOR_ORDER
+    y, yp = a[n], n * a[n]
+    for k in range(n - 1, 0, -1):
+        y = y * s + a[k]
+        yp = yp * s + k * a[k]
+    return y * s + a[0], yp
+
+
+def taylor_leg(y0, z0: complex, z1: complex, rtol: float, on_accept=None):
+    """``painleve._pi_leg`` as a loop over ``taylor_coefficients`` and
+    ``taylor_eval``."""
+    dz = z1 - z0
+    adz = abs(dz)
+    y, yp = complex(y0[0]), complex(y0[1])
+    t = 0.0
+    n = 0
+    N = painleve.TAYLOR_ORDER
+    while t < 1.0:
+        if n >= painleve._MAX_STEPS:
+            raise OdeToleranceNotMet(
+                f"step limit {painleve._MAX_STEPS} reached at t={t:.6g}")
+        a = taylor_coefficients(y, yp, z0 + t * dz)
+        tail1 = abs(a[N - 1]) + 1e-300
+        tail = abs(a[N]) + 1e-300
+        if not math.isfinite(tail1 + tail):
+            raise StepUnderflow(f"non-finite Taylor coefficient at t={t:.6g}")
+        tol = painleve.TAYLOR_TARGET * rtol
+        tol_y = tol * (1.0 + abs(y))
+        tol_yp = tol * (1.0 + abs(yp))
+        reach = min((tol_y / tail1) ** (1.0 / (N - 1)),
+                    (tol_y / tail) ** (1.0 / N),
+                    (tol_yp / ((N - 1) * tail1)) ** (1.0 / (N - 2)),
+                    (tol_yp / (N * tail)) ** (1.0 / (N - 1)))
+        slack = 1e4 * tol_y
+        s = min(reach, (1.0 - t) * adz)
+        if ((abs(a[N - 4]) + (abs(a[N - 3]) + abs(a[N - 2]) * s) * s)
+                * s ** (N - 4) > slack):
+            for k in range(N - 4, N - 1):
+                reach = min(reach, (slack / (abs(a[k]) + 1e-300)) ** (1.0 / k))
+        if reach >= (1.0 - t) * adz:
+            h, t = 1.0 - t, 1.0
+        else:
+            h = reach / adz
+            if h < 1e-15:
+                raise StepUnderflow(f"step underflow at t={t:.6g}")
+            t += h
+        y, yp = taylor_eval(a, h * dz)
+        n += 1
+        if on_accept is not None:
+            (y, yp), action = on_accept(t, (y, yp))
+            if action == complex_ode.STOP:
+                return (complex_ode.IntegrationResult(t, (y, yp), True, n),
+                        z0 + t * dz)
+    return complex_ode.IntegrationResult(t, (y, yp), False, n), z0 + t * dz
+
+
+def laurent_series(table: painleve.LaurentTable, a: complex,
+                   b: complex) -> list:
+    """The coefficients and their a- and b-derivatives at (a, b)."""
+    pa, pb = [1.0], [1.0]
+    for _ in range(table._degree):
+        pa.append(pa[-1] * a)
+        pb.append(pb[-1] * b)
+    out = [[0j] * table.n for _ in range(3)]
+    for s, j, v, i, k in table._terms:
+        out[s][j] += v * pa[i] * pb[k]
+    return out
+
+
+def laurent_frame(table: painleve.LaurentTable, a: complex, b: complex,
+                  z: complex):
+    """``LaurentTable.eval_frame`` as loops over ``laurent_series``."""
+    t = z - a
+    sums = []
+    for c in laurent_series(table, a, b):
+        s = ds = 0j
+        for j in range(table.n - 1, -1, -1):
+            s = s * t + c[j]
+            ds = ds * t + (j - 2) * c[j]
+        sums.append((s / (t * t), ds / (t * t * t)))
+    (y, yp), (y_a, yp_a), (y_b, yp_b) = sums
+    ypp = 6.0 * y * y - z
+    return y, yp, y_a - yp, y_b, yp_a - ypp, yp_b

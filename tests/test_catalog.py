@@ -165,6 +165,15 @@ class TestConfig:
             with pytest.raises(ValueError, match="unknown config key"):
                 load_config(str(path))
 
+    def test_integer_key_takes_only_integers(self, tmp_path):
+        # laurent_order sizes the generated Laurent frame; 10.7 loaded as 10
+        path = tmp_path / "conf"
+        for text in ("laurent_order = 10.7\n", "laurent_order = 10.0\n",
+                     "laurent_order = true\n", "laurent_order = ten\n"):
+            path.write_text(text)
+            with pytest.raises(ValueError, match="takes an integer"):
+                load_config(str(path))
+
     def test_every_key_is_read(self):
         # by the catalog, so that its header hash describes its entries
         source = inspect.getsource(catalog)

@@ -78,6 +78,29 @@ def test_track_command(capsys):
     assert abs(data["poles"][0]["a"][0] - (-2.3841687695685)) < 1e-6
 
 
+def test_track_subnormal_seed_angle(capsys):
+    """A seed angle that underflows to zero (cmath.phase raises there)
+    passes the same pole as the real seed."""
+    assert main(["track", "--z0=40", "--to=-3.5", "--json"]) == 0
+    real = json.loads(capsys.readouterr().out)
+    assert main(["track", "--z0=40,1e-323", "--to=-3.5", "--json"]) == 0
+    tilted = json.loads(capsys.readouterr().out)
+    assert len(tilted["poles"]) == 1
+    assert (tilted["poles"][0]["a"][0] == real["poles"][0]["a"][0]
+            == -2.384168769568807)
+    assert abs(tilted["poles"][0]["a"][1]) < 1e-300
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_catalog_jobs_below_one_rejected(tmp_path, capsys, jobs):
+    out = tmp_path / "cat.json"
+    code = main(["catalog", "--q", "1,1", "--K", "1", f"--jobs={jobs}",
+                 "--out", str(out)])
+    assert code == 2
+    assert "jobs must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_arguments_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["periods", "--a", "nonsense", "--b", "0"])

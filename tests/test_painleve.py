@@ -29,7 +29,7 @@ LEG_AGREEMENT = 1e-9
 
 
 def _series_eval(table, a, b, z):
-    c = table.numeric(a, b)
+    c = oracles.laurent_series(table, a, b)[0]
     t = z - a
     y = sum(cj * t ** (j - 2) for j, cj in enumerate(c))
     yp = sum(cj * (j - 2) * t ** (j - 3) for j, cj in enumerate(c))
@@ -332,3 +332,56 @@ def test_track_stuck_pole_pass_raises(monkeypatch):
                         lambda table, z, y, yp, a0: (z + 1e-7, 0j))
     with pytest.raises(NewtonDiverged, match="did not settle"):
         track(state, [40.0, -12.0])
+
+
+def _bits(values):
+    """The bit patterns of complex numbers: equal only when every value
+    is, signed zeros and NaNs included."""
+    return [(v.real.hex(), v.imag.hex()) for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(y=_complex(20.0), yp=_complex(60.0), zc=_complex(50.0),
+       s=_complex(0.5))
+# the fixed point of y(z) -> w^2 y(w z): a_19 = a_20 = 0
+@example(y=0j, yp=0j, zc=0j, s=0.3 + 0j)
+def test_generated_taylor_kernels_match_loops(y, yp, zc, s):
+    """The generated recurrence and Horner sums equal the frozen loops."""
+    a = painleve._taylor_kernel("coefficients")(y, yp, zc)
+    ref = oracles.taylor_coefficients(y, yp, zc)
+    assert _bits(a) == _bits(ref)
+    got = painleve._taylor_kernel("evaluate")(a, s)
+    assert _bits(got) == _bits(oracles.taylor_eval(ref, s))
+
+
+def _leg_outcome(leg, *args):
+    try:
+        res, z_end = leg(*args)
+    except NumericalError as exc:
+        return type(exc), str(exc)
+    return res.t, _bits(res.y), res.stopped, res.n_steps, _bits([z_end])
+
+
+@settings(max_examples=60, deadline=None)
+@given(z0=_complex(2.0), dz=_complex(1.5),
+       state=st.tuples(_complex(2.0), _complex(2.0)),
+       stop_at=st.floats(2.0, 100.0))
+# the fixed point again: a_19 = a_20 = 0 at every step
+@example(z0=0j, dz=1 + 0j, state=(0j, 0j), stop_at=2.0)
+def test_generated_leg_matches_loop(z0, dz, state, stop_at):
+    """The generated leg takes the steps of the frozen loop: the same end
+    point, state, step count and stop, or the same error."""
+    args = (state, z0, z0 + dz, 1e-13, _stop_above(stop_at))
+    assert (_leg_outcome(painleve._pi_leg, *args)
+            == _leg_outcome(oracles.taylor_leg, *args))
+
+
+@settings(max_examples=200, deadline=None)
+@given(order=st.sampled_from([8, 16]), a=_complex(40.0), b=_complex(5.0),
+       t=st.complex_numbers(min_magnitude=1e-3, max_magnitude=1.0,
+                            allow_nan=False, allow_infinity=False))
+def test_generated_frame_matches_loops(order, a, b, t):
+    """The generated Laurent frame equals the frozen loop sums."""
+    table = laurent_coefficients(order)
+    assert (_bits(table.eval_frame(a, b, a + t))
+            == _bits(oracles.laurent_frame(table, a, b, a + t)))
