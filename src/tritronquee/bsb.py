@@ -14,6 +14,7 @@ integers generate whole q-sequences by exact rescaling.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -220,4 +221,4 @@ def tilde_U(point: ParamPoint) -> tuple[complex, complex]:
     Vanishes exactly at solutions of the quantization system.
     """
     pd = PeriodData.compute(Potential(point.a, point.b))
-    return (-np.exp(pd.chi2) - 1.0, -np.exp(pd.chi_m2) - 1.0)
+    return (-cmath.exp(pd.chi2) - 1.0, -cmath.exp(pd.chi_m2) - 1.0)

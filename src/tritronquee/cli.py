@@ -236,7 +236,8 @@ def _cmd_track(args, cfg: ToolConfig) -> int:
     z0 = complex(cfg.z_seed, 0.0) if args.z0 is None else args.z0
     state = seed_asymptotic(z0, tol_seed=cfg.tol_seed,
                             tol_match=cfg.tol_match, margin=cfg.seed_margin)
-    trail: list = []
+    # the dense trail costs about five times the track itself
+    trail = [] if args.emit_plot else None
     final, poles = track(state, [z0] + list(args.to),
                          fit_radius=cfg.fit_radius,
                          blowup_threshold=cfg.blowup_threshold,

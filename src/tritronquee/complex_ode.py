@@ -11,22 +11,25 @@ first-same-as-last (FSAL) property and local extrapolation (Hairer, Norsett
 - ``DOP853``, Hairer's 8th-order method with the combined 5th/3rd-order
   error estimate: 12 stages per step.
 
-The tableau is a per-call argument.  ``painleve`` no longer runs here: its
-right-hand side 6 y^2 - z is a quadratic polynomial, so it steps with the
+The tableau is a per-call argument.  Two kinds of leg no longer run here,
+because their right-hand sides are polynomials, so they step with the
 solution's own Taylor series, whose coefficients follow exactly from a
-recurrence (244 steps from 40 to -12, where DOP853 took 2,033 and DP54
-16,247).  Its Taylor legs and Laurent frames are generated straight-line
-code too, compiled by ``_compile`` as these kernels are.  No other
-right-hand side here has that form.  The Stokes tracer
-stays on ``DP54``: at rtol 1e-9 DOP853's steps only halve, while every
-step would make twice the evaluations of its tangent, a complex square
-root of V with its branch choice, so no evaluation is saved.  The tangent
+recurrence: ``painleve``'s 6 y^2 - z (244 steps from 40 to -12, where
+DOP853 took 2,033 and DP54 16,247) and the oscillator's outward pair legs,
+two Riccati equations s' = V - s^2 with V cubic and the integral of their
+difference (834 steps per ``catalog`` pass, where DP54 took 24,946).
+Their Taylor legs, and ``painleve``'s Laurent frames, are generated
+straight-line code too, compiled by ``_compile`` as these kernels are.
+The Stokes tracer stays on ``DP54``: at rtol 1e-9 DOP853's steps only
+halve, while every step would make twice the evaluations of its tangent,
+a complex square root of V with its branch choice, so no evaluation is
+saved.  The tangent
 runs in the kernel like every other right-hand side here, with the
 branch reference in a list that its ``on_accept`` updates.  The
-oscillator stays on ``DP54``
-too, so its poles keep their values; ``DOP853`` stays for its move
-(ROADMAP item 2 has the measurements: about 3x fewer steps per
-``catalog`` pass), and as the tests' reference for the Taylor legs.
+oscillator's inward legs stay on ``DP54`` too, so its poles keep their
+values; ``DOP853`` stays for their move (ROADMAP item 3 has the
+measurements: about 3x fewer steps per ``catalog`` pass), and as the
+tests' reference for the Taylor legs.
 
 The state is either a bare ``complex`` (one unknown) or a tuple of complex
 (any number of unknowns).  Each run is one generated function

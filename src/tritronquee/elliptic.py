@@ -123,9 +123,13 @@ def turning_points(pot: Potential) -> TurningPoints:
 
     Raises DegenerateTurningPoints when two roots are closer than
     ``DEGENERACY_REL * (1 + max |root|)``: period quadrature loses accuracy
-    well before exact collision.
+    well before exact collision.  A coefficient that is not finite raises
+    ``ValueError``.
     """
     a, b = pot.a, pot.b
+    for name, value in (("a", a), ("b", b)):
+        if not cmath.isfinite(value):
+            raise ValueError(f"coefficient {name} = {value} is not finite")
     roots = np.roots([4.0, 0.0, -2.0 * a, -28.0 * b]).astype(complex)
     # two Newton polish passes tighten |V(root)| to round-off; a step that
     # is not finite (V' zero, or subnormal so that 0 / V' is nan) is skipped

@@ -288,12 +288,21 @@ def _coefficient_lines(n: int) -> list[str]:
     return lines
 
 
+def _horner(c: str, n: int) -> str:
+    """Expression of the polynomial sum c_k s^k over the locals c0..c<n>,
+    by Horner."""
+    expr = f"{c}{n}"
+    for k in range(n - 1, -1, -1):
+        expr = f"({expr}) * s + {c}{k}"
+    return expr
+
+
 def _horner_sums(n: int) -> tuple[str, str]:
     """Expressions of y and y' of the polynomial sum a_k s^k, by Horner."""
-    y, yp = f"a{n}", f"{n} * a{n}"
+    yp = f"{n} * a{n}"
     for k in range(n - 1, 0, -1):
-        y, yp = f"({y}) * s + a{k}", f"({yp}) * s + {k} * a{k}"
-    return f"({y}) * s + a0", yp
+        yp = f"({yp}) * s + {k} * a{k}"
+    return _horner("a", n), yp
 
 
 # One whole Taylor leg; ``_pi_leg`` states the step control.  A minimum

@@ -116,7 +116,9 @@ def _trace_single(pot: Potential, tp: TurningPoints, origin: int, angle: float,
         state["lam"] = lam
         points.append(lam)
         if abs(lam) >= escape_radius:
-            state["terminus"] = (ASYMPTOTIC, _gap_index(cmath.phase(lam)))
+            # atan2, where cmath.phase raises on an underflowing angle
+            state["terminus"] = (ASYMPTOTIC,
+                                 _gap_index(math.atan2(lam.imag, lam.real)))
             return lam, complex_ode.STOP
         dist_origin = abs(lam - root)
         if not state["left_origin"] and dist_origin > 3.0 * tol_merge:

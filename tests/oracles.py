@@ -14,7 +14,8 @@ frozen copy of the integrator that called its right-hand side as a Python
 function at every stage, with the generated attempt of ``_stage_source``,
 and ``s_chart``, ``r_chart``, ``pair_leg`` and ``pi_leg`` are the
 closures the oscillator and the Painleve legs ran on it; on DOP853,
-``pi_leg`` is the reference for the Taylor legs that replaced it.
+``pi_leg`` and ``pair_leg`` are the references for the Taylor legs that
+replaced them.
 ``closure_trace_stokes_lines`` is a frozen copy of the Stokes tracer
 whose tangent was a closure over ``branch_sqrt``, run on
 ``closure_integrate``, and ``homotopy_solve`` a frozen copy of route 1's
@@ -23,7 +24,10 @@ homotopy that solved every intermediate target to the Newton tolerance.
 copies of route 3's Taylor recurrence, Horner sum and leg as loops, and
 ``laurent_series`` and ``laurent_frame`` of the Laurent-frame sums, which
 ``painleve`` now generates as straight-line code with every operation in
-the same order.
+the same order.  ``pair_taylor_leg`` is the outward pair leg of
+``oscillator`` as a loop, with every operation of the generated one, and
+``pair_outward`` and ``pair_outward_linear`` are DOP853 references for its
+value ratios, on the closure ``pair_leg`` and on the linear system.
 """
 
 from __future__ import annotations
@@ -285,7 +289,8 @@ def r_chart(pot: Potential, z0: complex, dz: complex):
 
 
 def pair_leg(pot: Potential, z0: complex, dz: complex):
-    """(s_A, s_B, int (s_A - s_B) dlam) on an outward leg."""
+    """(s_A, s_B, int (s_A - s_B) dlam) on an outward leg, with dz folded
+    in: the right-hand side of ``pair_outward``."""
     v = potential_fn(pot)
 
     def f(t, y, z0=z0, dz=dz):
@@ -715,3 +720,140 @@ def laurent_frame(table: painleve.LaurentTable, a: complex, b: complex,
     (y, yp), (y_a, yp_a), (y_b, yp_b) = sums
     ypp = 6.0 * y * y - z
     return y, yp, y_a - yp, y_b, yp_a - ypp, yp_b
+
+
+def bits(values):
+    """The bit patterns of complex numbers: equal only when every value
+    is, signed zeros and NaNs included."""
+    return [(v.real.hex(), v.imag.hex()) for v in values]
+
+
+# ---------------------------------------------------------------------------
+# route 2's outward pair legs: the Taylor leg as loops, and a DOP853
+# reference for the value ratios
+
+
+def pair_taylor_coefficients(p0: complex, d0: complex, j0: complex,
+                             zc: complex, c2a: complex, c28b: complex):
+    """Coefficients (p, d, j) of s_A, d = s_A - s_B and J about zc, as
+    ``oscillator._pair_coefficient_lines`` states them."""
+    n = painleve.TAYLOR_ORDER
+    v = (4.0 * zc * zc * zc - c2a * zc - c28b, 12.0 * zc * zc - c2a,
+         12.0 * zc, 4.0)
+    p = [p0, v[0] - p0 * p0]
+    g = [p0 + p0 - d0]
+    d = [d0, -(d0 * g[0])]
+    j = [j0, d0]
+    for k in range(1, n):
+        c = p[0] * p[k]
+        for i in range(1, (k + 1) // 2):
+            c += p[i] * p[k - i]
+        conv = c + c
+        if k % 2 == 0:
+            conv += p[k // 2] * p[k // 2]
+        scale = 1.0 / (k + 1)
+        p.append((v[k] - conv) * scale if k <= 3 else conv * -scale)
+        g.append(p[k] + p[k] - d[k])
+        c = d[0] * g[k]
+        for i in range(1, k + 1):
+            c += d[i] * g[k - i]
+        d.append(c * -scale)
+        j.append(d[k] * scale)
+    return p, d, j
+
+
+def _horner(c: list, s: complex) -> complex:
+    value = c[-1]
+    for coefficient in reversed(c[:-1]):
+        value = value * s + coefficient
+    return value
+
+
+def pair_taylor_leg(y0, pot: Potential, z0: complex, dz: complex,
+                    rtol: float, on_accept):
+    """``oscillator._pair_leg`` as a loop over ``pair_taylor_coefficients``."""
+    n = painleve.TAYLOR_ORDER
+    c2a, c28b = 2.0 * pot.a, 28.0 * pot.b
+    p0, d0, j0 = y0
+    adz = abs(dz)
+    tol = painleve.TAYLOR_TARGET * rtol
+    t = 0.0
+    steps = 0
+    while t < 1.0:
+        if steps >= painleve._MAX_STEPS:
+            raise OdeToleranceNotMet(
+                f"step limit {painleve._MAX_STEPS} reached at t={t:.6g}")
+        series = pair_taylor_coefficients(p0, d0, j0, z0 + t * dz, c2a, c28b)
+        tails = [(abs(c[n - 1]) + 1e-300, abs(c[n]) + 1e-300) for c in series]
+        if not math.isfinite(sum(x for pair in tails for x in pair)):
+            raise StepUnderflow(f"non-finite Taylor coefficient at t={t:.6g}")
+        errs = [tol * (1.0 + abs(c[0])) for c in series]
+        reach = min(r for e, (tail1, tail) in zip(errs, tails)
+                    for r in ((e / tail1) ** (1.0 / (n - 1)),
+                              (e / tail) ** (1.0 / n)))
+        rest = (1.0 - t) * adz
+        if reach >= rest:
+            h, t = 1.0 - t, 1.0
+        else:
+            h = reach / adz
+            if h < 1e-15:
+                raise StepUnderflow(f"step underflow at t={t:.6g}")
+            t += h
+        p0, d0, j0 = (_horner(c, h * dz) for c in series)
+        steps += 1
+        if on_accept(t, (p0, p0 - d0, j0)) == complex_ode.STOP:
+            return complex_ode.IntegrationResult(t, (p0, d0, j0), True, steps)
+    return complex_ode.IntegrationResult(t, (p0, d0, j0), False, steps)
+
+
+def pair_outward(pot: Potential, tp: TurningPoints, sA0: complex,
+                 sB0: complex, z_from: complex, z_to: complex, rtol: float):
+    """``oscillator._integrate_pair_outward`` on DOP853 at rtol 1e-14: J
+    on the closure ``pair_leg`` along the same path, up to where s_A and
+    s_B are one float.  It bends the path around no pole: a carrier that
+    grows past 1e3 raises ``OdeToleranceNotMet``."""
+    value = (complex(sA0), complex(sB0), 0j)
+    waypoints = _path_to(tp, z_from, z_to)
+
+    def on_accept(t, y):
+        if abs(y[0]) > 1e3 or abs(y[1]) > 1e3:
+            raise OdeToleranceNotMet("a carrier passes near a pole")
+        return y, complex_ode.STOP if y[0] == y[1] else complex_ode.CONTINUE
+
+    for z0, z1 in zip(waypoints[:-1], waypoints[1:]):
+        if z1 == z0:
+            continue
+        res = complex_ode.integrate(pair_leg(pot, z0, z1 - z0), 0.0, 1.0,
+                                    value, rtol=1e-14, atol=1e-16,
+                                    on_accept=on_accept,
+                                    tableau=complex_ode.DOP853)
+        value = res.y
+        if res.stopped:
+            break
+    return value[2]
+
+
+def pair_outward_linear(pot: Potential, tp: TurningPoints, sA0: complex,
+                        sB0: complex, z_from: complex, z_to: complex,
+                        rtol: float):
+    """``pair_outward`` from the linear system: J is log(psi_A / psi_B) at
+    the end of the same path, with psi_A and psi_B the solutions of
+    psi'' = V psi with psi = 1 and psi' = s_A, s_B at z_from, by DOP853 at
+    rtol 1e-14 until their log-derivatives are one float.  psi has no
+    poles, so this reference needs no dodge where ``pair_outward`` does."""
+    def f(z, y):
+        v = pot(z)
+        return (y[1], v * y[0], y[3], v * y[2])
+
+    def on_accept(z, y):
+        if y[1] / y[0] == y[3] / y[2]:
+            return y, complex_ode.STOP
+        m = max(abs(y[0]), abs(y[2]))
+        if m > 1e100:
+            return tuple(c / m for c in y), complex_ode.CONTINUE
+        return y, complex_ode.CONTINUE
+
+    res = complex_ode.integrate_along_path(
+        f, (1.0, sA0, 1.0, sB0), _path_to(tp, z_from, z_to), rtol=1e-14,
+        atol=1e-300, on_accept=on_accept, tableau=complex_ode.DOP853)
+    return cmath.log(res.y[0] / res.y[2])

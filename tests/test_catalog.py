@@ -107,6 +107,22 @@ class TestPipeline:
         write_catalog(doc, str(path))
         assert read_catalog(str(path)) == doc
 
+    def test_read_back_has_the_built_types(self, tmp_path):
+        """Every field of a built entry has the type it reads back with:
+        the WKB gaps are float, not numpy.float64."""
+        doc = build_catalog([QuantumPair(1, 1)], 0)
+        path = tmp_path / "cat.json"
+        write_catalog(doc, str(path))
+        loaded = read_catalog(str(path))
+
+        def types(entries):
+            return [{key: type(value) for key, value in e.items()}
+                    for e in entries]
+
+        assert type(doc["entries"][0]["wkb_gap2"]) is float
+        assert type(doc["entries"][0]["wkb_gapm2"]) is float
+        assert types(loaded["entries"]) == types(doc["entries"])
+
     def test_determinism(self):
         doc1 = build_catalog([QuantumPair(1, 1)], 0)
         doc2 = build_catalog([QuantumPair(1, 1)], 0)

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from tritronquee import cli, errors
+from tritronquee import cli, errors, painleve
 from tritronquee.cli import main
 
 _NUMERICAL_ERRORS = sorted(
@@ -89,6 +89,34 @@ def test_track_subnormal_seed_angle(capsys):
     assert (tilted["poles"][0]["a"][0] == real["poles"][0]["a"][0]
             == -2.384168769568807)
     assert abs(tilted["poles"][0]["a"][1]) < 1e-300
+
+
+def test_track_records_its_trail_only_for_a_plot(tmp_path, monkeypatch,
+                                                  capsys):
+    """The dense trail is computed only for ``--emit-plot``; the printed
+    poles are the same without it."""
+    dense = painleve._dense_points
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return dense(*args)
+
+    monkeypatch.setattr(painleve, "_dense_points", counting)
+    plot = tmp_path / "plot.json"
+    assert main(["track", "--to=-3.5", "--json",
+                 "--emit-plot", str(plot)]) == 0
+    with_plot = capsys.readouterr().out
+    assert calls and len(json.loads(plot.read_text())["polylines"][0]) > 0
+    calls.clear()
+    assert main(["track", "--to=-3.5", "--json"]) == 0
+    assert calls == []
+    assert capsys.readouterr().out == with_plot
+
+
+def test_periods_non_finite_coefficient(capsys):
+    assert main(["periods", "--a=nan", "--b=0"]) == 2
+    assert "coefficient a = (nan+0j) is not finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -13,7 +13,7 @@ from tritronquee.painleve import (TOL_FIT, laurent_coefficients,
                                   tritronquee_series_coefficients)
 
 import oracles
-from oracles import hermite_quintic_residual
+from oracles import bits, hermite_quintic_residual
 
 #: first real pole and its quartic coefficient (this module is the oracle;
 #: the values are cross-validated by chart-parameter halving below)
@@ -334,12 +334,6 @@ def test_track_stuck_pole_pass_raises(monkeypatch):
         track(state, [40.0, -12.0])
 
 
-def _bits(values):
-    """The bit patterns of complex numbers: equal only when every value
-    is, signed zeros and NaNs included."""
-    return [(v.real.hex(), v.imag.hex()) for v in values]
-
-
 @settings(max_examples=300, deadline=None)
 @given(y=_complex(20.0), yp=_complex(60.0), zc=_complex(50.0),
        s=_complex(0.5))
@@ -349,9 +343,9 @@ def test_generated_taylor_kernels_match_loops(y, yp, zc, s):
     """The generated recurrence and Horner sums equal the frozen loops."""
     a = painleve._taylor_kernel("coefficients")(y, yp, zc)
     ref = oracles.taylor_coefficients(y, yp, zc)
-    assert _bits(a) == _bits(ref)
+    assert bits(a) == bits(ref)
     got = painleve._taylor_kernel("evaluate")(a, s)
-    assert _bits(got) == _bits(oracles.taylor_eval(ref, s))
+    assert bits(got) == bits(oracles.taylor_eval(ref, s))
 
 
 def _leg_outcome(leg, *args):
@@ -359,7 +353,7 @@ def _leg_outcome(leg, *args):
         res, z_end = leg(*args)
     except NumericalError as exc:
         return type(exc), str(exc)
-    return res.t, _bits(res.y), res.stopped, res.n_steps, _bits([z_end])
+    return res.t, bits(res.y), res.stopped, res.n_steps, bits([z_end])
 
 
 @settings(max_examples=60, deadline=None)
@@ -383,5 +377,5 @@ def test_generated_leg_matches_loop(z0, dz, state, stop_at):
 def test_generated_frame_matches_loops(order, a, b, t):
     """The generated Laurent frame equals the frozen loop sums."""
     table = laurent_coefficients(order)
-    assert (_bits(table.eval_frame(a, b, a + t))
-            == _bits(oracles.laurent_frame(table, a, b, a + t)))
+    assert (bits(table.eval_frame(a, b, a + t))
+            == bits(oracles.laurent_frame(table, a, b, a + t)))

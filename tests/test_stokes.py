@@ -245,8 +245,9 @@ def test_parameter_plane_raises_only_numerical_errors(region, data):
 
 @pytest.mark.parametrize("a", [math.nan, math.inf])
 def test_non_finite_parameters_are_value_errors(a):
-    # numpy's LinAlgError, a ValueError: the CLI exits 2 on it
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+    # a ValueError that names the coefficient: the CLI exits 2 on it
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError,
+                                                      match="not finite"):
         turning_points(Potential(a, 0.0))
 
 
