@@ -1,43 +1,43 @@
-"""Adaptive embedded Runge-Kutta integration for complex-valued systems.
+"""The package's two ODE integrators for complex-valued systems.
 
-The integrator advances ``y' = g(t, y)`` for a real parameter ``t``; paths
+Both run each leg as one generated function, compiled by ``_compile``
+(as ``painleve``'s Laurent frames are): the right-hand side, the step
+control and the state all stay in local variables from the first step to
+the last.
+
+- ``integrate``: adaptive embedded Runge-Kutta for any right-hand side.
+- ``taylor_leg``: Taylor steps for polynomial right-hand sides, whose
+  Taylor coefficients follow exactly from a recurrence (the local-series
+  approach of Fornberg & Weideman, J. Comput. Phys. 230, 2011).
+
+``integrate`` advances ``y' = g(t, y)`` for a real parameter ``t``; paths
 in the complex plane are handled by the callers through the parametrization
-baked into ``g`` (``integrate_along_path`` does this for polylines).  One
-code generator runs either of two explicit pairs with the
-first-same-as-last (FSAL) property and local extrapolation (Hairer, Norsett
-& Wanner, Solving ODEs I, II.4-II.5 and II.10):
+baked into ``g``.  ``integrate_along_path`` does this for polylines; no
+module of the package calls it, only the tests' DOP853 references and the
+benchmark's tracer.  One code generator runs either of two explicit pairs
+with the first-same-as-last (FSAL) property and local extrapolation
+(Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.5 and II.10):
 
 - ``DP54``, Dormand-Prince 5(4), the default: 6 stages per step.
 - ``DOP853``, Hairer's 8th-order method with the combined 5th/3rd-order
   error estimate: 12 stages per step.
 
-The tableau is a per-call argument.  Two kinds of leg no longer run here,
-because their right-hand sides are polynomials, so they step with the
-solution's own Taylor series, whose coefficients follow exactly from a
-recurrence: ``painleve``'s 6 y^2 - z (244 steps from 40 to -12, where
-DOP853 took 2,033 and DP54 16,247) and the oscillator's outward pair legs,
-two Riccati equations s' = V - s^2 with V cubic and the integral of their
-difference (834 steps per ``catalog`` pass, where DP54 took 24,946).
-Their Taylor legs, and ``painleve``'s Laurent frames, are generated
-straight-line code too, compiled by ``_compile`` as these kernels are.
-The Stokes tracer stays on ``DP54``: at rtol 1e-9 DOP853's steps only
-halve, while every step would make twice the evaluations of its tangent,
-a complex square root of V with its branch choice, so no evaluation is
-saved.  The tangent
-runs in the kernel like every other right-hand side here, with the
-branch reference in a list that its ``on_accept`` updates.  The
-oscillator's inward legs stay on ``DP54`` too, so its poles keep their
-values; ``DOP853`` stays for their move (ROADMAP item 3 has the
-measurements: about 3x fewer steps per ``catalog`` pass), and as the
-tests' reference for the Taylor legs.
+The tableau is a per-call argument.  The Stokes tracer stays on ``DP54``:
+at rtol 1e-9 DOP853's steps only halve, while every step would make twice
+the evaluations of its tangent, a complex square root of V with its branch
+choice, so no evaluation is saved.  The tangent runs in the kernel like
+every other right-hand side here, with the branch reference in a list that
+its ``on_accept`` updates.  The oscillator's inward legs stay on ``DP54``
+too, so its poles keep their values; ``DOP853`` stays for their move
+(ROADMAP item 3 has the measurements: about 3x fewer steps per ``catalog``
+pass), and as the tests' reference for the Taylor legs.
 
 The state is either a bare ``complex`` (one unknown) or a tuple of complex
 (any number of unknowns).  Each run is one generated function
 (``_kernel``), made on first use per tableau, state shape, ``error_dims``
 and right-hand side and then cached: the right-hand side is written into
 every stage and the step controller around the attempts, so no stage makes
-a Python call and the state stays in local variables from the first step
-to the last.  The stages are unrolled over the components, and every
+a Python call.  The stages are unrolled over the components, and every
 component is advanced with the operations of the scalar formula, so a
 scalar and a 1-tuple take identical steps.  The error norm may be
 restricted to the leading components (``error_dims``), which lets
@@ -68,6 +68,15 @@ step; it can inspect and adjust the state (branch-drift correction, chart
 switching, rescaling) and end the run with ``STOP``.  Returning the same
 ``y`` object keeps the FSAL stage; any other object is taken as a new state
 and the right-hand side is evaluated there afresh.
+
+``taylor_leg`` runs a ``TaylorEquation``, an equation given as data, on
+one template (``_taylor_source``) that writes the loop, the step control,
+the errors and the Horner advance.  Two equations run on it: ``painleve``'s
+y'' = 6 y^2 - z (244 steps from 40 to -12, where DOP853 took 2,033 and
+DP54 16,247) and the oscillator's outward pair legs, two Riccati equations
+s' = V - s^2 with V cubic and the integral of their difference (834 steps
+per ``catalog`` pass, where DP54 took 24,946).  Its hook,
+``on_accept(t, view) -> action``, cannot replace the state.
 """
 
 from __future__ import annotations
@@ -547,3 +556,189 @@ def integrate_along_path(f, y0, waypoints, rtol: float = 1e-12,
             stopped = True
             break
     return IntegrationResult(0.0, y, stopped, steps, z_end)
+
+
+# ---------------------------------------------------------------------------
+# Taylor legs of polynomial equations
+
+#: Order N of the local Taylor polynomial of one step.
+TAYLOR_ORDER = 20
+#: Per-step error target as a fraction of rtol; ``taylor_leg`` states its use.
+TAYLOR_TARGET = 1e-2
+#: Steps a Taylor leg takes at most before it raises ``OdeToleranceNotMet``.
+TAYLOR_MAX_STEPS = 100_000
+
+
+@dataclass(frozen=True, eq=False)
+class TaylorEquation:
+    """A polynomial ODE in z as the data ``taylor_kernel`` writes a leg from.
+
+    - ``state``: the names of the carried values; ``params``: those of the
+      constants that the leg takes after ``z0, dz``.
+    - ``recurrence``: source lines that set the Taylor coefficients
+      ``<c>0`` .. ``<c>N``, N = ``TAYLOR_ORDER``, of each series c about
+      the point ``zc`` from the state and the parameters.
+    - ``sources``: for each state value, its series and 0 if it is the
+      series' value, 1 if its derivative.
+    - ``guard``: the series whose terms N-4..N-2 bound the step where its
+      last two vanish (``taylor_leg``), or None.
+    - ``view``: the expressions of the state that the hook sees.
+
+    Compared and hashed by identity: the kernel cache keys on the module
+    constants.
+    """
+
+    state: tuple[str, ...]
+    params: tuple[str, ...]
+    recurrence: tuple[str, ...]
+    sources: tuple[tuple[str, int], ...]
+    guard: str | None
+    view: tuple[str, ...]
+
+
+def _horner(c: str, n: int, derivative: int) -> str:
+    """Expression of the polynomial sum c_k s^k over the locals c0..c<n>,
+    or of its derivative in s, by Horner."""
+    def term(k):
+        return f"{k} * {c}{k}" if derivative else f"{c}{k}"
+    expr = term(n)
+    for k in range(n - 1, derivative - 1, -1):
+        expr = f"({expr}) * s + {term(k)}"
+    return expr
+
+
+def _lower_reach(bounds) -> list[str]:
+    """Lines that lower ``reach`` to each bound in turn: a minimum that
+    keeps the first of equal values, as min() does."""
+    lines = []
+    for bound in bounds:
+        lines += [f"r = {bound}", "if r < reach:", "    reach = r"]
+    return lines
+
+
+def _step_control(eq: TaylorEquation, n: int) -> list[str]:
+    """The lines that bound the step ``reach`` from a step's coefficients
+    and set ``rest``, what is left of the leg; ``taylor_leg`` states the
+    rules."""
+    series = dict.fromkeys(c for c, _ in eq.sources)
+    lines = []
+    for c in series:
+        lines += [f"{c}_tail1 = abs({c}{n - 1}) + 1e-300",
+                  f"{c}_tail = abs({c}{n}) + 1e-300"]
+    tails = " + ".join(f"{c}_tail1 + {c}_tail" for c in series)
+    lines += [f"if not _isfinite({tails}):",
+              "    raise _StepUnderflow(",
+              "        f\"non-finite Taylor coefficient at t={t:.6g}\")"]
+    lines += [f"tol_{v} = tol * (1.0 + abs({v}))" for v in eq.state]
+    bounds = []
+    for v, (c, d) in zip(eq.state, eq.sources):
+        for k, tail in ((n - 1, f"{c}_tail1"), (n, f"{c}_tail")):
+            scaled = f"({k} * {tail})" if d else tail
+            bounds.append(f"(tol_{v} / {scaled}) ** {1.0 / (k - d)!r}")
+    lines += [f"reach = {bounds[0]}"] + _lower_reach(bounds[1:])
+    lines.append("rest = (1.0 - t) * adz")
+    if eq.guard is None:
+        return lines
+    c = eq.guard
+    lines += [f"slack = 1e4 * tol_{eq.state[eq.sources.index((c, 0))]}",
+              "s = rest if rest < reach else reach",
+              f"m4, m3, m2 = abs({c}{n - 4}), abs({c}{n - 3}), "
+              f"abs({c}{n - 2})",
+              f"if (m4 + (m3 + m2 * s) * s) * s ** {n - 4} > slack:"]
+    lines += ["    " + line for line in _lower_reach(
+        f"(slack / (m{n - k} + 1e-300)) ** {1.0 / k!r}"
+        for k in (n - 4, n - 3, n - 2))]
+    return lines
+
+
+# One whole Taylor leg; ``taylor_leg`` states the step control.
+_TAYLOR_TEMPLATE = """\
+def leg({args}, rtol, on_accept):
+    adz = abs(dz)
+    tol = {target!r} * rtol
+    t = 0.0
+    n = 0
+    while t < 1.0:
+        if n >= {max_steps}:
+            raise _OdeToleranceNotMet(
+                f"step limit {max_steps} reached at t={{t:.6g}}")
+        zc = z0 + t * dz
+{coefficients}
+{control}
+        if reach >= rest:
+            h = 1.0 - t
+            t = 1.0
+        else:
+            h = reach / adz
+            if h < 1e-15:
+                raise _StepUnderflow(f"step underflow at t={{t:.6g}}")
+            t += h
+        s = h * dz
+        {state} = {values}
+        n += 1
+        if on_accept is not None and on_accept(t, ({view},)) == _STOP:
+            return t, ({state},), True, n
+    return t, ({state},), False, n
+"""
+
+
+def _taylor_source(eq: TaylorEquation, name: str) -> str:
+    """Source of the generated function ``name`` of ``eq`` at order
+    ``TAYLOR_ORDER``: ``coefficients(*state, zc, *params) -> (the
+    coefficients of each series)``, ``evaluate(coefs, s) -> state`` or
+    ``leg(*state, z0, dz, *params, rtol, on_accept) -> (t, state, stopped,
+    n_steps)``."""
+    n = TAYLOR_ORDER
+    state = ", ".join(eq.state)
+    values = ", ".join(_horner(c, n, d) for c, d in eq.sources)
+    series = dict.fromkeys(c for c, _ in eq.sources)
+    coefs = ", ".join(f"{c}{k}" for c in series for k in range(n + 1))
+    if name == "coefficients":
+        return (f"def coefficients({', '.join(eq.state + ('zc',) + eq.params)}"
+                f"):\n{_block(eq.recurrence, 1)}\n    return ({coefs},)\n")
+    if name == "evaluate":
+        return (f"def evaluate(coefs, s):\n    {coefs}, = coefs\n"
+                f"    return {values}\n")
+    return _TAYLOR_TEMPLATE.format(
+        args=", ".join(eq.state + ("z0", "dz") + eq.params),
+        target=TAYLOR_TARGET, max_steps=TAYLOR_MAX_STEPS,
+        coefficients=_block(eq.recurrence, 2),
+        control=_block(_step_control(eq, n), 2), state=state, values=values,
+        view=", ".join(eq.view))
+
+
+@functools.cache
+def taylor_kernel(eq: TaylorEquation, name: str):
+    """The generated function ``name`` (``_taylor_source``) of ``eq``,
+    compiled on first use."""
+    return _compile(_taylor_source(eq, name), name)
+
+
+def taylor_leg(eq: TaylorEquation, y0, z0: complex, dz: complex,
+               rtol: float, on_accept=None, args: tuple = ()
+               ) -> IntegrationResult:
+    """Carry the state ``y0`` of ``eq`` along z0 -> z0 + dz by Taylor steps.
+
+    Each step expands every series about the current point to order
+    N = ``TAYLOR_ORDER`` and takes the largest step h at which the last
+    two terms of each state value stay below tol (1 + |value|), with
+    tol = ``TAYLOR_TARGET * rtol`` (the step control of Jorba & Zou,
+    Exp. Math. 14, 2005): |c_{N-1}| h^(N-1) and |c_N| h^N for the value
+    of a series c, (N-1) |c_{N-1}| h^(N-2) and N |c_N| h^(N-1) for its
+    derivative.  The 1e-300 added to each |c_k| keeps a tail that vanishes
+    from bounding the step.  Where the last two terms of ``eq.guard`` can
+    vanish at once, at a fixed point of the equation, its terms
+    k = N-4..N-2 bound h as well once they sum to more than 1e4 tol
+    (1 + |value|) at h, each at that looser tolerance.
+
+    The leg runs in its parameter t in [0, 1]; ``on_accept(t, view) ->
+    action`` sees t and ``eq.view`` after every step and ends the leg with
+    ``STOP``.  ``args`` are the values of ``eq.params``.  A non-finite
+    coefficient or a step below 1e-15 raises ``StepUnderflow``, the step
+    limit ``OdeToleranceNotMet``.  The whole leg is one generated function
+    (``taylor_kernel``): the recurrence, the step control and the Horner
+    sums are straight-line code over locals.
+    """
+    t, y, stopped, n = taylor_kernel(eq, "leg")(
+        *[complex(v) for v in y0], z0, dz, *args, rtol, on_accept)
+    return IntegrationResult(t, y, stopped, n)

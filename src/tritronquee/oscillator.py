@@ -25,23 +25,24 @@ The asymptotic-value ratios (``u_values``, the WKB gap of a pole record)
 come from outward legs that carry two dominant log-derivatives and the
 integral of their difference until the two are one float.  Their
 right-hand side is a polynomial, so they step with the solutions' own
-Taylor series of order 20, as route 3 does (``painleve``): one generated
-function per leg, 834 steps per ``catalog`` pass where DP5(4) took 24,946,
-and closer to a DOP853 reference at rtol 1e-14 (9e-15 against 3.8e-13 at
-the q = 1 primitive, 3.0e-9 against 5.8e-8 at its k = 4 descendant).  No pole depends on these legs.
+Taylor series of order 20: ``complex_ode.taylor_leg`` on the equation
+``_PAIR``, the generator that route 3's legs run on too.  That takes 834
+steps per ``catalog`` pass where DP5(4) took 24,946, and lands closer to a
+DOP853 reference at rtol 1e-14 (9e-15 against 3.8e-13 at the q = 1
+primitive, 3.0e-9 against 5.8e-8 at its k = 4 descendant).  No pole
+depends on these legs.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from . import complex_ode, painleve
+from . import complex_ode
 from .bsb import BsbSolution, tilde_U
 from .elliptic import (ParamPoint, Potential, TurningPoints, branch_sqrt,
                        facing_sqrt, turning_points)
@@ -460,7 +461,7 @@ def dependence_residual(pot: Potential, lam_match: complex | None = None,
 # asymptotic value ratios
 
 
-def _pair_coefficient_lines(n: int) -> list[str]:
+def _pair_coefficient_lines(n: int) -> tuple[str, ...]:
     """Lines that set p1..p<n>, d1..d<n> and j1..j<n>, the Taylor
     coefficients about zc of s_A, d = s_A - s_B and J through p0, d0 and
     j0.  They follow exactly from s' = V - s^2, d' = -d (s_A + s_B) and
@@ -470,12 +471,15 @@ def _pair_coefficient_lines(n: int) -> list[str]:
         (k+1) d_{k+1} = -sum_{i+j=k} d_i g_j,   g_j = 2 p_j - d_j,
         (k+1) j_{k+1} = d_k,
 
-    with V_k the coefficients v0, v1, v2, 4 of V about zc and 0 beyond.
-    The convolution of p with itself is summed over its symmetric half,
-    left to right, doubled, and its middle square added for even k; that of
-    d with g, the coefficients of s_A + s_B, in full, left to right.
+    with V_k the coefficients v0, v1, v2, 4 of V about zc, set first from
+    c2a = 2a and c28b = 28b, and 0 beyond.  The convolution of p with
+    itself is summed over its symmetric half, left to right, doubled, and
+    its middle square added for even k; that of d with g, the coefficients
+    of s_A + s_B, in full, left to right.
     """
-    lines = ["p1 = v0 - p0 * p0", "g0 = p0 + p0 - d0",
+    lines = ["v0 = 4.0 * zc * zc * zc - c2a * zc - c28b",
+             "v1 = 12.0 * zc * zc - c2a", "v2 = 12.0 * zc",
+             "p1 = v0 - p0 * p0", "g0 = p0 + p0 - d0",
              "d1 = -(d0 * g0)", "j1 = d0"]
     for k in range(1, n):
         half = " + ".join(f"p{i} * p{k - i}" for i in range((k + 1) // 2))
@@ -492,117 +496,34 @@ def _pair_coefficient_lines(n: int) -> list[str]:
                   f"g{k} = p{k} + p{k} - d{k}",
                   f"d{k + 1} = ({full}) * {-scale!r}",
                   f"j{k + 1} = d{k} * {scale!r}"]
-    return lines
+    return tuple(lines)
 
 
-# One whole outward pair leg; ``_pair_leg`` states the step control.  The
-# 1e-300 keeps a tail that vanishes, d's and J's once s_A = s_B, from
-# bounding the step, and a minimum keeps the first of equal bounds.
-_PAIR_TEMPLATE = """\
-def pair_leg(p0, d0, j0, z0, dz, c2a, c28b, rtol, on_accept):
-    adz = abs(dz)
-    tol = {target!r} * rtol
-    t = 0.0
-    n = 0
-    while t < 1.0:
-        if n >= {max_steps}:
-            raise _OdeToleranceNotMet(
-                f"step limit {max_steps} reached at t={{t:.6g}}")
-        zc = z0 + t * dz
-        v0 = 4.0 * zc * zc * zc - c2a * zc - c28b
-        v1 = 12.0 * zc * zc - c2a
-        v2 = 12.0 * zc
-{coefficients}
-        tp1 = abs(p{n1}) + 1e-300
-        tp = abs(p{n}) + 1e-300
-        td1 = abs(d{n1}) + 1e-300
-        td = abs(d{n}) + 1e-300
-        tj1 = abs(j{n1}) + 1e-300
-        tj = abs(j{n}) + 1e-300
-        if not _isfinite(tp1 + tp + td1 + td + tj1 + tj):
-            raise _StepUnderflow(
-                f"non-finite Taylor coefficient at t={{t:.6g}}")
-        ep = tol * (1.0 + abs(p0))
-        ed = tol * (1.0 + abs(d0))
-        ej = tol * (1.0 + abs(j0))
-        reach = (ep / tp1) ** {p_n1!r}
-        r = (ep / tp) ** {p_n!r}
-        if r < reach:
-            reach = r
-        r = (ed / td1) ** {p_n1!r}
-        if r < reach:
-            reach = r
-        r = (ed / td) ** {p_n!r}
-        if r < reach:
-            reach = r
-        r = (ej / tj1) ** {p_n1!r}
-        if r < reach:
-            reach = r
-        r = (ej / tj) ** {p_n!r}
-        if r < reach:
-            reach = r
-        rest = (1.0 - t) * adz
-        if reach >= rest:
-            h = 1.0 - t
-            t = 1.0
-        else:
-            h = reach / adz
-            if h < 1e-15:
-                raise _StepUnderflow(f"step underflow at t={{t:.6g}}")
-            t += h
-        s = h * dz
-        p0 = {horner_p}
-        d0 = {horner_d}
-        j0 = {horner_j}
-        n += 1
-        if on_accept(t, (p0, p0 - d0, j0)) == _STOP:
-            return t, (p0, d0, j0), True, n
-    return t, (p0, d0, j0), False, n
-"""
-
-
-@functools.cache
-def _pair_kernel():
-    """The generated ``pair_leg`` at order ``painleve.TAYLOR_ORDER``,
-    compiled on first use."""
-    n = painleve.TAYLOR_ORDER
-    horner = painleve._horner
-    return complex_ode._compile(_PAIR_TEMPLATE.format(
-        target=painleve.TAYLOR_TARGET, max_steps=painleve._MAX_STEPS,
-        coefficients=complex_ode._block(_pair_coefficient_lines(n), 2),
-        n=n, n1=n - 1, p_n=1.0 / n, p_n1=1.0 / (n - 1),
-        horner_p=horner("p", n), horner_d=horner("d", n),
-        horner_j=horner("j", n)), "pair_leg")
+#: The outward pair leg's equation: s_A, d = s_A - s_B and J as the values
+#: of the series p, d and j, seen by the hook as (s_A, s_B, J).  The tails
+#: of d and j vanish once s_A = s_B; the generator's floor under each tail
+#: keeps them from bounding the step.  It needs no guard: its one symmetric
+#: solution, s = 0 at lam = 0 with a = b = 0, keeps p_19.
+_PAIR = complex_ode.TaylorEquation(
+    state=("p0", "d0", "j0"), params=("c2a", "c28b"),
+    recurrence=_pair_coefficient_lines(complex_ode.TAYLOR_ORDER),
+    sources=(("p", 0), ("d", 0), ("j", 0)), guard=None,
+    view=("p0", "p0 - d0", "j0"))
 
 
 def _pair_leg(y0, pot: Potential, z0: complex, dz: complex, rtol: float,
               on_accept) -> complex_ode.IntegrationResult:
-    """Carry (s_A, d, J) along the segment z0 -> z0 + dz by Taylor steps.
+    """Carry (s_A, d, J) along the segment z0 -> z0 + dz by Taylor steps
+    (``complex_ode.taylor_leg``); ``on_accept(t, (s_A, s_B, J))`` sees
+    the leg parameter t after every step.
 
     s_A and s_B solve s' = V - s^2; the leg carries s_A, their difference
     d = s_A - s_B, which obeys d' = -d (s_A + s_B), and J with J' = d.
     Carrying d keeps its relative accuracy as it contracts, so s_B, the
     float s_A - d, meets s_A exactly once d drops below half an ulp of s_A.
-    Each step expands the three components about the current point to
-    order N = ``painleve.TAYLOR_ORDER`` and takes the largest step h at
-    which the last two terms of each, |c_{N-1}| h^(N-1) and |c_N| h^N, stay
-    below tol (1 + |c_0|), tol = ``painleve.TAYLOR_TARGET * rtol``, as
-    route 3's ``_pi_leg`` does.  ``_pi_leg`` also bounds h by three earlier
-    terms where the last two vanish, as they do at a fixed point of
-    y'' = 6 y^2 - z; the Riccati equation has no such state (its one
-    symmetric solution, s = 0 at lam = 0 with a = b = 0, keeps c_19), so
-    the last two terms suffice here.  The leg runs in its parameter t in
-    [0, 1]; ``on_accept(t, (s_A, s_B, J))`` sees t after every step and
-    ends the leg by returning ``STOP``.
-
-    The whole leg is one generated function (``_pair_kernel``): the
-    recurrences, the step control and the Horner sums are straight-line
-    code over locals.  A non-finite coefficient or a step below 1e-15
-    raises ``StepUnderflow``, the step limit ``OdeToleranceNotMet``.
     """
-    t, y, stopped, n = _pair_kernel()(
-        *y0, z0, dz, 2.0 * pot.a, 28.0 * pot.b, rtol, on_accept)
-    return complex_ode.IntegrationResult(t, y, stopped, n)
+    return complex_ode.taylor_leg(_PAIR, y0, z0, dz, rtol, on_accept,
+                                  (2.0 * pot.a, 28.0 * pot.b))
 
 
 def _integrate_pair_outward(pot: Potential, tp: TurningPoints, sA0: complex,

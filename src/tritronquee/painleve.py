@@ -18,14 +18,15 @@ evaluating the series on the far side, and recorded.
 
 Both inner loops run as straight-line code, generated as source and
 compiled by ``complex_ode._compile``, the one compile path of the package.
-A Taylor leg is one function per ``TAYLOR_ORDER`` (``_taylor_source``):
-each step computes a_0..a_20 by the recurrence, 98 complex products
+A Taylor leg is ``complex_ode.taylor_leg`` on ``_PI``, this equation
+given as data, the generator the oscillator's outward pair legs run on
+too: each step computes a_0..a_20 by the recurrence, 98 complex products
 and 17 scalings, then the step control and the Horner sums of y and y',
 all over local variables; it costs about 16 us on a 2-vCPU Xeon under
-Python 3.11.  A ``LaurentTable`` compiles its own ``eval_frame`` body,
-since its order is a config key.  Every operation runs in the order of the
-loops these replaced, which the tests keep as frozen references, so every
-pole, b, fit residual and dense point is the same bit for bit.
+Python 3.11.  A ``LaurentTable`` compiles its own ``eval_frame``
+body, since its order is a config key.  Every operation runs in the order
+of the loops these replaced, which the tests keep as frozen references, so
+every pole, b, fit residual and dense point is the same bit for bit.
 """
 
 from __future__ import annotations
@@ -40,8 +41,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import complex_ode
-from .errors import (NewtonDiverged, OdeToleranceNotMet, PoleFitFailed,
-                     SeedNotConverged, StepUnderflow)
+from .errors import NewtonDiverged, PoleFitFailed, SeedNotConverged
 
 TOL_SEED = 1e-10
 TOL_MATCH = 1e-8
@@ -180,15 +180,11 @@ def laurent_coefficients(order: int = LAURENT_ORDER) -> LaurentTable:
     coeffs[0] = {(0, 0): one}
     coeffs[4] = {(1, 0): Fraction(1, 10)}
     coeffs[5] = {(0, 0): Fraction(1, 6)}
-    if order >= 4:
-        coeffs[6] = {(0, 1): one}
+    coeffs[6] = {(0, 1): one}
     for j in range(7, order + 3):
         conv: dict = {}
         for p in range(1, j):
-            q = j - p
-            if q < 1 or q >= j:
-                continue
-            conv = _poly_add(conv, _poly_mul(coeffs[p], coeffs[q]))
+            conv = _poly_add(conv, _poly_mul(coeffs[p], coeffs[j - p]))
         denom = (j - 2) * (j - 3) - 12
         coeffs[j] = _poly_scale(conv, Fraction(6, denom))
     # the cached table is shared by every caller, so its polynomials are read-only
@@ -260,16 +256,11 @@ class PainlevePole:
 # ---------------------------------------------------------------------------
 # Taylor stepping
 
-#: Order N of the local Taylor polynomial of one step.
-TAYLOR_ORDER = 20
-#: Per-step error target as a fraction of rtol; ``_pi_leg`` states its use.
-TAYLOR_TARGET = 1e-2
 #: Points of a step's polynomial that ``track(record_to=...)`` records.
 DENSE_POINTS = 16
-_MAX_STEPS = 100_000
 
 
-def _coefficient_lines(n: int) -> list[str]:
+def _coefficient_lines(n: int) -> tuple[str, ...]:
     """Lines that set a0..a<n>, the Taylor coefficients of the solution
     through (y, yp) at zc.  They follow exactly from y'' = 6 y^2 - z:
 
@@ -285,146 +276,30 @@ def _coefficient_lines(n: int) -> list[str]:
         conv = "c + c" + (f" + a{k // 2} * a{k // 2}" if k % 2 == 0 else "")
         lines += [f"c = 0j + {half}",
                   f"a{k + 2} = ({conv}) * {6.0 / ((k + 1) * (k + 2))!r}"]
-    return lines
+    return tuple(lines)
 
 
-def _horner(c: str, n: int) -> str:
-    """Expression of the polynomial sum c_k s^k over the locals c0..c<n>,
-    by Horner."""
-    expr = f"{c}{n}"
-    for k in range(n - 1, -1, -1):
-        expr = f"({expr}) * s + {c}{k}"
-    return expr
-
-
-def _horner_sums(n: int) -> tuple[str, str]:
-    """Expressions of y and y' of the polynomial sum a_k s^k, by Horner."""
-    yp = f"{n} * a{n}"
-    for k in range(n - 1, 0, -1):
-        yp = f"({yp}) * s + {k} * a{k}"
-    return _horner("a", n), yp
-
-
-# One whole Taylor leg; ``_pi_leg`` states the step control.  A minimum
-# over several bounds keeps the first of equal values, as min() does.
-_LEG_TEMPLATE = """\
-def leg(y, yp, z0, dz, rtol, on_accept):
-    adz = abs(dz)
-    tol = {target!r} * rtol
-    t = 0.0
-    n = 0
-    while t < 1.0:
-        if n >= {max_steps}:
-            raise _OdeToleranceNotMet(
-                f"step limit {max_steps} reached at t={{t:.6g}}")
-        zc = z0 + t * dz
-{coefficients}
-        tail1 = abs(a{n1}) + 1e-300
-        tail = abs(a{n}) + 1e-300
-        if not _isfinite(tail1 + tail):
-            raise _StepUnderflow(
-                f"non-finite Taylor coefficient at t={{t:.6g}}")
-        tol_y = tol * (1.0 + abs(y))
-        tol_yp = tol * (1.0 + abs(yp))
-        reach = (tol_y / tail1) ** {p_n1!r}
-        r = (tol_y / tail) ** {p_n!r}
-        if r < reach:
-            reach = r
-        r = (tol_yp / ({n1} * tail1)) ** {p_n2!r}
-        if r < reach:
-            reach = r
-        r = (tol_yp / ({n} * tail)) ** {p_n1!r}
-        if r < reach:
-            reach = r
-        slack = 1e4 * tol_y
-        rest = (1.0 - t) * adz
-        s = rest if rest < reach else reach
-        m4, m3, m2 = abs(a{n4}), abs(a{n3}), abs(a{n2})
-        if (m4 + (m3 + m2 * s) * s) * s ** {n4} > slack:
-            r = (slack / (m4 + 1e-300)) ** {p_n4!r}
-            if r < reach:
-                reach = r
-            r = (slack / (m3 + 1e-300)) ** {p_n3!r}
-            if r < reach:
-                reach = r
-            r = (slack / (m2 + 1e-300)) ** {p_n2!r}
-            if r < reach:
-                reach = r
-        if reach >= rest:
-            h = 1.0 - t
-            t = 1.0
-        else:
-            h = reach / adz
-            if h < 1e-15:
-                raise _StepUnderflow(f"step underflow at t={{t:.6g}}")
-            t += h
-        s = h * dz
-        y = {horner_y}
-        yp = {horner_yp}
-        n += 1
-        if on_accept is not None:
-            (y, yp), action = on_accept(t, (y, yp))
-            if action == _STOP:
-                return t, (y, yp), True, n
-    return t, (y, yp), False, n
-"""
-
-
-def _taylor_source(name: str, n: int) -> str:
-    """Source of the generated function ``name`` at order n:
-    ``coefficients(y, yp, zc) -> (a0, .., an)``, ``evaluate(a, s) -> (y,
-    y')`` or ``leg(y, yp, z0, dz, rtol, on_accept) -> (t, (y, y'),
-    stopped, n_steps)``."""
-    block = complex_ode._block
-    coefficients = _coefficient_lines(n)
-    horner_y, horner_yp = _horner_sums(n)
-    names = ", ".join(f"a{k}" for k in range(n + 1))
-    if name == "coefficients":
-        body = block(coefficients + [f"return ({names},)"], 1)
-        return f"def coefficients(y, yp, zc):\n{body}\n"
-    if name == "evaluate":
-        return (f"def evaluate(a, s):\n    {names}, = a\n"
-                f"    return {horner_y}, {horner_yp}\n")
-    return _LEG_TEMPLATE.format(
-        target=TAYLOR_TARGET, max_steps=_MAX_STEPS,
-        coefficients=block(coefficients, 2), horner_y=horner_y,
-        horner_yp=horner_yp, n=n, n1=n - 1, n2=n - 2, n3=n - 3, n4=n - 4,
-        p_n=1.0 / n, p_n1=1.0 / (n - 1), p_n2=1.0 / (n - 2),
-        p_n3=1.0 / (n - 3), p_n4=1.0 / (n - 4))
-
-
-@functools.cache
-def _taylor_kernel(name: str):
-    """The generated function ``name`` (``_taylor_source``) at order
-    ``TAYLOR_ORDER``, compiled on first use."""
-    return complex_ode._compile(_taylor_source(name, TAYLOR_ORDER), name)
+#: y'' = 6 y^2 - z as one series a, whose value is y and derivative y'.
+#: About z = 0 the solution with y = y' = 0 there, fixed by
+#: y(z) -> w^2 y(w z), w^5 = 1, has only the powers 3, 8, 13, ..., so
+#: a_19 = a_20 = 0 and a's earlier terms guard the step (``taylor_leg``);
+#: no generic step comes near that guard (46 tol at most from 40 to -40).
+_PI = complex_ode.TaylorEquation(
+    state=("y", "yp"), params=(),
+    recurrence=_coefficient_lines(complex_ode.TAYLOR_ORDER),
+    sources=(("a", 0), ("a", 1)), guard="a", view=("y", "yp"))
+#: ``coefficients(y, yp, zc)``, ``evaluate(a, s)`` or the ``leg`` of ``_PI``
+_taylor_kernel = functools.partial(complex_ode.taylor_kernel, _PI)
 
 
 def _pi_leg(y0, z0: complex, z1: complex, rtol: float, on_accept=None):
-    """Integrate y'' = 6 y^2 - z along the segment z0 -> z1 by Taylor steps.
-
-    Each step expands the solution about the current point to order
-    N = ``TAYLOR_ORDER`` and takes the largest step h at which the last two
-    terms of y, |a_{N-1}| h^(N-1) and |a_N| h^N, stay below
-    tol (1 + |y|), and those of y' below tol (1 + |y'|), with
-    tol = ``TAYLOR_TARGET * rtol`` (the step control of Jorba & Zou,
-    Exp. Math. 14, 2005).  Both can vanish: about z = 0 the solution with
-    y = y' = 0 there, fixed by y(z) -> w^2 y(w z), w^5 = 1, has only the
-    powers 3, 8, 13, ...  So where the terms k = N-4..N-2 sum to more than
-    1e4 tol (1 + |y|) at h, each bounds h as the last two do, at that
-    looser tolerance; no generic step comes near it (46 tol at most from
-    40 to -40).  The leg runs in its parameter t in [0, 1];
-    ``on_accept(t, (y, y'))`` sees t after every step and may end the leg
-    with ``STOP``.  Returns the result and the complex end point.
-
-    The whole leg is one generated function (``_taylor_kernel("leg")``):
-    the recurrence, the step control and the Horner sums are straight-line
-    code over locals.
-    """
+    """Integrate y'' = 6 y^2 - z along the segment z0 -> z1 by Taylor steps
+    (``complex_ode.taylor_leg``); ``on_accept(t, (y, y'))`` sees the leg
+    parameter t after every step.  Returns the result and the complex end
+    point."""
     dz = z1 - z0
-    t, y, stopped, n = _taylor_kernel("leg")(
-        complex(y0[0]), complex(y0[1]), z0, dz, rtol, on_accept)
-    return complex_ode.IntegrationResult(t, y, stopped, n), z0 + t * dz
+    res = complex_ode.taylor_leg(_PI, y0, z0, dz, rtol, on_accept)
+    return res, z0 + res.t * dz
 
 
 def _dense_points(zc: complex, state, z: complex, end_state) -> list:
@@ -545,18 +420,16 @@ def track(state: TritronqueeState, waypoints, fit_radius: float = FIT_RADIUS,
                 record_to.extend(_dense_points(*step_start, z, y))
                 step_start[:] = z, y
             ay = abs(y[0])
-            if ay < 8.0:
-                return y, complex_ode.CONTINUE
-            if abs(y[1]) == 0.0:
-                return y, complex_ode.CONTINUE
+            if ay < 8.0 or abs(y[1]) == 0.0:
+                return complex_ode.CONTINUE
             dist = abs(2.0 * y[0] / y[1])
             a_est = z + 2.0 * y[0] / y[1]
             radius = _effective_fit_radius(fit_radius, a_est)
             if last_pole is not None and abs(z - last_pole) < 1.3 * radius:
-                return y, complex_ode.CONTINUE
+                return complex_ode.CONTINUE
             if dist <= radius or ay >= blowup_threshold:
-                return y, complex_ode.STOP
-            return y, complex_ode.CONTINUE
+                return complex_ode.STOP
+            return complex_ode.CONTINUE
 
         res, z_a = _pi_leg(y_cur, z0, z1, rtol, on_accept)
         if not res.stopped:
@@ -591,7 +464,7 @@ def track(state: TritronqueeState, waypoints, fit_radius: float = FIT_RADIUS,
         z_cur = z_exit
         y_cur = (yF, ypF)
         # if the exit overshoots the current leg, move to the next one
-        t_exit = ((z_exit - z0) / dz).real if dz != 0 else 0.0
+        t_exit = ((z_exit - z0) / dz).real
         if t_exit >= 1.0:
             idx += 1
             passes = 0

@@ -1,3 +1,4 @@
+import ast
 import cmath
 import math
 from pathlib import Path
@@ -273,3 +274,20 @@ def test_single_dormand_prince_tableau():
                 for line in path.read_text().splitlines() if literal in line]
         assert len(hits) == 1, (literal, hits)
         assert hits[0].name == "complex_ode.py"
+
+
+def test_single_taylor_integrator():
+    """The Taylor step control is written in one file under src/, and the
+    oscillator takes its Taylor legs from it, not from painleve."""
+    for literal in ('"non-finite Taylor coefficient', "1e-300"):
+        files = {path.name for path in SRC.rglob("*.py")
+                 if literal in path.read_text()}
+        assert files == {"complex_ode.py"}, (literal, files)
+    tree = ast.parse((SRC / "tritronquee" / "oscillator.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {node.module or ""} | {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names}
+    assert not any("painleve" in name for name in imported), imported
