@@ -257,7 +257,9 @@ def _cmd_track(args, cfg: ToolConfig) -> int:
                       "yp": [final.yp.real, final.yp.imag],
                       "chart": final.chart},
             "poles": [{"a": [p.a.real, p.a.imag], "b": [p.b.real, p.b.imag],
-                       "fit_residual": p.fit_residual} for p in poles],
+                       "fit_residual": p.fit_residual,
+                       "fit_residual_a": p.fit_residual_a,
+                       "fit_residual_b": p.fit_residual_b} for p in poles],
         }))
     else:
         print(f"final state at z = {_fmt_c(final.z)} ({final.chart} chart)")

@@ -20,7 +20,8 @@ class DegenerateTurningPoints(NumericalError):
 
 
 class QuadratureNotConverged(NumericalError):
-    """Node-doubling disagreement of the period quadrature stayed above tolerance."""
+    """A cycle's cut runs through the third turning point, where the
+    closed-form periods do not hold."""
 
 
 class TraceStalled(NumericalError):

@@ -687,7 +687,9 @@ def refine_pole(seed: BsbSolution,
         step = _newton_step(J, G)
         factor = 1.0
         improved = False
-        for _ in range(20):
+        # once polished, the residual is at its noise floor, where a halved
+        # step is no more likely to lower it than the full one
+        for _ in range(1 if polished else 20):
             a_try = a - factor * step[0]
             b_try = b - factor * step[1]
             G_try, J_try = system(a_try, b_try)

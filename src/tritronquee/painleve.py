@@ -250,7 +250,13 @@ class TritronqueeState:
 class PainlevePole:
     a: complex
     b: complex
-    fit_residual: float
+    #: |a1 - a2| and |b1 - b2| of the two Laurent fits
+    fit_residual_a: float
+    fit_residual_b: float
+
+    @property
+    def fit_residual(self) -> float:
+        return self.fit_residual_a + self.fit_residual_b
 
 
 # ---------------------------------------------------------------------------
@@ -451,11 +457,11 @@ def track(state: TritronqueeState, waypoints, fit_radius: float = FIT_RADIUS,
         res_b, _ = _pi_leg(res.y, z_a, z_b, rtol)
         y_b, yp_b = res_b.y
         a2, b2 = _fit_pole(table, z_b, y_b, yp_b, z_b + 2.0 * y_b / yp_b)
-        fit_res = abs(a1 - a2) + abs(b1 - b2)
-        if fit_res > tol_fit:
-            raise PoleFitFailed(
-                f"two-radius Laurent fits disagree by {fit_res:.3e} near {a1}")
-        poles.append(PainlevePole(a=a2, b=b2, fit_residual=fit_res))
+        pole = PainlevePole(a2, b2, abs(a1 - a2), abs(b1 - b2))
+        if pole.fit_residual > tol_fit:
+            raise PoleFitFailed(f"two-radius Laurent fits disagree by "
+                                f"{pole.fit_residual:.3e} near {a1}")
+        poles.append(pole)
         last_pole = a2
 
         # exit on the far side, mirror of the certification point

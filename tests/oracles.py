@@ -1,21 +1,23 @@
 """Independent oracle implementations used by the tests.
 
 Everything here deliberately avoids the code paths it is used to check:
-roots come from Durand-Kerner instead of the companion matrix, periods from
+roots come from Durand-Kerner instead of Cardano's formula, periods from
 a dense trapezoid on a circular contour instead of the segment quadrature,
 branch values from stepwise continuation, and log-derivatives from the
 linear (psi, psi') system with rescaling instead of the Riccati flow.
 The DP5(4) attempts ``step_scalar`` and ``step_tuple`` are frozen copies of
-the hand-written stage code that ``complex_ode`` now generates per arity,
-and ``period_data_per_integral`` is a frozen copy of the period quadrature
-that solved the turning points and swept the nodes once per integral (on
-the module's own node and third-root helpers).  ``closure_integrate`` is a
-frozen copy of the integrator that called its right-hand side as a Python
-function at every stage, with the generated attempt of ``_stage_source``,
-and ``s_chart``, ``r_chart``, ``pair_leg`` and ``pi_leg`` are the
-closures the oscillator and the Painleve legs ran on it; on DOP853,
-``pi_leg`` and ``pair_leg`` are the references for the Taylor legs that
-replaced them.
+the hand-written stage code that ``complex_ode`` now generates per arity.
+``cycle_integral`` and ``quadrature_period_data`` are frozen copies of the
+node-doubled Gauss-Legendre quadrature that the closed-form periods
+replaced, with its node builder, and ``mp_period_data`` is the same six
+integrals by tanh-sinh quadrature at 30 digits.  ``numpy_turning_points``
+is the frozen ``np.roots`` solve that Cardano's formula replaced.
+``closure_integrate`` is a frozen copy of the integrator that called its
+right-hand side as a Python function at every stage, with the generated
+attempt of ``_stage_source``, and ``s_chart``, ``r_chart``, ``pair_leg``
+and ``pi_leg`` are the closures the oscillator and the Painleve legs ran
+on it; on DOP853, ``pi_leg`` and ``pair_leg`` are the references for the
+Taylor legs that replaced them.
 ``closure_trace_stokes_lines`` is a frozen copy of the Stokes tracer
 whose tangent was a closure over ``branch_sqrt``, run on
 ``closure_integrate``, and ``homotopy_solve`` a frozen copy of route 1's
@@ -47,11 +49,11 @@ from tritronquee.bsb import (PRIMITIVE_11_SEED, TOL_NEWTON, QuantumPair,
                              _homotopy_targets, solve_period_targets)
 from tritronquee.elliptic import (_SIGMA_CHI2, _SIGMA_CHIM2, CycleId,
                                   ParamPoint, PeriodData, Potential,
-                                  TurningPoints, _gauss_nodes,
-                                  _third_root_factor, branch_sqrt,
+                                  TurningPoints, branch_sqrt,
                                   turning_points)
-from tritronquee.errors import (OdeToleranceNotMet, QuadratureNotConverged,
-                               StepUnderflow, TraceStalled)
+from tritronquee.errors import (DegenerateTurningPoints, OdeToleranceNotMet,
+                               QuadratureNotConverged, StepUnderflow,
+                               TraceStalled)
 from tritronquee.oscillator import RaySpec, _adiabatic_handoff, _path_to
 
 
@@ -313,9 +315,58 @@ def pi_leg(z0: complex, dz: complex):
     return rhs
 
 
-def cycle_integral(pot: Potential, cycle: CycleId, kind: str,
-                    tol_quad: float) -> complex:
-    """One period integral from its own turning-point solve and sweep."""
+def numpy_turning_points(pot: Potential) -> TurningPoints:
+    """Frozen copy of ``turning_points`` on ``np.roots``: the companion
+    matrix's eigenvalues, two numpy Newton passes, the same degeneracy
+    check and the same canonical order."""
+    a, b = pot.a, pot.b
+    roots = np.roots([4.0, 0.0, -2.0 * a, -28.0 * b]).astype(complex)
+    for _ in range(2):
+        v = 4.0 * roots ** 3 - 2.0 * a * roots - 28.0 * b
+        dv = 12.0 * roots ** 2 - 2.0 * a
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            step = v / dv
+        roots = np.where(np.isfinite(step), roots - step, roots)
+    r = [complex(z) for z in roots]
+    scale = 1.0 + max(abs(z) for z in r)
+    sep = min(abs(r[0] - r[1]), abs(r[0] - r[2]), abs(r[1] - r[2]))
+    if sep < 1e-6 * scale:
+        raise DegenerateTurningPoints(
+            f"turning points separated by {sep:.3e} at scale {scale:.3e}")
+    dists = [max(abs(r[i] - r[j]) for j in range(3) if j != i)
+             for i in range(3)]
+    lo = min(dists)
+    candidates = [i for i in range(3) if dists[i] <= lo * (1.0 + 1e-9)]
+    inner_idx = min(candidates, key=lambda i: (r[i].real, r[i].imag))
+    outers = [r[j] for j in range(3) if j != inner_idx]
+    outers.sort(key=lambda z: (-z.imag, z.real))
+    return TurningPoints(roots=(r[inner_idx], outers[0], outers[1]))
+
+
+@functools.cache
+def gauss_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of order n, mapped to [0, pi]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return (x + 1.0) * (math.pi / 2.0), w * (math.pi / 2.0)
+
+
+def third_root_factor(tp: TurningPoints, which: int,
+                      theta: np.ndarray) -> np.ndarray:
+    """sqrt(c - r_other) * sqrt(1 + rho cos(theta)) along segment
+    ``which``, on principal roots."""
+    r0, rout, rv = tp.roots[0], tp.roots[which], tp.roots[3 - which]
+    c = (r0 + rout) / 2.0
+    rho = (rout - r0) / 2.0 / (c - rv)
+    if abs(rho.imag) < 1e-14 and abs(rho.real) >= 1.0 - 1e-12:
+        raise QuadratureNotConverged(
+            "third turning point lies on the cut line; cycle degenerates")
+    return np.sqrt(c - rv) * np.sqrt(1.0 + rho * np.cos(theta))
+
+
+def cycle_integral(pot: Potential, cycle: CycleId, kind: str) -> complex:
+    """One period integral ("chi", "da" or "db") by the node-doubled
+    Gauss-Legendre quadrature the closed forms replaced: n = 32 .. 4096,
+    stopping when n agrees with n/2 to 1e-10."""
     tp = turning_points(pot)
     which = 1 if cycle is CycleId.C_MINUS1 else 2
     sigma = _SIGMA_CHI2 if cycle is CycleId.C_MINUS1 else _SIGMA_CHIM2
@@ -325,8 +376,8 @@ def cycle_integral(pot: Potential, cycle: CycleId, kind: str,
     h = (rout - r0) / 2.0
 
     def evaluate(n: int) -> complex:
-        theta, wts = _gauss_nodes(n)
-        w = _third_root_factor(tp, which, theta)
+        theta, wts = gauss_nodes(n)
+        w = third_root_factor(tp, which, theta)
         if kind == "chi":
             integrand = np.sin(theta) ** 2 * w
             return 4j * sigma * h * h * complex(np.sum(wts * integrand))
@@ -338,24 +389,61 @@ def cycle_integral(pot: Potential, cycle: CycleId, kind: str,
     prev = evaluate(32)
     for n in (64, 128, 256, 512, 1024, 2048, 4096):
         cur = evaluate(n)
-        if abs(cur - prev) <= tol_quad * max(1.0, abs(cur)):
+        if abs(cur - prev) <= 1e-10 * max(1.0, abs(cur)):
             return cur
         prev = cur
     raise QuadratureNotConverged(
         f"period quadrature for {cycle} ({kind}) did not converge")
 
 
-def period_data_per_integral(pot: Potential, tol_quad: float) -> PeriodData:
-    """``PeriodData`` from six independent integrals, in the order chi_2,
-    chi_-2, then the derivatives of chi_2 and of chi_-2."""
+def quadrature_period_data(pot: Potential) -> PeriodData:
+    """``PeriodData`` from six node-doubled quadratures."""
     c2, cm2 = CycleId.C_MINUS1, CycleId.C_PLUS1
-    chi2 = cycle_integral(pot, c2, "chi", tol_quad)
-    chi_m2 = cycle_integral(pot, cm2, "chi", tol_quad)
-    return PeriodData(chi2, chi_m2,
-                      cycle_integral(pot, c2, "da", tol_quad),
-                      cycle_integral(pot, c2, "db", tol_quad),
-                      cycle_integral(pot, cm2, "da", tol_quad),
-                      cycle_integral(pot, cm2, "db", tol_quad))
+    return PeriodData(*(cycle_integral(pot, cycle, kind)
+                        for cycle, kind in ((c2, "chi"), (cm2, "chi"),
+                                            (c2, "da"), (c2, "db"),
+                                            (cm2, "da"), (cm2, "db"))))
+
+
+def mp_period_data(pot: Potential, refine: bool = True) -> PeriodData:
+    """``PeriodData`` from tanh-sinh quadrature at 30 digits.
+
+    The turning points are ``turning_points``' roots, in its order.  With
+    ``refine`` each is first refined by mpmath Newton on V at 30 digits;
+    without it the float roots are taken as exact, which measures the
+    period formulas alone: near a collision the roots' own rounding moves
+    the periods far more than any formula does.  The integrands are those
+    of ``cycle_integral``, on the same principal roots and cycle signs.
+    """
+    with mp.workdps(30):
+        a, b = mp.mpc(pot.a), mp.mpc(pot.b)
+
+        def v(x):
+            return 4 * x ** 3 - 2 * a * x - 28 * b
+
+        roots = [mp.findroot(v, mp.mpc(r)) if refine else mp.mpc(r)
+                 for r in turning_points(pot).roots]
+        out = []
+        for which, sigma in ((1, _SIGMA_CHI2), (2, _SIGMA_CHIM2)):
+            c = (roots[0] + roots[which]) / 2
+            h = (roots[which] - roots[0]) / 2
+            base = c - roots[3 - which]
+            rho = h / base
+            root = mp.sqrt(base)
+
+            @functools.cache  # the three integrals share their nodes
+            def cw(t):
+                cos = mp.cos(t)
+                return cos, mp.sqrt(1 + rho * cos)
+
+            i2 = mp.quad(lambda t: (1 - cw(t)[0] ** 2) * cw(t)[1], [0, mp.pi])
+            i0 = mp.quad(lambda t: 1 / cw(t)[1], [0, mp.pi])
+            i1 = mp.quad(lambda t: cw(t)[0] / cw(t)[1], [0, mp.pi])
+            out.append((complex(4j * sigma * h * h * root * i2),
+                        complex(1j * sigma * (c * i0 + h * i1) / root),
+                        complex(14j * sigma * i0 / root)))
+        (chi2, da2, db2), (chim2, dam2, dbm2) = out
+    return PeriodData(chi2, chim2, da2, db2, dam2, dbm2)
 
 
 def durand_kerner_roots(pot: Potential, n_iter: int = 200) -> list[complex]:

@@ -75,7 +75,10 @@ def test_track_command(capsys):
     assert code == 0
     data = json.loads(capsys.readouterr().out)
     assert len(data["poles"]) == 1
-    assert abs(data["poles"][0]["a"][0] - (-2.3841687695685)) < 1e-6
+    pole = data["poles"][0]
+    assert abs(pole["a"][0] - (-2.3841687695685)) < 1e-6
+    assert (pole["fit_residual"]
+            == pole["fit_residual_a"] + pole["fit_residual_b"])
 
 
 def test_track_subnormal_seed_angle(capsys):

@@ -1,23 +1,50 @@
 import cmath
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.special import elliprd, elliprf
 
 from tritronquee import elliptic
-from tritronquee.bsb import solve_period_targets
-from tritronquee.elliptic import (LEGENDRE_CONSTANT, TOL_QUAD, CycleId,
+from tritronquee.bsb import descendant, solve_period_targets
+from tritronquee.elliptic import (DEGENERACY_REL, LEGENDRE_CONSTANT, CycleId,
                                   ParamPoint, PeriodData, Potential,
-                                  branch_sqrt, legendre_residual, period,
+                                  TurningPoints, branch_sqrt,
+                                  legendre_residual, period,
                                   period_derivatives, turning_points)
 from tritronquee.errors import DegenerateTurningPoints, NumericalError
 
 from oracles import (contour_period_trapezoid, continued_sqrt,
-                     continued_sqrt_path, cycle_integral,
-                     durand_kerner_roots, period_data_per_integral)
+                     continued_sqrt_path, durand_kerner_roots,
+                     mp_period_data, numpy_turning_points,
+                     quadrature_period_data)
 
 REF = Potential(-2.34, -0.064)
+
+_coord = st.floats(-6.0, 6.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _generic_potentials(draw):
+    return Potential(complex(draw(_coord), draw(_coord)),
+                     complex(draw(_coord), draw(_coord)) / 4.0)
+
+
+@st.composite
+def _close_pairs(draw):
+    """Turning points r, r + eps, -2r - eps, with |eps| from 1e-1 down to
+    about 10^-5.5: near a collision, where the periods are hardest."""
+    r = complex(draw(_coord), draw(_coord)) / 3.0
+    eps = 10.0 ** draw(st.floats(-5.5, -1.0)) * complex(
+        draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
+    roots = (r, r + eps, -2.0 * r - eps)
+    e2 = roots[0] * roots[1] + roots[0] * roots[2] + roots[1] * roots[2]
+    return Potential(-2.0 * e2, roots[0] * roots[1] * roots[2] / 7.0)
+
+
+_potentials = st.one_of(_generic_potentials(), _close_pairs())
 
 
 def random_320_point(rng, anchor_point) -> ParamPoint:
@@ -72,6 +99,72 @@ class TestTurningPoints:
                        + a / 2.0) < 1e-9 * scale
             for root in r:
                 assert abs(pot(root)) < 1e-12 * scale * (1 + tp.scale) ** 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(_potentials)
+    @example(Potential(1e200, 1e290))
+    @example(Potential(1e-200, 1e-290))
+    def test_roots_solve_v(self, pot):
+        """Vieta's relations hold, and |V(root)| is at round-off, for
+        coefficients from 1e-290 to 1e290."""
+        try:
+            r = turning_points(pot).roots
+        except DegenerateTurningPoints:
+            return
+        scale = max(abs(z) for z in r)
+        sep = min(abs(r[i] - r[j]) for i, j in ((0, 1), (0, 2), (1, 2)))
+        # rounding moves a root by about 1e-16 scale^2 / sep
+        rel = 1e-15 * (1.0 + scale / sep)
+        a, b = pot.a, pot.b
+        assert abs(r[0] + r[1] + r[2]) <= rel * scale
+        assert (abs(r[0] * r[1] + r[0] * r[2] + r[1] * r[2] + a / 2.0)
+                <= rel * scale ** 2)
+        assert abs(r[0] * r[1] * r[2] - 7.0 * b) <= rel * scale ** 3
+        for z in r:
+            terms = 4.0 * abs(z) ** 3 + 2.0 * abs(a * z) + 28.0 * abs(b)
+            # plus the spacing of subnormal numbers
+            assert abs(pot(z)) <= 1e-15 * terms + 1e-320
+
+    @settings(max_examples=300, deadline=None)
+    @given(_potentials)
+    def test_matches_numpy_roots(self, pot):
+        """The roots of the frozen ``np.roots`` solve, in its canonical
+        order: where that order is decided by a margin above rounding, the
+        two agree root by root; near a collision, both raise or neither."""
+        try:
+            ref = numpy_turning_points(pot).roots
+        except DegenerateTurningPoints:
+            ref = None
+        try:
+            got = turning_points(pot).roots
+        except DegenerateTurningPoints:
+            got = None
+        if got is None or ref is None:
+            # a pair at the threshold may fall either side of it
+            rr = durand_kerner_roots(pot)
+            scale = 1.0 + max(abs(z) for z in rr)
+            sep = min(abs(rr[i] - rr[j]) for i, j in ((0, 1), (0, 2), (1, 2)))
+            assert (got is None and ref is None
+                    or abs(sep / (DEGENERACY_REL * scale) - 1.0) < 1e-3)
+            return
+        scale = 1.0 + max(abs(z) for z in ref)
+        sep = min(abs(ref[i] - ref[j]) for i, j in ((0, 1), (0, 2), (1, 2)))
+        # a root of a pair at separation sep is resolved to ~1e-16 scale^2/sep
+        tol = 1e-14 * scale * (1.0 + scale / sep)
+        assert all(min(abs(z - w) for w in ref) <= tol for z in got)
+        dists = sorted(max(abs(z - w) for w in ref) for z in ref)
+        tie_inner = dists[1] <= dists[0] * (1.0 + 1e-9) + 2.0 * tol
+        tie_outer = abs(ref[1].imag - ref[2].imag) <= 2.0 * tol
+        if not (tie_inner or tie_outer):
+            assert all(abs(z - w) <= tol for z, w in zip(got, ref))
+
+    def test_real_roots_ordered_by_real_part(self):
+        """A real V's real roots carry no imaginary rounding, so its outer
+        points are ordered by their real parts, as ``np.roots`` does."""
+        pot = Potential(5.929543436194409, 0.21160672148930537)
+        r = turning_points(pot).roots
+        assert all(z.imag == 0.0 for z in r)
+        assert r[1].real < r[2].real
 
     def test_inner_is_first_and_deterministic(self):
         tp1 = turning_points(REF)
@@ -154,11 +247,18 @@ class TestPeriods:
             chi = period(pot, cycle)
             assert min(abs(chi - oracle), abs(chi + oracle)) < 1e-8 * abs(chi)
 
-    def test_quadrature_self_convergence(self, anchor):
-        pot = Potential(anchor.point.a, anchor.point.b)
-        loose = period(pot, CycleId.C_MINUS1, tol_quad=1e-10)
-        tight = period(pot, CycleId.C_MINUS1, tol_quad=1e-13)
-        assert abs(loose - tight) < 1e-10 * max(1.0, abs(tight))
+    def test_series_meets_closed_form(self, monkeypatch):
+        """Around |rho| = 0.2, where chi switches from the closed form to
+        its even series, both give the same chi."""
+        for k in range(12):
+            rho = 0.2 * cmath.exp(2j * math.pi * k / 12) * (1 + 0.01 * k)
+            tp = TurningPoints(roots=(1.0 - 3.0 * rho, 1.0 + 3.0 * rho,
+                                      -2.0 + 0j))
+            chis = []
+            for switch in (0.0, 1.0):
+                monkeypatch.setattr(elliptic, "_SERIES_RHO", switch)
+                chis.append(elliptic._cycle_sweep(tp, CycleId.C_MINUS1)[0])
+            assert abs(chis[0] - chis[1]) <= 2e-15 * abs(chis[1])
 
 
 class TestPeriodDerivatives:
@@ -185,49 +285,92 @@ class TestPeriodDerivatives:
         assert abs(da1 - math.sqrt(x) * da0) < 1e-8 * abs(da1)
 
 
-def _outcome(fn):
-    try:
-        return fn()
-    except NumericalError as exc:
-        return type(exc), str(exc)
+_FIELDS = [f.name for f in fields(PeriodData)]
 
 
-_coord = st.floats(-6.0, 6.0, allow_nan=False, allow_infinity=False)
+def _rel_errors(pd: PeriodData, ref: PeriodData) -> list[float]:
+    return [abs(getattr(pd, f) - getattr(ref, f)) / abs(getattr(ref, f))
+            for f in _FIELDS]
 
 
-@st.composite
-def _potentials(draw):
-    """Generic (a, b), or turning points r, r + eps, -2r - eps whose close
-    pair makes the quadrature slow or keeps it from converging."""
-    r = complex(draw(_coord), draw(_coord)) / 3.0
-    if draw(st.booleans()):
-        return Potential(complex(draw(_coord), draw(_coord)),
-                         complex(draw(_coord), draw(_coord)) / 4.0)
-    eps = 10.0 ** draw(st.floats(-5.5, -1.0)) * complex(
-        draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
-    roots = (r, r + eps, -2.0 * r - eps)
-    e2 = roots[0] * roots[1] + roots[0] * roots[2] + roots[1] * roots[2]
-    return Potential(-2.0 * e2, roots[0] * roots[1] * roots[2] / 7.0)
+def _legendre_either_orientation(pd: PeriodData) -> float:
+    """The Legendre residual up to the orientation of the cycle pair: the
+    canonical order gives -28 pi i on the "320" region, but the sign flips
+    where the outer points' order does (at a = 1, b = i/4, for one)."""
+    return min(abs(pd.jacobian_det - LEGENDRE_CONSTANT),
+               abs(pd.jacobian_det + LEGENDRE_CONSTANT))
+
+
+class TestClosedForms:
+    def test_pool_points_against_mpmath(self, coprime_primitives):
+        """The 19 coprime pairs with n, m <= 5 and their descendants up to
+        k = 4 agree with a 30-digit quadrature, roots refined to 30 digits,
+        and satisfy the Legendre relation."""
+        for sol in coprime_primitives.values():
+            for k in range(5):
+                point = (descendant(sol, k) if k else sol).point
+                pot = Potential(point.a, point.b)
+                pd = PeriodData.compute(pot)
+                assert max(_rel_errors(pd, mp_period_data(pot))) <= 1e-13
+                assert legendre_residual(pd) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(_generic_potentials())
+    def test_generic_points_against_mpmath(self, pot):
+        try:
+            pd = PeriodData.compute(pot)
+        except NumericalError:
+            return
+        # a cycle's sign is that of the principal sqrt(c - r_other), which
+        # rounding decides where c - r_other is on the negative real axis
+        # (at a = 0, b > 0, chi2 is -33.48 and +33.48 at a = 1e-15 i)
+        roots = turning_points(pot).roots
+        for which in (1, 2):
+            base = (roots[0] + roots[which]) / 2.0 - roots[3 - which]
+            if base.real < 0.0 and abs(base.imag) <= 1e-12 * abs(base):
+                return
+        assert max(_rel_errors(pd, mp_period_data(pot))) <= 1e-13
+        assert _legendre_either_orientation(pd) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(_close_pairs())
+    def test_close_pairs_no_worse_than_quadrature(self, pot):
+        """Near a collision, against a 30-digit quadrature on the same float
+        roots, each value is no worse than the node-doubled quadrature's, or
+        at round-off."""
+        try:
+            pd = PeriodData.compute(pot)
+        except NumericalError:
+            return
+        ref = mp_period_data(pot, refine=False)
+        try:
+            quad = _rel_errors(quadrature_period_data(pot), ref)
+        except NumericalError:
+            quad = [math.inf] * len(_FIELDS)
+        for err, err_quad in zip(_rel_errors(pd, ref), quad):
+            assert err <= max(err_quad, 1e-14)
+        # the derivatives grow like log(1/eps), and the determinant is a
+        # difference of their products
+        products = (abs(pd.dchi2_da * pd.dchim2_db)
+                    + abs(pd.dchim2_da * pd.dchi2_db))
+        assert _legendre_either_orientation(pd) <= 1e-14 * products
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.complex_numbers(max_magnitude=50.0, allow_nan=False,
+                              allow_infinity=False))
+    def test_carlson_against_scipy(self, rho):
+        """R_F(0, 1 + rho, 1 - rho) and R_D(0, 1 + rho, 1 - rho) off the
+        cut, where rho is real with |rho| >= 1."""
+        if abs(rho.imag) < 1e-12 and abs(rho.real) >= 1.0 - 1e-12:
+            return
+        F, D = elliptic._carlson_fd(1.0 + rho, 1.0 - rho)
+        F_ref = complex(elliprf(0.0, 1.0 + rho, 1.0 - rho))
+        D_ref = complex(elliprd(0.0, 1.0 + rho, 1.0 - rho))
+        assert abs(F - F_ref) <= 4e-15 * abs(F_ref)
+        assert abs(D - D_ref) <= 4e-15 * abs(D_ref)
 
 
 class TestSharedSweep:
-    @settings(max_examples=80, deadline=None)
-    @given(_potentials(), st.sampled_from([TOL_QUAD, 1e-13, 1e-14]))
-    def test_matches_per_integral_quadrature(self, pot, tol_quad):
-        """Each integral stops at its own n: values and errors are those
-        of separate sweeps, bit for bit, through all three entry points."""
-        shared = _outcome(lambda: PeriodData.compute(pot, tol_quad))
-        assert shared == _outcome(lambda: period_data_per_integral(pot,
-                                                                   tol_quad))
-        for cycle in CycleId:
-            assert (_outcome(lambda: period(pot, cycle, tol_quad))
-                    == _outcome(lambda: cycle_integral(pot, cycle, "chi",
-                                                       tol_quad)))
-            assert (_outcome(lambda: period_derivatives(pot, cycle, tol_quad))
-                    == _outcome(lambda: tuple(
-                        cycle_integral(pot, cycle, kind, tol_quad)
-                        for kind in ("da", "db"))))
-
     def test_one_turning_point_solve(self, monkeypatch):
         calls = []
 

@@ -309,6 +309,28 @@ class TestRefinePole:
         with pytest.raises(NewtonDiverged):
             refine_pole(anchor, compute_gap=False)
 
+    def test_one_trial_once_polished(self, anchor, monkeypatch):
+        """At the noise floor a polish step that does not lower the
+        residual ends the refinement: halving it would cost a full
+        dependence pass per halving, 20 of them, for noise."""
+        pole = anchor.point.a + 1e-3, anchor.point.b + 1e-4
+        calls = []
+
+        def noisy_linear(pot, lam_match=None, rtol=None, samples=None):
+            # exact on the seed and the first step, then 1e-13 of noise
+            noise = 1e-13 if len(calls) >= 2 else 0.0
+            calls.append(pot)
+            return ((pot.a - pole[0] + noise, pot.b - pole[1] + noise),
+                    ((1.0, 0.0), (0.0, 1.0)))
+
+        monkeypatch.setattr(oscillator, "dependence_system", noisy_linear)
+        rec = refine_pole(anchor, compute_gap=False)
+        # the seed, the Newton step to the pole, one polish trial
+        assert len(calls) == 3
+        assert abs(rec.pole.a - pole[0]) < 1e-15
+        assert abs(rec.pole.b - pole[1]) < 1e-15
+        assert rec.dep_residual < 1e-15
+
     def test_one_pass_per_trial_point(self, anchor, monkeypatch):
         """The Jacobian comes with the residual: central differences made
         84 recessive-solution integrations here."""

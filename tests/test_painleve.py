@@ -176,11 +176,15 @@ class TestTrack:
 
     def test_fit_residual_compares_two_fits(self):
         """The second Laurent fit starts from its own blow-up estimate, so
-        the two fits are independent and their disagreement is not 0."""
+        the two fits are independent and their disagreement is not 0.  It
+        is the sum of the fits' disagreements on a and on b."""
         st = seed_asymptotic(40.0)
         _, poles = track(st, [40.0, -12.0])
         assert len(poles) == 4
         assert all(0.0 < p.fit_residual < TOL_FIT for p in poles)
+        for p in poles:
+            assert p.fit_residual == p.fit_residual_a + p.fit_residual_b
+            assert p.fit_residual_b > 0.0
 
     def test_reach_past_eight_real_poles(self):
         st = seed_asymptotic(40.0)
