@@ -2,9 +2,10 @@
 
 The system asks for points (a, b) with ``chi_2 = i pi (2n-1)`` and
 ``chi_-2 = i pi (2m-1)``.  Newton iteration uses the analytic Jacobian from
-the period derivatives; new quantum numbers are reached by a homotopy in
-the right-hand side starting from the real (1,1) solution, with targets
-at most 0.6 pi apart.  The homotopy is followed by Euler-Newton
+the period derivatives, and each step solves its 2x2 system by Cramer's
+rule (``elliptic.solve_2x2``); new quantum numbers are reached by a
+homotopy in the right-hand side starting from the real (1,1) solution,
+with targets at most 0.6 pi apart.  The homotopy is followed by Euler-Newton
 continuation (Allgower & Georg, Numerical Continuation Methods, 1990):
 one Newton step per intermediate target, which is both the predictor for
 the new target and the corrector for the last one, and a Newton solve to
@@ -19,9 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .elliptic import ParamPoint, PeriodData, Potential
+from .elliptic import ParamPoint, PeriodData, Potential, solve_2x2
 from .errors import NewtonDiverged, NotType320, NumericalError
 from .stokes import classify_graph, trace_stokes_lines
 
@@ -74,26 +73,29 @@ class BsbSolution:
 
 def _period_residual(point: ParamPoint, target2: complex, targetm2: complex):
     pd = PeriodData.compute(Potential(point.a, point.b))
-    F = np.array([pd.chi2 - target2, pd.chi_m2 - targetm2])
-    J = np.array([[pd.dchi2_da, pd.dchi2_db],
-                  [pd.dchim2_da, pd.dchim2_db]])
+    F = (pd.chi2 - target2, pd.chi_m2 - targetm2)
+    J = ((pd.dchi2_da, pd.dchi2_db),
+         (pd.dchim2_da, pd.dchim2_db))
     return F, J
 
 
 def _newton_step(x, F, J, res: float, target2: complex, targetm2: complex):
     """One Newton step from x with residual F and Jacobian J there.
 
-    The step is halved while it raises a ``NumericalError`` or does not
-    lower the residual norm ``res``.  Returns (x, F, J, res) at the new
-    point.
+    The step J^-1 F is ``solve_2x2``'s; a singular J or a non-finite step
+    raises ``NewtonDiverged``.  The step is halved while it raises a
+    ``NumericalError`` or does not lower the residual norm ``res``.
+    Returns (x, F, J, res) at the new point.
     """
     try:
-        step = np.linalg.solve(J, F)
-    except np.linalg.LinAlgError as exc:
-        raise NewtonDiverged(f"singular period Jacobian: {exc}") from exc
+        step = solve_2x2(J, F)
+    except ZeroDivisionError as exc:
+        raise NewtonDiverged("singular period Jacobian") from exc
+    if not all(map(cmath.isfinite, step)):
+        raise NewtonDiverged(f"non-finite period Newton step {step}")
     factor = 1.0
     for _ in range(NEWTON_MAX_HALVINGS):
-        x_try = x - factor * step
+        x_try = (x[0] - factor * step[0], x[1] - factor * step[1])
         try:
             F_try, J_try = _period_residual(
                 ParamPoint(x_try[0], x_try[1]), target2, targetm2)
@@ -125,20 +127,19 @@ def solve_period_targets(target2: complex, targetm2: complex, seed: ParamPoint,
                          tol_newton: float = TOL_NEWTON,
                          max_iter: int = NEWTON_MAX_ITER) -> tuple[ParamPoint, float]:
     """Newton with step-halving line search on the period residual norm."""
-    x = np.array([seed.a, seed.b], dtype=complex)
+    x = (seed.a, seed.b)
     F, J = _period_residual(seed, target2, targetm2)
     return _newton_solve(x, F, J, target2, targetm2, tol_newton, max_iter)
 
 
 def _homotopy_targets(quantum: QuantumPair):
     """Straight-line homotopy of the right-hand side from the (1,1) anchor."""
-    s_end = np.array([quantum.odd_n * math.pi, quantum.odd_m * math.pi])
-    s_start = np.array([math.pi, math.pi])
-    span = float(np.max(np.abs(s_end - s_start)))
-    n_steps = max(1, int(math.ceil(span / (0.6 * math.pi))))
+    d2 = quantum.odd_n * math.pi - math.pi
+    dm2 = quantum.odd_m * math.pi - math.pi
+    n_steps = max(1, int(math.ceil(max(d2, dm2) / (0.6 * math.pi))))
     for i in range(1, n_steps + 1):
-        s = s_start + (s_end - s_start) * (i / n_steps)
-        yield 1j * s[0], 1j * s[1]
+        t = i / n_steps
+        yield 1j * (math.pi + d2 * t), 1j * (math.pi + dm2 * t)
 
 
 def _follow_targets(seed: ParamPoint, targets):
@@ -150,12 +151,13 @@ def _follow_targets(seed: ParamPoint, targets):
     step is taken towards the last target: F is only shifted to it, and
     (x, F, J) are returned for the final solve.
     """
-    x = np.array([seed.a, seed.b], dtype=complex)
+    x = (seed.a, seed.b)
     F, J = _period_residual(seed, *targets[0])
     for previous, target in zip(targets, targets[1:]):
         res = float(abs(F[0]) + abs(F[1]))
         x, F, J, _ = _newton_step(x, F, J, res, *previous)
-        F = F - (np.array(target) - np.array(previous))
+        F = (F[0] - (target[0] - previous[0]),
+             F[1] - (target[1] - previous[1]))
     return x, F, J
 
 

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 
-import numpy as np
-
 from . import __version__
 from .bsb import BsbSolution, QuantumPair, descendant, solve_bsb
 from .config import ToolConfig
@@ -227,16 +225,17 @@ def convergence_report(doc: dict, q: Fraction) -> ConvergenceReport:
     rows.sort()
     ks = [k for k, _ in rows]
     errors = [err for _, err in rows]
-    x = np.log([2 * k + 1 for k in ks])
-    y = np.log(errors)
+    x = [math.log(2 * k + 1) for k in ks]
+    y = [math.log(err) for err in errors]
     n = len(x)
-    xbar = x.mean()
-    ybar = y.mean()
-    sxx = float(np.sum((x - xbar) ** 2))
-    slope = float(np.sum((x - xbar) * (y - ybar)) / sxx)
+    xbar = math.fsum(x) / n
+    ybar = math.fsum(y) / n
+    sxx = math.fsum((xi - xbar) ** 2 for xi in x)
+    slope = math.fsum((xi - xbar) * (yi - ybar) for xi, yi in zip(x, y)) / sxx
     intercept = ybar - slope * xbar
-    resid = y - (slope * x + intercept)
-    stderr = math.sqrt(float(np.sum(resid ** 2)) / max(n - 2, 1) / sxx)
+    stderr = math.sqrt(math.fsum((yi - (slope * xi + intercept)) ** 2
+                                 for xi, yi in zip(x, y))
+                       / max(n - 2, 1) / sxx)
     return ConvergenceReport(q=q, ks=ks, errors=errors,
                              fitted_exponent=slope, fit_stderr=stderr)
 

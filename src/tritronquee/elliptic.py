@@ -356,3 +356,39 @@ class PeriodData:
 def legendre_residual(pd: PeriodData) -> float:
     """|det(period derivative matrix) - (-28 pi i)|."""
     return abs(pd.jacobian_det - LEGENDRE_CONSTANT)
+
+
+# ---------------------------------------------------------------------------
+# 2x2 linear algebra of the two Newton iterations (bsb and oscillator)
+
+
+def solve_2x2(J, F) -> tuple[complex, complex]:
+    """x with J x = F, by Cramer's rule; ``ZeroDivisionError`` if det J = 0.
+
+    For n = 2 Cramer's rule is forward stable, |x - x^| <= c u cond(J) |x|,
+    though not backward stable (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, sec. 1.10.1).  A NaN in J or F gives a NaN x.  det J
+    must neither overflow nor underflow: entries within about 1e+-150.
+    """
+    (a, b), (c, d) = J
+    f0, f1 = F
+    det = a * d - b * c
+    return (f0 * d - b * f1) / det, (a * f1 - c * f0) / det
+
+
+def cond_2x2(J) -> float:
+    """2-norm condition number sigma_max / sigma_min of J; inf if singular.
+
+    With |det J| = s1 s2, cond = s1^2 / |det J|, and s1^2 is the larger
+    eigenvalue of J J^H = ((p, r), (r*, q)): (p + q + hypot(p - q, 2|r|)) / 2.
+    The form |J|_F^4 - 4 |det J|^2 of the same discriminant cancels as
+    s1 -> s2 and is 1.7e-8 off at cond = 1.
+    """
+    (a, b), (c, d) = J
+    det = abs(a * d - b * c)
+    if det == 0.0:
+        return math.inf
+    p = abs(a) ** 2 + abs(b) ** 2
+    q = abs(c) ** 2 + abs(d) ** 2
+    r = abs(a * c.conjugate() + b * d.conjugate())
+    return 0.5 * (p + q + math.hypot(p - q, 2.0 * r)) / det

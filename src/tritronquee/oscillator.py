@@ -40,12 +40,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import complex_ode
 from .bsb import BsbSolution, tilde_U
 from .elliptic import (ParamPoint, Potential, TurningPoints, branch_sqrt,
-                       facing_sqrt, turning_points)
+                       cond_2x2, facing_sqrt, solve_2x2, turning_points)
 from .errors import (DependentBasis, NewtonDiverged, OdeToleranceNotMet,
                      OutsideDisc, PathNearTurningPoint)
 
@@ -630,10 +628,15 @@ def u_values(pot: Potential, eval_radius: float | None = None,
 
 
 def _newton_step(J, G):
+    """The Newton step J^-1 G by ``solve_2x2``; ``NewtonDiverged`` if J is
+    singular or the step is not finite."""
     try:
-        return np.linalg.solve(J, G)
-    except np.linalg.LinAlgError as exc:
-        raise NewtonDiverged(f"singular dependence Jacobian: {exc}")
+        step = solve_2x2(J, G)
+    except ZeroDivisionError as exc:
+        raise NewtonDiverged("singular dependence Jacobian") from exc
+    if not all(map(cmath.isfinite, step)):
+        raise NewtonDiverged(f"non-finite dependence Newton step {step}")
+    return step
 
 
 def refine_pole(seed: BsbSolution,
@@ -643,16 +646,17 @@ def refine_pole(seed: BsbSolution,
     """Newton on the dependence residual starting from a quantization seed.
 
     Each trial point costs one ``dependence_system`` pass, which returns
-    the residual G with its exact Jacobian J; a full step is accepted when
-    it lowers |G_0| + |G_1|, otherwise it is halved.  A non-finite G or J
-    (the Jacobian is outside the integrator's error test) raises
-    ``NewtonDiverged``.  The refined point must stay within
-    ``k^(-alpha) eps`` of the seed in the a coordinate (the disc policy);
-    the refined b is the quartic Laurent coefficient of the tritronquee
-    expansion at the pole.  The record carries cond(J) and |J^-1 G|_inf at
-    the pole as its Newton certificate.  The WKB gaps come from
-    ``u_values`` at the seed, which takes over the rays 2 and -2 legs of the
-    seed's own pass.
+    the residual G with its exact Jacobian J.  The step J^-1 G is the 2x2
+    solve ``elliptic.solve_2x2`` (Cramer's rule); the full step is accepted
+    when it lowers |G_0| + |G_1|, otherwise it is halved.  A non-finite G
+    or J (the Jacobian is outside the integrator's error test), a singular
+    J or a non-finite step raises ``NewtonDiverged``.  The refined point
+    must stay within ``k^(-alpha) eps`` of the seed in the a coordinate
+    (the disc policy); the refined b is the quartic Laurent coefficient of
+    the tritronquee expansion at the pole.  The record carries cond(J)
+    (``elliptic.cond_2x2``) and |J^-1 G|_inf at the pole as its Newton
+    certificate.  The WKB gaps come from ``u_values`` at the seed, which
+    takes over the rays 2 and -2 legs of the seed's own pass.
     """
     alpha, eps = radius_policy
     if not 0.2 < alpha < 1.2:
@@ -663,8 +667,7 @@ def refine_pole(seed: BsbSolution,
     def system(av, bv, samples=None):
         G, J = dependence_system(Potential(av, bv), rtol=rtol,
                                  samples=samples)
-        G, J = np.array(G), np.array(J)
-        if not (np.isfinite(G).all() and np.isfinite(J).all()):
+        if not all(map(cmath.isfinite, (*G, *J[0], *J[1]))):
             raise NewtonDiverged(
                 f"non-finite dependence system at a={av}, b={bv}")
         return G, J
@@ -723,5 +726,5 @@ def refine_pole(seed: BsbSolution,
     return PoleRecord(q=seed.q, k=seed.k, seed=seed.point,
                       pole=ParamPoint(a, b), dep_residual=res, wkb_gap=gap,
                       newton_iterations=iterations,
-                      jacobian_cond=float(np.linalg.cond(J)),
-                      newton_step=float(np.abs(_newton_step(J, G)).max()))
+                      jacobian_cond=cond_2x2(J),
+                      newton_step=max(map(abs, _newton_step(J, G))))

@@ -38,8 +38,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 
-import numpy as np
-
 from . import complex_ode
 from .errors import NewtonDiverged, PoleFitFailed, SeedNotConverged
 
@@ -196,30 +194,27 @@ def laurent_coefficients(order: int = LAURENT_ORDER) -> LaurentTable:
 # asymptotic seeding
 
 
-def tritronquee_series_coefficients(n_terms: int = 40) -> np.ndarray:
+def tritronquee_series_coefficients(n_terms: int = 40) -> tuple[float, ...]:
     """Coefficients c_j of y = -sqrt(z/6) sum c_j z^(-5j/2), c_0 = 1.
 
     Derived by series substitution: with mu_j = (25 j^2 - 1)/4,
 
         2 c_j = -mu_{j-1} c_{j-1} / sqrt(6) - sum_{p+q=j, p,q>=1} c_p c_q.
     """
-    c = np.zeros(n_terms, dtype=float)
-    c[0] = 1.0
+    c = [1.0]
     s6 = math.sqrt(6.0)
     for j in range(1, n_terms):
         mu = (25.0 * (j - 1) ** 2 - 1.0) / 4.0
         inner = sum(c[p] * c[j - p] for p in range(1, j))
-        c[j] = 0.5 * (-mu * c[j - 1] / s6 - inner)
-    return c
+        c.append(0.5 * (-mu * c[j - 1] / s6 - inner))
+    return tuple(c[:n_terms])
 
 
 _SERIES = tritronquee_series_coefficients()
 
 
 def _asymptotic_state(z: complex, tol_seed: float = TOL_SEED):
-    """(y, y') from the truncated asymptotic series at z, as Python
-    complex numbers (the terms are numpy scalars: ``_SERIES`` is an
-    array)."""
+    """(y, y') from the truncated asymptotic series at z."""
     lead = -cmath.sqrt(z / 6.0)
     y = 0.0 + 0.0j
     yp = 0.0 + 0.0j
@@ -234,7 +229,7 @@ def _asymptotic_state(z: complex, tol_seed: float = TOL_SEED):
         prev = abs(term)
         if abs(term) < tol_seed * abs(lead):
             break
-    return complex(y), complex(yp)
+    return y, yp
 
 
 @dataclass

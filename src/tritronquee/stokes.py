@@ -15,8 +15,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import complex_ode
 from .elliptic import (Potential, TurningPoints, branch_sqrt, facing_sqrt,
                        turning_points)
@@ -42,7 +40,7 @@ class StokesLine:
     """
 
     origin: int
-    points: np.ndarray
+    points: tuple[complex, ...]
     terminus_kind: str
     terminus_index: int | None
     action_drift: float
@@ -146,7 +144,7 @@ def _trace_single(pot: Potential, tp: TurningPoints, origin: int, angle: float,
         pass  # recorded as a stalled terminus below
 
     kind, index = state["terminus"]
-    return StokesLine(origin=origin, points=np.asarray(points, dtype=complex),
+    return StokesLine(origin=origin, points=tuple(points),
                       terminus_kind=kind, terminus_index=index,
                       action_drift=abs(state["action"].real),
                       action_scale=state["abs_action"])

@@ -195,16 +195,34 @@ def test_newton_diverges_on_exhausted_budget(anchor):
         solve_period_targets(1j * math.pi, 1j * math.pi, seed, max_iter=1)
 
 
-def test_singular_jacobian_is_newton_diverged(monkeypatch, capsys):
+def _assert_first_step_diverges(monkeypatch, capsys, jacobian, cause):
+    """A bad Jacobian stops Newton at the first step, before any line
+    search, with a ``NewtonDiverged`` that names the cause; the CLI exits
+    with the numerical-failure code."""
     from tritronquee import bsb
     from tritronquee.cli import main
     from tritronquee.errors import NewtonDiverged
 
-    def singular(point, target2, targetm2):
-        return np.array([1.0 + 0j, 1.0 + 0j]), np.zeros((2, 2), dtype=complex)
+    calls = []
 
-    monkeypatch.setattr(bsb, "_period_residual", singular)
-    with pytest.raises(NewtonDiverged):
+    def bad(point, target2, targetm2):
+        calls.append(point)
+        return (1.0 + 0j, 1.0 + 0j), jacobian
+
+    monkeypatch.setattr(bsb, "_period_residual", bad)
+    with pytest.raises(NewtonDiverged, match=cause):
         solve_period_targets(1j * math.pi, 1j * math.pi, PRIMITIVE_11_SEED)
+    assert len(calls) == 1
     assert main(["bsb", "--n", "1", "--m", "1"]) == 3
     assert "NewtonDiverged" in capsys.readouterr().err
+
+
+def test_singular_jacobian_is_newton_diverged(monkeypatch, capsys):
+    _assert_first_step_diverges(monkeypatch, capsys, ((0j, 0j), (0j, 0j)),
+                                "singular period Jacobian")
+
+
+def test_non_finite_jacobian_is_newton_diverged(monkeypatch, capsys):
+    _assert_first_step_diverges(
+        monkeypatch, capsys, ((1 + 0j, complex(math.nan)), (0j, 1 + 0j)),
+        "non-finite period Newton step")

@@ -2,11 +2,14 @@ import ast
 import dataclasses
 import inspect
 import json
+import math
 import re
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tritronquee import catalog, config
 from tritronquee.bsb import QuantumPair
@@ -70,6 +73,38 @@ class TestConvergence:
         report = convergence_report(doc, Fraction(1))
         assert abs(report.fitted_exponent - (-1.2)) < 1e-10
         assert report.fit_stderr < 1e-10
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.lists(
+        st.tuples(st.integers(0, 40), st.floats(1e-12, 1.0)),
+        min_size=3, max_size=12, unique_by=lambda row: row[0]))
+    def test_fit_matches_polyfit(self, data):
+        entries = [CatalogEntry(
+            q=Fraction(1), k=k, seed_a=complex(-2.3, 0),
+            seed_b=complex(-0.06, 0), pole_a=complex(-2.3 - err, 0),
+            pole_b=complex(-0.06, 0), dep_residual=1e-11, bsb_residual=1e-12,
+            wkb_gap2=0.1, wkb_gapm2=0.1, error_a=err) for k, err in data]
+        doc = {"entries": [entry_to_json(e) for e in entries]}
+        report = convergence_report(doc, Fraction(1))
+        x = np.log([2 * k + 1 for k, _ in data])
+        y = np.log([err for _, err in data])
+        # the fit in exact arithmetic on the same float logs
+        xs, ys = [Fraction(v) for v in x], [Fraction(v) for v in y]
+        n = len(xs)
+        xbar, ybar = sum(xs) / n, sum(ys) / n
+        sxx = sum((v - xbar) ** 2 for v in xs)
+        slope = sum((u - xbar) * (v - ybar) for u, v in zip(xs, ys)) / sxx
+        ssr = sum((v - ybar - slope * (u - xbar)) ** 2 for u, v in zip(xs, ys))
+        exact = float(slope), math.sqrt(ssr / max(n - 2, 1) / sxx)
+        # polyfit scales the covariance by the residual sum over n - 2; at
+        # k = 38, 39, 40 with errors 1e-12 and 1 it is 6e-12 off the exact
+        # fit, so it is held to a looser bound
+        (slope, _), cov = np.polyfit(x, y, 1, cov=True)
+        lapack = slope, math.sqrt(cov[0, 0])
+        got = report.fitted_exponent, report.fit_stderr
+        for ref, tol in ((exact, 1e-12), (lapack, 1e-10)):
+            for value, want in zip(got, ref):
+                assert abs(value - want) <= tol * max(1.0, abs(want))
 
     def test_insufficient_data(self):
         doc = _synthetic_doc(n=2)

@@ -1,8 +1,13 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tritronquee
 from tritronquee import cli, errors, painleve
 from tritronquee.cli import main
 
@@ -217,3 +222,21 @@ def test_unread_option_rejected(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_runtime_does_not_import_numpy():
+    """The package and its CLI run on the standard library alone."""
+    script = (
+        "import sys\n"
+        "import tritronquee, tritronquee.catalog, tritronquee.cli\n"
+        "code = tritronquee.cli.main(['periods', '--a=-2.3475919932',\n"
+        "                             '--b=-0.0639977427', '--json'])\n"
+        "assert code == 0, code\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+    src = str(Path(tritronquee.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

