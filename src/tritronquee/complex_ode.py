@@ -331,7 +331,9 @@ def _attempt_lines(arity: int | None, error_dims: int, tableau: Tableau,
     ratios = []
     for c in comps[:error_dims]:
         err = _combination(tableau.error, stages(c, len(tableau.error)))
-        scale = f"(_atol + _rtol * max(abs(_y{c}), abs(_n{c})))"
+        # max(|y|, |n|) as a conditional expression, NaN included
+        lines += [f"_a{c} = abs(_y{c})", f"_b{c} = abs(_n{c})"]
+        scale = f"(_atol + _rtol * (_b{c} if _b{c} > _a{c} else _a{c}))"
         if tableau.error3 is None:
             lines.append(f"_r{c} = abs(_h * ({err})) / {scale}")
         else:
@@ -360,6 +362,8 @@ def _block(lines, depth: int) -> str:
 # One whole run.  The slots are filled with blocks of generated lines; the
 # controller is the one of Hairer, Norsett & Wanner II.4 with FSAL, and an
 # ``on_accept`` that hands back its ``y`` object keeps the last stage.
+# Inside the loop max(x, c) is written ``c if c > x else x`` and min(x, c)
+# ``c if c < x else x``, the builtins' results, NaN included, without a call.
 _LEG_TEMPLATE = """\
 def leg(_t, _t1, _y, _rtol, _atol, _on_accept, _max_steps, {params}):
 {unpack}
@@ -373,7 +377,8 @@ def leg(_t, _t1, _y, _rtol, _atol, _on_accept, _max_steps, {params}):
         if _count >= _max_steps:
             raise _OdeToleranceNotMet(
                 f"step limit {{_max_steps}} reached at t={{_t:.6g}}")
-        _h = min(_h, _t1 - _t)
+        _d = _t1 - _t
+        _h = _d if _d < _h else _h
 {attempt}
         if not _isfinite(_enorm):
             _h *= 0.25
@@ -381,7 +386,8 @@ def leg(_t, _t1, _y, _rtol, _atol, _on_accept, _max_steps, {params}):
                 raise _StepUnderflow("non-finite error estimate at minimal step")
             continue
         if _enorm > 1.0:
-            _h *= max(0.2, 0.9 * _enorm ** {expo})
+            _f = 0.9 * _enorm ** {expo}
+            _h *= _f if _f > 0.2 else 0.2
             if _h < _min_h:
                 raise _StepUnderflow(f"step underflow at t={{_t:.6g}}")
             continue
@@ -396,7 +402,9 @@ def leg(_t, _t1, _y, _rtol, _atol, _on_accept, _max_steps, {params}):
 {refresh}
             if _action == _STOP:
                 return _t, {state}, True, _count
-        _h *= min(5.0, max(0.2, 0.9 * _enorm ** {expo} if _enorm > 0 else 5.0))
+        _f = 0.9 * _enorm ** {expo} if _enorm > 0 else 5.0
+        _f = _f if _f > 0.2 else 0.2
+        _h *= _f if _f < 5.0 else 5.0
     return _t, {state}, False, _count
 """
 

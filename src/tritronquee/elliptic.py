@@ -135,6 +135,10 @@ def turning_points(pot: Potential) -> TurningPoints:
     closer than ``DEGENERACY_REL * (1 + max |root|)``: rounding moves a
     root of a pair at separation d by about 1e-16 scale^2 / d, and the
     periods with it.  A coefficient that is not finite raises ``ValueError``.
+
+    For real a and b the roots are three real numbers, or one real number
+    and an exact conjugate pair, the lower root the conjugate of the upper
+    one: the centroid is then real, and so is ``oscillator.match_point``.
     """
     a, b = pot.a, pot.b
     for name, value in (("a", a), ("b", b)):
@@ -174,11 +178,18 @@ def turning_points(pot: Potential) -> TurningPoints:
         r[i] = z
     scale = 1.0 + max(map(abs, r))
     if a.imag == 0.0 and b.imag == 0.0:
-        # a real V has real roots and conjugate pairs, and a pair this close
-        # to the axis is degenerate: smaller imaginary parts are rounding,
-        # and the canonical order must not read them
-        r = [complex(z.real, 0.0) if abs(z.imag) < DEGENERACY_REL * scale
-             else z for z in r]
+        # a real V has one real root and two more that are real or a
+        # conjugate pair, and a pair this close to the axis is degenerate:
+        # smaller imaginary parts are rounding, and the canonical order must
+        # not read them.  A pair is made exact, lower = conj(upper).
+        i, j, k = sorted(range(3), key=lambda n: abs(r[n].imag))
+        r[i] = complex(r[i].real, 0.0)
+        if abs(r[k].imag) < DEGENERACY_REL * scale:
+            r[j], r[k] = complex(r[j].real, 0.0), complex(r[k].real, 0.0)
+        elif r[k].imag > 0.0:
+            r[j] = r[k].conjugate()
+        else:
+            r[k] = r[j].conjugate()
     d01, d02, d12 = abs(r[0] - r[1]), abs(r[0] - r[2]), abs(r[1] - r[2])
     sep = min(d01, d02, d12)
     if sep < DEGENERACY_REL * scale:

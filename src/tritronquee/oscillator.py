@@ -19,7 +19,10 @@ poles of the tritronquee solution; Newton refinement from quantization
 seeds produces certified pole records.  The inward legs carry the
 derivatives of the log-derivative in a and b (the variational equations),
 so one pass gives the dependence residual together with its exact Jacobian.
-They run on ``complex_ode``'s DP5(4).
+They run on ``complex_ode``'s DP5(4).  At real (a, b), where the turning
+points are real or an exact conjugate pair and the match point is real, a
+pass integrates two legs and takes the other two as their mirror images;
+there the Newton steps are real, and the q = 1 poles stay on the axis.
 
 The asymptotic-value ratios (``u_values``, the WKB gap of a pole record)
 come from outward legs that carry two dominant log-derivatives and the
@@ -428,14 +431,28 @@ def dependence_system(pot: Potential, lam_match: complex | None = None,
     G_lam * dlam with G_lam = (s_2^2 - s_-1^2, s_-2^2 - s_1^2); that term
     vanishes with G, so Newton on J stays quadratic near a pole.
 
+    When a, b and the match point are all real, V is real on the real axis
+    and the recessive solution on ray -k is the mirror image of the one on
+    ray k, s_-k(lam) = conj(s_k(conj lam)).  Only rays -1 and 2 are
+    integrated then; rays 1 and -2 are their conjugates, with ds/da and
+    ds/db conjugated too, so G_1 = conj(G_0) exactly and the Newton step
+    J^-1 G is real.  Every other input integrates all four rays.
+
     ``samples``, when given, is a dict that receives the four inward legs
     (``LogDerivativeSample`` by ray index), so that ``u_values`` at the
     same point can take over the legs of rays 2 and -2.
     """
     tp = turning_points(pot)
     lam = match_point(tp) if lam_match is None else complex(lam_match)
+    mirror = pot.a.imag == 0.0 and pot.b.imag == 0.0 and lam.imag == 0.0
     s = {k: psi_logderivative(pot, ray_spec(pot, k), lam, rtol, tp=tp)
-         for k in (-1, 2, 1, -2)}
+         for k in ((-1, 2) if mirror else (-1, 2, 1, -2))}
+    if mirror:
+        for k in (-1, 2):
+            x = s[k]
+            s[-k] = LogDerivativeSample(lam, x.s.conjugate(), -k,
+                                        x.ds_da.conjugate(),
+                                        x.ds_db.conjugate())
     if samples is not None:
         samples.update(s)
     G = (s[-1].s - s[2].s, s[1].s - s[-2].s)
@@ -650,10 +667,12 @@ def refine_pole(seed: BsbSolution,
     solve ``elliptic.solve_2x2`` (Cramer's rule); the full step is accepted
     when it lowers |G_0| + |G_1|, otherwise it is halved.  A non-finite G
     or J (the Jacobian is outside the integrator's error test), a singular
-    J or a non-finite step raises ``NewtonDiverged``.  The refined point
-    must stay within ``k^(-alpha) eps`` of the seed in the a coordinate
-    (the disc policy); the refined b is the quartic Laurent coefficient of
-    the tritronquee expansion at the pole.  The record carries cond(J)
+    J or a non-finite step raises ``NewtonDiverged``.  From a real seed
+    every step is real (``dependence_system``'s mirror), so the pole stays
+    exactly on the real axis.  The refined point must stay within
+    ``k^(-alpha) eps`` of the seed in the a coordinate (the disc policy);
+    the refined b is the quartic Laurent coefficient of the tritronquee
+    expansion at the pole.  The record carries cond(J)
     (``elliptic.cond_2x2``) and |J^-1 G|_inf at the pole as its Newton
     certificate.  The WKB gaps come from ``u_values`` at the seed, which
     takes over the rays 2 and -2 legs of the seed's own pass.

@@ -111,6 +111,15 @@ class TestContinuation:
     def test_single_target_work_unchanged(self, monkeypatch):
         assert self._period_evaluations(monkeypatch, QuantumPair(1, 1)) == 3
 
+    def test_swapped_pairs_are_exact_mirrors(self, coprime_primitives):
+        """Swapping n and m conjugates the targets, and a real V's turning
+        points are an exact conjugate pair, so (m, n) is the exact mirror
+        image of (n, m); (1, 1) is exactly real."""
+        for quantum, sol in coprime_primitives.items():
+            mirror = coprime_primitives[QuantumPair(quantum.m, quantum.n)]
+            assert sol.point.a == mirror.point.a.conjugate(), quantum
+            assert sol.point.b == mirror.point.b.conjugate(), quantum
+
     def test_descendant_residuals_below_tolerance(self, coprime_primitives):
         # a descendant's residual is (2k+1) times its primitive's
         for sol in coprime_primitives.values():

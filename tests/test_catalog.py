@@ -142,6 +142,16 @@ class TestPipeline:
         write_catalog(doc, str(path))
         assert read_catalog(str(path)) == doc
 
+    def test_real_ladder_is_exactly_real(self):
+        """The q = 1 seeds and poles lie exactly on the real axis: route 1
+        and route 2 both take real Newton steps at real (a, b)."""
+        doc = build_catalog([QuantumPair(1, 1)], 4)
+        assert len(doc["entries"]) == 5
+        for e in doc["entries"]:
+            assert e["status"] == "ok"
+            for key in ("seed_a", "seed_b", "pole_a", "pole_b"):
+                assert e[key][1] == 0.0, (e["k"], key)
+
     def test_read_back_has_the_built_types(self, tmp_path):
         """Every field of a built entry has the type it reads back with:
         the WKB gaps are float, not numpy.float64."""

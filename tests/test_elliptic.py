@@ -16,6 +16,7 @@ from tritronquee.elliptic import (DEGENERACY_REL, LEGENDRE_CONSTANT, CycleId,
                                   period_derivatives, solve_2x2,
                                   turning_points)
 from tritronquee.errors import DegenerateTurningPoints, NumericalError
+from tritronquee.oscillator import match_point
 
 from oracles import (contour_period_trapezoid, continued_sqrt,
                      continued_sqrt_path, durand_kerner_roots,
@@ -166,6 +167,25 @@ class TestTurningPoints:
         r = turning_points(pot).roots
         assert all(z.imag == 0.0 for z in r)
         assert r[1].real < r[2].real
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.floats(-20.0, 20.0), b=st.floats(-20.0, 20.0))
+    @example(a=1.577, b=1.305)
+    def test_real_coefficients_give_an_exact_pair(self, a, b):
+        """A real V has three real roots, or one real root and an exact
+        conjugate pair, so the centroid and the match point are real.  At
+        (1.577, 1.305) all three roots tie for the inner point."""
+        try:
+            tp = turning_points(Potential(a, b))
+        except DegenerateTurningPoints:
+            return
+        off = sorted((z for z in tp.roots if z.imag != 0.0),
+                     key=lambda z: z.imag)
+        assert len(off) in (0, 2)
+        if off:
+            assert off[0] == off[1].conjugate()
+        assert tp.centroid.imag == 0.0
+        assert match_point(tp).imag == 0.0
 
     def test_inner_is_first_and_deterministic(self):
         tp1 = turning_points(REF)

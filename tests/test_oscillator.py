@@ -227,6 +227,24 @@ class TestDependenceResidual:
         norm = abs(r[0]) + abs(r[1])
         assert 1e-4 < norm < 1.0
 
+    def test_mirrored_legs_match_integrated_ones(self, q1_sequence):
+        """At the real q = 1 seeds the legs of rays 1 and -2 are the mirror
+        images of rays -1 and 2: they agree with the legs integrated on
+        those rays, and G_1 is the exact conjugate of G_0."""
+        for seed in q1_sequence:
+            pot = _pot(seed.point)
+            samples = {}
+            G, _ = dependence_system(pot, samples=samples)
+            assert G[1] == G[0].conjugate()
+            tp = turning_points(pot)
+            lam = match_point(tp)
+            for k in (1, -2):
+                leg = psi_logderivative(pot, ray_spec(pot, k), lam, tp=tp)
+                for name in ("s", "ds_da", "ds_db"):
+                    want = getattr(leg, name)
+                    got = getattr(samples[k], name)
+                    assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
+
     def test_one_turning_point_solve_per_pass(self, anchor, monkeypatch):
         """The four inward legs take the pass's turning points instead of
         solving the cubic again; ``u_values`` hands its own to the ray-0
@@ -358,10 +376,8 @@ class TestRefinePole:
         refine_pole(anchor, compute_gap=False)
         assert len(calls) <= 28
 
-    def test_gap_reuses_the_seed_legs(self, anchor, monkeypatch):
-        """``u_values`` at the seed takes over the rays 2 and -2 legs of the
-        seed's dependence pass and integrates only ray 0: one recessive
-        solution on top of four per pass, where it used to integrate three."""
+    @staticmethod
+    def _legs_and_passes(seed, monkeypatch):
         passes, legs = [], []
         system = oscillator.dependence_system
         psi = oscillator.psi_logderivative
@@ -376,8 +392,23 @@ class TestRefinePole:
 
         monkeypatch.setattr(oscillator, "dependence_system", counting_system)
         monkeypatch.setattr(oscillator, "psi_logderivative", counting_psi)
-        refine_pole(anchor)
-        assert len(legs) == 4 * len(passes) + 1
+        refine_pole(seed)
+        return len(legs), len(passes)
+
+    def test_gap_reuses_the_seed_legs(self, anchor, monkeypatch):
+        """``u_values`` at the seed takes over the rays 2 and -2 legs of the
+        seed's dependence pass and integrates only ray 0.  The anchor and
+        its Newton iterates are exactly real, so each pass integrates two
+        legs and mirrors the other two."""
+        legs, passes = self._legs_and_passes(anchor, monkeypatch)
+        assert legs == 2 * passes + 1
+
+    def test_off_the_axis_every_leg_is_integrated(self, coprime_primitives,
+                                                  monkeypatch):
+        """A non-real seed has no mirror: four legs a pass, plus ray 0."""
+        seed = coprime_primitives[QuantumPair(1, 2)]
+        legs, passes = self._legs_and_passes(seed, monkeypatch)
+        assert legs == 4 * passes + 1
 
 
 class TestProportionality:
