@@ -12,37 +12,27 @@ the last.
 
 ``integrate`` advances ``y' = g(t, y)`` for a real parameter ``t``; paths
 in the complex plane are handled by the callers through the parametrization
-baked into ``g``.  ``integrate_along_path`` does this for polylines; no
-module of the package calls it, only the tests' DOP853 references and the
-benchmark's tracer.  One code generator runs either of two explicit pairs
-with the first-same-as-last (FSAL) property and local extrapolation
-(Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.5 and II.10):
-
-- ``DP54``, Dormand-Prince 5(4), the default: 6 stages per step.
-- ``DOP853``, Hairer's 8th-order method with the combined 5th/3rd-order
-  error estimate: 12 stages per step.
-
-The tableau is a per-call argument.  The Stokes tracer stays on ``DP54``:
-at rtol 1e-9 DOP853's steps only halve, while every step would make twice
-the evaluations of its tangent, a complex square root of V with its branch
-choice, so no evaluation is saved.  The tangent runs in the kernel like
-every other right-hand side here, with the branch reference in a list that
-its ``on_accept`` updates.  The oscillator's inward legs stay on ``DP54``
-too, so its poles keep their values; ``DOP853`` stays for their move
-(ROADMAP item 3 has the measurements: about 3x fewer steps per ``catalog``
-pass), and as the tests' reference for the Taylor legs.
+baked into ``g``.  It runs one explicit pair, ``DP54``: Dormand-Prince
+5(4), 6 stages per step, with the first-same-as-last (FSAL) property and
+local extrapolation (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.5).
+Two callers run it: the Stokes tracer's tangent, a complex square root of
+V with its branch choice (the branch reference sits in a list that its
+``on_accept`` updates), and the oscillator's inward legs.
+``integrate_along_path`` does the same along polylines; no module of the
+package calls it, and it stays because the benchmark's tracer resolves it
+by name.
 
 The state is either a bare ``complex`` (one unknown) or a tuple of complex
 (any number of unknowns).  Each run is one generated function
-(``_kernel``), made on first use per tableau, state shape, ``error_dims``
-and right-hand side and then cached: the right-hand side is written into
-every stage and the step controller around the attempts, so no stage makes
-a Python call.  The stages are unrolled over the components, and every
-component is advanced with the operations of the scalar formula, so a
-scalar and a 1-tuple take identical steps.  The error norm may be
-restricted to the leading components (``error_dims``), which lets
-variational equations ride along on the steps of the state they
-differentiate.
+(``_kernel``), made on first use per state shape and right-hand side and
+then cached: the right-hand side is written into every stage and the step
+controller around the attempts, so no stage makes a Python call.  The
+stages are unrolled over the components, and every component is advanced
+with the operations of the scalar formula.  Only the leading component
+enters the error norm and the initial step size; the others ride along on
+its steps, unchecked, which lets variational equations follow the state
+they differentiate.  So the leading component of any tuple takes exactly
+the steps and values of a scalar run on its own equation.
 
 The right-hand side is an ``Rhs``: source lines over named parameters.
 
@@ -95,27 +85,23 @@ CONTINUE = "continue"
 STOP = "stop"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Tableau:
-    """An explicit Runge-Kutta pair of s stages whose stage s+1 is FSAL.
+    """The coefficients of ``integrate``'s one Runge-Kutta pair, ``DP54``:
+    s stages, and stage s+1 is FSAL.
 
     ``nodes`` are c_2..c_{s+1} (the last is 1: stage s+1 is g at the new
     state, reused as the next step's first stage) and ``rows`` the stage
     rows a_2..a_s.  ``weights`` b_1..b_s advance the state; ``error``
-    weights over k_1..k_{s+1} give the local error estimate e.  With
-    ``error3``, the weights of a second (3rd-order) estimate e3, a
-    component's error is |h| |e|^2 / sqrt(|e|^2 + 0.01 |e3|^2), Hairer's
-    DOP853 estimate; without it, |h e|.  ``exponent`` is the controller's
-    power of the error norm.  Compared and hashed by identity: the
-    kernel cache keys on the module constants.
+    weights over k_1..k_{s+1} give the local error estimate e, and the
+    leading component's error is |h e|.  The step controller's power of
+    the error norm, -1/5, is written into the kernel as a constant.
     """
 
     nodes: tuple[float, ...]
     rows: tuple[tuple[float, ...], ...]
     weights: tuple[float, ...]
     error: tuple[float, ...]
-    error3: tuple[float, ...] | None
-    exponent: float
 
 
 # Dormand-Prince 5(4) tableau: the nodes c2..c7, the stage rows a_j, the
@@ -129,98 +115,10 @@ DP54 = Tableau(
           (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)),
     weights=(35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
     error=(71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
-           22 / 525, -1 / 40),
-    error3=None,
-    exponent=-1 / 5)
+           22 / 525, -1 / 40))
 
-# Hairer's DOP853 (the coefficients of his Fortran code dop853.f): the
-# nodes c2..c13, the stage rows a_2..a_12, the 8th-order weights b, the
-# 5th-order error weights and the 3rd-order ones, b minus bhh1..bhh3 at
-# stages 1, 9 and 12
-_B8 = (5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
-       4.45031289275240888144113950566, 1.89151789931450038304281599044,
-       -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
-       -1.52160949662516078556178806805e-1,
-       2.01365400804030348374776537501e-1,
-       4.47106157277725905176885569043e-2)
-DOP853 = Tableau(
-    nodes=(0.526001519587677318785587544488e-01,
-           0.789002279381515978178381316732e-01,
-           0.118350341907227396726757197510,
-           0.281649658092772603273242802490,
-           0.333333333333333333333333333333,
-           0.25,
-           0.307692307692307692307692307692,
-           0.651282051282051282051282051282,
-           0.6,
-           0.857142857142857142857142857142,
-           1.0,
-           1.0),
-    rows=((5.26001519587677318785587544488e-2,),
-          (1.97250569845378994544595329183e-2,
-           5.91751709536136983633785987549e-2),
-          (2.95875854768068491816892993775e-2, 0.0,
-           8.87627564304205475450678981324e-2),
-          (2.41365134159266685502369798665e-1, 0.0,
-           -8.84549479328286085344864962717e-1,
-           9.24834003261792003115737966543e-1),
-          (3.7037037037037037037037037037e-2, 0.0, 0.0,
-           1.70828608729473871279604482173e-1,
-           1.25467687566822425016691814123e-1),
-          (3.7109375e-2, 0.0, 0.0,
-           1.70252211019544039314978060272e-1,
-           6.02165389804559606850219397283e-2,
-           -1.7578125e-2),
-          (3.70920001185047927108779319836e-2, 0.0, 0.0,
-           1.70383925712239993810214054705e-1,
-           1.07262030446373284651809199168e-1,
-           -1.53194377486244017527936158236e-2,
-           8.27378916381402288758473766002e-3),
-          (6.24110958716075717114429577812e-1, 0.0, 0.0,
-           -3.36089262944694129406857109825,
-           -8.68219346841726006818189891453e-1,
-           2.75920996994467083049415600797e1,
-           2.01540675504778934086186788979e1,
-           -4.34898841810699588477366255144e1),
-          (4.77662536438264365890433908527e-1, 0.0, 0.0,
-           -2.48811461997166764192642586468,
-           -5.90290826836842996371446475743e-1,
-           2.12300514481811942347288949897e1,
-           1.52792336328824235832596922938e1,
-           -3.32882109689848629194453265587e1,
-           -2.03312017085086261358222928593e-2),
-          (-9.3714243008598732571704021658e-1, 0.0, 0.0,
-           5.18637242884406370830023853209,
-           1.09143734899672957818500254654,
-           -8.14978701074692612513997267357,
-           -1.85200656599969598641566180701e1,
-           2.27394870993505042818970056734e1,
-           2.49360555267965238987089396762,
-           -3.0467644718982195003823669022),
-          (2.27331014751653820792359768449, 0.0, 0.0,
-           -1.05344954667372501984066689879e1,
-           -2.00087205822486249909675718444,
-           -1.79589318631187989172765950534e1,
-           2.79488845294199600508499808837e1,
-           -2.85899827713502369474065508674,
-           -8.87285693353062954433549289258,
-           1.23605671757943030647266201528e1,
-           6.43392746015763530355970484046e-1)),
-    weights=_B8,
-    error=(0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
-           -0.1225156446376204440720569753e+1,
-           -0.4957589496572501915214079952,
-           0.1664377182454986536961530415e+1,
-           -0.3503288487499736816886487290,
-           0.3341791187130174790297318841,
-           0.8192320648511571246570742613e-1,
-           -0.2235530786388629525884427845e-1, 0.0),
-    error3=(_B8[0] - 0.244094488188976377952755905512, 0.0, 0.0, 0.0, 0.0,
-            _B8[5], _B8[6], _B8[7],
-            _B8[8] - 0.733846688281611857341361741547,
-            _B8[9], _B8[10],
-            _B8[11] - 0.220588235294117647058823529412e-1, 0.0),
-    exponent=-1 / 8)
+#: The FSAL stage of ``DP54``: the derivative at the new state.
+_FSAL = len(DP54.weights) + 1
 
 
 @dataclass
@@ -298,16 +196,14 @@ def _rhs_writer(rhs: Rhs, arity: int | None):
     return write
 
 
-def _attempt_lines(arity: int | None, error_dims: int, tableau: Tableau,
-                   write) -> list[str]:
-    """One attempt of ``tableau`` from ``_t``, ``_y`` and ``_k1`` with step
+def _attempt_lines(arity: int | None, write) -> list[str]:
+    """One attempt of ``DP54`` from ``_t``, ``_y`` and ``_k1`` with step
     ``_h``: the new state ``_n``, its derivative (the FSAL stage) and the
-    error norm ``_enorm``.
+    error norm ``_enorm`` of the leading component.
 
     Every component is advanced as ``y + h * (a . k)`` with the products
     summed left to right, the operation order of the scalar formula, so
-    each component's value does not depend on the arity.  Only the first
-    ``error_dims`` components enter the error norm.
+    each component's value does not depend on the arity.
     """
     comps = _components(arity)
 
@@ -317,42 +213,23 @@ def _attempt_lines(arity: int | None, error_dims: int, tableau: Tableau,
     def node(c):
         return "_t + _h" if c == 1.0 else f"_t + {c!r} * _h"
 
-    n_stages = len(tableau.weights)
     lines = []
-    for stage, row in enumerate(tableau.rows, start=2):
-        lines += write(stage, node(tableau.nodes[stage - 2]),
+    for stage, row in enumerate(DP54.rows, start=2):
+        lines += write(stage, node(DP54.nodes[stage - 2]),
                        [f"_y{c} + _h * ({_combination(row, stages(c, stage - 1))})"
                         for c in comps])
     for c in comps:
         lines.append(f"_n{c} = _y{c} + _h * "
-                     f"({_combination(tableau.weights, stages(c, n_stages))})")
-    lines += write(n_stages + 1, node(tableau.nodes[-1]),
-                   [f"_n{c}" for c in comps])
-    ratios = []
-    for c in comps[:error_dims]:
-        err = _combination(tableau.error, stages(c, len(tableau.error)))
-        # max(|y|, |n|) as a conditional expression, NaN included
-        lines += [f"_a{c} = abs(_y{c})", f"_b{c} = abs(_n{c})"]
-        scale = f"(_atol + _rtol * (_b{c} if _b{c} > _a{c} else _a{c}))"
-        if tableau.error3 is None:
-            lines.append(f"_r{c} = abs(_h * ({err})) / {scale}")
-        else:
-            # |e|^2 / sqrt(|e|^2 + 0.01 |e3|^2) as |e| * (|e| / hypot(...)),
-            # which neither overflows nor underflows to 0 / 0
-            err3 = _combination(tableau.error3,
-                                stages(c, len(tableau.error3)))
-            lines.append(f"_e{c} = abs({err})")
-            lines.append(f"_r{c} = abs(_h) * _e{c} * (_e{c} / _hypot(_e{c}, "
-                         f"0.1 * abs({err3}))) / {scale} if _e{c} else 0.0")
-        ratios.append(f"_r{c}")
-    if len(ratios) == 1:
-        lines.append(f"_enorm = {ratios[0]}")
-    else:
-        # max() drops a NaN that does not come first; the sum keeps it
-        lines.append(f"_enorm = max({', '.join(ratios)})")
-        lines.append(f"if _isnan({' + '.join(ratios)}):")
-        lines.append("    _enorm = _nan")
-    return lines
+                     f"({_combination(DP54.weights, stages(c, _FSAL - 1))})")
+    lines += write(_FSAL, node(DP54.nodes[-1]), [f"_n{c}" for c in comps])
+    c = comps[0]
+    err = _combination(DP54.error, stages(c, _FSAL))
+    # max(|y|, |n|) as a conditional expression, NaN included
+    return lines + [
+        f"_a{c} = abs(_y{c})", f"_b{c} = abs(_n{c})",
+        f"_r{c} = abs(_h * ({err})) / "
+        f"(_atol + _rtol * (_b{c} if _b{c} > _a{c} else _a{c}))",
+        f"_enorm = _r{c}"]
 
 
 def _block(lines, depth: int) -> str:
@@ -386,7 +263,7 @@ def leg(_t, _t1, _y, _rtol, _atol, _on_accept, _max_steps, {params}):
                 raise _StepUnderflow("non-finite error estimate at minimal step")
             continue
         if _enorm > 1.0:
-            _f = 0.9 * _enorm ** {expo}
+            _f = 0.9 * _enorm ** (-0.2)
             _h *= _f if _f > 0.2 else 0.2
             if _h < _min_h:
                 raise _StepUnderflow(f"step underflow at t={{_t:.6g}}")
@@ -402,15 +279,14 @@ def leg(_t, _t1, _y, _rtol, _atol, _on_accept, _max_steps, {params}):
 {refresh}
             if _action == _STOP:
                 return _t, {state}, True, _count
-        _f = 0.9 * _enorm ** {expo} if _enorm > 0 else 5.0
+        _f = 0.9 * _enorm ** (-0.2) if _enorm > 0 else 5.0
         _f = _f if _f > 0.2 else 0.2
         _h *= _f if _f < 5.0 else 5.0
     return _t, {state}, False, _count
 """
 
 
-def _kernel_source(arity: int | None, error_dims: int, tableau: Tableau,
-                   rhs: Rhs) -> str:
+def _kernel_source(arity: int | None, rhs: Rhs) -> str:
     """Source of one whole run: ``leg(_t, _t1, _y, _rtol, _atol,
     _on_accept, _max_steps, *params) -> (t, y, stopped, n_steps)``.
 
@@ -421,22 +297,15 @@ def _kernel_source(arity: int | None, error_dims: int, tableau: Tableau,
     write = _rhs_writer(rhs, arity)
     comps = _components(arity)
     ys = [f"_y{c}" for c in comps]
-    fsal = len(tableau.weights) + 1
     first = write(1, "_t", ys)
-
-    def size(prefix):
-        terms = [f"abs({prefix}{c})" for c in comps[:error_dims]]
-        return terms[0] if len(terms) == 1 else f"max({', '.join(terms)})"
-
     unpack = [] if arity is None else [f"{', '.join(ys)}, = _y"]
     return _LEG_TEMPLATE.format(
         params=", ".join(rhs.params), state=_pack(ys, arity),
-        expo=f"({tableau.exponent!r})", y_size=size("_y"),
-        f_size=size("_k1"), unpack=_block(unpack, 1),
-        first=_block(first, 1),
-        attempt=_block(_attempt_lines(arity, error_dims, tableau, write), 2),
+        y_size=f"abs(_y{comps[0]})", f_size=f"abs(_k1{comps[0]})",
+        unpack=_block(unpack, 1), first=_block(first, 1),
+        attempt=_block(_attempt_lines(arity, write), 2),
         advance=_block([f"_y{c} = _n{c}" for c in comps]
-                       + [f"_k1{c} = _k{fsal}{c}" for c in comps], 2),
+                       + [f"_k1{c} = _k{_FSAL}{c}" for c in comps], 2),
         pack=_block([] if arity is None else [f"_y = {_pack(ys, arity)}"],
                     3),
         unpack_hooked=_block([f"{', '.join(ys)}, = _ya" if arity is not None
@@ -444,8 +313,7 @@ def _kernel_source(arity: int | None, error_dims: int, tableau: Tableau,
         refresh=_block(first, 4))
 
 
-_NAMESPACE = {"_isnan": math.isnan, "_nan": math.nan, "_hypot": math.hypot,
-              "_isfinite": math.isfinite, "_STOP": STOP,
+_NAMESPACE = {"_isfinite": math.isfinite, "_STOP": STOP,
               "_OdeToleranceNotMet": OdeToleranceNotMet,
               "_StepUnderflow": StepUnderflow}
 
@@ -457,39 +325,16 @@ def _compile(source: str, name: str):
 
 
 @functools.cache
-def _kernel(arity: int | None, error_dims: int, tableau: Tableau, rhs: Rhs):
-    """The run for one tableau, state shape and right-hand side, generated
-    on first use."""
-    return _compile(_kernel_source(arity, error_dims, tableau, rhs), "leg")
-
-
-@functools.cache
-def _stage_fn(arity: int | None, error_dims: int, tableau: Tableau = DP54,
-              rhs: Rhs = CALL):
-    """One attempt of the kernel on its own, from the same stage lines:
-    ``attempt(t, y, k1, h, rtol, atol, *params) -> (y_new, derivative at
-    y_new, error norm)``.  The tests check it against hand-written steps.
-    """
-    comps = _components(arity)
-    unpack = [] if arity is None else [
-        f"{', '.join(f'_y{c}' for c in comps)}, = _y",
-        f"{', '.join(f'_k1{c}' for c in comps)}, = _k1"]
-    fsal = len(tableau.weights) + 1
-    body = unpack + _attempt_lines(arity, error_dims, tableau,
-                                   _rhs_writer(rhs, arity)) + [
-        f"return {_pack([f'_n{c}' for c in comps], arity)}, "
-        f"{_pack([f'_k{fsal}{c}' for c in comps], arity)}, _enorm"]
-    return _compile(f"def attempt(_t, _y, _k1, _h, _rtol, _atol, "
-                    f"{', '.join(rhs.params)}):\n{_block(body, 1)}\n",
-                    "attempt")
+def _kernel(arity: int | None, rhs: Rhs):
+    """The run for one state shape and right-hand side, generated on first
+    use."""
+    return _compile(_kernel_source(arity, rhs), "leg")
 
 
 def integrate(g, t0: float, t1: float, y0, rtol: float = 1e-12,
               atol: float = 1e-14, on_accept=None,
-              max_steps: int = 500_000,
-              error_dims: int | None = None,
-              tableau: Tableau = DP54, args: tuple = ()) -> IntegrationResult:
-    """Integrate y' = g(t, y) from t0 to t1 (t1 > t0).
+              max_steps: int = 500_000, args: tuple = ()) -> IntegrationResult:
+    """Integrate y' = g(t, y) from t0 to t1 (t1 > t0) by ``DP54``.
 
     ``g`` is an ``Rhs`` whose parameter values are ``args``, or a callable
     ``g(t, y)`` (then ``args`` is unused).  ``y0`` is a number (scalar
@@ -497,39 +342,32 @@ def integrate(g, t0: float, t1: float, y0, rtol: float = 1e-12,
     (y, action)`` runs after each accepted step; action ``STOP`` ends the
     integration at that point.
 
-    ``error_dims`` (default: all) is how many leading components of a
-    tuple state enter the error norm and the initial step size; the rest
-    ride along on the steps those components choose, unchecked, NaN
-    included.  With ``error_dims=1`` the first component takes exactly the
+    Only the leading component of a tuple state enters the error norm and
+    the initial step size; the rest ride along on the steps it chooses,
+    unchecked, NaN included.  The leading component takes exactly the
     steps and values of a scalar run on its own equation.
-
-    ``tableau`` is the Runge-Kutta pair, ``DP54`` or ``DOP853``.
     """
     span = t1 - t0
     if span <= 0.0:
         raise ValueError("t1 must exceed t0")
     scalar = isinstance(y0, numbers.Number)
     y = complex(y0) if scalar else tuple(complex(v) for v in y0)
-    dims = 1 if scalar else len(y)
-    checked = dims if error_dims is None else error_dims
-    if not 1 <= checked <= dims:
-        raise ValueError(f"error_dims must lie in 1..{dims}")
     if not isinstance(g, Rhs):
         g, args = CALL, (g,)
-    leg = _kernel(None if scalar else dims, checked, tableau, g)
+    leg = _kernel(None if scalar else len(y), g)
     return IntegrationResult(*leg(float(t0), t1, y, rtol, atol, on_accept,
                                   max_steps, *args))
 
 
 def integrate_along_path(f, y0, waypoints, rtol: float = 1e-12,
                          atol: float = 1e-14, on_accept=None,
-                         max_steps: int = 500_000,
-                         tableau: Tableau = DP54) -> IntegrationResult:
+                         max_steps: int = 500_000) -> IntegrationResult:
     """Integrate y' = f(z, y) dz along the polyline through ``waypoints``.
 
     Each leg is parametrized linearly; ``on_accept`` receives the complex
     position instead of the leg parameter.  Returns the state at the final
-    waypoint (or at the stop point), with that point as ``z``.
+    waypoint (or at the stop point), with that point as ``z``.  No module
+    of the package calls it; the benchmark's tracer resolves it by name.
     """
     scalar = isinstance(y0, numbers.Number)
     y = complex(y0) if scalar else tuple(complex(v) for v in y0)
@@ -556,7 +394,7 @@ def integrate_along_path(f, y0, waypoints, rtol: float = 1e-12,
                 return on_accept(z0 + t * dz, yy)
 
         res = integrate(g, 0.0, 1.0, y, rtol=rtol, atol=atol, on_accept=hook,
-                        max_steps=max_steps, tableau=tableau)
+                        max_steps=max_steps)
         y = res.y
         steps += res.n_steps
         z_end = z0 + res.t * dz

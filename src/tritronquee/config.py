@@ -4,12 +4,15 @@ Every knob takes its default from the module constant it overrides and is
 read by the catalog, so the config hash in a catalog header describes the
 values its entries were computed with.  The comment over each group names
 the other subcommands that read it.  A config file is a plain
-``key = value`` text file (TOML-style scalars, ``#`` comments).
+``key = value`` text file with ``#`` comments.  An integer key takes an
+integer literal; every other key is a float and takes any finite number
+> 0.  A line that breaks a rule raises ValueError with its ``path:lineno``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields, replace
 
 from . import bsb, oscillator, painleve
@@ -46,24 +49,9 @@ class ToolConfig:
         return hashlib.sha256(self.canonical_dump().encode()).hexdigest()[:16]
 
 
-def _parse_scalar(text: str):
-    text = text.strip()
-    if text.lower() in ("true", "false"):
-        return text.lower() == "true"
-    if text.startswith('"') and text.endswith('"') and len(text) >= 2:
-        return text[1:-1]
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
 def load_config(path: str | None) -> ToolConfig:
-    """Read ``key = value`` lines; unknown keys raise ValueError."""
+    """Read ``key = value`` lines; unknown keys and values that their key
+    does not take raise ValueError."""
     cfg = ToolConfig()
     if path is None:
         return cfg
@@ -79,12 +67,15 @@ def load_config(path: str | None) -> ToolConfig:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in known:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            parsed = _parse_scalar(value)
-            default = getattr(cfg, key)
-            if isinstance(default, int) and type(parsed) is not int:
-                raise ValueError(f"{path}:{lineno}: {key} takes an integer, "
+            integer = isinstance(getattr(cfg, key), int)
+            try:
+                parsed = int(value) if integer else float(value)
+                valid = integer or 0.0 < parsed < math.inf
+            except ValueError:
+                valid = False
+            if not valid:
+                kind = "an integer" if integer else "a finite number > 0"
+                raise ValueError(f"{path}:{lineno}: {key} takes {kind}, "
                                  f"not {value!r}")
-            if isinstance(default, float):
-                parsed = float(parsed)
             overrides[key] = parsed
     return replace(cfg, **overrides)

@@ -393,9 +393,13 @@ def cond_2x2(J) -> float:
     With |det J| = s1 s2, cond = s1^2 / |det J|, and s1^2 is the larger
     eigenvalue of J J^H = ((p, r), (r*, q)): (p + q + hypot(p - q, 2|r|)) / 2.
     The form |J|_F^4 - 4 |det J|^2 of the same discriminant cancels as
-    s1 -> s2 and is 1.7e-8 off at cond = 1.
+    s1 -> s2 and is 1.7e-8 off at cond = 1.  cond is scale-free, so J is
+    first scaled by the power of 2 that brings its largest entry near 1:
+    exact, so no bit changes, and det J cannot underflow or overflow.
     """
     (a, b), (c, d) = J
+    s = math.ldexp(1.0, -math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1])
+    a, b, c, d = a * s, b * s, c * s, d * s
     det = abs(a * d - b * c)
     if det == 0.0:
         return math.inf

@@ -385,7 +385,6 @@ def _integrate_s_inward(pot: Potential, ray: RaySpec, waypoints: list[complex],
 
         res = complex_ode.integrate(rhs, 0.0, 1.0, value, rtol=rtol,
                                     atol=atol, on_accept=on_accept,
-                                    error_dims=1,
                                     args=_leg_args(pot, z0, dz))
         value = res.y
         z_cur = z0 + res.t * dz

@@ -5,16 +5,18 @@ roots come from Durand-Kerner instead of Cardano's formula, periods from
 a dense trapezoid on a circular contour instead of the segment quadrature,
 branch values from stepwise continuation, and log-derivatives from the
 linear (psi, psi') system with rescaling instead of the Riccati flow.
-The DP5(4) attempts ``step_scalar`` and ``step_tuple`` are frozen copies of
-the hand-written stage code that ``complex_ode`` now generates per arity.
 ``cycle_integral`` and ``quadrature_period_data`` are frozen copies of the
 node-doubled Gauss-Legendre quadrature that the closed-form periods
 replaced, with its node builder, and ``mp_period_data`` is the same six
 integrals by tanh-sinh quadrature at 30 digits.  ``numpy_turning_points``
 is the frozen ``np.roots`` solve that Cardano's formula replaced.
 ``closure_integrate`` is a frozen copy of the integrator that called its
-right-hand side as a Python function at every stage, with the generated
-attempt of ``_stage_source``, and ``s_chart``, ``r_chart``, ``pair_leg``
+right-hand side as a Python function at every stage, with a generated
+attempt per pair, state shape and number of error-checked components, and
+``closure_along_path`` runs it along a polyline.  Its pairs are ``DP54``,
+Dormand-Prince 5(4) from the frozen coefficients below, and ``DOP853``,
+Hairer's 8(5,3) pair with its combined 5th/3rd-order error estimate, built
+from scipy's coefficient tables.  ``s_chart``, ``r_chart``, ``pair_leg``
 and ``pi_leg`` are the closures the oscillator and the Painleve legs ran
 on it; on DOP853, ``pi_leg`` and ``pair_leg`` are the references for the
 Taylor legs that replaced them.
@@ -40,9 +42,11 @@ import cmath
 import functools
 import math
 import numbers
+from dataclasses import dataclass
 
 import numpy as np
 from mpmath import mp, mpf
+from scipy.integrate._ivp import dop853_coefficients as _dop
 
 from tritronquee import complex_ode, painleve, stokes
 from tritronquee.bsb import (PRIMITIVE_11_SEED, TOL_NEWTON, QuantumPair,
@@ -57,6 +61,21 @@ from tritronquee.errors import (DegenerateTurningPoints, OdeToleranceNotMet,
 from tritronquee.oscillator import RaySpec, _adiabatic_handoff, _path_to
 
 
+@dataclass(frozen=True)
+class Pair:
+    """An explicit Runge-Kutta pair with an FSAL last stage, as
+    ``complex_ode.Tableau`` lays it out, plus ``error3``, the weights of
+    DOP853's 3rd-order estimate (or None), and ``exponent``, the step
+    controller's power of the error norm."""
+
+    nodes: tuple[float, ...]
+    rows: tuple[tuple[float, ...], ...]
+    weights: tuple[float, ...]
+    error: tuple[float, ...]
+    error3: tuple[float, ...] | None
+    exponent: float
+
+
 # Dormand-Prince 5(4) tableau of the frozen attempts below
 _C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
 _A21 = 1 / 5
@@ -68,43 +87,23 @@ _B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
 _E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920,
                                 -17253 / 339200, 22 / 525, -1 / 40)
 
+DP54 = Pair(
+    nodes=(_C2, _C3, _C4, _C5, 1.0, 1.0),
+    rows=((_A21,), (_A31, _A32), (_A41, _A42, _A43),
+          (_A51, _A52, _A53, _A54), (_A61, _A62, _A63, _A64, _A65)),
+    weights=(_B1, 0.0, _B3, _B4, _B5, _B6),
+    error=(_E1, 0.0, _E3, _E4, _E5, _E6, _E7),
+    error3=None,
+    exponent=-1 / 5)
 
-def step_scalar(g, t, y, k1, h, rtol, atol):
-    """One DP5(4) attempt on a bare complex: (y_new, g at y_new, error norm)."""
-    k2 = g(t + _C2 * h, y + h * (_A21 * k1))
-    k3 = g(t + _C3 * h, y + h * (_A31 * k1 + _A32 * k2))
-    k4 = g(t + _C4 * h, y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-    k5 = g(t + _C5 * h, y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
-    k6 = g(t + h, y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4
-                           + _A65 * k5))
-    y_new = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-    k7 = g(t + h, y_new)
-    err = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
-    return y_new, k7, abs(err) / (atol + rtol * max(abs(y), abs(y_new)))
-
-
-def step_tuple(g, t, y, k1, h, rtol, atol):
-    """The same attempt componentwise on a tuple state."""
-    k2 = g(t + _C2 * h, tuple([v + h * (_A21 * a) for v, a in zip(y, k1)]))
-    k3 = g(t + _C3 * h, tuple([v + h * (_A31 * a + _A32 * b)
-                               for v, a, b in zip(y, k1, k2)]))
-    k4 = g(t + _C4 * h, tuple([v + h * (_A41 * a + _A42 * b + _A43 * c)
-                               for v, a, b, c in zip(y, k1, k2, k3)]))
-    k5 = g(t + _C5 * h, tuple([v + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
-                               for v, a, b, c, d in zip(y, k1, k2, k3, k4)]))
-    k6 = g(t + h, tuple([v + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d
-                                  + _A65 * e)
-                         for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)]))
-    y_new = tuple([v + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * f)
-                   for v, a, c, d, e, f in zip(y, k1, k3, k4, k5, k6)])
-    k7 = g(t + h, y_new)
-    ratios = [abs(h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * f + _E7 * k))
-              / (atol + rtol * max(abs(v), abs(w)))
-              for v, w, a, c, d, e, f, k in zip(y, y_new, k1, k3, k4, k5, k6, k7)]
-    enorm = max(ratios)
-    if math.isnan(sum(ratios)):  # max() drops a NaN that does not come first
-        enorm = math.nan
-    return y_new, k7, enorm
+# Hairer's DOP853: the coefficients of his dop853.f as scipy carries them
+DOP853 = Pair(
+    nodes=tuple(_dop.C[1:_dop.N_STAGES + 1].tolist()),
+    rows=tuple(tuple(_dop.A[i, :i].tolist()) for i in range(1, _dop.N_STAGES)),
+    weights=tuple(_dop.B.tolist()),
+    error=tuple(_dop.E5.tolist()),
+    error3=tuple(_dop.E3.tolist()),
+    exponent=-1 / 8)
 
 
 def _combination(coefs, names) -> str:
@@ -113,7 +112,7 @@ def _combination(coefs, names) -> str:
 
 
 def _frozen_stage_source(arity: int | None, error_dims: int,
-                         tableau=complex_ode.DP54) -> str:
+                         tableau: Pair = DP54) -> str:
     """Source of one attempt of ``tableau``, unrolled over the components.
 
     ``arity`` None is a bare complex state, otherwise a tuple of that
@@ -183,7 +182,7 @@ def _frozen_stage_source(arity: int | None, error_dims: int,
 
 @functools.cache
 def _frozen_stage_fn(arity: int | None, error_dims: int,
-                     tableau=complex_ode.DP54):
+                     tableau: Pair = DP54):
     """``step(g, t, y, k1, h, rtol, atol) -> (y_new, g at y_new, error
     norm)`` for one tableau and state shape."""
     namespace = {"isnan": math.isnan, "nan": math.nan, "hypot": math.hypot}
@@ -199,7 +198,7 @@ def closure_integrate(g, t0: float, t1: float, y0, rtol: float = 1e-12,
                       atol: float = 1e-14, on_accept=None,
                       max_steps: int = 500_000,
                       error_dims: int | None = None,
-                      tableau=complex_ode.DP54):
+                      tableau: Pair = DP54):
     """``complex_ode.integrate`` as it was with a callable ``g``: the step
     controller in Python around one generated attempt per step, which calls
     ``g`` at every stage."""
@@ -251,6 +250,33 @@ def closure_integrate(g, t0: float, t1: float, y0, rtol: float = 1e-12,
                 return complex_ode.IntegrationResult(t, y, True, n)
         h *= min(5.0, max(0.2, 0.9 * enorm ** expo if enorm > 0 else 5.0))
     return complex_ode.IntegrationResult(t, y, False, n)
+
+
+def closure_along_path(f, y0, waypoints, rtol: float, atol: float,
+                       on_accept, tableau: Pair = DP54):
+    """``complex_ode.integrate_along_path`` on ``closure_integrate`` for a
+    tuple state: y' = f(z, y) dz along the polyline through ``waypoints``,
+    each leg parametrized linearly, with ``on_accept`` seeing the complex
+    position.  Returns the state at the last waypoint or the stop point."""
+    y = tuple(complex(v) for v in y0)
+    for z0, z1 in zip(waypoints[:-1], waypoints[1:]):
+        z0 = complex(z0)
+        dz = complex(z1) - z0
+        if dz == 0:
+            continue
+
+        def g(t, yy, z0=z0, dz=dz):
+            return tuple([v * dz for v in f(z0 + t * dz, yy)])
+
+        def hook(t, yy, z0=z0, dz=dz):
+            return on_accept(z0 + t * dz, yy)
+
+        res = closure_integrate(g, 0.0, 1.0, y, rtol=rtol, atol=atol,
+                                on_accept=hook, tableau=tableau)
+        y = res.y
+        if res.stopped:
+            break
+    return y
 
 
 def potential_fn(pot: Potential):
@@ -533,10 +559,9 @@ def linear_logderivative(pot: Potential, tp: TurningPoints, ray: RaySpec,
             return (y[0] / m, y[1] / m), complex_ode.CONTINUE
         return y, complex_ode.CONTINUE
 
-    res = complex_ode.integrate_along_path(f, (1.0, s0), remaining,
-                                           rtol=rtol, atol=1e-30,
-                                           on_accept=on_accept)
-    return res.y[1] / res.y[0]
+    y = closure_along_path(f, (1.0, s0), remaining, rtol=rtol, atol=1e-30,
+                           on_accept=on_accept)
+    return y[1] / y[0]
 
 
 def polyline_action_drift(pot: Potential, points) -> tuple[float, float]:
@@ -914,10 +939,9 @@ def pair_outward(pot: Potential, tp: TurningPoints, sA0: complex,
     for z0, z1 in zip(waypoints[:-1], waypoints[1:]):
         if z1 == z0:
             continue
-        res = complex_ode.integrate(pair_leg(pot, z0, z1 - z0), 0.0, 1.0,
-                                    value, rtol=1e-14, atol=1e-16,
-                                    on_accept=on_accept,
-                                    tableau=complex_ode.DOP853)
+        res = closure_integrate(pair_leg(pot, z0, z1 - z0), 0.0, 1.0,
+                                value, rtol=1e-14, atol=1e-16,
+                                on_accept=on_accept, tableau=DOP853)
         value = res.y
         if res.stopped:
             break
@@ -944,10 +968,10 @@ def pair_outward_linear(pot: Potential, tp: TurningPoints, sA0: complex,
             return tuple(c / m for c in y), complex_ode.CONTINUE
         return y, complex_ode.CONTINUE
 
-    res = complex_ode.integrate_along_path(
-        f, (1.0, sA0, 1.0, sB0), _path_to(tp, z_from, z_to), rtol=1e-14,
-        atol=1e-300, on_accept=on_accept, tableau=complex_ode.DOP853)
-    return cmath.log(res.y[0] / res.y[2])
+    y = closure_along_path(f, (1.0, sA0, 1.0, sB0),
+                           _path_to(tp, z_from, z_to), rtol=1e-14,
+                           atol=1e-300, on_accept=on_accept, tableau=DOP853)
+    return cmath.log(y[0] / y[2])
 
 
 # ---------------------------------------------------------------------------

@@ -166,10 +166,16 @@ def test_refine_command(capsys):
 
 
 def test_bad_config_exit_code(tmp_path, capsys):
+    # booleans, strings, non-finite and non-positive floats: no key takes
+    # them, and each error names the file and the line
     conf = tmp_path / "conf"
-    conf.write_text("unknown_key = 3\n")
-    code = main(["bsb", "--n", "1", "--m", "1", "--config", str(conf)])
-    assert code == 2
+    for text in ("unknown_key = 3", "tol_ode = true", "tol_dep = nan",
+                 "tol_ode = inf", "fit_radius = -0.25", "tol_ode = 0",
+                 'tol_dep = "abc"'):
+        conf.write_text(f"# a comment\n{text}\n")
+        code = main(["bsb", "--n", "1", "--m", "1", "--config", str(conf)])
+        assert code == 2, text
+        assert f"{conf}:2: " in capsys.readouterr().err, text
 
 
 def test_track_z_seed_below_certified_radius(tmp_path, capsys):

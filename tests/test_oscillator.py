@@ -82,8 +82,7 @@ def test_inlined_legs_match_the_closure_path(leg, a, b, z0, dz, state,
                "r-chart": oscillator._R_CHART}[leg]
         return complex_ode.integrate(
             rhs, 0.0, 1.0, state, rtol=rtol, atol=1e-13, on_accept=hook,
-            max_steps=3000, error_dims=1,
-            args=oscillator._leg_args(pot, z0, dz))
+            max_steps=3000, args=oscillator._leg_args(pot, z0, dz))
 
     def closure_path():
         hook = _stopping_hook(stop_at, refresh_every)

@@ -287,7 +287,7 @@ def test_taylor_leg_matches_dop853(z0, dz, state, stop_at):
         ref = oracles.closure_integrate(
             oracles.pi_leg(z0, (z0 + dz) - z0), 0.0, 1.0, state, rtol=1e-14,
             atol=1e-14, on_accept=lambda t, y: (y, stop(t, y)),
-            max_steps=20_000, tableau=complex_ode.DOP853)
+            max_steps=20_000, tableau=oracles.DOP853)
     except NumericalError:
         ref = None
     if ref is None or ref.stopped:
