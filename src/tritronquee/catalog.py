@@ -14,7 +14,6 @@ import json
 import math
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -174,6 +173,8 @@ def build_catalog(q_list, K: int, cfg: ToolConfig | None = None,
         seeds.append(primitive)
         seeds += [descendant(primitive, k) for k in range(1, K + 1)]
     if jobs > 1 and len(seeds) > 1:
+        # imported here: loading it costs every other run about 19 ms
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             entries = list(pool.map(_seed_entry, seeds, repeat(painleve),
                                     repeat(cfg)))

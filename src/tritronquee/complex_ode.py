@@ -16,8 +16,9 @@ baked into ``g``.  It runs one explicit pair, ``DP54``: Dormand-Prince
 5(4), 6 stages per step, with the first-same-as-last (FSAL) property and
 local extrapolation (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.5).
 Two callers run it: the Stokes tracer's tangent, a complex square root of
-V with its branch choice (the branch reference sits in a list that its
-``on_accept`` updates), and the oscillator's inward legs.
+V with its branch choice (each stage writes its root into a list, from
+which ``on_accept`` takes the new point's as the next reference), and the
+oscillator's inward legs.
 ``integrate_along_path`` does the same along polylines; no module of the
 package calls it, and it stays because the benchmark's tracer resolves it
 by name.
@@ -53,11 +54,12 @@ The right-hand side is an ``Rhs``: source lines over named parameters.
   closure's values bit for bit; any other order (a polynomial in Horner
   form, a sum taken in another order) changes the rounding.
 
-An ``on_accept(t, y) -> (y, action)`` callback runs after every accepted
-step; it can inspect and adjust the state (branch-drift correction, chart
-switching, rescaling) and end the run with ``STOP``.  Returning the same
-``y`` object keeps the FSAL stage; any other object is taken as a new state
-and the right-hand side is evaluated there afresh.
+Both integrators take one hook protocol: ``on_accept(t, y) -> action``
+runs after every accepted step, sees the state and ends the run when it
+returns ``STOP``.  It cannot replace the state, so every step starts from
+the FSAL stage of the last; what a hook needs to carry from step to step
+(the Stokes tracer's branch reference) it keeps in a parameter that the
+right-hand side can read.
 
 ``taylor_leg`` runs a ``TaylorEquation``, an equation given as data, on
 one template (``_taylor_source``) that writes the loop, the step control,
@@ -65,8 +67,8 @@ the errors and the Horner advance.  Two equations run on it: ``painleve``'s
 y'' = 6 y^2 - z (244 steps from 40 to -12, where DOP853 took 2,033 and
 DP54 16,247) and the oscillator's outward pair legs, two Riccati equations
 s' = V - s^2 with V cubic and the integral of their difference (834 steps
-per ``catalog`` pass, where DP54 took 24,946).  Its hook,
-``on_accept(t, view) -> action``, cannot replace the state.
+per ``catalog`` pass, where DP54 took 24,946).  Its hook sees
+``eq.view``, the expressions of the state named by the equation.
 """
 
 from __future__ import annotations
@@ -237,8 +239,7 @@ def _block(lines, depth: int) -> str:
 
 
 # One whole run.  The slots are filled with blocks of generated lines; the
-# controller is the one of Hairer, Norsett & Wanner II.4 with FSAL, and an
-# ``on_accept`` that hands back its ``y`` object keeps the last stage.
+# controller is the one of Hairer, Norsett & Wanner II.4 with FSAL.
 # Inside the loop max(x, c) is written ``c if c > x else x`` and min(x, c)
 # ``c if c < x else x``, the builtins' results, NaN included, without a call.
 _LEG_TEMPLATE = """\
@@ -273,11 +274,7 @@ def leg(_t, _t1, _y, _rtol, _atol, _on_accept, _max_steps, {params}):
         _count += 1
         if _on_accept is not None:
 {pack}
-            _ya, _action = _on_accept(_t, _y)
-            if _ya is not _y:
-{unpack_hooked}
-{refresh}
-            if _action == _STOP:
+            if _on_accept(_t, _y) == _STOP:
                 return _t, {state}, True, _count
         _f = 0.9 * _enorm ** (-0.2) if _enorm > 0 else 5.0
         _f = _f if _f > 0.2 else 0.2
@@ -297,20 +294,16 @@ def _kernel_source(arity: int | None, rhs: Rhs) -> str:
     write = _rhs_writer(rhs, arity)
     comps = _components(arity)
     ys = [f"_y{c}" for c in comps]
-    first = write(1, "_t", ys)
     unpack = [] if arity is None else [f"{', '.join(ys)}, = _y"]
     return _LEG_TEMPLATE.format(
         params=", ".join(rhs.params), state=_pack(ys, arity),
         y_size=f"abs(_y{comps[0]})", f_size=f"abs(_k1{comps[0]})",
-        unpack=_block(unpack, 1), first=_block(first, 1),
+        unpack=_block(unpack, 1), first=_block(write(1, "_t", ys), 1),
         attempt=_block(_attempt_lines(arity, write), 2),
         advance=_block([f"_y{c} = _n{c}" for c in comps]
                        + [f"_k1{c} = _k{_FSAL}{c}" for c in comps], 2),
         pack=_block([] if arity is None else [f"_y = {_pack(ys, arity)}"],
-                    3),
-        unpack_hooked=_block([f"{', '.join(ys)}, = _ya" if arity is not None
-                              else "_y = _ya"], 4),
-        refresh=_block(first, 4))
+                    3))
 
 
 _NAMESPACE = {"_isfinite": math.isfinite, "_STOP": STOP,
@@ -339,7 +332,7 @@ def integrate(g, t0: float, t1: float, y0, rtol: float = 1e-12,
     ``g`` is an ``Rhs`` whose parameter values are ``args``, or a callable
     ``g(t, y)`` (then ``args`` is unused).  ``y0`` is a number (scalar
     state) or a sequence of numbers (tuple state).  ``on_accept(t, y) ->
-    (y, action)`` runs after each accepted step; action ``STOP`` ends the
+    action`` runs after each accepted step; action ``STOP`` ends the
     integration at that point.
 
     Only the leading component of a tuple state enters the error norm and
@@ -364,8 +357,8 @@ def integrate_along_path(f, y0, waypoints, rtol: float = 1e-12,
                          max_steps: int = 500_000) -> IntegrationResult:
     """Integrate y' = f(z, y) dz along the polyline through ``waypoints``.
 
-    Each leg is parametrized linearly; ``on_accept`` receives the complex
-    position instead of the leg parameter.  Returns the state at the final
+    Each leg is parametrized linearly; ``on_accept(z, y) -> action``
+    receives the complex position instead of the leg parameter.  Returns the state at the final
     waypoint (or at the stop point), with that point as ``z``.  No module
     of the package calls it; the benchmark's tracer resolves it by name.
     """

@@ -21,11 +21,12 @@ against a 30-digit quadrature on the same float roots ("plain" takes
 
 Branch rules: no global branch of sqrt(V) is fixed; three rules pick a
 sign.  ``branch_sqrt`` continues sqrt(V) along a path from the value at the
-previous point (the Stokes tracer and the oscillator's WKB phase).
-``facing_sqrt`` starts such a path with Re(sqrt(V) * direction) >= 0: on
-the oscillator ray along e^(i phi) the action then grows outward, and a
-Stokes line leaving along e^(i phi) takes direction -i e^(i phi), so
-that its tangent i conj(sqrt(V)) points along the line.  The periods
+previous point (the oscillator's WKB phase; the Stokes tracer's kernel
+inlines it).  ``facing_sqrt`` starts such a path with
+Re(sqrt(V) * direction) >= 0: on the oscillator ray along e^(i phi) the
+action then grows outward, and a Stokes line leaving along e^(i phi)
+takes direction -i e^(i phi), so that its tangent i conj(sqrt(V)) points
+along the line.  The periods
 write sqrt(V) on ``lam = c + h cos(theta)`` as 2i h sin(theta) times the
 third-root factor sqrt(c - r_other) * sqrt(1 + rho cos(theta)), with
 principal roots and a sign per cycle pinned at the real (1,1) solution.
@@ -373,17 +374,28 @@ def legendre_residual(pd: PeriodData) -> float:
 # 2x2 linear algebra of the two Newton iterations (bsb and oscillator)
 
 
+def _unit_scaled(J) -> tuple[float, tuple[complex, ...]]:
+    """(s, entries of s J), s the power of 2 that brings J's largest entry
+    into [1/2, 1): exact, signs of zero included."""
+    entries = (*J[0], *J[1])
+    s = math.ldexp(1.0, -math.frexp(max(map(abs, entries)))[1])
+    return s, tuple(complex(v.real * s, v.imag * s) for v in entries)
+
+
 def solve_2x2(J, F) -> tuple[complex, complex]:
     """x with J x = F, by Cramer's rule; ``ZeroDivisionError`` if det J = 0.
 
     For n = 2 Cramer's rule is forward stable, |x - x^| <= c u cond(J) |x|,
     though not backward stable (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2002, sec. 1.10.1).  A NaN in J or F gives a NaN x.  det J
-    must neither overflow nor underflow: entries within about 1e+-150.
+    Algorithms, 2002, sec. 1.10.1).  A NaN in J or F gives a NaN x.  The
+    quotients N / det J are taken as (s N) / (s det J) over
+    ``_unit_scaled``'s s J: bit for bit wherever the unscaled products are
+    normal floats, and without det J's underflow or overflow elsewhere.
     """
-    (a, b), (c, d) = J
+    s, (a, b, c, d) = _unit_scaled(J)
     f0, f1 = F
     det = a * d - b * c
+    det = complex(det.real / s, det.imag / s)
     return (f0 * d - b * f1) / det, (a * f1 - c * f0) / det
 
 
@@ -393,13 +405,11 @@ def cond_2x2(J) -> float:
     With |det J| = s1 s2, cond = s1^2 / |det J|, and s1^2 is the larger
     eigenvalue of J J^H = ((p, r), (r*, q)): (p + q + hypot(p - q, 2|r|)) / 2.
     The form |J|_F^4 - 4 |det J|^2 of the same discriminant cancels as
-    s1 -> s2 and is 1.7e-8 off at cond = 1.  cond is scale-free, so J is
-    first scaled by the power of 2 that brings its largest entry near 1:
-    exact, so no bit changes, and det J cannot underflow or overflow.
+    s1 -> s2 and is 1.7e-8 off at cond = 1.  cond is scale-free, so it is
+    computed on ``_unit_scaled``'s s J, whose det cannot underflow or
+    overflow.
     """
-    (a, b), (c, d) = J
-    s = math.ldexp(1.0, -math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1])
-    a, b, c, d = a * s, b * s, c * s, d * s
+    _, (a, b, c, d) = _unit_scaled(J)
     det = abs(a * d - b * c)
     if det == 0.0:
         return math.inf

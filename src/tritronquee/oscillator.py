@@ -367,12 +367,12 @@ def _integrate_s_inward(pot: Potential, ray: RaySpec, waypoints: list[complex],
                 s_abs = abs(y[0])
                 # the bound is at least _POLE_FACTOR: most steps stop here
                 if s_abs <= _POLE_FACTOR:
-                    return y, complex_ode.CONTINUE
+                    return complex_ode.CONTINUE
                 z = z0 + t * dz
                 if s_abs > _POLE_FACTOR * (1.0 + abs(pot(z)) ** 0.5):
                     switch["to"] = "r"
-                    return y, complex_ode.STOP
-                return y, complex_ode.CONTINUE
+                    return complex_ode.STOP
+                return complex_ode.CONTINUE
         else:  # inverse chart r = 1/s
             rhs = _R_CHART
 
@@ -380,8 +380,8 @@ def _integrate_s_inward(pot: Potential, ray: RaySpec, waypoints: list[complex],
                 z = z0 + t * dz
                 if abs(y[0]) * (1.0 + abs(pot(z)) ** 0.5) > 2.0 / _POLE_FACTOR:
                     switch["to"] = "s"
-                    return y, complex_ode.STOP
-                return y, complex_ode.CONTINUE
+                    return complex_ode.STOP
+                return complex_ode.CONTINUE
 
         res = complex_ode.integrate(rhs, 0.0, 1.0, value, rtol=rtol,
                                     atol=atol, on_accept=on_accept,

@@ -7,6 +7,12 @@ directions ``2 pi k / 5``) or hit another turning point (a saddle
 connection).  The resulting embedded graph is summarized by a canonical
 label; the label of the configuration that controls the pole region is
 reported as "320".
+
+A line follows the tangent i conj(w) / |w|, w = sqrt(V), in arc length:
+w dlam = i |w| ds is imaginary, so Re of the action stays constant up to
+the integrator's tolerance, with no projection.  The hook after each step
+only reads: the tangent's FSAL stage left w at the new point, the next
+branch reference.
 """
 
 from __future__ import annotations
@@ -16,8 +22,7 @@ import math
 from dataclasses import dataclass
 
 from . import complex_ode
-from .elliptic import (Potential, TurningPoints, branch_sqrt, facing_sqrt,
-                       turning_points)
+from .elliptic import Potential, TurningPoints, turning_points
 from .errors import OdeToleranceNotMet, StepUnderflow, TraceStalled, UnresolvedTopology
 
 ESCAPE_FACTOR = 10.0
@@ -33,7 +38,8 @@ STALLED = "stalled"
 class StokesLine:
     """One traced Stokes line.
 
-    ``terminus_index`` is a gap index k in Z5 for asymptotic termini (the
+    ``points`` are the start point near the origin turning point and then
+    every accepted step.  ``terminus_index`` is a gap index k in Z5 for asymptotic termini (the
     line escapes between the recessive directions 2 pi k/5 and
     2 pi (k+1)/5, i.e. along the bisector (2k+1) pi/5), or the index of the
     reached turning point for saddle connections.
@@ -43,8 +49,6 @@ class StokesLine:
     points: tuple[complex, ...]
     terminus_kind: str
     terminus_index: int | None
-    action_drift: float
-    action_scale: float
 
 
 @dataclass(frozen=True)
@@ -66,14 +70,17 @@ def _gap_index(angle: float) -> int:
 
 
 #: The unit tangent i conj(w) / |w| of a Stokes line in arc length, with
-#: w = branch_sqrt(V(lam), near[0]): V in ``Potential.__call__``'s
-#: operation order over c2a = 2a and c28b = 28b, and ``branch_sqrt``'s sign
-#: rule, so the values are those of the two calls, bit for bit.
+#: w the value of sqrt(V(lam)) closer to near[0]: V in
+#: ``Potential.__call__``'s operation order over c2a = 2a and c28b = 28b,
+#: and ``elliptic.branch_sqrt``'s sign rule.  Each stage stores its w in
+#: near[1]; the last stage before an accepted step's hook is the FSAL stage
+#: at the new point, so there near[1] is sqrt(V) at that point.
 _TANGENT = complex_ode.Rhs(("c2a", "c28b", "near", "sqrt"), """
     w = sqrt(4.0 * Y0 * Y0 * Y0 - c2a * Y0 - c28b)
     ref = near[0]
     if abs(w - ref) > abs(w + ref):
         w = -w
+    near[1] = w
     F = 1j * w.conjugate() / abs(w)
 """)
 
@@ -85,50 +92,33 @@ def _trace_single(pot: Potential, tp: TurningPoints, origin: int, angle: float,
     start = root + tol_merge * cmath.exp(1j * angle)
     others = [(j, tp.roots[j]) for j in range(3) if j != origin]
 
-    # the tangent i conj(w0) / |w0| points along the start direction
-    w0 = facing_sqrt(pot, start, -1j * cmath.exp(1j * angle))
-    # the branch reference: sqrt(V) at the last accepted point, which the
-    # tangent's branch choice reads
-    near = [w0]
-    state = {"lam": start, "action": 0.0j, "abs_action": 0.0,
-             "left_origin": False, "terminus": (STALLED, None)}
+    # near[0], the branch reference, starts as i e^(-i angle): the sign
+    # rule depends on its phase only, and picks the root whose tangent
+    # points along e^(i angle), ``elliptic.facing_sqrt``'s.
+    near = [1j * cmath.exp(-1j * angle), None]
     points = [start]
+    terminus = (STALLED, None)
+    left_origin = False
 
     def on_accept(t, lam):
-        w_prev = near[0]
-        dlam = lam - state["lam"]
-        # Simpson panel per accepted step; trapezoid error would leak into
-        # the drift projection and bend the polyline off the level set
-        wm = branch_sqrt(pot, state["lam"] + 0.5 * dlam, w_prev)
-        w = branch_sqrt(pot, lam, w_prev)
-        state["action"] += (w_prev + 4.0 * wm + w) * dlam / 6.0
-        state["abs_action"] += (abs(w_prev) + 4.0 * abs(wm)
-                                + abs(w)) * abs(dlam) / 6.0
-        # project out accumulated drift of the conserved real part
-        drift = state["action"].real
-        if abs(drift) > 1e-14 * max(1.0, state["abs_action"]) and abs(w) > 0:
-            lam = lam - drift * w.conjugate() / (abs(w) ** 2)
-            w = branch_sqrt(pot, lam, w_prev)
-            state["action"] = 1j * state["action"].imag
-        near[0] = w
-        state["lam"] = lam
+        nonlocal terminus, left_origin
+        near[0] = near[1]
         points.append(lam)
         if abs(lam) >= escape_radius:
             # atan2, where cmath.phase raises on an underflowing angle
-            state["terminus"] = (ASYMPTOTIC,
-                                 _gap_index(math.atan2(lam.imag, lam.real)))
-            return lam, complex_ode.STOP
+            terminus = (ASYMPTOTIC, _gap_index(math.atan2(lam.imag, lam.real)))
+            return complex_ode.STOP
         dist_origin = abs(lam - root)
-        if not state["left_origin"] and dist_origin > 3.0 * tol_merge:
-            state["left_origin"] = True
-        if state["left_origin"] and dist_origin < tol_merge:
-            state["terminus"] = (TURNING_POINT, origin)
-            return lam, complex_ode.STOP
+        if not left_origin and dist_origin > 3.0 * tol_merge:
+            left_origin = True
+        if left_origin and dist_origin < tol_merge:
+            terminus = (TURNING_POINT, origin)
+            return complex_ode.STOP
         for j, other in others:
             if abs(lam - other) < tol_merge:
-                state["terminus"] = (TURNING_POINT, j)
-                return lam, complex_ode.STOP
-        return lam, complex_ode.CONTINUE
+                terminus = (TURNING_POINT, j)
+                return complex_ode.STOP
+        return complex_ode.CONTINUE
 
     max_arc = 40.0 * escape_radius
     try:
@@ -139,15 +129,13 @@ def _trace_single(pot: Potential, tp: TurningPoints, origin: int, angle: float,
                                     cmath.sqrt))
     except StepUnderflow:
         raise TraceStalled(
-            f"stokes trace from turning point {origin} stalled near {state['lam']}")
+            f"stokes trace from turning point {origin} stalled near {points[-1]}")
     except OdeToleranceNotMet:
         pass  # recorded as a stalled terminus below
 
-    kind, index = state["terminus"]
+    kind, index = terminus
     return StokesLine(origin=origin, points=tuple(points),
-                      terminus_kind=kind, terminus_index=index,
-                      action_drift=abs(state["action"].real),
-                      action_scale=state["abs_action"])
+                      terminus_kind=kind, terminus_index=index)
 
 
 def trace_stokes_lines(pot: Potential, rtol: float = TRACE_RTOL) -> StokesGraph:

@@ -21,7 +21,8 @@ and ``pi_leg`` are the closures the oscillator and the Painleve legs ran
 on it; on DOP853, ``pi_leg`` and ``pair_leg`` are the references for the
 Taylor legs that replaced them.
 ``closure_trace_stokes_lines`` is a frozen copy of the Stokes tracer
-whose tangent was a closure over ``branch_sqrt``, run on
+whose tangent was a closure over ``branch_sqrt`` and whose hook projected
+each accepted point back onto Re int sqrt(V) dlam = 0, run on
 ``closure_integrate``, and ``homotopy_solve`` a frozen copy of route 1's
 homotopy that solved every intermediate target to the Newton tolerance.
 ``taylor_coefficients``, ``taylor_eval`` and ``taylor_leg`` are frozen
@@ -696,9 +697,7 @@ def _closure_trace_single(pot: Potential, tp: TurningPoints, origin: int,
     kind, index = state["terminus"]
     return stokes.StokesLine(origin=origin,
                              points=np.asarray(points, dtype=complex),
-                             terminus_kind=kind, terminus_index=index,
-                             action_drift=abs(state["action"].real),
-                             action_scale=state["abs_action"])
+                             terminus_kind=kind, terminus_index=index)
 
 
 def closure_trace_stokes_lines(pot: Potential) -> stokes.StokesGraph:

@@ -230,6 +230,17 @@ def test_unread_option_rejected(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def _run_script(script):
+    """Run ``script`` in a fresh interpreter on this package; it must exit 0."""
+    src = str(Path(tritronquee.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_runtime_does_not_import_numpy():
     """The package and its CLI run on the standard library alone."""
     script = (
@@ -239,10 +250,14 @@ def test_runtime_does_not_import_numpy():
         "                             '--b=-0.0639977427', '--json'])\n"
         "assert code == 0, code\n"
         "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
-    src = str(Path(tritronquee.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
+    _run_script(script)
+
+
+def test_runtime_does_not_import_the_process_pool():
+    """``catalog`` loads ``concurrent.futures.process`` only when a
+    catalog runs on more than one job."""
+    script = (
+        "import sys\n"
+        "import tritronquee.catalog, tritronquee.cli\n"
+        "assert 'concurrent.futures.process' not in sys.modules\n")
+    _run_script(script)

@@ -67,11 +67,11 @@ def test_scalar_and_one_tuple_take_identical_steps():
 
     def hook_scalar(t, y):
         seen_scalar.append((t, y))
-        return y, complex_ode.CONTINUE
+        return complex_ode.CONTINUE
 
     def hook_tuple(t, y):
         seen_tuple.append((t, y[0]))
-        return y, complex_ode.CONTINUE
+        return complex_ode.CONTINUE
 
     scalar = complex_ode.integrate(_riccati, 0.0, 3.0, 0.3 - 0.2j,
                                    on_accept=hook_scalar)
@@ -171,29 +171,10 @@ def test_generated_run_matches_the_frozen_closure_run(arity, values, span):
     assert generated == frozen
 
 
-def test_returning_the_same_state_keeps_fsal():
-    def run(adjust):
-        calls = [0]
-
-        def g(t, y):
-            calls[0] += 1
-            return (-y[0],)
-
-        res = complex_ode.integrate(g, 0.0, 1.0, (1.0,),
-                                    on_accept=lambda t, y: (adjust(y),
-                                                            complex_ode.CONTINUE))
-        return calls[0], res.n_steps
-
-    same_calls, steps = run(lambda y: y)
-    fresh_calls, fresh_steps = run(lambda y: (y[0],))
-    assert steps == fresh_steps
-    assert fresh_calls == same_calls + steps
-
-
 def test_stop_ends_the_run():
     res = complex_ode.integrate(
         _riccati, 0.0, 3.0, 0.3 - 0.2j,
-        on_accept=lambda t, y: (y, complex_ode.STOP if t > 0.5 else
+        on_accept=lambda t, y: (complex_ode.STOP if t > 0.5 else
                                 complex_ode.CONTINUE))
     assert res.stopped
     assert 0.5 < res.t < 3.0

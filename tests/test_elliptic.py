@@ -484,6 +484,9 @@ class TestTwoByTwo:
 
     @settings(max_examples=200, deadline=None)
     @given(J=st.one_of(_conditioned_2x2(), _generic_2x2()), F=_rhs)
+    # entries whose det underflows: cond is 1 and x is finite
+    @example(J=np.diag([2e-181, 2e-181]).astype(complex),
+             F=np.array([0.5 + 0.25j, -1.0]))
     def test_solve_matches_lapack(self, J, F):
         cond = np.linalg.cond(J, np.inf)
         assume(np.isfinite(cond) and cond <= 1e10)

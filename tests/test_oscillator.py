@@ -38,19 +38,10 @@ def _complex(magnitude):
                               allow_infinity=False)
 
 
-def _stopping_hook(stop_at, refresh_every):
-    """Stops once |y_0| exceeds ``stop_at``; every ``refresh_every``-th
-    accepted step hands back an equal new tuple, which makes the integrator
-    evaluate the right-hand side afresh instead of reusing its last stage."""
-    accepted = [0]
-
+def _stopping_hook(stop_at):
+    """Stops once |y_0| exceeds ``stop_at``."""
     def on_accept(t, y):
-        accepted[0] += 1
-        if abs(y[0]) > stop_at:
-            return y, complex_ode.STOP
-        if accepted[0] % refresh_every == 0:
-            return tuple([*y]), complex_ode.CONTINUE
-        return y, complex_ode.CONTINUE
+        return complex_ode.STOP if abs(y[0]) > stop_at else complex_ode.CONTINUE
 
     return on_accept
 
@@ -67,29 +58,30 @@ def _outcome(run):
 @settings(max_examples=40, deadline=None)
 @given(a=_complex(3.0), b=_complex(1.0), z0=_complex(2.0), dz=_complex(1.5),
        state=st.tuples(_complex(2.0), _complex(2.0), _complex(2.0)),
-       stop_at=st.floats(2.0, 100.0), refresh_every=st.integers(2, 9))
+       stop_at=st.floats(2.0, 100.0))
 def test_inlined_legs_match_the_closure_path(leg, a, b, z0, dz, state,
-                                             stop_at, refresh_every):
+                                             stop_at):
     """Each right-hand side written into the generated kernel takes the
     steps and values of the closure it replaced on the old integrator
-    (frozen in ``oracles``), bit for bit, including its failures."""
+    (frozen in ``oracles``, whose hook hands back the state with the
+    action), bit for bit, including its failures."""
+    stop = _stopping_hook(stop_at)
     pot = Potential(a, b)
     rtol = 1e-10
 
     def new_path():
-        hook = _stopping_hook(stop_at, refresh_every)
         rhs = {"s-chart": oscillator._S_CHART,
                "r-chart": oscillator._R_CHART}[leg]
         return complex_ode.integrate(
-            rhs, 0.0, 1.0, state, rtol=rtol, atol=1e-13, on_accept=hook,
+            rhs, 0.0, 1.0, state, rtol=rtol, atol=1e-13, on_accept=stop,
             max_steps=3000, args=oscillator._leg_args(pot, z0, dz))
 
     def closure_path():
-        hook = _stopping_hook(stop_at, refresh_every)
         closure = {"s-chart": oracles.s_chart, "r-chart": oracles.r_chart}[leg]
         return oracles.closure_integrate(
             closure(pot, z0, dz), 0.0, 1.0, state, rtol=rtol, atol=1e-13,
-            on_accept=hook, max_steps=3000, error_dims=1)
+            on_accept=lambda t, y: (y, stop(t, y)), max_steps=3000,
+            error_dims=1)
 
     assert _outcome(new_path) == _outcome(closure_path)
 

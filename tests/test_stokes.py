@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tritronquee.bsb import solve_period_targets
+from tritronquee import elliptic
+from tritronquee.bsb import descendant, solve_period_targets
 from tritronquee.elliptic import PeriodData, Potential, turning_points
 from tritronquee.errors import DegenerateTurningPoints, NumericalError
 from tritronquee.stokes import (ASYMPTOTIC, TURNING_POINT, classify_graph,
@@ -18,18 +19,38 @@ LABEL_10_0 = "g0,g2,tA;g3,g4,tI;g0,g1,g2"
 LABEL_SYMMETRIC = "g0,g1,g2;g0,g2,g4;g2,g3,g4"
 
 
-def test_tangent_kernel_matches_closure_path(coprime_primitives):
-    for sol in coprime_primitives.values():
-        pot = Potential(sol.point.a, sol.point.b)
-        got = trace_stokes_lines(pot).lines
-        ref = closure_trace_stokes_lines(pot).lines
-        assert len(got) == len(ref) == 9
-        for line, frozen in zip(got, ref):
-            assert np.array_equal(line.points, frozen.points)
-            assert line.terminus_kind == frozen.terminus_kind
-            assert line.terminus_index == frozen.terminus_index
-            assert line.action_drift == frozen.action_drift
-            assert line.action_scale == frozen.action_scale
+@pytest.fixture(scope="module")
+def pool_potentials(coprime_primitives):
+    """The 19 pool primitives and their k = 1, 2, 4 descendants."""
+    return [Potential(seed.point.a, seed.point.b)
+            for sol in coprime_primitives.values()
+            for seed in (descendant(sol, k) for k in (0, 1, 2, 4))]
+
+
+def _termini(graph):
+    return [(ln.origin, ln.terminus_kind, ln.terminus_index)
+            for ln in graph.lines]
+
+
+def test_termini_match_the_frozen_tracer(pool_potentials):
+    """Without the frozen tracer's drift projection every line still ends
+    where that tracer's does: same kind, same gap or turning point."""
+    for pot in pool_potentials:
+        got = _termini(trace_stokes_lines(pot))
+        assert len(got) == 9
+        assert got == _termini(closure_trace_stokes_lines(pot))
+
+
+def test_trace_evaluates_sqrt_v_only_in_its_kernel(anchor, monkeypatch):
+    """The hook takes sqrt(V) at each new point from the FSAL stage of the
+    generated tangent: a trace evaluates V nowhere else."""
+    def forbidden(*args):
+        raise AssertionError("sqrt(V) evaluated outside the kernel")
+
+    monkeypatch.setattr(elliptic, "branch_sqrt", forbidden)
+    monkeypatch.setattr(Potential, "__call__", forbidden)
+    pot = Potential(anchor.point.a, anchor.point.b)
+    assert classify_graph(trace_stokes_lines(pot)) == "320"
 
 
 def test_degenerate_raises():
@@ -68,12 +89,14 @@ def test_asymptotic_termini_near_gap_bisectors(anchor):
         assert diff < math.pi / 5.0
 
 
-def test_incremental_action_oracle(anchor):
-    g = trace_stokes_lines(Potential(anchor.point.a, anchor.point.b))
-    pot = Potential(anchor.point.a, anchor.point.b)
-    for ln in g.lines:
-        drift, weight = polyline_action_drift(pot, ln.points)
-        assert drift < 1e-6 * max(1.0, weight)
+def test_incremental_action_oracle(pool_potentials):
+    """The tangent i conj(w) / |w| keeps Re int sqrt(V) dlam constant up to
+    the integrator's tolerance, with no projection back onto the level
+    set: measured independently along each polyline."""
+    for pot in pool_potentials:
+        for ln in trace_stokes_lines(pot).lines:
+            drift, weight = polyline_action_drift(pot, ln.points)
+            assert drift < 1e-6 * max(1.0, weight)
 
 
 def test_symmetric_point_graph():
@@ -181,8 +204,7 @@ def test_stalled_line_unresolvable(anchor):
     from tritronquee.stokes import STALLED, StokesGraph, StokesLine
     g = trace_stokes_lines(Potential(anchor.point.a, anchor.point.b))
     bad = StokesLine(origin=0, points=g.lines[0].points,
-                     terminus_kind=STALLED, terminus_index=None,
-                     action_drift=0.0, action_scale=1.0)
+                     terminus_kind=STALLED, terminus_index=None)
     broken = StokesGraph(turning_points=g.turning_points,
                          lines=g.lines[:-1] + (bad,))
     with pytest.raises(UnresolvedTopology):
