@@ -166,6 +166,8 @@ def build_catalog(q_list, K: int, cfg: ToolConfig | None = None,
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, not {jobs}")
+    if K < 0:
+        raise ValueError(f"K must be at least 0, not {K}")
     cfg = cfg or ToolConfig()
     seeds = []
     for q in q_list:

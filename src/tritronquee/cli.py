@@ -59,6 +59,8 @@ def _quantum_arg(text: str) -> QuantumPair:
 def _fraction_arg(text: str) -> Fraction:
     if "/" in text:
         num, den = text.split("/")
+        if int(den) == 0:
+            raise argparse.ArgumentTypeError(f"zero denominator in {text!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(text), 1)
 

@@ -63,12 +63,12 @@ right-hand side can read.
 
 ``taylor_leg`` runs a ``TaylorEquation``, an equation given as data, on
 one template (``_taylor_source``) that writes the loop, the step control,
-the errors and the Horner advance.  Two equations run on it: ``painleve``'s
+the errors and the Horner advance.  Two equations run on it, both second
+order with each state value a series' value or derivative: ``painleve``'s
 y'' = 6 y^2 - z (244 steps from 40 to -12, where DOP853 took 2,033 and
-DP54 16,247) and the oscillator's outward pair legs, two Riccati equations
-s' = V - s^2 with V cubic and the integral of their difference (834 steps
-per ``catalog`` pass, where DP54 took 24,946).  Its hook sees
-``eq.view``, the expressions of the state named by the equation.
+DP54 16,247) and the oscillator's outward legs, two solutions of
+psi'' = V psi with V cubic (936 steps per ``catalog`` pass).  Its hook
+sees the state.
 """
 
 from __future__ import annotations
@@ -421,7 +421,6 @@ class TaylorEquation:
       series' value, 1 if its derivative.
     - ``guard``: the series whose terms N-4..N-2 bound the step where its
       last two vanish (``taylor_leg``), or None.
-    - ``view``: the expressions of the state that the hook sees.
 
     Compared and hashed by identity: the kernel cache keys on the module
     constants.
@@ -432,7 +431,6 @@ class TaylorEquation:
     recurrence: tuple[str, ...]
     sources: tuple[tuple[str, int], ...]
     guard: str | None
-    view: tuple[str, ...]
 
 
 def _horner(c: str, n: int, derivative: int) -> str:
@@ -515,7 +513,7 @@ def leg({args}, rtol, on_accept):
         s = h * dz
         {state} = {values}
         n += 1
-        if on_accept is not None and on_accept(t, ({view},)) == _STOP:
+        if on_accept is not None and on_accept(t, ({state},)) == _STOP:
             return t, ({state},), True, n
     return t, ({state},), False, n
 """
@@ -542,8 +540,7 @@ def _taylor_source(eq: TaylorEquation, name: str) -> str:
         args=", ".join(eq.state + ("z0", "dz") + eq.params),
         target=TAYLOR_TARGET, max_steps=TAYLOR_MAX_STEPS,
         coefficients=_block(eq.recurrence, 2),
-        control=_block(_step_control(eq, n), 2), state=state, values=values,
-        view=", ".join(eq.view))
+        control=_block(_step_control(eq, n), 2), state=state, values=values)
 
 
 @functools.cache
@@ -570,8 +567,8 @@ def taylor_leg(eq: TaylorEquation, y0, z0: complex, dz: complex,
     k = N-4..N-2 bound h as well once they sum to more than 1e4 tol
     (1 + |value|) at h, each at that looser tolerance.
 
-    The leg runs in its parameter t in [0, 1]; ``on_accept(t, view) ->
-    action`` sees t and ``eq.view`` after every step and ends the leg with
+    The leg runs in its parameter t in [0, 1]; ``on_accept(t, state) ->
+    action`` sees t and the state after every step and ends the leg with
     ``STOP``.  ``args`` are the values of ``eq.params``.  A non-finite
     coefficient or a step below 1e-15 raises ``StepUnderflow``, the step
     limit ``OdeToleranceNotMet``.  The whole leg is one generated function

@@ -9,8 +9,7 @@ violently stiff there while slaving the solution to the expansion; the far
 stretch is therefore advanced adiabatically on the three-term WKB manifold
 and the explicit integration takes over once the WKB parameter
 ``|V'| / |V|^(3/2)`` exceeds the hand-off threshold.  Zeros of ``psi``
-(poles of ``s``) are passed in the inverse chart ``1/s``; on accumulating
-legs the path is bent around them instead.
+(poles of ``s``) are passed in the inverse chart ``1/s``.
 
 Linear dependence of two recessive solutions is tested by matching their
 log-derivatives at one regular point, which eliminates all normalization
@@ -25,15 +24,16 @@ pass integrates two legs and takes the other two as their mirror images;
 there the Newton steps are real, and the q = 1 poles stay on the axis.
 
 The asymptotic-value ratios (``u_values``, the WKB gap of a pole record)
-come from outward legs that carry two dominant log-derivatives and the
-integral of their difference until the two are one float.  Their
-right-hand side is a polynomial, so they step with the solutions' own
-Taylor series of order 20: ``complex_ode.taylor_leg`` on the equation
-``_PAIR``, the generator that route 3's legs run on too.  That takes 834
-steps per ``catalog`` pass where DP5(4) took 24,946, and lands closer to a
-DOP853 reference at rtol 1e-14 (9e-15 against 3.8e-13 at the q = 1
-primitive, 3.0e-9 against 5.8e-8 at its k = 4 descendant).  No pole
-depends on these legs.
+come from outward legs that carry two dominant solutions of
+``psi'' = V psi`` from the match point until their log-derivatives are one
+float, and read off their ratio there.  ``psi`` is entire, so nothing on
+these legs is singular, and V is a cubic, so the Taylor coefficients of
+``psi`` follow from a four-term recurrence: the legs step with the
+solutions' own Taylor series of order 20, ``complex_ode.taylor_leg`` on
+the equation ``_PSI_PAIR``, the generator that route 3's legs run on too
+(936 steps per ``catalog`` pass).  At the q = 1 primitive they lie 4.6e-15
+from a DOP853 reference at rtol 1e-14, and 4.3e-9 at its k = 4
+descendant.  No pole depends on these legs.
 """
 
 from __future__ import annotations
@@ -475,127 +475,80 @@ def dependence_residual(pot: Potential, lam_match: complex | None = None,
 # asymptotic value ratios
 
 
-def _pair_coefficient_lines(n: int) -> tuple[str, ...]:
-    """Lines that set p1..p<n>, d1..d<n> and j1..j<n>, the Taylor
-    coefficients about zc of s_A, d = s_A - s_B and J through p0, d0 and
-    j0.  They follow exactly from s' = V - s^2, d' = -d (s_A + s_B) and
-    J' = d:
+def _psi_coefficient_lines(n: int) -> tuple[str, ...]:
+    """Lines that set p0..p<n> and q0..q<n>, the Taylor coefficients about
+    zc of psi_A and psi_B through their values and derivatives.  They
+    follow exactly from psi'' = V psi:
 
-        (k+1) p_{k+1} = V_k - sum_{i+j=k} p_i p_j,
-        (k+1) d_{k+1} = -sum_{i+j=k} d_i g_j,   g_j = 2 p_j - d_j,
-        (k+1) j_{k+1} = d_k,
+        (k+1)(k+2) c_{k+2} = v0 c_k + v1 c_{k-1} + v2 c_{k-2} + 4 c_{k-3},
 
-    with V_k the coefficients v0, v1, v2, 4 of V about zc, set first from
-    c2a = 2a and c28b = 28b, and 0 beyond.  The convolution of p with
-    itself is summed over its symmetric half, left to right, doubled, and
-    its middle square added for even k; that of d with g, the coefficients
-    of s_A + s_B, in full, left to right.
+    with v0, v1, v2, 4 the coefficients of V about zc, set first from
+    c2a = 2a and c28b = 28b, the terms of negative index left out and the
+    sum taken left to right.
     """
     lines = ["v0 = 4.0 * zc * zc * zc - c2a * zc - c28b",
-             "v1 = 12.0 * zc * zc - c2a", "v2 = 12.0 * zc",
-             "p1 = v0 - p0 * p0", "g0 = p0 + p0 - d0",
-             "d1 = -(d0 * g0)", "j1 = d0"]
-    for k in range(1, n):
-        half = " + ".join(f"p{i} * p{k - i}" for i in range((k + 1) // 2))
-        conv = "c + c" + (f" + p{k // 2} * p{k // 2}" if k % 2 == 0 else "")
-        scale = 1.0 / (k + 1)
-        if k < 3:
-            p_next = f"(v{k} - ({conv})) * {scale!r}"
-        elif k == 3:
-            p_next = f"(4.0 - ({conv})) * {scale!r}"
-        else:
-            p_next = f"({conv}) * {-scale!r}"
-        full = " + ".join(f"d{i} * g{k - i}" for i in range(k + 1))
-        lines += [f"c = {half}", f"p{k + 1} = {p_next}",
-                  f"g{k} = p{k} + p{k} - d{k}",
-                  f"d{k + 1} = ({full}) * {-scale!r}",
-                  f"j{k + 1} = d{k} * {scale!r}"]
+             "v1 = 12.0 * zc * zc - c2a", "v2 = 12.0 * zc"]
+    factors = ("v0", "v1", "v2", "4.0")
+    for c, value, slope in (("p", "pA", "dpA"), ("q", "pB", "dpB")):
+        lines += [f"{c}0 = {value}", f"{c}1 = {slope}"]
+        for k in range(n - 1):
+            terms = " + ".join(f"{factor} * {c}{k - j}"
+                               for j, factor in enumerate(factors[:k + 1]))
+            lines.append(f"{c}{k + 2} = ({terms}) * "
+                         f"{1.0 / ((k + 1) * (k + 2))!r}")
     return tuple(lines)
 
 
-#: The outward pair leg's equation: s_A, d = s_A - s_B and J as the values
-#: of the series p, d and j, seen by the hook as (s_A, s_B, J).  The tails
-#: of d and j vanish once s_A = s_B; the generator's floor under each tail
-#: keeps them from bounding the step.  It needs no guard: its one symmetric
-#: solution, s = 0 at lam = 0 with a = b = 0, keeps p_19.
-_PAIR = complex_ode.TaylorEquation(
-    state=("p0", "d0", "j0"), params=("c2a", "c28b"),
-    recurrence=_pair_coefficient_lines(complex_ode.TAYLOR_ORDER),
-    sources=(("p", 0), ("d", 0), ("j", 0)), guard=None,
-    view=("p0", "p0 - d0", "j0"))
+#: psi'' = V psi for two solutions psi_A and psi_B, the series p and q,
+#: each the value and derivative of the state (pA, dpA, pB, dpB).  It needs
+#: no guard: the last two terms of a series vanish together only where
+#: (value, derivative) lies on one line through 0, fixed by zc, a and b,
+#: and two independent solutions never both do, so one bounds every step.
+_PSI_PAIR = complex_ode.TaylorEquation(
+    state=("pA", "dpA", "pB", "dpB"), params=("c2a", "c28b"),
+    recurrence=_psi_coefficient_lines(complex_ode.TAYLOR_ORDER),
+    sources=(("p", 0), ("p", 1), ("q", 0), ("q", 1)), guard=None)
+
+#: |psi_B| past which an outward leg stops to divide its state by psi_B.
+_RESCALE = 1e100
 
 
-def _pair_leg(y0, pot: Potential, z0: complex, dz: complex, rtol: float,
-              on_accept) -> complex_ode.IntegrationResult:
-    """Carry (s_A, d, J) along the segment z0 -> z0 + dz by Taylor steps
-    (``complex_ode.taylor_leg``); ``on_accept(t, (s_A, s_B, J))`` sees
-    the leg parameter t after every step.
-
-    s_A and s_B solve s' = V - s^2; the leg carries s_A, their difference
-    d = s_A - s_B, which obeys d' = -d (s_A + s_B), and J with J' = d.
-    Carrying d keeps its relative accuracy as it contracts, so s_B, the
-    float s_A - d, meets s_A exactly once d drops below half an ulp of s_A.
-    """
-    return complex_ode.taylor_leg(_PAIR, y0, z0, dz, rtol, on_accept,
-                                  (2.0 * pot.a, 28.0 * pot.b))
+def _coalesced_or_large(t, y):
+    """The outward legs' hook: stop where the carriers' log-derivatives
+    are one float, or where |psi_B| passes ``_RESCALE``."""
+    if y[1] / y[0] == y[3] / y[2] or abs(y[2]) > _RESCALE:
+        return complex_ode.STOP
+    return complex_ode.CONTINUE
 
 
 def _integrate_pair_outward(pot: Potential, tp: TurningPoints, sA0: complex,
                             sB0: complex, z_from: complex, z_to: complex,
                             rtol: float) -> complex:
-    """Accumulate J = int (s_A - s_B) dlam from z_from toward z_to.
+    """psi_A / psi_B far out toward z_to, for the solutions of psi'' = V psi
+    with psi = 1 and psi' = sA0, sB0 at z_from.
 
-    Both carried log-derivatives are dominant on the way out, and the flow
-    contracts them onto one trajectory: once s_B is the same float as s_A,
-    J' = s_A - s_B is below the rounding of J and J is final, so the leg
-    ends there.  ``z_to`` bounds how far the leg may run.  Poles of either
-    log-derivative on the way are dodged by bending the path around the
-    estimated zero of psi; the exponential of J is insensitive to the dodge
-    side.
+    Both carriers are dominant on the way out, so their ratio tends to the
+    ratio of their asymptotic values; once their log-derivatives are one
+    float it is final up to rounding, and the leg ends there.  ``z_to``
+    bounds how far the leg may run.  psi is entire, so nothing on the path
+    is singular: each waypoint segment is one ``complex_ode.taylor_leg`` on
+    ``_PSI_PAIR``, and the state is divided by psi_B after each segment and
+    whenever |psi_B| passes ``_RESCALE``, which keeps it in range and
+    leaves the ratio alone.
     """
+    args = (2.0 * pot.a, 28.0 * pot.b)
+    y = (1.0, complex(sA0), 1.0, complex(sB0))
     waypoints = _path_to(tp, z_from, z_to)
-    value = (complex(sA0), complex(sA0) - complex(sB0), 0.0 + 0.0j)
-    obstacles: list[tuple[complex, float]] = []
-    for _ in range(8):
-        detour = {"z": None}
-        stopped = False
-        z_stop = waypoints[-1]
-        for z0, z1 in zip(waypoints[:-1], waypoints[1:]):
-            dz = z1 - z0
-            if dz == 0:
-                continue
-
-            def on_accept(t, y, z0=z0, dz=dz):
-                if y[0] == y[1]:
-                    return complex_ode.STOP
-                # the bound is at least _POLE_FACTOR: most steps stop here
-                if abs(y[0]) <= _POLE_FACTOR and abs(y[1]) <= _POLE_FACTOR:
-                    return complex_ode.CONTINUE
-                z = z0 + t * dz
-                bound = _POLE_FACTOR * (1.0 + abs(pot(z)) ** 0.5)
-                for comp in (y[0], y[1]):
-                    if abs(comp) > bound:
-                        detour["z"] = z - 1.0 / comp
-                        return complex_ode.STOP
-                return complex_ode.CONTINUE
-
-            res = _pair_leg(value, pot, z0, dz, rtol, on_accept)
-            value = res.y
-            if value[0] - value[1] == value[0]:
-                return value[2]
-            if res.stopped:
-                stopped = True
-                z_stop = z0 + res.t * dz
-                break
-        if not stopped:
-            return value[2]
-        pole = detour["z"]
-        radius = max(3.0 * abs(z_stop - pole), 0.01 * tp.scale)
-        obstacles.append((pole, radius))
-        margin = _PATH_MARGIN * tp.min_separation
-        all_obs = [(r, margin) for r in tp.roots] + obstacles
-        waypoints = _deform_segment(complex(z_stop), complex(z_to), all_obs)
-    raise OdeToleranceNotMet("too many pole dodges on an accumulating leg")
+    for z0, z1 in zip(waypoints[:-1], waypoints[1:]):
+        while z0 != z1:
+            res = complex_ode.taylor_leg(_PSI_PAIR, y, z0, z1 - z0, rtol,
+                                         _coalesced_or_large, args)
+            pa, dpa, pb, dpb = res.y
+            if dpa / pa == dpb / pb:
+                return pa / pb
+            y = (pa / pb, dpa / pb, 1.0, dpb / pb)
+            z0 = z0 + res.t * (z1 - z0) if res.stopped else z1
+    return y[0]
 
 
 def u_values(pot: Potential, eval_radius: float | None = None,
@@ -604,39 +557,41 @@ def u_values(pot: Potential, eval_radius: float | None = None,
     """Monodromy ratios (u_2, u_-2) from asymptotic-value ratios.
 
     Each asymptotic value is the ratio of two recessive solutions far out on
-    the evaluation ray, assembled from the integral of the log-derivative
-    difference along connecting paths (all normalization constants cancel
-    in the double ratio).  The ratio is read where the two log-derivatives
-    coalesce to one float; ``eval_radius`` (default ``6 * scale``) is the
-    farthest a leg may run before that.
+    the evaluation ray, read off outward legs that start at the match point
+    (all normalization constants cancel in the double ratio).  The ratio is
+    read where the two log-derivatives coalesce to one float;
+    ``eval_radius`` (default ``6 * scale``) is the farthest a leg may run
+    before that.
 
-    ``samples`` may hold the inward legs of rays 2 and -2 from a
-    ``dependence_system`` pass at this potential with the same ``rtol``;
-    only the ray-0 leg is integrated then.
+    The legs of rays 2 and -2 always come from ``dependence_system``:
+    ``samples`` may hold them from a pass at this potential with the same
+    ``rtol``, and without it ``u_values`` makes that pass itself.  Only the
+    ray-0 leg is integrated here.  So reused and fresh legs give the same
+    values bit for bit: at real (a, b) the pass mirrors ray -2, 1-2 ulp
+    from an integrated leg, and the outward legs carry such a difference
+    on to u.
     """
     tp = turning_points(pot)
     lam = match_point(tp)
     radius = 6.0 * tp.scale if eval_radius is None else float(eval_radius)
-    s = {k: psi_logderivative(pot, ray_spec(pot, k), lam, rtol, tp=tp).s
-         for k in (0, 2, -2) if samples is None or k == 0}
-    if samples is not None:
-        if samples[2].lam != lam or samples[-2].lam != lam:
-            raise ValueError("samples were taken at another match point")
-        s[2], s[-2] = samples[2].s, samples[-2].s
+    if samples is None:
+        samples = {}
+        dependence_system(pot, rtol=rtol, samples=samples)
+    if samples[2].lam != lam or samples[-2].lam != lam:
+        raise ValueError("samples were taken at another match point")
+    s = {0: psi_logderivative(pot, ray_spec(pot, 0), lam, rtol, tp=tp).s,
+         2: samples[2].s, -2: samples[-2].s}
     if abs(s[0] - s[2]) < 1e-10 or abs(s[0] - s[-2]) < 1e-10:
         raise DependentBasis(
             "psi_0 and psi_(+-2) are numerically linearly dependent")
 
-    def eval_point(k: int) -> complex:
-        return radius * cmath.exp(2j * math.pi * k / 5.0)
+    def ratio(carriers: tuple[int, int], k_ray: int) -> complex:
+        return _integrate_pair_outward(
+            pot, tp, s[carriers[0]], s[carriers[1]], lam,
+            radius * cmath.exp(2j * math.pi * k_ray / 5.0), rtol)
 
-    def ln_ratio(carriers: tuple[int, int], k_ray: int) -> complex:
-        return _integrate_pair_outward(pot, tp, s[carriers[0]], s[carriers[1]],
-                                       lam, eval_point(k_ray), rtol)
-
-    ln_u2 = ln_ratio((0, -2), 2) - ln_ratio((0, -2), -1)
-    ln_um2 = ln_ratio((0, 2), -2) - ln_ratio((0, 2), 1)
-    return cmath.exp(ln_u2), cmath.exp(ln_um2)
+    return (ratio((0, -2), 2) / ratio((0, -2), -1),
+            ratio((0, 2), -2) / ratio((0, 2), 1))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ evaluating the series on the far side, and recorded.
 Both inner loops run as straight-line code, generated as source and
 compiled by ``complex_ode._compile``, the one compile path of the package.
 A Taylor leg is ``complex_ode.taylor_leg`` on ``_PI``, this equation
-given as data, the generator the oscillator's outward pair legs run on
+given as data, the generator the oscillator's outward legs run on
 too: each step computes a_0..a_20 by the recurrence, 98 complex products
 and 17 scalings, then the step control and the Horner sums of y and y',
 all over local variables; it costs about 16 us on a 2-vCPU Xeon under
@@ -288,7 +288,7 @@ def _coefficient_lines(n: int) -> tuple[str, ...]:
 _PI = complex_ode.TaylorEquation(
     state=("y", "yp"), params=(),
     recurrence=_coefficient_lines(complex_ode.TAYLOR_ORDER),
-    sources=(("a", 0), ("a", 1)), guard="a", view=("y", "yp"))
+    sources=(("a", 0), ("a", 1)), guard="a")
 #: ``coefficients(y, yp, zc)``, ``evaluate(a, s)`` or the ``leg`` of ``_PI``
 _taylor_kernel = functools.partial(complex_ode.taylor_kernel, _PI)
 
@@ -323,11 +323,14 @@ def seed_asymptotic(z0: complex, tol_seed: float = TOL_SEED,
                     margin: float = SEED_MARGIN) -> TritronqueeState:
     """Certified asymptotic-series state at z0.
 
-    Requires |z0| >= Z_SEED_MIN inside the sector |arg z| < 4 pi/5 - margin.
-    The state is cross-checked by integrating the series state at 2 z0
+    Requires z0 and 2 z0 finite and |z0| >= Z_SEED_MIN inside the sector
+    |arg z| < 4 pi/5 - margin, and raises ``ValueError`` otherwise.  The
+    state is cross-checked by integrating the series state at 2 z0
     inward to z0 and comparing.
     """
     z0 = complex(z0)
+    if not (cmath.isfinite(z0) and cmath.isfinite(2.0 * z0)):
+        raise ValueError(f"seed point z0 = {z0}: z0 and 2 z0 must be finite")
     if abs(z0) < Z_SEED_MIN:
         raise ValueError(f"|z0| = {abs(z0):.3g} below the seeding radius")
     # atan2 where cmath.phase raises OverflowError on an underflowing angle
@@ -394,12 +397,16 @@ def track(state: TritronqueeState, waypoints, fit_radius: float = FIT_RADIUS,
     points of every step, the last being its end, read off the step's
     Taylor polynomial: the steps alone are too far apart for an
     interpolant to check (25 from 40 to 5), the dense trail has 400 points.
+    A waypoint that is not finite raises ``ValueError``.
     """
     table = laurent_coefficients(laurent_order)
     z_cur = complex(state.z)
     y_cur = (complex(state.y), complex(state.yp))
     poles: list[PainlevePole] = []
     pts = [complex(w) for w in waypoints]
+    for w in pts:
+        if not cmath.isfinite(w):
+            raise ValueError(f"waypoint {w} is not finite")
     if abs(pts[0] - z_cur) > 1e-9 * (1.0 + abs(z_cur)):
         raise ValueError("path must start at the current state")
     last_pole: complex | None = None

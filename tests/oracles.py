@@ -29,10 +29,12 @@ homotopy that solved every intermediate target to the Newton tolerance.
 copies of route 3's Taylor recurrence, Horner sum and leg as loops, and
 ``laurent_series`` and ``laurent_frame`` of the Laurent-frame sums, which
 ``painleve`` now generates as straight-line code with every operation in
-the same order.  ``pair_taylor_leg`` is the outward pair leg of
-``oscillator`` as a loop, with every operation of the generated one, and
-``pair_outward`` and ``pair_outward_linear`` are DOP853 references for its
-value ratios, on the closure ``pair_leg`` and on the linear system.
+the same order.  ``psi_pair_coefficients`` and ``psi_pair_leg`` are
+the recurrence and the leg of ``oscillator``'s outward legs on
+psi'' = V psi as loops, with every operation of the generated ones, and
+``pair_outward`` and ``pair_outward_linear`` are DOP853 references for
+their value ratios, on the Riccati closure ``pair_leg`` and on the linear
+system.
 ``pi_real_poles`` is route 3 redone at 34 digits in mpmath, with its own
 asymptotic seed, Taylor steps and Laurent fits.
 """
@@ -843,52 +845,36 @@ def bits(values):
 
 
 # ---------------------------------------------------------------------------
-# route 2's outward pair legs: the Taylor leg as loops, and a DOP853
-# reference for the value ratios
+# route 2's outward legs: the Taylor recurrence and leg as loops, and
+# DOP853 references for the value ratios
 
 
-def pair_taylor_coefficients(p0: complex, d0: complex, j0: complex,
-                             zc: complex, c2a: complex, c28b: complex):
-    """Coefficients (p, d, j) of s_A, d = s_A - s_B and J about zc, as
-    ``oscillator._pair_coefficient_lines`` states them."""
+def psi_pair_coefficients(pA: complex, dpA: complex, pB: complex,
+                          dpB: complex, zc: complex, c2a: complex,
+                          c28b: complex) -> list:
+    """Coefficients p0..pN and q0..qN of psi_A and psi_B about zc, as
+    ``oscillator._psi_coefficient_lines`` states them, in one flat list."""
     n = complex_ode.TAYLOR_ORDER
     v = (4.0 * zc * zc * zc - c2a * zc - c28b, 12.0 * zc * zc - c2a,
          12.0 * zc, 4.0)
-    p = [p0, v[0] - p0 * p0]
-    g = [p0 + p0 - d0]
-    d = [d0, -(d0 * g[0])]
-    j = [j0, d0]
-    for k in range(1, n):
-        c = p[0] * p[k]
-        for i in range(1, (k + 1) // 2):
-            c += p[i] * p[k - i]
-        conv = c + c
-        if k % 2 == 0:
-            conv += p[k // 2] * p[k // 2]
-        scale = 1.0 / (k + 1)
-        p.append((v[k] - conv) * scale if k <= 3 else conv * -scale)
-        g.append(p[k] + p[k] - d[k])
-        c = d[0] * g[k]
-        for i in range(1, k + 1):
-            c += d[i] * g[k - i]
-        d.append(c * -scale)
-        j.append(d[k] * scale)
-    return p, d, j
+    out = []
+    for c in ([pA, dpA], [pB, dpB]):
+        for k in range(n - 1):
+            total = v[0] * c[k]
+            for j in range(1, min(k, 3) + 1):
+                total += v[j] * c[k - j]
+            c.append(total * (1.0 / ((k + 1) * (k + 2))))
+        out += c
+    return out
 
 
-def _horner(c: list, s: complex) -> complex:
-    value = c[-1]
-    for coefficient in reversed(c[:-1]):
-        value = value * s + coefficient
-    return value
-
-
-def pair_taylor_leg(y0, pot: Potential, z0: complex, dz: complex,
-                    rtol: float, on_accept):
-    """``oscillator._pair_leg`` as a loop over ``pair_taylor_coefficients``."""
+def psi_pair_leg(y0, pot: Potential, z0: complex, dz: complex, rtol: float,
+                 on_accept):
+    """The outward legs' ``taylor_leg`` on ``oscillator._PSI_PAIR`` as a
+    loop over ``psi_pair_coefficients`` and ``taylor_eval``."""
     n = complex_ode.TAYLOR_ORDER
     c2a, c28b = 2.0 * pot.a, 28.0 * pot.b
-    p0, d0, j0 = y0
+    y = [complex(v) for v in y0]
     adz = abs(dz)
     tol = complex_ode.TAYLOR_TARGET * rtol
     t = 0.0
@@ -898,14 +884,22 @@ def pair_taylor_leg(y0, pot: Potential, z0: complex, dz: complex,
             raise OdeToleranceNotMet(
                 f"step limit {complex_ode.TAYLOR_MAX_STEPS} reached at "
                 f"t={t:.6g}")
-        series = pair_taylor_coefficients(p0, d0, j0, z0 + t * dz, c2a, c28b)
+        coefs = psi_pair_coefficients(*y, z0 + t * dz, c2a, c28b)
+        series = (coefs[:n + 1], coefs[n + 1:])
         tails = [(abs(c[n - 1]) + 1e-300, abs(c[n]) + 1e-300) for c in series]
         if not math.isfinite(sum(x for pair in tails for x in pair)):
             raise StepUnderflow(f"non-finite Taylor coefficient at t={t:.6g}")
-        errs = [tol * (1.0 + abs(c[0])) for c in series]
-        reach = min(r for e, (tail1, tail) in zip(errs, tails)
-                    for r in ((e / tail1) ** (1.0 / (n - 1)),
-                              (e / tail) ** (1.0 / n)))
+        bounds = []
+        for i, value in enumerate(y):
+            e = tol * (1.0 + abs(value))
+            tail1, tail = tails[i // 2]
+            if i % 2:
+                bounds += [(e / ((n - 1) * tail1)) ** (1.0 / (n - 2)),
+                           (e / (n * tail)) ** (1.0 / (n - 1))]
+            else:
+                bounds += [(e / tail1) ** (1.0 / (n - 1)),
+                           (e / tail) ** (1.0 / n)]
+        reach = min(bounds)
         rest = (1.0 - t) * adz
         if reach >= rest:
             h, t = 1.0 - t, 1.0
@@ -914,19 +908,20 @@ def pair_taylor_leg(y0, pot: Potential, z0: complex, dz: complex,
             if h < 1e-15:
                 raise StepUnderflow(f"step underflow at t={t:.6g}")
             t += h
-        p0, d0, j0 = (_horner(c, h * dz) for c in series)
+        y = [v for c in series for v in taylor_eval(c, h * dz)]
         steps += 1
-        if on_accept(t, (p0, p0 - d0, j0)) == complex_ode.STOP:
-            return complex_ode.IntegrationResult(t, (p0, d0, j0), True, steps)
-    return complex_ode.IntegrationResult(t, (p0, d0, j0), False, steps)
+        if on_accept(t, tuple(y)) == complex_ode.STOP:
+            return complex_ode.IntegrationResult(t, tuple(y), True, steps)
+    return complex_ode.IntegrationResult(t, tuple(y), False, steps)
 
 
 def pair_outward(pot: Potential, tp: TurningPoints, sA0: complex,
                  sB0: complex, z_from: complex, z_to: complex, rtol: float):
-    """``oscillator._integrate_pair_outward`` on DOP853 at rtol 1e-14: J
-    on the closure ``pair_leg`` along the same path, up to where s_A and
-    s_B are one float.  It bends the path around no pole: a carrier that
-    grows past 1e3 raises ``OdeToleranceNotMet``."""
+    """``oscillator._integrate_pair_outward`` on DOP853 at rtol 1e-14 in
+    the Riccati form: exp(J), J = int (s_A - s_B) dlam on the closure
+    ``pair_leg`` along the same path, up to where s_A and s_B are one
+    float.  It bends the path around no pole: a carrier that grows past
+    1e3 raises ``OdeToleranceNotMet``."""
     value = (complex(sA0), complex(sB0), 0j)
     waypoints = _path_to(tp, z_from, z_to)
 
@@ -944,17 +939,18 @@ def pair_outward(pot: Potential, tp: TurningPoints, sA0: complex,
         value = res.y
         if res.stopped:
             break
-    return value[2]
+    return cmath.exp(value[2])
 
 
 def pair_outward_linear(pot: Potential, tp: TurningPoints, sA0: complex,
                         sB0: complex, z_from: complex, z_to: complex,
                         rtol: float):
-    """``pair_outward`` from the linear system: J is log(psi_A / psi_B) at
-    the end of the same path, with psi_A and psi_B the solutions of
+    """``pair_outward`` from the linear system: psi_A / psi_B at the end of
+    the same path, with psi_A and psi_B the solutions of
     psi'' = V psi with psi = 1 and psi' = s_A, s_B at z_from, by DOP853 at
     rtol 1e-14 until their log-derivatives are one float.  psi has no
-    poles, so this reference needs no dodge where ``pair_outward`` does."""
+    poles, so this reference runs on where ``pair_outward`` meets a pole of
+    a carrier and raises."""
     def f(z, y):
         v = pot(z)
         return (y[1], v * y[0], y[3], v * y[2])
@@ -970,7 +966,7 @@ def pair_outward_linear(pot: Potential, tp: TurningPoints, sA0: complex,
     y = closure_along_path(f, (1.0, sA0, 1.0, sB0),
                            _path_to(tp, z_from, z_to), rtol=1e-14,
                            atol=1e-300, on_accept=on_accept, tableau=DOP853)
-    return cmath.log(y[0] / y[2])
+    return y[0] / y[2]
 
 
 # ---------------------------------------------------------------------------

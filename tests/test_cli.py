@@ -127,6 +127,20 @@ def test_periods_non_finite_coefficient(capsys):
     assert "coefficient a = (nan+0j) is not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--z0=inf", "--to=0"], "z0 and 2 z0 must be finite"),
+    (["--z0=1e308", "--to=0"], "z0 and 2 z0 must be finite"),
+    (["--z0=nan", "--to=0"], "z0 and 2 z0 must be finite"),
+    (["--to=nan"], "waypoint (nan+0j) is not finite"),
+    (["--to=inf"], "waypoint (inf+0j) is not finite"),
+], ids=["z0-inf", "z0-1e308", "z0-nan", "to-nan", "to-inf"])
+def test_track_non_finite_point(capsys, argv, message):
+    """A seed point or waypoint that is not finite is a bad argument, not
+    an overflow traceback or a ``StepUnderflow``."""
+    assert main(["track", *argv]) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_catalog_jobs_below_one_rejected(tmp_path, capsys, jobs):
     out = tmp_path / "cat.json"
@@ -137,9 +151,20 @@ def test_catalog_jobs_below_one_rejected(tmp_path, capsys, jobs):
     assert not out.exists()
 
 
+def test_catalog_negative_K_rejected(tmp_path, capsys):
+    out = tmp_path / "cat.json"
+    code = main(["catalog", "--q", "1,1", "--K=-2", "--out", str(out)])
+    assert code == 2
+    assert "K must be at least 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_arguments_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["periods", "--a", "nonsense", "--b", "0"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["convergence", "--catalog", "x.json", "--q", "1/0"])
     assert exc.value.code == 2
 
 

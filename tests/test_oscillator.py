@@ -86,14 +86,14 @@ def test_inlined_legs_match_the_closure_path(leg, a, b, z0, dz, state,
     assert _outcome(new_path) == _outcome(closure_path)
 
 
-def _pair_outcome(leg, state, pot, z0, dz, stop_at):
-    """What a pair leg does: every (t, state) its hook sees, then its end
-    (t, state, stopped, steps) or its error."""
+def _psi_pair_outcome(leg, state, pot, z0, dz, stop_at):
+    """What an outward leg does: every (t, state) its hook sees, then its
+    end (t, state, stopped, steps) or its error."""
     seen = []
 
     def on_accept(t, y):
         seen.append((t, bits(y)))
-        if abs(y[0]) > stop_at or y[0] == y[1]:
+        if abs(y[0]) + abs(y[2]) > stop_at:
             return complex_ode.STOP
         return complex_ode.CONTINUE
 
@@ -104,26 +104,35 @@ def _pair_outcome(leg, state, pot, z0, dz, stop_at):
     return seen, res.t, bits(res.y), res.stopped, res.n_steps
 
 
+def _generated_psi_pair_leg(state, pot, z0, dz, rtol, on_accept):
+    return complex_ode.taylor_leg(oscillator._PSI_PAIR, state, z0, dz, rtol,
+                                  on_accept, (2.0 * pot.a, 28.0 * pot.b))
+
+
 @settings(max_examples=60, deadline=None)
 @given(a=_complex(3.0), b=_complex(1.0), z0=_complex(2.0), dz=_complex(3.0),
-       state=st.tuples(_complex(3.0), _complex(3.0), _complex(3.0)),
-       stop_at=st.floats(2.0, 1e3))
-# a = b = 0 at z = 0 with s = 0: s(w lam) w = s(lam) for w^5 = 1 makes
-# every coefficient but p_4, p_9, ... vanish, p_20 among them
-@example(a=0j, b=0j, z0=0j, dz=1 + 0j, state=(0j, 0j, 0j), stop_at=1e3)
-# s = -2/(1 - 2 lam) near 0: the real path runs into the pole
-@example(a=0j, b=0j, z0=0j, dz=1 + 0j, state=(-2 + 0j, 0.5 + 0j, 0j),
-         stop_at=math.inf)
-# s^2 overflows
-@example(a=0j, b=0j, z0=0j, dz=1 + 0j, state=(1e200 + 0j, 0j, 0j),
-         stop_at=math.inf)
-def test_generated_pair_leg_matches_loop(a, b, z0, dz, state, stop_at):
-    """The generated outward pair leg takes the steps of the loop in
-    ``oracles``: its hook sees the same states, and it ends with the same
-    state, stop and step count, or the same error."""
-    args = (state, Potential(a, b), z0, dz)
-    assert (_pair_outcome(oscillator._pair_leg, *args, stop_at)
-            == _pair_outcome(oracles.pair_taylor_leg, *args, stop_at))
+       state=st.tuples(*[_complex(3.0)] * 4), stop_at=st.floats(2.0, 1e6))
+# a = b = 0 at z = 0: psi_A = 1 + ... has only the powers 0, 5, ..., 20
+# and psi_B = lam + ... only 1, 6, 11, 16, so psi_A alone bounds the step
+@example(a=0j, b=0j, z0=0j, dz=1 + 0j, state=(1 + 0j, 0j, 0j, 1 + 0j),
+         stop_at=1e6)
+# the coefficients overflow
+@example(a=0j, b=0j, z0=10 + 0j, dz=1 + 0j,
+         state=(1e300 + 0j, 0j, 1 + 0j, 0j), stop_at=math.inf)
+def test_generated_psi_pair_matches_loops(a, b, z0, dz, state, stop_at):
+    """The outward legs' generated recurrence equals the frozen loop bit for
+    bit, and their generated leg takes its steps: its hook sees the same
+    states, and it ends with the same state, stop and step count, or the
+    same error."""
+    pot = Potential(a, b)
+    coefficients = complex_ode.taylor_kernel(oscillator._PSI_PAIR,
+                                             "coefficients")
+    assert (bits(coefficients(*state, z0, 2.0 * pot.a, 28.0 * pot.b))
+            == bits(oracles.psi_pair_coefficients(*state, z0, 2.0 * pot.a,
+                                                  28.0 * pot.b)))
+    args = (state, pot, z0, dz, stop_at)
+    assert (_psi_pair_outcome(_generated_psi_pair_leg, *args)
+            == _psi_pair_outcome(oracles.psi_pair_leg, *args))
 
 
 def test_deform_segment_with_an_underflowing_angle():
@@ -472,32 +481,32 @@ class TestUValues:
             assert gaps[i + 1][1] < gaps[i][1]
 
     def test_outward_legs_end_at_coalescence(self, anchor, monkeypatch):
-        """The carriers of each outward leg become one float long before the
-        evaluation radius; J is final there, so the legs stop after 94
-        Taylor steps in all.  Running on to the radius takes 486 and gives
-        the same values bit for bit."""
-        leg = oscillator._pair_leg
+        """The carriers' log-derivatives become one float long before the
+        evaluation radius, where psi_A / psi_B is final up to rounding, so
+        the legs stop after 150 Taylor steps in all.  Running on to the
+        radius takes 1,592 and moves u by 4.2e-15: past coalescence the
+        ratio still carries a subdominant part below an ulp."""
+        leg = complex_ode.taylor_leg
         steps = []
 
-        def counting(y0, pot, z0, dz, rtol, on_accept):
-            res = leg(y0, pot, z0, dz, rtol, on_accept)
+        def counting(*args):
+            res = leg(*args)
             steps.append(res.n_steps)
             return res
 
-        def running_on(y0, pot, z0, dz, rtol, on_accept):
-            def hook(t, y):
-                if y[0] == y[1]:
-                    return complex_ode.CONTINUE
-                return on_accept(t, y)
-            return counting(y0, pot, z0, dz, rtol, hook)
+        def rescale_only(t, y):
+            if abs(y[2]) > oscillator._RESCALE:
+                return complex_ode.STOP
+            return complex_ode.CONTINUE
 
-        monkeypatch.setattr(oscillator, "_pair_leg", counting)
+        monkeypatch.setattr(complex_ode, "taylor_leg", counting)
         u = u_values(_pot(anchor.point))
-        assert 0 < sum(steps) <= 150
+        assert 0 < sum(steps) <= 200
         steps.clear()
-        monkeypatch.setattr(oscillator, "_pair_leg", running_on)
-        assert u_values(_pot(anchor.point)) == u
-        assert sum(steps) > 300
+        monkeypatch.setattr(oscillator, "_coalesced_or_large", rescale_only)
+        u_on = u_values(_pot(anchor.point))
+        assert max(abs(x - y) for x, y in zip(u, u_on)) <= 5e-15
+        assert sum(steps) > 1000
 
     @pytest.mark.parametrize("k, bound", [(0, 5e-14), (2, 2e-11), (4, 1e-8)])
     def test_against_dop853_reference(self, q1_sequence, k, bound,
@@ -514,26 +523,31 @@ class TestUValues:
         ref = u_values(pot, samples=samples)
         assert max(abs(x - r) for x, r in zip(u, ref)) <= bound
 
-    def test_pole_dodge(self, monkeypatch):
-        """At the (2, 1), k = 2 seed one outward leg stops short of a pole
-        of a carrier and bends around it; the values agree with the linear
-        reference, which needs no dodge, to 1e-10 (DP5(4): 2.1e-10)."""
+    def test_legs_pass_a_zero_of_psi(self, monkeypatch):
+        """At the (2, 1), k = 2 seed a carrier of one outward leg passes
+        near a zero of psi, a pole of its log-derivative, where a Riccati
+        leg had to bend around it.  psi is entire: every leg runs through
+        to coalescence, stopping nowhere else but to rescale, and the
+        values agree with the linear DOP853 reference to 1e-10 (3.4e-12
+        measured; the Riccati leg with its detour: 1.1e-11)."""
         seed = descendant(solve_bsb(QuantumPair(2, 1), verify_graph=False), 2)
         pot = _pot(seed.point)
-        leg = oscillator._pair_leg
-        dodges = []
+        leg = complex_ode.taylor_leg
+        ends = []
 
         def watching(*args):
             res = leg(*args)
-            if res.stopped and res.y[0] - res.y[1] != res.y[0]:
-                dodges.append(res.t)
+            pa, dpa, pb, dpb = res.y
+            if res.stopped and abs(pb) <= oscillator._RESCALE:
+                ends.append(dpa / pa == dpb / pb)
             return res
 
         samples = {}
         dependence_system(pot, samples=samples)
-        monkeypatch.setattr(oscillator, "_pair_leg", watching)
+        monkeypatch.setattr(complex_ode, "taylor_leg", watching)
         u = u_values(pot, samples=samples)
-        assert len(dodges) == 1
+        assert ends == [True] * 4
+        monkeypatch.undo()
         monkeypatch.setattr(oscillator, "_integrate_pair_outward",
                             oracles.pair_outward_linear)
         ref = u_values(pot, samples=samples)
