@@ -48,6 +48,9 @@ BLOWUP_THRESHOLD = 1e4
 FIT_RADIUS = 0.25
 LAURENT_ORDER = 16
 Z_SEED_MIN = 40.0
+#: the cross-check leg from 2 z0 completes at |z0| = 1e4 (0.7 s) and misses
+#: its tolerance from 2e4 on, after about 1.5 s
+Z_SEED_MAX = 1e4
 SEED_MARGIN = math.pi / 10
 
 
@@ -323,8 +326,9 @@ def seed_asymptotic(z0: complex, tol_seed: float = TOL_SEED,
                     margin: float = SEED_MARGIN) -> TritronqueeState:
     """Certified asymptotic-series state at z0.
 
-    Requires z0 and 2 z0 finite and |z0| >= Z_SEED_MIN inside the sector
-    |arg z| < 4 pi/5 - margin, and raises ``ValueError`` otherwise.  The
+    Requires z0 and 2 z0 finite and Z_SEED_MIN <= |z0| <= Z_SEED_MAX inside
+    the sector |arg z| < 4 pi/5 - margin, and raises ``ValueError``
+    otherwise.  The
     state is cross-checked by integrating the series state at 2 z0
     inward to z0 and comparing.
     """
@@ -333,6 +337,9 @@ def seed_asymptotic(z0: complex, tol_seed: float = TOL_SEED,
         raise ValueError(f"seed point z0 = {z0}: z0 and 2 z0 must be finite")
     if abs(z0) < Z_SEED_MIN:
         raise ValueError(f"|z0| = {abs(z0):.3g} below the seeding radius")
+    if abs(z0) > Z_SEED_MAX:
+        raise ValueError(f"|z0| = {abs(z0):.3g} above the largest seeding "
+                         f"radius {Z_SEED_MAX:.3g}")
     # atan2 where cmath.phase raises OverflowError on an underflowing angle
     if abs(math.atan2(z0.imag, z0.real)) > _SECTOR_HALF_WIDTH - margin:
         raise ValueError("z0 outside the tritronquee sector")

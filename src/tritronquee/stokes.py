@@ -8,11 +8,27 @@ connection).  The resulting embedded graph is summarized by a canonical
 label; the label of the configuration that controls the pole region is
 reported as "320".
 
-A line follows the tangent i conj(w) / |w|, w = sqrt(V), in arc length:
-w dlam = i |w| ds is imaginary, so Re of the action stays constant up to
-the integrator's tolerance, with no projection.  The hook after each step
-only reads: the tangent's FSAL stage left w at the new point, the next
-branch reference.
+A line starts on the exact Stokes line at rho = min(0.1 scale, d/4) from
+its turning point r, d the distance to the nearest other one: the local
+action series
+
+    S(eps) = sqrt(V'(r)) eps^(3/2) sum_k g_k eps^k / (k + 3/2),
+
+with g_k the coefficients of sqrt(V(r + eps) / (V'(r) eps)), converges for
+|eps| < d, and a Newton solve in the angle phi of eps = rho e^(i phi) puts
+the start on Re S = 0.  Where rho would not exceed the merge distance
+(nearly coalescing roots), the line starts on its straight local direction
+at the merge distance instead.  From the start, a line follows the tangent
+i conj(w) / |w|, w = sqrt(V), in arc length: w dlam = i |w| ds is
+imaginary, so Re of the action stays constant up to the integrator's
+tolerance, with no projection.  The hook after each step only reads: the
+tangent's FSAL stage left w at the new point, the next branch reference.
+
+A line ends at another turning point when it enters that point's merge
+disc coming in within pi/6 of one of its local directions, or on entering
+the disc at all where that point's lines start at the merge distance.  A
+saddle connection is traced once: the line of its end point that leaves
+along the arrival direction is the traced line's points, reversed.
 """
 
 from __future__ import annotations
@@ -28,6 +44,13 @@ from .errors import OdeToleranceNotMet, StepUnderflow, TraceStalled, UnresolvedT
 ESCAPE_FACTOR = 10.0
 MERGE_FACTOR = 1e-4
 TRACE_RTOL = 1e-9
+#: a line starts at min(START_FACTOR scale, d / 4) from its turning point
+START_FACTOR = 0.1
+#: terms of the action series: at |eps| = d / 4 the terms past these move
+#: S by at most 3e-16 of |S| (300 random potentials)
+SERIES_TERMS = 24
+START_MAX_ITER = 8
+START_ANGLE_TOL = 1e-12
 
 ASYMPTOTIC = "asymptotic"
 TURNING_POINT = "turning_point"
@@ -38,11 +61,13 @@ STALLED = "stalled"
 class StokesLine:
     """One traced Stokes line.
 
-    ``points`` are the start point near the origin turning point and then
-    every accepted step.  ``terminus_index`` is a gap index k in Z5 for asymptotic termini (the
-    line escapes between the recessive directions 2 pi k/5 and
-    2 pi (k+1)/5, i.e. along the bisector (2k+1) pi/5), or the index of the
-    reached turning point for saddle connections.
+    ``points`` are the start point, up to 0.1 scale from the origin turning
+    point, and then every accepted step; the line of a saddle connection's
+    end point holds the traced line's points, reversed.  ``terminus_index``
+    is a gap index k in Z5 for asymptotic termini (the line escapes between
+    the recessive directions 2 pi k/5 and 2 pi (k+1)/5, i.e. along the
+    bisector (2k+1) pi/5), or the index of the reached turning point for
+    saddle connections.
     """
 
     origin: int
@@ -85,17 +110,75 @@ _TANGENT = complex_ode.Rhs(("c2a", "c28b", "near", "sqrt"), """
 """)
 
 
-def _trace_single(pot: Potential, tp: TurningPoints, origin: int, angle: float,
+def _action_series(sqrt_vp: complex, g: list, rho: float,
+                   phi: float) -> tuple[complex, complex]:
+    """(S, eps dS/deps) at eps = rho e^(i phi) from the local series.
+
+    eps^(3/2) is rho^(3/2) e^(3 i phi / 2), continuous in phi: no branch
+    cut.  Re S is stationary in phi where Im(eps dS/deps) = 0, since
+    dS/dphi = i eps dS/deps.
+    """
+    eps = rho * cmath.exp(1j * phi)
+    s = w = 0j
+    for k in range(len(g) - 1, -1, -1):
+        s = s * eps + g[k] / (k + 1.5)
+        w = w * eps + g[k]
+    lead = sqrt_vp * rho ** 1.5 * cmath.exp(1.5j * phi)
+    return lead * s, lead * w
+
+
+def _series_start(pot: Potential, root: complex, rho: float,
+                  angle: float) -> tuple[complex, complex]:
+    """(start, sqrt(V) there) on the Stokes line that leaves ``root`` along
+    ``angle``, at distance ``rho``: a Newton solve of Re S(rho e^(i phi))
+    = 0 from phi = angle.  The sign of sqrt(V) makes Im S grow outward."""
+    vp = pot.deriv(root)
+    # sqrt(1 + alpha eps + beta eps^2) = sqrt(V(root + eps) / (V' eps)):
+    # h g' = h' g / 2 gives a three-term recurrence for its coefficients
+    alpha, beta = 12.0 * root / vp, 4.0 / vp
+    g = [1.0, 0.5 * alpha]
+    for n in range(1, SERIES_TERMS - 1):
+        g.append((alpha * (0.5 - n) * g[n] + beta * (2 - n) * g[n - 1])
+                 / (n + 1))
+    sqrt_vp = cmath.sqrt(vp)
+    phi = angle
+    for _ in range(START_MAX_ITER):
+        s, w = _action_series(sqrt_vp, g, rho, phi)
+        if w.imag == 0.0:
+            break
+        step = s.real / w.imag
+        phi += step
+        if abs(step) <= START_ANGLE_TOL and abs(phi - angle) < math.pi / 6.0:
+            eps = rho * cmath.exp(1j * phi)
+            return root + eps, (w if s.imag > 0.0 else -w) / eps
+    raise TraceStalled(f"series start of the stokes line from {root} along "
+                       f"{angle:.6g} did not converge")
+
+
+def _leaving_line(directions: list[float], offset: complex) -> int | None:
+    """Index of the line, of the three that leave a turning point along
+    ``directions``, whose direction lies within pi/6 of ``offset``'s."""
+    angle = math.atan2(offset.imag, offset.real)
+    for k, theta in enumerate(directions):
+        turn = (angle - theta + math.pi) % (2.0 * math.pi) - math.pi
+        if abs(turn) < math.pi / 6.0:
+            return k
+    return None
+
+
+def _trace_single(pot: Potential, tp: TurningPoints, along: list,
+                  origin: int, start: complex, w_start: complex,
                   escape_radius: float, tol_merge: float,
                   rtol: float) -> StokesLine:
+    """The line from ``start`` on.  It ends at turning point j when it
+    enters j's merge disc coming in along one of ``along[j]``'s directions,
+    or, where ``along[j]`` is None, on entering the disc at all."""
     root = tp.roots[origin]
-    start = root + tol_merge * cmath.exp(1j * angle)
     others = [(j, tp.roots[j]) for j in range(3) if j != origin]
 
-    # near[0], the branch reference, starts as i e^(-i angle): the sign
-    # rule depends on its phase only, and picks the root whose tangent
-    # points along e^(i angle), ``elliptic.facing_sqrt``'s.
-    near = [1j * cmath.exp(-1j * angle), None]
+    # near[0], the branch reference, starts as w_start: the sign rule
+    # depends on its phase only
+    near = [w_start, None]
     points = [start]
     terminus = (STALLED, None)
     left_origin = False
@@ -114,8 +197,15 @@ def _trace_single(pot: Potential, tp: TurningPoints, origin: int, angle: float,
         if left_origin and dist_origin < tol_merge:
             terminus = (TURNING_POINT, origin)
             return complex_ode.STOP
+        # a saddle connection comes in along one of the other point's
+        # lines; a line that passes the point crosses its merge disc
+        # between two of them, or on its way out, and goes on
         for j, other in others:
-            if abs(lam - other) < tol_merge:
+            dist = abs(lam - other)
+            if dist < tol_merge and (
+                    along[j] is None
+                    or (dist < abs(points[-2] - other)
+                        and _leaving_line(along[j], lam - other) is not None)):
                 terminus = (TURNING_POINT, j)
                 return complex_ode.STOP
         return complex_ode.CONTINUE
@@ -139,15 +229,43 @@ def _trace_single(pot: Potential, tp: TurningPoints, origin: int, angle: float,
 
 
 def trace_stokes_lines(pot: Potential, rtol: float = TRACE_RTOL) -> StokesGraph:
-    """Trace the three Stokes lines from every turning point."""
+    """The three Stokes lines from every turning point, each saddle
+    connection traced once."""
     tp = turning_points(pot)
     escape_radius = ESCAPE_FACTOR * tp.scale
     tol_merge = MERGE_FACTOR * escape_radius
-    lines = []
-    for i in range(3):
-        for angle in _local_directions(pot, tp.roots[i]):
-            lines.append(_trace_single(pot, tp, i, angle, escape_radius,
-                                       tol_merge, rtol))
+    directions = [_local_directions(pot, r) for r in tp.roots]
+    rhos = [min(START_FACTOR * tp.scale,
+                0.25 * min(abs(root - r) for r in tp.roots if r != root))
+            for root in tp.roots]
+    # the local directions show how a line comes in only where the local
+    # series holds across the merge disc
+    along = [d if rho > tol_merge else None
+             for d, rho in zip(directions, rhos)]
+    lines: list[StokesLine | None] = [None] * 9
+    for i, (root, rho) in enumerate(zip(tp.roots, rhos)):
+        for j, angle in enumerate(directions[i]):
+            if lines[3 * i + j] is not None:
+                continue
+            if rho > tol_merge:
+                start, w_start = _series_start(pot, root, rho, angle)
+            else:
+                # i e^(-i angle) picks the sqrt(V) whose tangent points
+                # along e^(i angle), ``elliptic.facing_sqrt``'s
+                start = root + tol_merge * cmath.exp(1j * angle)
+                w_start = 1j * cmath.exp(-1j * angle)
+            line = _trace_single(pot, tp, along, i, start, w_start,
+                                 escape_radius, tol_merge, rtol)
+            lines[3 * i + j] = line
+            p = line.terminus_index
+            if (line.terminus_kind != TURNING_POINT or p == i
+                    or along[p] is None):
+                continue
+            # the line of p that leaves along the arrival direction is this
+            # one reversed, traced or not
+            k = _leaving_line(along[p], line.points[-1] - tp.roots[p])
+            lines[3 * p + k] = StokesLine(p, line.points[::-1],
+                                          TURNING_POINT, i)
     return StokesGraph(turning_points=tp, lines=tuple(lines))
 
 

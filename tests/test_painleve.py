@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -135,6 +136,14 @@ class TestAsymptoticSeries:
             seed_asymptotic(5.0)
         with pytest.raises(ValueError):
             seed_asymptotic(40.0 * cmath.exp(1j * 0.9 * math.pi))
+
+    @pytest.mark.parametrize("z0", [2e4, 1e6, 1e150])
+    def test_rejects_radius_above_the_cross_check_reach(self, z0):
+        # the leg from 2 z0 would run for seconds and then fail
+        t0 = time.monotonic()
+        with pytest.raises(ValueError, match="above the largest seeding"):
+            seed_asymptotic(z0)
+        assert time.monotonic() - t0 < 0.1
 
 
 class TestTrack:

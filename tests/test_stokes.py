@@ -5,10 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tritronquee import elliptic
+from mpmath import mp
+from mpmath.calculus.quadrature import GaussLegendre
+
+from tritronquee import complex_ode, elliptic, stokes
 from tritronquee.bsb import descendant, solve_period_targets
 from tritronquee.elliptic import PeriodData, Potential, turning_points
-from tritronquee.errors import DegenerateTurningPoints, NumericalError
+from tritronquee.errors import (DegenerateTurningPoints, NumericalError,
+                                TraceStalled)
 from tritronquee.stokes import (ASYMPTOTIC, TURNING_POINT, classify_graph,
                                 polylines, trace_stokes_lines)
 
@@ -30,6 +34,161 @@ def pool_potentials(coprime_primitives):
 def _termini(graph):
     return [(ln.origin, ln.terminus_kind, ln.terminus_index)
             for ln in graph.lines]
+
+
+def _assert_two_sided(graph, reused=False):
+    """Every saddle connection i -> p has its partner p -> i; with
+    ``reused``, one whose points are the same polyline reversed.  Only
+    connections to a point resolved by the merge distance count: within
+    4 merge distances of another turning point a line starts at the merge
+    distance and ends on entering a disc, as the frozen tracer's do."""
+    tp = graph.turning_points
+    tol_merge = stokes.MERGE_FACTOR * (stokes.ESCAPE_FACTOR * tp.scale)
+    for ln in graph.lines:
+        p = ln.terminus_index
+        if (ln.terminus_kind != TURNING_POINT or p == ln.origin
+                or min(abs(tp.roots[p] - r) for r in tp.roots
+                       if r != tp.roots[p]) <= 4.0 * tol_merge):
+            continue
+        partners = [other for other in graph.lines
+                    if other.origin == p
+                    and other.terminus_kind == TURNING_POINT
+                    and other.terminus_index == ln.origin]
+        assert partners, (f"{ln.origin} -> {p} has no partner: "
+                          f"{classify_graph(graph)}")
+        assert not reused or any(other.points == ln.points[::-1]
+                                 for other in partners)
+
+
+#: three real turning points whose segment from I to B is a Stokes line;
+#: tracing it from both ends once let B's line step over I's merge disc
+ONE_SIDED_AT_BOTH_ENDS = [(35.91858665905268, 4.070353249139318),
+                          (0.9916657035896067, 0.018672444728221736)]
+
+
+@pytest.mark.parametrize("a, b", ONE_SIDED_AT_BOTH_ENDS)
+def test_real_saddle_connection_is_two_sided(a, b):
+    graph = trace_stokes_lines(Potential(a, b))
+    _assert_two_sided(graph, reused=True)
+    assert classify_graph(graph) == LABEL_10_0
+
+
+def test_saddle_connections_are_traced_once(pool_potentials):
+    """Each saddle connection is one traced polyline, stored reversed at its
+    other end."""
+    for pot in pool_potentials:
+        _assert_two_sided(trace_stokes_lines(pot), reused=True)
+
+
+def _series_start_action(pot, root, start, nodes):
+    """S(root -> start) by 30-digit Gauss-Legendre on the chord, written as
+    int_0^1 sqrt(V'(r) eps) u sqrt(h(u^2 eps)) 2 u eps du with
+    V(r + x) = V'(r) x h(x).  The substitution x = u^2 eps removes the
+    square root at the turning point.  The other roots lie at |u| >= 2, so
+    the integrand is analytic inside the Bernstein ellipse of [0, 1] through
+    u = 2, and 24 nodes leave an error near 2.6^-48; the principal
+    sqrt(h) is continuous on the chord, where h's two factors stay within
+    1/4 of 1."""
+    with mp.workdps(30):
+        r = mp.mpc(root)
+        eps = mp.mpc(start) - r
+        vp = 12 * r * r - 2 * mp.mpc(pot.a)
+        total = 0
+        for u, weight in nodes:
+            x = u * u * eps
+            h = 1 + (12 * r / vp) * x + (4 / vp) * x * x
+            total += weight * u * u * mp.sqrt(h)
+        return complex(2 * eps * mp.sqrt(vp * eps) * total)
+
+
+def test_series_starts_lie_on_their_lines(pool_potentials):
+    """Every line that is traced starts on Re S = 0, with S the action from
+    its turning point, to 1e-12 of |S|."""
+    with mp.workdps(30):
+        nodes = GaussLegendre(mp).get_nodes(0, 1, 4, mp.prec)
+    checked = 0
+    for pot in pool_potentials:
+        graph = trace_stokes_lines(pot)
+        tp = graph.turning_points
+        tol_merge = stokes.MERGE_FACTOR * (stokes.ESCAPE_FACTOR * tp.scale)
+        for ln in graph.lines:
+            root = tp.roots[ln.origin]
+            start = ln.points[0]
+            if abs(start - root) <= tol_merge:
+                continue  # the reversed end of a saddle connection
+            s = _series_start_action(pot, root, start, nodes)
+            assert abs(s.real) <= 1e-12 * max(1.0, abs(s))
+            checked += 1
+    # seven traced lines per "320" graph
+    assert checked == 7 * len(pool_potentials)
+
+
+def test_anchor_traces_each_saddle_connection_once(anchor, monkeypatch):
+    """The two saddle connections of a "320" graph are integrated from one
+    end: 7 integrations for 9 lines."""
+    calls = []
+    integrate = complex_ode.integrate
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(complex_ode, "integrate", counting)
+    graph = trace_stokes_lines(Potential(anchor.point.a, anchor.point.b))
+    assert classify_graph(graph) == "320"
+    assert len(calls) == 7
+
+
+def test_coalescing_roots_keep_the_merge_distance_start():
+    """Where d / 4 is below the merge distance, a line of the pair starts
+    on its straight local direction at the merge distance, as the frozen
+    tracer's does, and ends where that tracer's does."""
+    pot = Potential(*_coalescing(1.0, 1, 1e-5))
+    graph = trace_stokes_lines(pot)
+    tp = graph.turning_points
+    tol_merge = stokes.MERGE_FACTOR * (stokes.ESCAPE_FACTOR * tp.scale)
+    assert tp.min_separation < 4.0 * tol_merge
+    near_pair = [i for i, r in enumerate(tp.roots)
+                 if min(abs(r - q) for q in tp.roots if q != r)
+                 < 4.0 * tol_merge]
+    assert len(near_pair) == 2
+    for i in near_pair:
+        root = tp.roots[i]
+        starts = {root + tol_merge * cmath.exp(1j * angle)
+                  for angle in stokes._local_directions(pot, root)}
+        assert {ln.points[0] for ln in graph.lines[3 * i:3 * i + 3]} == starts
+    assert _termini(graph) == _termini(closure_trace_stokes_lines(pot))
+
+
+def _root_one_radian_away():
+    """A series whose Newton solve converges 1 rad from the first angle it
+    is asked at: onto another line's start, not the requested one."""
+    first = []
+
+    def series(sqrt_vp, g, rho, phi):
+        first.append(phi)
+        return complex(phi - first[0] - 1.0), -1j
+
+    return series
+
+
+def _constant(s, w):
+    """A factory of a series that returns (S, eps dS/deps) = (s, w) at
+    every angle."""
+    return lambda: lambda *args: (s, w)
+
+
+@pytest.mark.parametrize("make_series", [
+    _constant(1.0 + 1.0j, 2.0 + 0.0j),       # d Re S / d phi = 0
+    _constant(1.0 + 1.0j, 1e-3j),            # steps of 1000 rad
+    _constant(complex(math.nan, 0.0), 1j),
+    _root_one_radian_away,
+])
+def test_series_start_failure_is_a_stalled_trace(anchor, monkeypatch,
+                                                 make_series):
+    monkeypatch.setattr(stokes, "_action_series", make_series())
+    with pytest.raises(TraceStalled):
+        trace_stokes_lines(Potential(anchor.point.a, anchor.point.b))
 
 
 def test_termini_match_the_frozen_tracer(pool_potentials):
@@ -96,7 +255,7 @@ def test_incremental_action_oracle(pool_potentials):
     for pot in pool_potentials:
         for ln in trace_stokes_lines(pot).lines:
             drift, weight = polyline_action_drift(pot, ln.points)
-            assert drift < 1e-6 * max(1.0, weight)
+            assert drift < 1e-8 * max(1.0, weight)
 
 
 def test_symmetric_point_graph():
@@ -187,8 +346,8 @@ def test_graph_is_embedded(anchor):
     for i in range(len(g.lines)):
         for j in range(i + 1, len(g.lines)):
             li, lj = g.lines[i], g.lines[j]
-            # a saddle connection traced from both endpoints is one edge
-            # drawn twice, not a crossing
+            # a saddle connection is one edge, stored at both ends as the
+            # same polyline reversed: not a crossing
             if (li.terminus_kind == TURNING_POINT
                     and lj.terminus_kind == TURNING_POINT
                     and li.terminus_index == lj.origin
@@ -263,6 +422,13 @@ def test_parameter_plane_raises_only_numerical_errors(region, data):
             run()
         except NumericalError:
             pass
+    # a graph that classifies has every saddle connection at both ends
+    try:
+        graph = trace_stokes_lines(pot)
+        classify_graph(graph)
+    except NumericalError:
+        return
+    _assert_two_sided(graph)
 
 
 @pytest.mark.parametrize("a", [math.nan, math.inf])
