@@ -24,12 +24,10 @@ sign.  ``branch_sqrt`` continues sqrt(V) along a path from the value at the
 previous point (the oscillator's WKB phase; the Stokes tracer's kernel
 inlines it).  ``facing_sqrt`` starts such a path with
 Re(sqrt(V) * direction) >= 0: on the oscillator ray along e^(i phi) the
-action then grows outward, and a Stokes line leaving along e^(i phi)
-takes direction -i e^(i phi), so that its tangent i conj(sqrt(V)) points
-along the line.  The periods
-write sqrt(V) on ``lam = c + h cos(theta)`` as 2i h sin(theta) times the
-third-root factor sqrt(c - r_other) * sqrt(1 + rho cos(theta)), with
-principal roots and a sign per cycle pinned at the real (1,1) solution.
+action then grows outward.  The periods write sqrt(V) on
+``lam = c + h cos(theta)`` as 2i h sin(theta) times the third-root factor
+sqrt(c - r_other) * sqrt(1 + rho cos(theta)), with principal roots and a
+sign per cycle pinned at the real (1,1) solution.
 """
 
 from __future__ import annotations
@@ -321,6 +319,9 @@ def _cycle_sweep(tp: TurningPoints,
     cos_integral = -2.0 * F + (4.0 / 3.0) * z * D
     da = 1j * sigma * (2.0 * c * F + h * cos_integral) / root
     db = 28j * sigma * F / root
+    if not all(map(cmath.isfinite, (chi, da, db))):
+        raise QuadratureNotConverged(
+            f"cycle period overflows: chi = {chi}, d chi = ({da}, {db})")
     return chi, da, db
 
 

@@ -21,7 +21,8 @@ class DegenerateTurningPoints(NumericalError):
 
 class QuadratureNotConverged(NumericalError):
     """A cycle's cut runs through the third turning point, where the
-    closed-form periods do not hold."""
+    closed-form periods do not hold, or a period or one of its derivatives
+    overflows."""
 
 
 class TraceStalled(NumericalError):

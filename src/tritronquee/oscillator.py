@@ -551,9 +551,9 @@ def _integrate_pair_outward(pot: Potential, tp: TurningPoints, sA0: complex,
     return y[0]
 
 
-def u_values(pot: Potential, eval_radius: float | None = None,
-             rtol: float = TOL_ODE,
-             samples: dict | None = None) -> tuple[complex, complex]:
+def u_values(pot: Potential, samples: dict,
+             eval_radius: float | None = None,
+             rtol: float = TOL_ODE) -> tuple[complex, complex]:
     """Monodromy ratios (u_2, u_-2) from asymptotic-value ratios.
 
     Each asymptotic value is the ratio of two recessive solutions far out on
@@ -563,20 +563,13 @@ def u_values(pot: Potential, eval_radius: float | None = None,
     ``eval_radius`` (default ``6 * scale``) is the farthest a leg may run
     before that.
 
-    The legs of rays 2 and -2 always come from ``dependence_system``:
-    ``samples`` may hold them from a pass at this potential with the same
-    ``rtol``, and without it ``u_values`` makes that pass itself.  Only the
-    ray-0 leg is integrated here.  So reused and fresh legs give the same
-    values bit for bit: at real (a, b) the pass mirrors ray -2, 1-2 ulp
-    from an integrated leg, and the outward legs carry such a difference
-    on to u.
+    The legs of rays 2 and -2 come from ``samples``, filled by a
+    ``dependence_system`` pass at this potential with the same ``rtol``;
+    only the ray-0 leg is integrated here.
     """
     tp = turning_points(pot)
     lam = match_point(tp)
     radius = 6.0 * tp.scale if eval_radius is None else float(eval_radius)
-    if samples is None:
-        samples = {}
-        dependence_system(pot, rtol=rtol, samples=samples)
     if samples[2].lam != lam or samples[-2].lam != lam:
         raise ValueError("samples were taken at another match point")
     s = {0: psi_logderivative(pot, ray_spec(pot, 0), lam, rtol, tp=tp).s,

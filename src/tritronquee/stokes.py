@@ -8,25 +8,24 @@ connection).  The resulting embedded graph is summarized by a canonical
 label; the label of the configuration that controls the pole region is
 reported as "320".
 
-A line starts on the exact Stokes line at rho = min(0.1 scale, d/4) from
-its turning point r, d the distance to the nearest other one: the local
-action series
+Every line starts on the exact Stokes line at rho = min(0.1 scale, d/4)
+from its turning point r, d the distance to the nearest other one: the
+local action series
 
     S(eps) = sqrt(V'(r)) eps^(3/2) sum_k g_k eps^k / (k + 3/2),
 
 with g_k the coefficients of sqrt(V(r + eps) / (V'(r) eps)), converges for
 |eps| < d, and a Newton solve in the angle phi of eps = rho e^(i phi) puts
-the start on Re S = 0.  Where rho would not exceed the merge distance
-(nearly coalescing roots), the line starts on its straight local direction
-at the merge distance instead.  From the start, a line follows the tangent
+the start on Re S = 0.  From the start, a line follows the tangent
 i conj(w) / |w|, w = sqrt(V), in arc length: w dlam = i |w| ds is
 imaginary, so Re of the action stays constant up to the integrator's
 tolerance, with no projection.  The hook after each step only reads: the
 tangent's FSAL stage left w at the new point, the next branch reference.
 
-A line ends at another turning point when it enters that point's merge
-disc coming in within pi/6 of one of its local directions, or on entering
-the disc at all where that point's lines start at the merge distance.  A
+Every turning point p has a merge disc of radius min(1e-3 scale, rho_p/4),
+inside the circle where its lines start.  A line ends at p when it enters
+that disc moving closer, within pi/6 of one of p's local directions; a
+line that crosses the disc between two of them passes p and goes on.  A
 saddle connection is traced once: the line of its end point that leaves
 along the arrival direction is the traced line's points, reversed.
 """
@@ -166,13 +165,13 @@ def _leaving_line(directions: list[float], offset: complex) -> int | None:
     return None
 
 
-def _trace_single(pot: Potential, tp: TurningPoints, along: list,
-                  origin: int, start: complex, w_start: complex,
-                  escape_radius: float, tol_merge: float,
+def _trace_single(pot: Potential, tp: TurningPoints, directions: list,
+                  merges: list, origin: int, start: complex,
+                  w_start: complex, escape_radius: float,
                   rtol: float) -> StokesLine:
     """The line from ``start`` on.  It ends at turning point j when it
-    enters j's merge disc coming in along one of ``along[j]``'s directions,
-    or, where ``along[j]`` is None, on entering the disc at all."""
+    enters j's merge disc, of radius ``merges[j]``, moving closer and
+    within pi/6 of one of ``directions[j]``."""
     root = tp.roots[origin]
     others = [(j, tp.roots[j]) for j in range(3) if j != origin]
 
@@ -181,20 +180,18 @@ def _trace_single(pot: Potential, tp: TurningPoints, along: list,
     near = [w_start, None]
     points = [start]
     terminus = (STALLED, None)
-    left_origin = False
 
     def on_accept(t, lam):
-        nonlocal terminus, left_origin
+        nonlocal terminus
         near[0] = near[1]
         points.append(lam)
         if abs(lam) >= escape_radius:
             # atan2, where cmath.phase raises on an underflowing angle
             terminus = (ASYMPTOTIC, _gap_index(math.atan2(lam.imag, lam.real)))
             return complex_ode.STOP
-        dist_origin = abs(lam - root)
-        if not left_origin and dist_origin > 3.0 * tol_merge:
-            left_origin = True
-        if left_origin and dist_origin < tol_merge:
+        # the start lies at 4 merge radii or more: a line back inside the
+        # origin's disc has come round to it
+        if abs(lam - root) < merges[origin]:
             terminus = (TURNING_POINT, origin)
             return complex_ode.STOP
         # a saddle connection comes in along one of the other point's
@@ -202,10 +199,8 @@ def _trace_single(pot: Potential, tp: TurningPoints, along: list,
         # between two of them, or on its way out, and goes on
         for j, other in others:
             dist = abs(lam - other)
-            if dist < tol_merge and (
-                    along[j] is None
-                    or (dist < abs(points[-2] - other)
-                        and _leaving_line(along[j], lam - other) is not None)):
+            if (dist < merges[j] and dist < abs(points[-2] - other)
+                    and _leaving_line(directions[j], lam - other) is not None):
                 terminus = (TURNING_POINT, j)
                 return complex_ode.STOP
         return complex_ode.CONTINUE
@@ -233,37 +228,26 @@ def trace_stokes_lines(pot: Potential, rtol: float = TRACE_RTOL) -> StokesGraph:
     connection traced once."""
     tp = turning_points(pot)
     escape_radius = ESCAPE_FACTOR * tp.scale
-    tol_merge = MERGE_FACTOR * escape_radius
     directions = [_local_directions(pot, r) for r in tp.roots]
     rhos = [min(START_FACTOR * tp.scale,
                 0.25 * min(abs(root - r) for r in tp.roots if r != root))
             for root in tp.roots]
-    # the local directions show how a line comes in only where the local
-    # series holds across the merge disc
-    along = [d if rho > tol_merge else None
-             for d, rho in zip(directions, rhos)]
+    merges = [min(MERGE_FACTOR * escape_radius, 0.25 * rho) for rho in rhos]
     lines: list[StokesLine | None] = [None] * 9
     for i, (root, rho) in enumerate(zip(tp.roots, rhos)):
         for j, angle in enumerate(directions[i]):
             if lines[3 * i + j] is not None:
                 continue
-            if rho > tol_merge:
-                start, w_start = _series_start(pot, root, rho, angle)
-            else:
-                # i e^(-i angle) picks the sqrt(V) whose tangent points
-                # along e^(i angle), ``elliptic.facing_sqrt``'s
-                start = root + tol_merge * cmath.exp(1j * angle)
-                w_start = 1j * cmath.exp(-1j * angle)
-            line = _trace_single(pot, tp, along, i, start, w_start,
-                                 escape_radius, tol_merge, rtol)
+            start, w_start = _series_start(pot, root, rho, angle)
+            line = _trace_single(pot, tp, directions, merges, i, start,
+                                 w_start, escape_radius, rtol)
             lines[3 * i + j] = line
             p = line.terminus_index
-            if (line.terminus_kind != TURNING_POINT or p == i
-                    or along[p] is None):
+            if line.terminus_kind != TURNING_POINT or p == i:
                 continue
             # the line of p that leaves along the arrival direction is this
             # one reversed, traced or not
-            k = _leaving_line(along[p], line.points[-1] - tp.roots[p])
+            k = _leaving_line(directions[p], line.points[-1] - tp.roots[p])
             lines[3 * p + k] = StokesLine(p, line.points[::-1],
                                           TURNING_POINT, i)
     return StokesGraph(turning_points=tp, lines=tuple(lines))

@@ -127,6 +127,15 @@ def test_periods_non_finite_coefficient(capsys):
     assert "coefficient a = (nan+0j) is not finite" in capsys.readouterr().err
 
 
+def test_periods_overflow_exit_code(capsys):
+    """Periods that overflow are a numerical failure, not Infinity or NaN
+    printed with exit code 0."""
+    assert main(["periods", "--a=1e250", "--b=0", "--json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "QuadratureNotConverged" in captured.err
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--z0=inf", "--to=0"], "z0 and 2 z0 must be finite"),
     (["--z0=1e308", "--to=0"], "z0 and 2 z0 must be finite"),

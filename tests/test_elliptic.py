@@ -15,7 +15,8 @@ from tritronquee.elliptic import (DEGENERACY_REL, LEGENDRE_CONSTANT, CycleId,
                                   legendre_residual, period,
                                   period_derivatives, solve_2x2,
                                   turning_points)
-from tritronquee.errors import DegenerateTurningPoints, NumericalError
+from tritronquee.errors import (DegenerateTurningPoints, NumericalError,
+                                QuadratureNotConverged)
 from tritronquee.oscillator import match_point
 
 from oracles import (contour_period_trapezoid, continued_sqrt,
@@ -267,6 +268,15 @@ class TestPeriods:
             oracle = contour_period_trapezoid(pot, center, radius, w_start)
             chi = period(pot, cycle)
             assert min(abs(chi - oracle), abs(chi + oracle)) < 1e-8 * abs(chi)
+
+    def test_overflow_is_a_named_error(self):
+        """chi grows like a^(5/4): at a = 1e240 the periods are finite
+        (8.06e299), at 1e250 chi overflows, which is a named error, not an
+        infinite or NaN period."""
+        pd = PeriodData.compute(Potential(1e240, 0.0))
+        assert all(cmath.isfinite(getattr(pd, f.name)) for f in fields(pd))
+        with pytest.raises(QuadratureNotConverged, match="overflows"):
+            PeriodData.compute(Potential(1e250, 0.0))
 
     def test_series_meets_closed_form(self, monkeypatch):
         """Around |rho| = 0.2, where chi switches from the closed form to

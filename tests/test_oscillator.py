@@ -427,10 +427,18 @@ class TestProportionality:
             assert abs(s_m1 - s_p2) < 1e-8 * max(1.0, abs(s_m1))
 
 
+def _samples(pot):
+    """The inward legs of one ``dependence_system`` pass at ``pot``."""
+    samples = {}
+    dependence_system(pot, samples=samples)
+    return samples
+
+
 class TestUValues:
     def test_unity_at_refined_pole(self, pole_table):
         pole = pole_table["records"][0].pole
-        u2, um2 = u_values(Potential(pole.a, pole.b))
+        pot = Potential(pole.a, pole.b)
+        u2, um2 = u_values(pot, _samples(pot))
         assert abs(u2 - 1.0) < 1e-8
         assert abs(um2 - 1.0) < 1e-8
 
@@ -447,7 +455,7 @@ class TestUValues:
                 / ((s[2] - s[-2]) * (s[-1] - s[0])))
         um2_x = ((s[-2] - s[0]) * (s[1] - s[2])
                  / ((s[-2] - s[2]) * (s[1] - s[0])))
-        u2, um2 = u_values(pot)
+        u2, um2 = u_values(pot, _samples(pot))
         assert abs(u2 - u2_x) < 1e-8 * abs(u2)
         assert abs(um2 - um2_x) < 1e-8 * abs(um2)
 
@@ -456,7 +464,7 @@ class TestUValues:
         samples = {}
         dependence_system(pot, samples=samples)
         assert sorted(samples) == [-2, -1, 1, 2]
-        assert u_values(pot, samples=samples) == u_values(pot)
+        assert u_values(pot, samples) == u_values(pot, _samples(pot))
 
     def test_samples_from_another_match_point_rejected(self, anchor):
         pot = _pot(anchor.point)
@@ -469,8 +477,9 @@ class TestUValues:
     def test_evaluation_radius_stability(self, anchor):
         pot = _pot(anchor.point)
         tp = turning_points(pot)
-        u_a = u_values(pot)
-        u_b = u_values(pot, eval_radius=12.0 * tp.scale)
+        samples = _samples(pot)
+        u_a = u_values(pot, samples)
+        u_b = u_values(pot, samples, eval_radius=12.0 * tp.scale)
         assert abs(u_b[0] - u_a[0]) < 1e-6 * abs(u_a[0])
         assert abs(u_b[1] - u_a[1]) < 1e-6 * abs(u_a[1])
 
@@ -499,12 +508,14 @@ class TestUValues:
                 return complex_ode.STOP
             return complex_ode.CONTINUE
 
+        pot = _pot(anchor.point)
+        samples = _samples(pot)
         monkeypatch.setattr(complex_ode, "taylor_leg", counting)
-        u = u_values(_pot(anchor.point))
+        u = u_values(pot, samples)
         assert 0 < sum(steps) <= 200
         steps.clear()
         monkeypatch.setattr(oscillator, "_coalesced_or_large", rescale_only)
-        u_on = u_values(_pot(anchor.point))
+        u_on = u_values(pot, samples)
         assert max(abs(x - y) for x, y in zip(u, u_on)) <= 5e-15
         assert sum(steps) > 1000
 
