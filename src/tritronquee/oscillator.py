@@ -53,6 +53,9 @@ from .errors import (DependentBasis, NewtonDiverged, OdeToleranceNotMet,
 TOL_ODE = 1e-12
 TOL_WKB = 1e-10
 TOL_DEP = 1e-9
+#: a pole is converged where |J^-1 G|_inf <= TOL_STEP (1 + |a|); at q = 1
+#: that holds for k <= 5, and from k = 6 G's noise hides the root
+TOL_STEP = 1e-9
 DISC_ALPHA = 1.0
 DISC_EPS = 1.0
 
@@ -621,8 +624,9 @@ def refine_pole(seed: BsbSolution,
     the refined b is the quartic Laurent coefficient of the tritronquee
     expansion at the pole.  The record carries cond(J)
     (``elliptic.cond_2x2``) and |J^-1 G|_inf at the pole as its Newton
-    certificate.  The WKB gaps come from ``u_values`` at the seed, which
-    takes over the rays 2 and -2 legs of the seed's own pass.
+    certificate, and one above ``TOL_STEP`` (1 + |a|) raises
+    ``NewtonDiverged``.  The WKB gaps come from ``u_values`` at the seed,
+    which takes over the rays 2 and -2 legs of the seed's own pass.
     """
     alpha, eps = radius_policy
     if not 0.2 < alpha < 1.2:
@@ -676,6 +680,10 @@ def refine_pole(seed: BsbSolution,
     if res >= tol_dep:
         raise NewtonDiverged(
             f"pole refinement did not reach {tol_dep:.1e} (residual {res:.3e})")
+    newton_step = max(map(abs, _newton_step(J, G)))
+    if newton_step > TOL_STEP * (1.0 + abs(a)):
+        raise NewtonDiverged(f"pole refinement stopped a Newton step of "
+                             f"{newton_step:.3e} from the root")
 
     disc_radius = eps * float(max(seed.k, 1)) ** (-alpha)
     if abs(a - seed.point.a) > disc_radius:
@@ -693,4 +701,4 @@ def refine_pole(seed: BsbSolution,
                       pole=ParamPoint(a, b), dep_residual=res, wkb_gap=gap,
                       newton_iterations=iterations,
                       jacobian_cond=cond_2x2(J),
-                      newton_step=max(map(abs, _newton_step(J, G))))
+                      newton_step=newton_step)

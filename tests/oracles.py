@@ -707,7 +707,8 @@ def closure_trace_stokes_lines(pot: Potential) -> stokes.StokesGraph:
     tangent as a closure called at every stage."""
     tp = turning_points(pot)
     escape_radius = stokes.ESCAPE_FACTOR * tp.scale
-    tol_merge = stokes.MERGE_FACTOR * escape_radius
+    # the frozen merge distance, 1e-3 scale: the tracer itself has none
+    tol_merge = 1e-4 * escape_radius
     lines = [_closure_trace_single(pot, tp, i, angle, escape_radius,
                                    tol_merge, stokes.TRACE_RTOL)
              for i in range(3)

@@ -199,6 +199,19 @@ def test_refine_command(capsys):
     assert data["dep_residual"] < 1e-9
 
 
+def test_refine_unconverged_exit_code(capsys):
+    """At q = 1, k = 8 Newton stops on G's noise, a Newton step of 1e-2
+    from the root: a numerical failure, not the seed printed as a pole."""
+    assert main(["refine", "--n", "1", "--m", "1", "--k", "8"]) == 3
+    assert "NewtonDiverged" in capsys.readouterr().err
+
+
+def test_stokes_overflow_exit_code(capsys):
+    """V overflows at the escape radius: the trace says so and exits 3."""
+    assert main(["stokes", "--a=1e220", "--b=0"]) == 3
+    assert "overflows" in capsys.readouterr().err
+
+
 def test_bad_config_exit_code(tmp_path, capsys):
     # booleans, strings, non-finite and non-positive floats: no key takes
     # them, and each error names the file and the line

@@ -319,6 +319,23 @@ class TestRefinePole:
             assert rec.newton_step <= 1e-8
             assert 1.0 <= rec.jacobian_cond < 1e3
 
+    def test_large_k_is_converged_or_named(self, anchor):
+        """At q = 1 the Jacobian shrinks like e^(-2.9 k) while G's noise
+        does not: from k = 6 the seed's residual is already at the noise
+        floor.  Every entry is then within 1e-8 of route 3, or a named
+        error, never the unmoved seed returned as a pole."""
+        from tritronquee.errors import NumericalError
+        from tritronquee.painleve import seed_asymptotic, track
+
+        _, route3 = track(seed_asymptotic(40.0), [40.0, -42.0])
+        for k in range(6, 17):
+            seed = descendant(anchor, k)
+            try:
+                rec = refine_pole(seed, compute_gap=False)
+            except NumericalError:
+                continue
+            assert min(abs(rec.pole.a - p.a) for p in route3) < 1e-8, k
+
     def test_non_finite_jacobian_is_newton_diverged(self, anchor, monkeypatch):
         def nan_jacobian(pot, lam_match=None, rtol=None, samples=None):
             return (0.1 + 0.0j, 0.1 + 0.0j), ((1.0, math.nan), (0.0, 1.0))

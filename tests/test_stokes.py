@@ -43,6 +43,14 @@ def _coalescing(b, branch, rel):
     return cube_root * cmath.exp(2j * math.pi * branch / 3.0) * (1.0 + rel), b
 
 
+def _start_radius(tp, i):
+    """rho_i = min(0.1 scale, d_i / 4): where the lines of turning point i
+    start, and the circle inside which lines end at i."""
+    root = tp.roots[i]
+    return min(stokes.START_FACTOR * tp.scale,
+               0.25 * min(abs(root - r) for r in tp.roots if r != root))
+
+
 def _assert_two_sided(graph, reused=False):
     """Every saddle connection i -> p has its partner p -> i; with
     ``reused``, one whose points are the same polyline reversed."""
@@ -110,17 +118,37 @@ def test_series_starts_lie_on_their_lines(pool_potentials):
     for pot in pool_potentials:
         graph = trace_stokes_lines(pot)
         tp = graph.turning_points
-        tol_merge = stokes.MERGE_FACTOR * (stokes.ESCAPE_FACTOR * tp.scale)
         for ln in graph.lines:
             root = tp.roots[ln.origin]
             start = ln.points[0]
-            if abs(start - root) <= tol_merge:
+            rho = _start_radius(tp, ln.origin)
+            if abs(abs(start - root) - rho) > 1e-12 * rho:
                 continue  # the reversed end of a saddle connection
             s = _series_start_action(pot, root, start, nodes)
             assert abs(s.real) <= 1e-12 * max(1.0, abs(s))
             checked += 1
     # seven traced lines per "320" graph
     assert checked == 7 * len(pool_potentials)
+
+
+def test_saddle_connections_end_inside_the_start_circle(pool_potentials):
+    """A saddle connection i -> p ends on the step that crosses into p's
+    start circle: between rho_p / 2 and rho_p from p, and its reversed
+    partner at p starts there."""
+    ends = 0
+    for pot in pool_potentials:
+        graph = trace_stokes_lines(pot)
+        tp = graph.turning_points
+        for ln in graph.lines:
+            p = ln.terminus_index
+            if ln.terminus_kind != TURNING_POINT or p == ln.origin:
+                continue
+            rho = _start_radius(tp, p)
+            dist = abs(ln.points[-1] - tp.roots[p])
+            assert 0.5 * rho <= dist <= (1.0 + 1e-12) * rho
+            ends += 1
+    # two saddle connections per "320" graph, stored at both ends
+    assert ends == 4 * len(pool_potentials)
 
 
 def test_anchor_traces_each_saddle_connection_once(anchor, monkeypatch):
@@ -140,20 +168,18 @@ def test_anchor_traces_each_saddle_connection_once(anchor, monkeypatch):
 
 
 def test_coalescing_roots_start_on_their_series():
-    """Where d / 4 is below the merge distance of 1e-3 scale, the lines of
-    the close pair still start on their action series at rho = d / 4, and
-    every saddle connection is stored at both ends."""
+    """Where d / 4 is far below 0.1 scale, the lines of the close pair
+    still start on their action series at rho = d / 4, and every saddle
+    connection is stored at both ends."""
     pot = Potential(*_coalescing(1.0, 1, 1e-5))
     graph = trace_stokes_lines(pot)
     tp = graph.turning_points
-    tol_merge = stokes.MERGE_FACTOR * (stokes.ESCAPE_FACTOR * tp.scale)
-    assert tp.min_separation < 4.0 * tol_merge
+    assert tp.min_separation < 4e-3 * tp.scale
     with mp.workdps(30):
         nodes = GaussLegendre(mp).get_nodes(0, 1, 4, mp.prec)
     for ln in graph.lines:
         root = tp.roots[ln.origin]
-        rho = min(stokes.START_FACTOR * tp.scale,
-                  0.25 * min(abs(root - r) for r in tp.roots if r != root))
+        rho = _start_radius(tp, ln.origin)
         if abs(abs(ln.points[0] - root) - rho) <= 1e-12 * rho:
             s = _series_start_action(pot, root, ln.points[0], nodes)
             assert abs(s.real) <= 1e-12 * max(1.0, abs(s))
@@ -201,14 +227,22 @@ _CLOSE_PAIRS = [(-3.9952771024931364 - 0.23383413171085365j, 1,
                 (-1.0, 0, 1e-5)]
 
 
+#: a generic potential whose close pair, 4.1e-3 apart, has
+#: |Re S| / |S| = 5.6e-4 on its chord: near a saddle connection, not on one
+NEAR_SADDLE_CONNECTION = Potential(
+    5.18771707360357 + 15.941948575565197j,
+    -0.41151731047611584 + 1.2694098066033943j)
+
+
 @pytest.mark.parametrize("pot", [
     Potential(24.29079773839398 - 15.99024831665592j,
               1.9583286676844347 - 2.336694395427404j),
-    *(Potential(*_coalescing(*draw)) for draw in _CLOSE_PAIRS)])
+    *(Potential(*_coalescing(*draw)) for draw in _CLOSE_PAIRS),
+    NEAR_SADDLE_CONNECTION])
 def test_close_pair_joined_only_by_a_saddle_connection(pot):
     """A saddle connection between the close pair lies on Re S = 0, S the
     action between the two roots: the graph joins the pair only where a
-    30-digit quadrature gives |Re S| <= 0.05 |S|, and does join it where
+    30-digit quadrature gives |Re S| <= 1e-6 |S|, and does join it where
     Re S vanishes.  The first potential is a generic one whose pair the
     frozen tracer joined at |Re S| / |S| = 0.75."""
     graph = trace_stokes_lines(pot)
@@ -220,14 +254,26 @@ def test_close_pair_joined_only_by_a_saddle_connection(pot):
                  and {ln.origin, ln.terminus_index} == {i, j}
                  for ln in graph.lines)
     s = _chord_action(tp, i, j)
-    assert not joined or abs(s.real) <= 0.05 * abs(s)
+    assert not joined or abs(s.real) <= 1e-6 * abs(s)
     assert joined or abs(s.real) > 1e-20 * abs(s)
+
+
+def test_near_saddle_connection_is_not_joined():
+    """A line that comes close to the other root of the pair crosses its
+    start circle off that root's Stokes lines and escapes: the end is
+    decided by the action, not by the distance."""
+    graph = trace_stokes_lines(NEAR_SADDLE_CONNECTION)
+    tp = graph.turning_points
+    s = _chord_action(tp, 0, 2)
+    assert abs(tp.roots[0] - tp.roots[2]) < 1e-3 * tp.scale
+    assert 1e-4 < abs(s.real) / abs(s) < 1e-3
+    assert all(ln.terminus_kind == ASYMPTOTIC for ln in graph.lines)
 
 
 def test_label_invariant_under_rescaling_at_a_zero():
     """At a = 0, b -> x^3 b is the rescaling lam -> x lam: one label for
-    every |b|, also where the roots are far smaller than the merge
-    distance of 1e-3 scale (scale = 1 + max |r|)."""
+    every |b|, also where the roots are far smaller than 1e-3 scale
+    (scale = 1 + max |r|)."""
     labels = {classify_graph(trace_stokes_lines(Potential(0.0, b)))
               for b in (1e-12j, 1e-6j, 1e-3j)}
     assert len(labels) == 1
@@ -283,6 +329,15 @@ def test_trace_evaluates_sqrt_v_only_in_its_kernel(anchor, monkeypatch):
     monkeypatch.setattr(Potential, "__call__", forbidden)
     pot = Potential(anchor.point.a, anchor.point.b)
     assert classify_graph(trace_stokes_lines(pot)) == "320"
+
+
+def test_overflowing_potential_is_a_stalled_trace():
+    """Where V overflows in floats at the escape radius, the trace fails up
+    front and says so, not as a stall or a failed series start."""
+    assert classify_graph(trace_stokes_lines(Potential(1e200, 0.0))) == LABEL_10_0
+    for a in (1e220, 1e250):
+        with pytest.raises(TraceStalled, match="overflows"):
+            trace_stokes_lines(Potential(a, 0.0))
 
 
 def test_degenerate_raises():
@@ -414,7 +469,8 @@ def _count_crossings(pA, pB, exclude_near, radius):
 
 def test_graph_is_embedded(anchor):
     g = trace_stokes_lines(Potential(anchor.point.a, anchor.point.b))
-    tol_merge = 1e-4 * 10.0 * g.turning_points.scale
+    # chords within 3e-3 scale of a turning point are not compared
+    near_root = 3e-3 * g.turning_points.scale
     roots = list(g.turning_points.roots)
     for i in range(len(g.lines)):
         for j in range(i + 1, len(g.lines)):
@@ -427,7 +483,7 @@ def test_graph_is_embedded(anchor):
                     and lj.terminus_index == li.origin):
                 continue
             n = _count_crossings(np.asarray(li.points), np.asarray(lj.points),
-                                 roots, 3.0 * tol_merge)
+                                 roots, near_root)
             assert n == 0, f"lines {i} and {j} cross {n} times"
 
 
