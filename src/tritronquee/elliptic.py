@@ -131,9 +131,10 @@ def turning_points(pot: Potential) -> TurningPoints:
     Cardano's formula on lam^3 - (a/2) lam - 7b, scaled to coefficients of
     modulus at most 1, takes the cube root of the larger of
     -q/2 +- sqrt(Delta).  Raises DegenerateTurningPoints when two roots are
-    closer than ``DEGENERACY_REL * (1 + max |root|)``: rounding moves a
-    root of a pair at separation d by about 1e-16 scale^2 / d, and the
-    periods with it.  A coefficient that is not finite raises ``ValueError``.
+    closer than ``DEGENERACY_REL * max |root|``: rounding moves a root of a
+    pair at separation d by about 1e-16 max|root|^2 / d, and the periods
+    with it.  The test is scale-free, as (a, b) -> (x^2 a, x^3 b) scales
+    the roots by x.  A coefficient that is not finite raises ``ValueError``.
 
     For real a and b the roots are three real numbers, or one real number
     and an exact conjugate pair, the lower root the conjugate of the upper
@@ -175,7 +176,7 @@ def turning_points(pot: Potential) -> TurningPoints:
                 break
             z, v = z_new, v_new
         r[i] = z
-    scale = 1.0 + max(map(abs, r))
+    size = max(map(abs, r))
     if a.imag == 0.0 and b.imag == 0.0:
         # a real V has one real root and two more that are real or a
         # conjugate pair, and a pair this close to the axis is degenerate:
@@ -183,7 +184,7 @@ def turning_points(pot: Potential) -> TurningPoints:
         # not read them.  A pair is made exact, lower = conj(upper).
         i, j, k = sorted(range(3), key=lambda n: abs(r[n].imag))
         r[i] = complex(r[i].real, 0.0)
-        if abs(r[k].imag) < DEGENERACY_REL * scale:
+        if abs(r[k].imag) < DEGENERACY_REL * size:
             r[j], r[k] = complex(r[j].real, 0.0), complex(r[k].real, 0.0)
         elif r[k].imag > 0.0:
             r[j] = r[k].conjugate()
@@ -191,9 +192,9 @@ def turning_points(pot: Potential) -> TurningPoints:
             r[k] = r[j].conjugate()
     d01, d02, d12 = abs(r[0] - r[1]), abs(r[0] - r[2]), abs(r[1] - r[2])
     sep = min(d01, d02, d12)
-    if sep < DEGENERACY_REL * scale:
+    if sep < DEGENERACY_REL * size:
         raise DegenerateTurningPoints(
-            f"turning points separated by {sep:.3e} at scale {scale:.3e}")
+            f"turning points separated by {sep:.3e} at max |root| {size:.3e}")
     # inner point: smallest maximal distance to the other two
     dists = (max(d01, d02), max(d01, d12), max(d02, d12))
     lo = min(dists)

@@ -347,7 +347,8 @@ def pi_leg(z0: complex, dz: complex):
 def numpy_turning_points(pot: Potential) -> TurningPoints:
     """Frozen copy of ``turning_points`` on ``np.roots``: the companion
     matrix's eigenvalues, two numpy Newton passes, the same degeneracy
-    check and the same canonical order."""
+    check (separation below 1e-6 max |root|) and the same canonical
+    order."""
     a, b = pot.a, pot.b
     roots = np.roots([4.0, 0.0, -2.0 * a, -28.0 * b]).astype(complex)
     for _ in range(2):
@@ -357,11 +358,12 @@ def numpy_turning_points(pot: Potential) -> TurningPoints:
             step = v / dv
         roots = np.where(np.isfinite(step), roots - step, roots)
     r = [complex(z) for z in roots]
-    scale = 1.0 + max(abs(z) for z in r)
+    size = max(abs(z) for z in r)
     sep = min(abs(r[0] - r[1]), abs(r[0] - r[2]), abs(r[1] - r[2]))
-    if sep < 1e-6 * scale:
+    # all three roots at 0 is the triple root, which has no size
+    if sep < 1e-6 * size or size == 0.0:
         raise DegenerateTurningPoints(
-            f"turning points separated by {sep:.3e} at scale {scale:.3e}")
+            f"turning points separated by {sep:.3e} at max |root| {size:.3e}")
     dists = [max(abs(r[i] - r[j]) for j in range(3) if j != i)
              for i in range(3)]
     lo = min(dists)
@@ -444,14 +446,18 @@ def mp_period_data(pot: Potential, refine: bool = True) -> PeriodData:
     the periods far more than any formula does.  The integrands are those
     of ``cycle_integral``, on the same principal roots and cycle signs.
     """
+    float_roots = turning_points(pot).roots
     with mp.workdps(30):
-        a, b = mp.mpc(pot.a), mp.mpc(pot.b)
+        # Newton on V(s x) / s^3, s = max |root|: findroot's tolerance is
+        # absolute, so it must see roots of modulus about 1
+        s = mp.mpf(max(map(abs, float_roots)))
+        a, b = mp.mpc(pot.a) / s ** 2, mp.mpc(pot.b) / s ** 3
 
         def v(x):
             return 4 * x ** 3 - 2 * a * x - 28 * b
 
-        roots = [mp.findroot(v, mp.mpc(r)) if refine else mp.mpc(r)
-                 for r in turning_points(pot).roots]
+        roots = [s * mp.findroot(v, mp.mpc(r) / s) if refine else mp.mpc(r)
+                 for r in float_roots]
         out = []
         for which, sigma in ((1, _SIGMA_CHI2), (2, _SIGMA_CHIM2)):
             c = (roots[0] + roots[which]) / 2

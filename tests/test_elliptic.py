@@ -61,10 +61,27 @@ class TestTurningPoints:
         with pytest.raises(DegenerateTurningPoints):
             turning_points(Potential(0.0, 0.0))
 
-    def test_subnormal_coefficient_degenerate(self):
-        """0 / V' at a subnormal V' is nan; the polish must not spread it."""
-        with pytest.raises(DegenerateTurningPoints):
-            turning_points(Potential(-3.5614436e-317, 0.0))
+    def test_subnormal_coefficient_polish_stays_finite(self):
+        """0 / V' at a subnormal V' is nan; the polish must not spread it.
+        The roots 0 and +-i sqrt(|a| / 2) are distinct on the scale of
+        max |root|, so they are not degenerate."""
+        a = -3.5614436e-317
+        r = turning_points(Potential(a, 0.0)).roots
+        pair = math.sqrt(-a / 2.0)
+        assert r[0] == 0.0
+        for z, im in zip(r[1:], (pair, -pair)):
+            assert abs(z - 1j * im) <= 1e-15 * pair
+
+    def test_degeneracy_is_scale_free(self):
+        """b -> x^3 b at a = 0 scales the roots by x: the same triple at
+        any size is distinct, and the double root of (a, b) = (6 x^2, 2 x^3 / 7)
+        is degenerate at any size."""
+        for b in (1e-3j, 1e-12j, 1e-20j, 1e-60j):
+            tp = turning_points(Potential(0.0, b))
+            assert tp.min_separation > 1.7 * max(map(abs, tp.roots))
+        for x in (1.0, 1e-8, 1e-40):
+            with pytest.raises(DegenerateTurningPoints):
+                turning_points(Potential(6.0 * x * x, 2.0 * x ** 3 / 7.0))
 
     def test_cube_roots_of_unity(self):
         tp = turning_points(Potential(0.0, 1.0 / 7.0))
@@ -145,10 +162,10 @@ class TestTurningPoints:
         if got is None or ref is None:
             # a pair at the threshold may fall either side of it
             rr = durand_kerner_roots(pot)
-            scale = 1.0 + max(abs(z) for z in rr)
+            size = max(abs(z) for z in rr)
             sep = min(abs(rr[i] - rr[j]) for i, j in ((0, 1), (0, 2), (1, 2)))
             assert (got is None and ref is None
-                    or abs(sep / (DEGENERACY_REL * scale) - 1.0) < 1e-3)
+                    or abs(sep / (DEGENERACY_REL * size) - 1.0) < 1e-3)
             return
         scale = 1.0 + max(abs(z) for z in ref)
         sep = min(abs(ref[i] - ref[j]) for i, j in ((0, 1), (0, 2), (1, 2)))

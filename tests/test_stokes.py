@@ -273,9 +273,10 @@ def test_near_saddle_connection_is_not_joined():
 def test_label_invariant_under_rescaling_at_a_zero():
     """At a = 0, b -> x^3 b is the rescaling lam -> x lam: one label for
     every |b|, also where the roots are far smaller than 1e-3 scale
-    (scale = 1 + max |r|)."""
+    (scale = 1 + max |r|), and below the 1e-6 that once made them
+    degenerate."""
     labels = {classify_graph(trace_stokes_lines(Potential(0.0, b)))
-              for b in (1e-12j, 1e-6j, 1e-3j)}
+              for b in (1e-30j, 1e-20j, 1e-12j, 1e-6j, 1e-3j)}
     assert len(labels) == 1
 
 
@@ -317,6 +318,36 @@ def test_termini_match_the_frozen_tracer(pool_potentials):
         got = _termini(trace_stokes_lines(pot))
         assert len(got) == 9
         assert got == _termini(closure_trace_stokes_lines(pot))
+
+
+def _outward(lam):
+    """A w whose tangent i conj(w) / |w| points straight out at lam."""
+    return 1j / lam
+
+
+@pytest.mark.parametrize("j", range(5))
+def test_escaping_gap_on_a_bisector(j):
+    """On gap j's bisector past the radius, a line that heads out ends in
+    gap j; one that heads in, or lies inside the radius, goes on."""
+    lam = 2.5 * cmath.exp(1j * (2 * j + 1) * math.pi / 5.0)
+    assert stokes._escaping_gap(lam, _outward(lam), 2.0) % 5 == j
+    assert stokes._escaping_gap(lam, -_outward(lam), 2.0) is None
+    assert stokes._escaping_gap(lam, _outward(lam), 3.0) is None
+    # a tangent along the circle points neither out nor in
+    assert stokes._escaping_gap(lam, lam.conjugate(), 2.0) is None
+
+
+@pytest.mark.parametrize("j", range(5))
+def test_escaping_gap_off_every_bisector(j):
+    """A point past the radius more than pi/10 from every bisector is not
+    ended, however its tangent points; within pi/10 it is."""
+    bisector = (2 * j + 1) * math.pi / 5.0
+    for turn in (0.101 * math.pi, -0.101 * math.pi, math.pi / 5.0):
+        lam = 3.0 * cmath.exp(1j * (bisector + turn))
+        assert stokes._escaping_gap(lam, _outward(lam), 2.0) is None
+    for turn in (0.099 * math.pi, -0.099 * math.pi):
+        lam = 3.0 * cmath.exp(1j * (bisector + turn))
+        assert stokes._escaping_gap(lam, _outward(lam), 2.0) % 5 == j
 
 
 def test_trace_evaluates_sqrt_v_only_in_its_kernel(anchor, monkeypatch):
@@ -365,15 +396,23 @@ def test_reference_point_is_320(anchor):
     assert (1, 0) in internal and (2, 0) in internal
 
 
-def test_asymptotic_termini_near_gap_bisectors(anchor):
-    g = trace_stokes_lines(Potential(anchor.point.a, anchor.point.b))
-    for ln in g.lines:
-        if ln.terminus_kind != ASYMPTOTIC:
-            continue
-        ang = cmath.phase(ln.points[-1])
-        bisector = (2 * ln.terminus_index + 1) * math.pi / 5.0
-        diff = abs((ang - bisector + math.pi) % (2 * math.pi) - math.pi)
-        assert diff < math.pi / 5.0
+def test_asymptotic_termini_near_gap_bisectors(pool_potentials):
+    """On the pool every escaping line ends by its direction: past
+    EARLY_FACTOR scale, inside the escape radius, within pi/10 of its
+    gap's bisector."""
+    for pot in pool_potentials:
+        g = trace_stokes_lines(pot)
+        scale = g.turning_points.scale
+        for ln in g.lines:
+            if ln.terminus_kind != ASYMPTOTIC:
+                continue
+            end = ln.points[-1]
+            assert (stokes.EARLY_FACTOR * scale <= abs(end)
+                    < stokes.ESCAPE_FACTOR * scale)
+            bisector = (2 * ln.terminus_index + 1) * math.pi / 5.0
+            diff = abs((cmath.phase(end) - bisector + math.pi)
+                       % (2 * math.pi) - math.pi)
+            assert diff <= math.pi / 10.0
 
 
 def test_incremental_action_oracle(pool_potentials):
@@ -417,7 +456,8 @@ def test_label_scaling_invariance(anchor):
     for point in base_points:
         label = classify_graph(trace_stokes_lines(Potential(point.a, point.b)))
         assert label == "320"
-        for x in (0.5, 2.0, 3.0):
+        # at x = 1e-10 the roots lie near 1e-10
+        for x in (0.5, 2.0, 3.0, 1e-10):
             scaled = point.scaled(x)
             g = trace_stokes_lines(Potential(scaled.a, scaled.b))
             assert classify_graph(g) == label
@@ -551,6 +591,27 @@ def test_parameter_plane_raises_only_numerical_errors(region, data):
     except NumericalError:
         return
     _assert_two_sided(graph)
+
+
+def _outcome(pot):
+    try:
+        return _termini(trace_stokes_lines(pot))
+    except NumericalError as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("region", sorted(_PLANE))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_early_end_keeps_every_terminus(region, data):
+    """Ending escaping lines at EARLY_FACTOR scale gives the termini of
+    lines run to the escape radius: the rule off is EARLY_FACTOR set to
+    ESCAPE_FACTOR, where the escape test decides first."""
+    pot = Potential(*data.draw(_PLANE[region]))
+    early = _outcome(pot)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stokes, "EARLY_FACTOR", stokes.ESCAPE_FACTOR)
+        assert _outcome(pot) == early
 
 
 @pytest.mark.parametrize("a", [math.nan, math.inf])
