@@ -2,15 +2,18 @@
 
 The system asks for points (a, b) with ``chi_2 = i pi (2n-1)`` and
 ``chi_-2 = i pi (2m-1)``.  Newton iteration uses the analytic Jacobian from
-the period derivatives, and each step solves its 2x2 system by Cramer's
-rule (``elliptic.solve_2x2``); new quantum numbers are reached by a
+the period derivatives; it is ``elliptic``'s damped Newton, which route 2's
+dependence system runs on too: steps by Cramer's rule
+(``elliptic.solve_2x2``), halved until they lower the residual, and one
+polish step at the tolerance.  New quantum numbers are reached by a
 homotopy in the right-hand side starting from the real (1,1) solution,
 with targets at most 0.6 pi apart.  The homotopy is followed by Euler-Newton
 continuation (Allgower & Georg, Numerical Continuation Methods, 1990):
-one Newton step per intermediate target, which is both the predictor for
-the new target and the corrector for the last one, and a Newton solve to
-the tolerance at the final target only.  Solutions with coprime odd
-integers generate whole q-sequences by exact rescaling.
+one damped step per intermediate target (``elliptic.damped_step``), which
+is both the predictor for the new target and the corrector for the last
+one, and a Newton solve to the tolerance at the final target only
+(``elliptic.newton_2x2``).  Solutions with coprime odd integers generate
+whole q-sequences by exact rescaling.
 """
 
 from __future__ import annotations
@@ -20,13 +23,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .elliptic import ParamPoint, PeriodData, Potential, solve_2x2
-from .errors import NewtonDiverged, NotType320, NumericalError
+from .elliptic import (ParamPoint, PeriodData, Potential, damped_step,
+                       newton_2x2)
+from .errors import NotType320
 from .stokes import classify_graph, trace_stokes_lines
 
 TOL_NEWTON = 1e-10
-NEWTON_MAX_ITER = 50
-NEWTON_MAX_HALVINGS = 30
 
 #: Seed for the real primitive solution with n = m = 1.
 PRIMITIVE_11_SEED = ParamPoint(-2.34, -0.064)
@@ -79,57 +81,19 @@ def _period_residual(point: ParamPoint, target2: complex, targetm2: complex):
     return F, J
 
 
-def _newton_step(x, F, J, res: float, target2: complex, targetm2: complex):
-    """One Newton step from x with residual F and Jacobian J there.
-
-    The step J^-1 F is ``solve_2x2``'s; a singular J or a non-finite step
-    raises ``NewtonDiverged``.  The step is halved while it raises a
-    ``NumericalError`` or does not lower the residual norm ``res``.
-    Returns (x, F, J, res) at the new point.
-    """
-    try:
-        step = solve_2x2(J, F)
-    except ZeroDivisionError as exc:
-        raise NewtonDiverged("singular period Jacobian") from exc
-    if not all(map(cmath.isfinite, step)):
-        raise NewtonDiverged(f"non-finite period Newton step {step}")
-    factor = 1.0
-    for _ in range(NEWTON_MAX_HALVINGS):
-        x_try = (x[0] - factor * step[0], x[1] - factor * step[1])
-        try:
-            F_try, J_try = _period_residual(
-                ParamPoint(x_try[0], x_try[1]), target2, targetm2)
-        except NumericalError:
-            factor *= 0.5
-            continue
-        res_try = float(abs(F_try[0]) + abs(F_try[1]))
-        if res_try < res:
-            return x_try, F_try, J_try, res_try
-        factor *= 0.5
-    raise NewtonDiverged(f"line search exhausted at residual {res:.3e}")
-
-
-def _newton_solve(x, F, J, target2: complex, targetm2: complex,
-                  tol_newton: float, max_iter: int = NEWTON_MAX_ITER):
-    """Newton from x, where the residual is F and the Jacobian J."""
-    res = float(abs(F[0]) + abs(F[1]))
-    for _ in range(max_iter):
-        if res < tol_newton:
-            return ParamPoint(x[0], x[1]), res
-        x, F, J, res = _newton_step(x, F, J, res, target2, targetm2)
-    if res < tol_newton:
-        return ParamPoint(x[0], x[1]), res
-    raise NewtonDiverged(f"no convergence after {max_iter} iterations "
-                         f"(residual {res:.3e})")
+def _period_system(target2: complex, targetm2: complex):
+    """x -> (F, J), the period residual at the targets, for ``newton_2x2``."""
+    return lambda x: _period_residual(ParamPoint(x[0], x[1]), target2,
+                                      targetm2)
 
 
 def solve_period_targets(target2: complex, targetm2: complex, seed: ParamPoint,
-                         tol_newton: float = TOL_NEWTON,
-                         max_iter: int = NEWTON_MAX_ITER) -> tuple[ParamPoint, float]:
-    """Newton with step-halving line search on the period residual norm."""
-    x = (seed.a, seed.b)
+                         tol_newton: float = TOL_NEWTON) -> tuple[ParamPoint, float]:
+    """Damped Newton (``elliptic.newton_2x2``) on the period residual."""
     F, J = _period_residual(seed, target2, targetm2)
-    return _newton_solve(x, F, J, target2, targetm2, tol_newton, max_iter)
+    x, _, _, res, _ = newton_2x2(_period_system(target2, targetm2),
+                                 (seed.a, seed.b), F, J, tol_newton, "period")
+    return ParamPoint(x[0], x[1]), res
 
 
 def _homotopy_targets(quantum: QuantumPair):
@@ -154,8 +118,8 @@ def _follow_targets(seed: ParamPoint, targets):
     x = (seed.a, seed.b)
     F, J = _period_residual(seed, *targets[0])
     for previous, target in zip(targets, targets[1:]):
-        res = float(abs(F[0]) + abs(F[1]))
-        x, F, J, _ = _newton_step(x, F, J, res, *previous)
+        x, F, J, _ = damped_step(_period_system(*previous), x, F, J,
+                                 abs(F[0]) + abs(F[1]), "period")
         F = (F[0] - (target[0] - previous[0]),
              F[1] - (target[1] - previous[1]))
     return x, F, J
@@ -168,10 +132,10 @@ def solve_bsb(quantum: QuantumPair, seed: ParamPoint | None = None,
     Without an explicit seed, the (1,1) case starts from the known real
     point and other cases continue from it along a homotopy in the
     right-hand side: one Newton step per intermediate target
-    (``_follow_targets``), then Newton to ``tol_newton`` at the last one,
-    starting from the residual and Jacobian that the last step left.  An
-    explicit seed has the final target alone.  The converged point is
-    checked to carry a "320" graph.
+    (``_follow_targets``), then Newton to ``tol_newton`` and one polish
+    step at the last one, starting from the residual and Jacobian that the
+    last step left.  An explicit seed has the final target alone.  The
+    converged point is checked to carry a "320" graph.
     """
     if seed is not None:
         targets = [(1j * math.pi * quantum.odd_n, 1j * math.pi * quantum.odd_m)]
@@ -179,7 +143,9 @@ def solve_bsb(quantum: QuantumPair, seed: ParamPoint | None = None,
         targets = list(_homotopy_targets(quantum))
         seed = PRIMITIVE_11_SEED
     x, F, J = _follow_targets(seed, targets)
-    point, res = _newton_solve(x, F, J, *targets[-1], tol_newton)
+    x, _, _, res, _ = newton_2x2(_period_system(*targets[-1]), x, F, J,
+                                 tol_newton, "period")
+    point = ParamPoint(x[0], x[1])
     if verify_graph:
         label = classify_graph(trace_stokes_lines(Potential(point.a, point.b)))
         if label != "320":
@@ -194,9 +160,10 @@ def descendant(primitive: BsbSolution, k: int) -> BsbSolution:
     The residual is re-evaluated against the scaled right-hand sides
     i pi (2n-1)(2k+1), i pi (2m-1)(2k+1).  The periods scale by (2k+1)
     under the rescaling, chi(x^2 a, x^3 b) = x^(5/2) chi(a, b) with
-    x^(5/2) = 2k+1, so the residual is (2k+1) times the primitive's: a
-    primitive that meets ``TOL_NEWTON`` only just, at 1.2e-11 say, gives a
-    k = 4 descendant above 1e-10.
+    x^(5/2) = 2k+1, so the residual is (2k+1) times the primitive's.  The
+    primitive's polish step leaves it at round-off, which keeps the
+    descendants of the 19 pairs with n, m <= 5 below ``TOL_NEWTON`` up to
+    k = 16.
     """
     if primitive.k != 0:
         raise ValueError("descendant() expects a primitive solution")

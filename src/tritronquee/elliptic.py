@@ -37,7 +37,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DegenerateTurningPoints, QuadratureNotConverged
+from .errors import (DegenerateTurningPoints, NewtonDiverged, NumericalError,
+                     QuadratureNotConverged)
 
 DEGENERACY_REL = 1e-6
 _OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)
@@ -373,7 +374,12 @@ def legendre_residual(pd: PeriodData) -> float:
 
 
 # ---------------------------------------------------------------------------
-# 2x2 linear algebra of the two Newton iterations (bsb and oscillator)
+# 2x2 linear algebra, and the damped Newton iteration that the period system
+# (bsb) and the dependence system (oscillator) share; painleve's Laurent fit
+# takes the step alone
+
+NEWTON_MAX_ITER = 50
+NEWTON_MAX_HALVINGS = 30
 
 
 def _unit_scaled(J) -> tuple[float, tuple[complex, ...]]:
@@ -419,3 +425,69 @@ def cond_2x2(J) -> float:
     q = abs(c) ** 2 + abs(d) ** 2
     r = abs(a * c.conjugate() + b * d.conjugate())
     return 0.5 * (p + q + math.hypot(p - q, 2.0 * r)) / det
+
+
+def newton_step(J, F, what: str) -> tuple[complex, complex]:
+    """The Newton step J^-1 F by ``solve_2x2``; ``NewtonDiverged``, naming
+    the ``what`` system, if J is singular or the step is not finite."""
+    try:
+        step = solve_2x2(J, F)
+    except ZeroDivisionError as exc:
+        raise NewtonDiverged(f"singular {what} Jacobian") from exc
+    if not all(map(cmath.isfinite, step)):
+        raise NewtonDiverged(f"non-finite {what} Newton step {step}")
+    return step
+
+
+def _trial(system, x, step, factor: float, res: float):
+    """(x, F, J, |F|_1) at x - factor step, or None where ``system``
+    raises a ``NumericalError``, F or J is not finite, or |F|_1 does not
+    fall below ``res``."""
+    x_try = (x[0] - factor * step[0], x[1] - factor * step[1])
+    try:
+        F, J = system(x_try)
+    except NumericalError:
+        return None
+    if not all(map(cmath.isfinite, (*F, *J[0], *J[1]))):
+        return None
+    res_try = abs(F[0]) + abs(F[1])
+    return (x_try, F, J, res_try) if res_try < res else None
+
+
+def damped_step(system, x, F, J, res: float, what: str):
+    """One Newton step from x, where ``system`` gives (F, J) and |F|_1 is
+    ``res``: the step is halved, up to ``NEWTON_MAX_HALVINGS`` times, while
+    its trial fails (``_trial``).  Returns (x, F, J, |F|_1) at the new
+    point."""
+    step = newton_step(J, F, what)
+    factor = 1.0
+    for _ in range(NEWTON_MAX_HALVINGS):
+        trial = _trial(system, x, step, factor, res)
+        if trial is not None:
+            return trial
+        factor *= 0.5
+    raise NewtonDiverged(f"{what} line search exhausted at residual {res:.3e}")
+
+
+def newton_2x2(system, x, F, J, tol: float, what: str):
+    """Damped Newton on ``system``: x -> (F, J) from x, where it gave F, J.
+
+    ``damped_step`` until |F|_1 < ``tol``, then one polish step with a
+    single trial, kept if it lowers |F|_1: at the tolerance the position
+    is not yet converged, and a halved step would only chase the
+    residual's noise.  More than ``NEWTON_MAX_ITER`` damped steps raise
+    ``NewtonDiverged``.  Returns (x, F, J, |F|_1, iterations), the polish
+    step counted.
+    """
+    res = abs(F[0]) + abs(F[1])
+    iterations = 0
+    while not res < tol:
+        if iterations == NEWTON_MAX_ITER:
+            raise NewtonDiverged(f"{what} Newton did not reach {tol:.1e} in "
+                                 f"{iterations} steps (residual {res:.3e})")
+        x, F, J, res = damped_step(system, x, F, J, res, what)
+        iterations += 1
+    polished = _trial(system, x, newton_step(J, F, what), 1.0, res)
+    if polished is not None:
+        x, F, J, res = polished
+    return x, F, J, res, iterations + 1

@@ -15,9 +15,11 @@ Linear dependence of two recessive solutions is tested by matching their
 log-derivatives at one regular point, which eliminates all normalization
 constants.  The zeros of that dependence map in the (a, b) plane are the
 poles of the tritronquee solution; Newton refinement from quantization
-seeds produces certified pole records.  The inward legs carry the
-derivatives of the log-derivative in a and b (the variational equations),
-so one pass gives the dependence residual together with its exact Jacobian.
+seeds, on the damped Newton that route 1's period system runs on
+(``elliptic.newton_2x2``), produces certified pole records.  The inward
+legs carry the derivatives of the log-derivative in a and b (the
+variational equations), so one pass gives the dependence residual together
+with its exact Jacobian.
 They run on ``complex_ode``'s DP5(4).  At real (a, b), where the turning
 points are real or an exact conjugate pair and the match point is real, a
 pass integrates two legs and takes the other two as their mirror images;
@@ -46,7 +48,8 @@ from fractions import Fraction
 from . import complex_ode
 from .bsb import BsbSolution, tilde_U
 from .elliptic import (ParamPoint, Potential, TurningPoints, branch_sqrt,
-                       cond_2x2, facing_sqrt, solve_2x2, turning_points)
+                       cond_2x2, facing_sqrt, newton_2x2, newton_step,
+                       turning_points)
 from .errors import (DependentBasis, NewtonDiverged, OdeToleranceNotMet,
                      OutsideDisc, PathNearTurningPoint)
 
@@ -54,7 +57,7 @@ TOL_ODE = 1e-12
 TOL_WKB = 1e-10
 TOL_DEP = 1e-9
 #: a pole is converged where |J^-1 G|_inf <= TOL_STEP (1 + |a|); at q = 1
-#: that holds for k <= 5, and from k = 6 G's noise hides the root
+#: that holds for k <= 4, and from k = 5 G's noise hides the root
 TOL_STEP = 1e-9
 DISC_ALPHA = 1.0
 DISC_EPS = 1.0
@@ -594,18 +597,6 @@ def u_values(pot: Potential, samples: dict,
 # pole refinement
 
 
-def _newton_step(J, G):
-    """The Newton step J^-1 G by ``solve_2x2``; ``NewtonDiverged`` if J is
-    singular or the step is not finite."""
-    try:
-        step = solve_2x2(J, G)
-    except ZeroDivisionError as exc:
-        raise NewtonDiverged("singular dependence Jacobian") from exc
-    if not all(map(cmath.isfinite, step)):
-        raise NewtonDiverged(f"non-finite dependence Newton step {step}")
-    return step
-
-
 def refine_pole(seed: BsbSolution,
                 radius_policy: tuple[float, float] = (DISC_ALPHA, DISC_EPS),
                 tol_dep: float = TOL_DEP, rtol: float = TOL_ODE,
@@ -613,77 +604,41 @@ def refine_pole(seed: BsbSolution,
     """Newton on the dependence residual starting from a quantization seed.
 
     Each trial point costs one ``dependence_system`` pass, which returns
-    the residual G with its exact Jacobian J.  The step J^-1 G is the 2x2
-    solve ``elliptic.solve_2x2`` (Cramer's rule); the full step is accepted
-    when it lowers |G_0| + |G_1|, otherwise it is halved.  A non-finite G
-    or J (the Jacobian is outside the integrator's error test), a singular
-    J or a non-finite step raises ``NewtonDiverged``.  From a real seed
-    every step is real (``dependence_system``'s mirror), so the pole stays
-    exactly on the real axis.  The refined point must stay within
-    ``k^(-alpha) eps`` of the seed in the a coordinate (the disc policy);
-    the refined b is the quartic Laurent coefficient of the tritronquee
-    expansion at the pole.  The record carries cond(J)
-    (``elliptic.cond_2x2``) and |J^-1 G|_inf at the pole as its Newton
-    certificate, and one above ``TOL_STEP`` (1 + |a|) raises
-    ``NewtonDiverged``.  The WKB gaps come from ``u_values`` at the seed,
-    which takes over the rays 2 and -2 legs of the seed's own pass.
+    the residual G with its exact Jacobian J.  The iteration is
+    ``elliptic.newton_2x2``, the damped Newton of route 1's period system:
+    a step is halved while its trial raises a ``NumericalError``, is not
+    finite or does not lower |G_0| + |G_1|, and once that falls below
+    ``tol_dep`` one polish step is kept if it lowers it further.  A
+    singular J, a non-finite step or an exhausted line search raises
+    ``NewtonDiverged``.  From a real seed every step is real
+    (``dependence_system``'s mirror), so the pole stays exactly on the
+    real axis.  The refined point must stay within ``k^(-alpha) eps`` of
+    the seed in the a coordinate (the disc policy); the refined b is the
+    quartic Laurent coefficient of the tritronquee expansion at the pole.
+    The record carries cond(J) (``elliptic.cond_2x2``) and |J^-1 G|_inf at
+    the pole as its Newton certificate, and one above ``TOL_STEP``
+    (1 + |a|) raises ``NewtonDiverged``.  The WKB gaps come from
+    ``u_values`` at the seed, which takes over the rays 2 and -2 legs of
+    the seed's own pass.
     """
     alpha, eps = radius_policy
     if not 0.2 < alpha < 1.2:
         raise ValueError("disc exponent alpha must lie in (1/5, 6/5)")
-    a = complex(seed.point.a)
-    b = complex(seed.point.b)
 
-    def system(av, bv, samples=None):
-        G, J = dependence_system(Potential(av, bv), rtol=rtol,
+    def system(x, samples=None):
+        return dependence_system(Potential(x[0], x[1]), rtol=rtol,
                                  samples=samples)
-        if not all(map(cmath.isfinite, (*G, *J[0], *J[1]))):
-            raise NewtonDiverged(
-                f"non-finite dependence system at a={av}, b={bv}")
-        return G, J
 
     # the seed's legs, reused by u_values at the same point
     seed_samples: dict[int, LogDerivativeSample] = {}
-    G, J = system(a, b, seed_samples)
-    res = float(abs(G[0]) + abs(G[1]))
-    iterations = 0
-    polished = False
-    for _ in range(25):
-        if res < tol_dep and polished:
-            break
-        if res < tol_dep:
-            # one quadratic polish pass so the position, not just the
-            # residual, is converged (perturbed seeds must land on the
-            # same point well inside the residual ball)
-            polished = True
-        iterations += 1
-        step = _newton_step(J, G)
-        factor = 1.0
-        improved = False
-        # once polished, the residual is at its noise floor, where a halved
-        # step is no more likely to lower it than the full one
-        for _ in range(1 if polished else 20):
-            a_try = a - factor * step[0]
-            b_try = b - factor * step[1]
-            G_try, J_try = system(a_try, b_try)
-            res_try = float(abs(G_try[0]) + abs(G_try[1]))
-            if res_try < res:
-                a, b, G, J, res = a_try, b_try, G_try, J_try, res_try
-                improved = True
-                break
-            factor *= 0.5
-        if not improved:
-            if polished:
-                break  # at the numerical noise floor
-            raise NewtonDiverged(
-                f"pole refinement line search exhausted at residual {res:.3e}")
-    if res >= tol_dep:
-        raise NewtonDiverged(
-            f"pole refinement did not reach {tol_dep:.1e} (residual {res:.3e})")
-    newton_step = max(map(abs, _newton_step(J, G)))
-    if newton_step > TOL_STEP * (1.0 + abs(a)):
+    x = (seed.point.a, seed.point.b)
+    G, J = system(x, seed_samples)
+    (a, b), G, J, res, iterations = newton_2x2(system, x, G, J, tol_dep,
+                                               "dependence")
+    certificate = max(map(abs, newton_step(J, G, "dependence")))
+    if certificate > TOL_STEP * (1.0 + abs(a)):
         raise NewtonDiverged(f"pole refinement stopped a Newton step of "
-                             f"{newton_step:.3e} from the root")
+                             f"{certificate:.3e} from the root")
 
     disc_radius = eps * float(max(seed.k, 1)) ** (-alpha)
     if abs(a - seed.point.a) > disc_radius:
@@ -700,5 +655,4 @@ def refine_pole(seed: BsbSolution,
     return PoleRecord(q=seed.q, k=seed.k, seed=seed.point,
                       pole=ParamPoint(a, b), dep_residual=res, wkb_gap=gap,
                       newton_iterations=iterations,
-                      jacobian_cond=cond_2x2(J),
-                      newton_step=newton_step)
+                      jacobian_cond=cond_2x2(J), newton_step=certificate)

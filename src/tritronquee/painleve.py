@@ -39,6 +39,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from . import complex_ode
+from .elliptic import newton_step
 from .errors import NewtonDiverged, PoleFitFailed, SeedNotConverged
 
 TOL_SEED = 1e-10
@@ -359,7 +360,8 @@ def seed_asymptotic(z0: complex, tol_seed: float = TOL_SEED,
 
 def _fit_pole(table: LaurentTable, z: complex, y: complex, yp: complex,
               a0: complex) -> tuple[complex, complex]:
-    """Newton solve of series(z; a, b) = (y, y') from (a, b) = (a0, 0).
+    """Newton solve of series(z; a, b) = (y, y') from (a, b) = (a0, 0),
+    on ``elliptic.newton_step``'s steps.
 
     Converged at a relative residual below 1e-13, or below 1e-10 once a
     step no longer halves it: quadratic convergence has then stalled at the
@@ -375,11 +377,9 @@ def _fit_pole(table: LaurentTable, z: complex, y: complex, yp: complex,
         Y, Yp, da, db, dpa, dpb = table.eval_frame(a, b, z)
         f0, f1 = Y - y, Yp - yp
         r = abs(f0) / (1.0 + abs(y)) + abs(f1) / (1.0 + abs(yp))
-        det = da * dpb - db * dpa
-        if det == 0:
-            raise NewtonDiverged("singular Laurent-fit Jacobian")
-        a -= (f0 * dpb - db * f1) / det
-        b -= (da * f1 - dpa * f0) / det
+        step = newton_step(((da, db), (dpa, dpb)), (f0, f1), "Laurent-fit")
+        a -= step[0]
+        b -= step[1]
         if r < 1e-13 or (r < 1e-10 and r > 0.5 * r_prev):
             return a, b
         r_prev = r

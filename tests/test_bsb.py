@@ -104,12 +104,13 @@ class TestContinuation:
 
     def test_one_period_evaluation_per_intermediate_target(self, monkeypatch):
         # 14 targets: the seed, one step for each of the 13 intermediate
-        # ones, and 3 Newton steps at the last, whose first starts from the
-        # residual and Jacobian that the last step left
-        assert self._period_evaluations(monkeypatch, QuantumPair(4, 5)) == 17
+        # ones, 3 Newton steps at the last, whose first starts from the
+        # residual and Jacobian that the last step left, and the polish
+        assert self._period_evaluations(monkeypatch, QuantumPair(4, 5)) == 18
 
     def test_single_target_work_unchanged(self, monkeypatch):
-        assert self._period_evaluations(monkeypatch, QuantumPair(1, 1)) == 3
+        # the seed, 2 Newton steps and the polish
+        assert self._period_evaluations(monkeypatch, QuantumPair(1, 1)) == 4
 
     def test_swapped_pairs_are_exact_mirrors(self, coprime_primitives):
         """Swapping n and m conjugates the targets, and a real V's turning
@@ -121,9 +122,10 @@ class TestContinuation:
             assert sol.point.b == mirror.point.b.conjugate(), quantum
 
     def test_descendant_residuals_below_tolerance(self, coprime_primitives):
-        # a descendant's residual is (2k+1) times its primitive's
+        # a descendant's residual is (2k+1) times its primitive's, so the
+        # primitive's polish step must leave room for 2k+1 = 33
         for sol in coprime_primitives.values():
-            for k in range(1, 5):
+            for k in range(1, 17):
                 assert descendant(sol, k).residual < TOL_NEWTON, (sol, k)
 
 
@@ -197,11 +199,13 @@ def test_builtin_seed_close_to_solution(anchor):
     assert abs(PRIMITIVE_11_SEED.b - anchor.point.b) < 0.005
 
 
-def test_newton_diverges_on_exhausted_budget(anchor):
+def test_newton_diverges_on_exhausted_budget(anchor, monkeypatch):
+    from tritronquee import elliptic
     from tritronquee.errors import NewtonDiverged
+    monkeypatch.setattr(elliptic, "NEWTON_MAX_ITER", 1)
     seed = ParamPoint(anchor.point.a + 0.3, anchor.point.b + 0.1)
-    with pytest.raises(NewtonDiverged):
-        solve_period_targets(1j * math.pi, 1j * math.pi, seed, max_iter=1)
+    with pytest.raises(NewtonDiverged, match="in 1 steps"):
+        solve_period_targets(1j * math.pi, 1j * math.pi, seed)
 
 
 def _assert_first_step_diverges(monkeypatch, capsys, jacobian, cause):

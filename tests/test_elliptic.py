@@ -1,6 +1,7 @@
 import cmath
 import math
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -337,8 +338,16 @@ _FIELDS = [f.name for f in fields(PeriodData)]
 
 
 def _rel_errors(pd: PeriodData, ref: PeriodData) -> list[float]:
-    return [abs(getattr(pd, f) - getattr(ref, f)) / abs(getattr(ref, f))
-            for f in _FIELDS]
+    """|pd - ref| / |ref| per field; where ref underflowed to 0, an exact 0
+    has error 0 and any other value an infinite one."""
+    errors = []
+    for f in _FIELDS:
+        value, exact = getattr(pd, f), getattr(ref, f)
+        if exact == 0:
+            errors.append(0.0 if value == 0 else math.inf)
+        else:
+            errors.append(abs(value - exact) / abs(exact))
+    return errors
 
 
 def _legendre_either_orientation(pd: PeriodData) -> float:
@@ -382,6 +391,8 @@ class TestClosedForms:
 
     @settings(max_examples=40, deadline=None)
     @given(_close_pairs())
+    # roots of modulus 1e-142, where chi (about 1e-355) underflows to 0
+    @example(Potential(-1.542231913604567e-284, -0j))
     def test_close_pairs_no_worse_than_quadrature(self, pot):
         """Near a collision, against a 30-digit quadrature on the same float
         roots, each value is no worse than the node-doubled quadrature's, or
@@ -541,3 +552,14 @@ class TestTwoByTwo:
     def test_nan_propagates(self):
         x = solve_2x2(((1.0, complex(math.nan)), (0.0, 1.0)), (1.0, 1.0))
         assert not any(map(cmath.isfinite, x))
+
+    def test_one_newton_under_src(self):
+        """Every 2x2 solve under src/ goes through ``elliptic``, and the one
+        damped Newton that the period and dependence systems share is the
+        only line search."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        files = {path.name: path.read_text() for path in src.rglob("*.py")}
+        assert {name for name, text in files.items()
+                if "solve_2x2(" in text} == {"elliptic.py"}
+        assert sum(text.count("line search exhausted")
+                   for text in files.values()) == 1

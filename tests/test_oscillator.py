@@ -322,13 +322,15 @@ class TestRefinePole:
     def test_large_k_is_converged_or_named(self, anchor):
         """At q = 1 the Jacobian shrinks like e^(-2.9 k) while G's noise
         does not: from k = 6 the seed's residual is already at the noise
-        floor.  Every entry is then within 1e-8 of route 3, or a named
-        error, never the unmoved seed returned as a pole."""
+        floor, and at k = 5, where Newton ends about 5e-8 from route
+        3, the certificate is 1.03e-9 (1 + |a|), just above the gate.
+        Every entry is within 1e-8 of route 3, or a named error, never the
+        unmoved seed returned as a pole."""
         from tritronquee.errors import NumericalError
         from tritronquee.painleve import seed_asymptotic, track
 
         _, route3 = track(seed_asymptotic(40.0), [40.0, -42.0])
-        for k in range(6, 17):
+        for k in range(5, 17):
             seed = descendant(anchor, k)
             try:
                 rec = refine_pole(seed, compute_gap=False)
@@ -378,6 +380,28 @@ class TestRefinePole:
         assert abs(rec.pole.a - pole[0]) < 1e-15
         assert abs(rec.pole.b - pole[1]) < 1e-15
         assert rec.dep_residual < 1e-15
+
+    def test_failed_trial_is_halved(self, anchor, pole_table, monkeypatch):
+        """A trial point whose pass raises a ``NumericalError`` is a failed
+        trial, like one that does not lower the residual: the step is
+        halved, and the refinement goes on to the same pole."""
+        points = []
+        system = oscillator.dependence_system
+
+        def blocked_first_trial(pot, *args, **kwargs):
+            points.append((pot.a, pot.b))
+            if len(points) == 2:
+                raise PathNearTurningPoint("blocked trial")
+            return system(pot, *args, **kwargs)
+
+        monkeypatch.setattr(oscillator, "dependence_system",
+                            blocked_first_trial)
+        rec = refine_pole(anchor, compute_gap=False)
+        seed, full, half = points[:3]
+        for i in range(2):
+            assert abs(half[i] - (seed[i] + full[i]) / 2) <= 1e-15 * abs(seed[i])
+        assert abs(rec.pole.a - pole_table["records"][0].pole.a) < 1e-12
+        assert rec.dep_residual < oscillator.TOL_DEP
 
     def test_one_pass_per_trial_point(self, anchor, monkeypatch):
         """The Jacobian comes with the residual: central differences made
