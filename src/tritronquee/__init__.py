@@ -16,8 +16,6 @@ from .elliptic import (  # noqa: F401
     Potential,
     TurningPoints,
     legendre_residual,
-    period,
-    period_derivatives,
     turning_points,
 )
 from .oscillator import (  # noqa: F401
@@ -25,7 +23,6 @@ from .oscillator import (  # noqa: F401
     PoleRecord,
     RaySpec,
     dependence_residual,
-    dependence_system,
     psi_logderivative,
     ray_spec,
     refine_pole,

@@ -87,15 +87,6 @@ def _period_system(target2: complex, targetm2: complex):
                                       targetm2)
 
 
-def solve_period_targets(target2: complex, targetm2: complex, seed: ParamPoint,
-                         tol_newton: float = TOL_NEWTON) -> tuple[ParamPoint, float]:
-    """Damped Newton (``elliptic.newton_2x2``) on the period residual."""
-    F, J = _period_residual(seed, target2, targetm2)
-    x, _, _, res, _ = newton_2x2(_period_system(target2, targetm2),
-                                 (seed.a, seed.b), F, J, tol_newton, "period")
-    return ParamPoint(x[0], x[1]), res
-
-
 def _homotopy_targets(quantum: QuantumPair):
     """Straight-line homotopy of the right-hand side from the (1,1) anchor."""
     d2 = quantum.odd_n * math.pi - math.pi
@@ -106,15 +97,13 @@ def _homotopy_targets(quantum: QuantumPair):
         yield 1j * (math.pi + d2 * t), 1j * (math.pi + dm2 * t)
 
 
-def _follow_targets(seed: ParamPoint, targets):
-    """One Newton step towards each target in turn, each from the last.
-
-    At a new target the residual is the old one minus the change of the
-    target, so the step x - J^-1 (F - dt) predicts the move along the path
-    and corrects what the last step left, for one period evaluation.  No
-    step is taken towards the last target: F is only shifted to it, and
-    (x, F, J) are returned for the final solve.
-    """
+def solve_period_targets(targets, seed: ParamPoint,
+                         tol_newton: float = TOL_NEWTON) -> tuple[ParamPoint, float]:
+    """Damped Newton on the period residual from ``seed`` along the
+    right-hand sides ``targets``: one step towards each in turn, then
+    ``elliptic.newton_2x2`` at the last.  At a new target F is shifted by
+    the change of the target, so the step x - J^-1 (F - dt) predicts the
+    move along the path and corrects what the last step left."""
     x = (seed.a, seed.b)
     F, J = _period_residual(seed, *targets[0])
     for previous, target in zip(targets, targets[1:]):
@@ -122,7 +111,9 @@ def _follow_targets(seed: ParamPoint, targets):
                                  abs(F[0]) + abs(F[1]), "period")
         F = (F[0] - (target[0] - previous[0]),
              F[1] - (target[1] - previous[1]))
-    return x, F, J
+    x, _, _, res, _ = newton_2x2(_period_system(*targets[-1]), x, F, J,
+                                 tol_newton, "period")
+    return ParamPoint(x[0], x[1]), res
 
 
 def solve_bsb(quantum: QuantumPair, seed: ParamPoint | None = None,
@@ -131,21 +122,17 @@ def solve_bsb(quantum: QuantumPair, seed: ParamPoint | None = None,
 
     Without an explicit seed, the (1,1) case starts from the known real
     point and other cases continue from it along a homotopy in the
-    right-hand side: one Newton step per intermediate target
-    (``_follow_targets``), then Newton to ``tol_newton`` and one polish
-    step at the last one, starting from the residual and Jacobian that the
-    last step left.  An explicit seed has the final target alone.  The
-    converged point is checked to carry a "320" graph.
+    right-hand side: one Newton step per intermediate target, then Newton
+    to ``tol_newton`` and one polish step at the last one
+    (``solve_period_targets``).  An explicit seed has the final target
+    alone.  The converged point is checked to carry a "320" graph.
     """
     if seed is not None:
         targets = [(1j * math.pi * quantum.odd_n, 1j * math.pi * quantum.odd_m)]
     else:
         targets = list(_homotopy_targets(quantum))
         seed = PRIMITIVE_11_SEED
-    x, F, J = _follow_targets(seed, targets)
-    x, _, _, res, _ = newton_2x2(_period_system(*targets[-1]), x, F, J,
-                                 tol_newton, "period")
-    point = ParamPoint(x[0], x[1])
+    point, res = solve_period_targets(targets, seed, tol_newton)
     if verify_graph:
         label = classify_graph(trace_stokes_lines(Potential(point.a, point.b)))
         if label != "320":

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import repeat
 
 from . import __version__
-from .bsb import BsbSolution, QuantumPair, descendant, solve_bsb
+from .bsb import BsbSolution, descendant, solve_bsb
 from .config import ToolConfig
 from .errors import InsufficientData, NumericalError
 from .oscillator import refine_pole
@@ -93,11 +93,11 @@ def entry_from_json(data: dict) -> CatalogEntry:
         seed_b=_uc(data["seed_b"]),
         pole_a=_uc(data["pole_a"]),
         pole_b=_uc(data["pole_b"]),
-        dep_residual=data["dep_residual"],
-        bsb_residual=data["bsb_residual"],
-        wkb_gap2=data["wkb_gap2"],
-        wkb_gapm2=data["wkb_gapm2"],
-        error_a=data["error_a"],
+        dep_residual=float(data["dep_residual"]),
+        bsb_residual=float(data["bsb_residual"]),
+        wkb_gap2=float(data["wkb_gap2"]),
+        wkb_gapm2=float(data["wkb_gapm2"]),
+        error_a=float(data["error_a"]),
         status=data.get("status", "ok"),
         painleve_a=_uc(data.get("painleve_a")),
         painleve_b=_uc(data.get("painleve_b")),
@@ -122,36 +122,27 @@ def _painleve_crosscheck(pole_a: complex, cfg: ToolConfig):
     return None, None
 
 
-def compute_entry(quantum: QuantumPair, k: int, painleve: bool = False,
+def compute_entry(seed: BsbSolution, painleve: bool = False,
                   cfg: ToolConfig | None = None) -> CatalogEntry:
-    """Full pipeline for one (q, k): solve, descend, refine, cross-check."""
+    """Refine one quantization seed (a ``solve_bsb`` primitive or one of
+    its descendants) and, with ``painleve``, cross-check it by route 3."""
     cfg = cfg or ToolConfig()
-    primitive = solve_bsb(quantum, tol_newton=cfg.tol_newton)
-    seed = descendant(primitive, k) if k else primitive
-    return _seed_entry(seed, painleve, cfg)
-
-
-def _seed_entry(seed: BsbSolution, painleve: bool,
-                cfg: ToolConfig) -> CatalogEntry:
-    """Refine one quantization seed and cross-check it."""
+    known = dict(q=seed.q, k=seed.k, seed_a=seed.point.a,
+                 seed_b=seed.point.b, bsb_residual=seed.residual)
     try:
         rec = refine_pole(seed, radius_policy=(cfg.disc_alpha, cfg.disc_eps),
                           tol_dep=cfg.tol_dep, rtol=cfg.tol_ode)
     except NumericalError as exc:
         nan = float("nan")
-        return CatalogEntry(q=seed.q, k=seed.k, seed_a=seed.point.a,
-                            seed_b=seed.point.b, pole_a=complex(nan, nan),
+        return CatalogEntry(**known, pole_a=complex(nan, nan),
                             pole_b=complex(nan, nan), dep_residual=nan,
-                            bsb_residual=seed.residual, wkb_gap2=nan,
-                            wkb_gapm2=nan, error_a=nan,
+                            wkb_gap2=nan, wkb_gapm2=nan, error_a=nan,
                             status=f"error:{type(exc).__name__}")
     pa, pb = (None, None)
     if painleve:
         pa, pb = _painleve_crosscheck(rec.pole.a, cfg)
-    return CatalogEntry(q=seed.q, k=seed.k, seed_a=seed.point.a,
-                        seed_b=seed.point.b, pole_a=rec.pole.a,
-                        pole_b=rec.pole.b, dep_residual=rec.dep_residual,
-                        bsb_residual=seed.residual,
+    return CatalogEntry(**known, pole_a=rec.pole.a, pole_b=rec.pole.b,
+                        dep_residual=rec.dep_residual,
                         wkb_gap2=rec.wkb_gap[0], wkb_gapm2=rec.wkb_gap[1],
                         error_a=abs(rec.pole.a - seed.point.a),
                         painleve_a=pa, painleve_b=pb)
@@ -178,10 +169,10 @@ def build_catalog(q_list, K: int, cfg: ToolConfig | None = None,
         # imported here: loading it costs every other run about 19 ms
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            entries = list(pool.map(_seed_entry, seeds, repeat(painleve),
+            entries = list(pool.map(compute_entry, seeds, repeat(painleve),
                                     repeat(cfg)))
     else:
-        entries = [_seed_entry(seed, painleve, cfg) for seed in seeds]
+        entries = [compute_entry(seed, painleve, cfg) for seed in seeds]
     entries.sort(key=lambda e: (e.q, e.k))
     return {
         "meta": {
@@ -215,7 +206,18 @@ def read_catalog(path: str) -> dict:
 
 
 def catalog_entries(doc: dict) -> list[CatalogEntry]:
-    return [entry_from_json(e) for e in doc["entries"]]
+    """Entries of ``doc``; ``ValueError`` names a malformed one and why."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
+        raise ValueError('catalog is not an object with an "entries" list')
+    entries = []
+    for i, data in enumerate(doc["entries"]):
+        try:
+            entries.append(entry_from_json(data))
+        except (LookupError, TypeError, ValueError, AttributeError,
+                ArithmeticError) as exc:
+            raise ValueError(f"catalog entry {i} is malformed: "
+                             f"{type(exc).__name__} {exc}") from None
+    return entries
 
 
 def convergence_report(doc: dict, q: Fraction) -> ConvergenceReport:

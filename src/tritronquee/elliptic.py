@@ -65,10 +65,6 @@ class ParamPoint:
         object.__setattr__(self, "a", complex(self.a))
         object.__setattr__(self, "b", complex(self.b))
 
-    def scaled(self, x: float) -> "ParamPoint":
-        """Rescaled point (x^2 a, x^3 b); x > 0 preserves the graph type."""
-        return ParamPoint(x * x * self.a, x * x * x * self.b)
-
 
 @dataclass(frozen=True)
 class Potential:
@@ -282,6 +278,11 @@ def _carlson_fd(y: complex, z: complex) -> tuple[complex, complex]:
     return rf, rd
 
 
+def _ldexp(z: complex, k: int) -> complex:
+    """z 2^k, exact in the normal range, signs of zero included."""
+    return complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
+
+
 def _cycle_sweep(tp: TurningPoints,
                  cycle: CycleId) -> tuple[complex, complex, complex]:
     """(chi, d chi/d a, d chi/d b) of one cycle.  With F and D at
@@ -291,10 +292,15 @@ def _cycle_sweep(tp: TurningPoints,
         int cos / sqrt(1 + rho cos)        = -2F + (4/3)(1 - rho) D,
         int sin^2 sqrt(1 + rho cos) = I_2  = 4(1 - rho)
                     [(2/3)(1 + 3 rho^2) D - (1 - 3 rho) F] / (15 rho).
+
+    It runs on the roots times the 4^m that brings max |root| near 1, so
+    no product rounds in the subnormal range, and scales chi, d chi/d a
+    and d chi/d b back by 2^(-5m), 2^(-m) and 2^m (exact for normal floats).
     """
     which = 1 if cycle is CycleId.C_MINUS1 else 2
     sigma = _SIGMA_CHI2 if cycle is CycleId.C_MINUS1 else _SIGMA_CHIM2
-    r0, rout, rv = tp.roots[0], tp.roots[which], tp.roots[3 - which]
+    m = -(math.frexp(max(map(abs, tp.roots)))[1] // 2)
+    r0, rout, rv = (_ldexp(tp.roots[i], 2 * m) for i in (0, which, 3 - which))
     c = (r0 + rout) / 2.0
     h = (rout - r0) / 2.0
     base = c - rv
@@ -321,26 +327,15 @@ def _cycle_sweep(tp: TurningPoints,
     cos_integral = -2.0 * F + (4.0 / 3.0) * z * D
     da = 1j * sigma * (2.0 * c * F + h * cos_integral) / root
     db = 28j * sigma * F / root
-    if not all(map(cmath.isfinite, (chi, da, db))):
-        raise QuadratureNotConverged(
-            f"cycle period overflows: chi = {chi}, d chi = ({da}, {db})")
-    return chi, da, db
-
-
-def period(pot: Potential, cycle: CycleId) -> complex:
-    """Cycle period: contour integral of sqrt(V) around the cycle's pair,
-    twice the line integral between the two encircled turning points."""
-    return _cycle_sweep(turning_points(pot), cycle)[0]
-
-
-def period_derivatives(pot: Potential,
-                       cycle: CycleId) -> tuple[complex, complex]:
-    """(d chi/d a, d chi/d b) over the same cycle and branch as ``period``.
-
-    d chi/d a integrates -lam dlam/mu, d chi/d b integrates -14 dlam/mu on the
-    elliptic curve mu^2 = V.
-    """
-    return _cycle_sweep(turning_points(pot), cycle)[1:]
+    try:
+        out = _ldexp(chi, -5 * m), _ldexp(da, -m), _ldexp(db, m)
+        if all(map(cmath.isfinite, out)):
+            return out
+    except OverflowError:
+        pass
+    raise QuadratureNotConverged(
+        f"cycle period overflows: chi = {chi} 2^{-5 * m}, "
+        f"d chi = ({da} 2^{-m}, {db} 2^{m})")
 
 
 @dataclass(frozen=True)

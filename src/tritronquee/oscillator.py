@@ -18,8 +18,8 @@ poles of the tritronquee solution; Newton refinement from quantization
 seeds, on the damped Newton that route 1's period system runs on
 (``elliptic.newton_2x2``), produces certified pole records.  The inward
 legs carry the derivatives of the log-derivative in a and b (the
-variational equations), so one pass gives the dependence residual together
-with its exact Jacobian.
+variational equations), so one ``dependence_residual`` pass gives the
+residual together with its exact Jacobian.
 They run on ``complex_ode``'s DP5(4).  At real (a, b), where the turning
 points are real or an exact conjugate pair and the match point is real, a
 pass integrates two legs and takes the other two as their mirror images;
@@ -54,6 +54,7 @@ from .errors import (DependentBasis, NewtonDiverged, OdeToleranceNotMet,
                      OutsideDisc, PathNearTurningPoint)
 
 TOL_ODE = 1e-12
+ATOL_ODE = 1e-13
 TOL_WKB = 1e-10
 TOL_DEP = 1e-9
 #: a pole is converged where |J^-1 G|_inf <= TOL_STEP (1 + |a|); at q = 1
@@ -341,7 +342,7 @@ def _invert(y):
 
 
 def _integrate_s_inward(pot: Potential, ray: RaySpec, waypoints: list[complex],
-                        rtol: float, atol: float):
+                        rtol: float):
     """Follow the recessive log-derivative from the ray start to the path end.
 
     Adiabatic WKB phase far out, then explicit Riccati integration with
@@ -390,7 +391,7 @@ def _integrate_s_inward(pot: Potential, ray: RaySpec, waypoints: list[complex],
                 return complex_ode.CONTINUE
 
         res = complex_ode.integrate(rhs, 0.0, 1.0, value, rtol=rtol,
-                                    atol=atol, on_accept=on_accept,
+                                    atol=ATOL_ODE, on_accept=on_accept,
                                     args=_leg_args(pot, z0, dz))
         value = res.y
         z_cur = z0 + res.t * dz
@@ -407,7 +408,7 @@ def _integrate_s_inward(pot: Potential, ray: RaySpec, waypoints: list[complex],
 
 
 def psi_logderivative(pot: Potential, ray: RaySpec, lam_match: complex,
-                      rtol: float = TOL_ODE, atol: float = 1e-13,
+                      rtol: float = TOL_ODE,
                       tp: TurningPoints | None = None) -> LogDerivativeSample:
     """Log-derivative of the recessive solution on ray k, continued to
     ``lam_match`` along a turning-point-avoiding path, with its derivatives
@@ -419,22 +420,23 @@ def psi_logderivative(pot: Potential, ray: RaySpec, lam_match: complex,
         raise PathNearTurningPoint(
             f"match point {lam_match} too close to a turning point")
     waypoints = _path_to(tp, ray.start_point, complex(lam_match))
-    s, ds_da, ds_db = _integrate_s_inward(pot, ray, waypoints, rtol, atol)
+    s, ds_da, ds_db = _integrate_s_inward(pot, ray, waypoints, rtol)
     return LogDerivativeSample(lam=complex(lam_match), s=s, k=ray.k,
                                ds_da=ds_da, ds_db=ds_db)
 
 
-def dependence_system(pot: Potential, lam_match: complex | None = None,
-                      rtol: float = TOL_ODE, samples: dict | None = None):
+def dependence_residual(pot: Potential, lam_match: complex | None = None,
+                        rtol: float = TOL_ODE, samples: dict | None = None):
     """Dependence residual G and its Jacobian J = dG/d(a, b), in one pass.
 
     G = (s_-1 - s_2, s_1 - s_-2) at the match point (the centroid rule of
-    ``match_point`` unless ``lam_match`` is given); J = ((dG_0/da,
-    dG_0/db), (dG_1/da, dG_1/db)) comes from the variational equations
-    carried along each inward leg.  J is the derivative at that fixed match
-    point.  When the match point follows (a, b), the full derivative adds
-    G_lam * dlam with G_lam = (s_2^2 - s_-1^2, s_-2^2 - s_1^2); that term
-    vanishes with G, so Newton on J stays quadratic near a pole.
+    ``match_point`` unless ``lam_match`` is given), zero exactly at a pole;
+    J = ((dG_0/da, dG_0/db), (dG_1/da, dG_1/db)) comes from the
+    variational equations carried along each inward leg.  J is the
+    derivative at that fixed match point.  When the match point follows
+    (a, b), the full derivative adds G_lam * dlam with G_lam = (s_2^2 -
+    s_-1^2, s_-2^2 - s_1^2); that term vanishes with G, so Newton on J
+    stays quadratic near a pole.
 
     When a, b and the match point are all real, V is real on the real axis
     and the recessive solution on ray -k is the mirror image of the one on
@@ -464,17 +466,6 @@ def dependence_system(pot: Potential, lam_match: complex | None = None,
     J = ((s[-1].ds_da - s[2].ds_da, s[-1].ds_db - s[2].ds_db),
          (s[1].ds_da - s[-2].ds_da, s[1].ds_db - s[-2].ds_db))
     return G, J
-
-
-def dependence_residual(pot: Potential, lam_match: complex | None = None,
-                        rtol: float = TOL_ODE) -> tuple[complex, complex]:
-    """(s_-1 - s_2, s_1 - s_-2) at the match point.
-
-    Both components vanish exactly when the two linear-dependence conditions
-    characterizing a tritronquee pole hold.  This is the G of
-    ``dependence_system``.
-    """
-    return dependence_system(pot, lam_match, rtol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +561,7 @@ def u_values(pot: Potential, samples: dict,
     before that.
 
     The legs of rays 2 and -2 come from ``samples``, filled by a
-    ``dependence_system`` pass at this potential with the same ``rtol``;
+    ``dependence_residual`` pass at this potential with the same ``rtol``;
     only the ray-0 leg is integrated here.
     """
     tp = turning_points(pot)
@@ -603,7 +594,7 @@ def refine_pole(seed: BsbSolution,
                 compute_gap: bool = True) -> PoleRecord:
     """Newton on the dependence residual starting from a quantization seed.
 
-    Each trial point costs one ``dependence_system`` pass, which returns
+    Each trial point costs one ``dependence_residual`` pass, which returns
     the residual G with its exact Jacobian J.  The iteration is
     ``elliptic.newton_2x2``, the damped Newton of route 1's period system:
     a step is halved while its trial raises a ``NumericalError``, is not
@@ -611,7 +602,7 @@ def refine_pole(seed: BsbSolution,
     ``tol_dep`` one polish step is kept if it lowers it further.  A
     singular J, a non-finite step or an exhausted line search raises
     ``NewtonDiverged``.  From a real seed every step is real
-    (``dependence_system``'s mirror), so the pole stays exactly on the
+    (``dependence_residual``'s mirror), so the pole stays exactly on the
     real axis.  The refined point must stay within ``k^(-alpha) eps`` of
     the seed in the a coordinate (the disc policy); the refined b is the
     quartic Laurent coefficient of the tritronquee expansion at the pole.
@@ -626,8 +617,8 @@ def refine_pole(seed: BsbSolution,
         raise ValueError("disc exponent alpha must lie in (1/5, 6/5)")
 
     def system(x, samples=None):
-        return dependence_system(Potential(x[0], x[1]), rtol=rtol,
-                                 samples=samples)
+        return dependence_residual(Potential(x[0], x[1]), rtol=rtol,
+                                   samples=samples)
 
     # the seed's legs, reused by u_values at the same point
     seed_samples: dict[int, LogDerivativeSample] = {}

@@ -128,11 +128,11 @@ class LaurentTable:
         return max(max(i, k) for _, _, _, i, k in self._terms)
 
     @functools.cached_property
-    def _frame(self):
-        """``frame(a, b, z)``, the generated body of ``eval_frame``: the
-        sums of the coefficients and their a- and b-derivatives, one per
-        (series, power) over its terms in table order, then the Horner sums
-        of each series in t = z - a, all as straight-line code."""
+    def eval_frame(self):
+        """``eval_frame(a, b, z)``, (Y, Y', dY/da, dY/db, dY'/da, dY'/db) at
+        z for the pole (a, b) as straight-line code: the sums of the
+        coefficients and their a- and b-derivatives in table order, then the
+        series sum_j c_j t^(j-2), t = z - a, and its t-derivative by Horner."""
         pa = ["1.0"] + [f"pa{i}" for i in range(1, self._degree + 1)]
         pb = ["1.0"] + [f"pb{k}" for k in range(1, self._degree + 1)]
         lines = [f"{pa[i]} = {pa[i - 1]} * a" for i in range(1, len(pa))]
@@ -153,14 +153,6 @@ class LaurentTable:
                      "dy1 - (6.0 * y0 * y0 - z), dy2)")
         return complex_ode._compile(
             f"def frame(a, b, z):\n{complex_ode._block(lines, 1)}\n", "frame")
-
-    def eval_frame(self, a: complex, b: complex, z: complex):
-        """(Y, Y', dY/da, dY/db, dY'/da, dY'/db) at z for the pole (a, b).
-
-        Each series sum_j c_j t^(j-2), t = z - a, and its t-derivative run
-        by Horner in t over the coefficients, their a- and b-derivatives.
-        """
-        return self._frame(a, b, z)
 
 
 @functools.cache

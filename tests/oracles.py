@@ -25,6 +25,8 @@ whose tangent was a closure over ``branch_sqrt`` and whose hook projected
 each accepted point back onto Re int sqrt(V) dlam = 0, run on
 ``closure_integrate``, and ``homotopy_solve`` a frozen copy of route 1's
 homotopy that solved every intermediate target to the Newton tolerance.
+``cycle_period`` and ``scaled_point`` read one cycle's period and
+derivatives and rescale a point for the tests.
 ``taylor_coefficients``, ``taylor_eval`` and ``taylor_leg`` are frozen
 copies of route 3's Taylor recurrence, Horner sum and leg as loops, and
 ``laurent_series`` and ``laurent_frame`` of the Laurent-frame sums, which
@@ -728,8 +730,22 @@ def homotopy_solve(quantum: QuantumPair,
     ``tol_newton``: (point, residual) at the last target."""
     point = PRIMITIVE_11_SEED
     for t2, tm2 in _homotopy_targets(quantum):
-        point, res = solve_period_targets(t2, tm2, point, tol_newton)
+        point, res = solve_period_targets([(t2, tm2)], point, tol_newton)
     return point, res
+
+
+def cycle_period(pot: Potential, cycle: CycleId):
+    """(chi, d chi/d a, d chi/d b) of one cycle, read off
+    ``PeriodData.compute``."""
+    pd = PeriodData.compute(pot)
+    if cycle is CycleId.C_MINUS1:
+        return pd.chi2, pd.dchi2_da, pd.dchi2_db
+    return pd.chi_m2, pd.dchim2_da, pd.dchim2_db
+
+
+def scaled_point(point: ParamPoint, x: float) -> ParamPoint:
+    """The rescaled point (x^2 a, x^3 b); x > 0 keeps the graph type."""
+    return ParamPoint(x * x * point.a, x * x * x * point.b)
 
 
 # ---------------------------------------------------------------------------

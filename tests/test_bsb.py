@@ -8,8 +8,7 @@ import pytest
 from tritronquee.bsb import (PRIMITIVE_11_SEED, TOL_NEWTON, QuantumPair,
                              descendant, solve_bsb, solve_period_targets,
                              tilde_U)
-from tritronquee.elliptic import (CycleId, ParamPoint, PeriodData, Potential,
-                                  period)
+from tritronquee.elliptic import ParamPoint, PeriodData, Potential
 from tritronquee.stokes import classify_graph, trace_stokes_lines
 
 import oracles
@@ -71,7 +70,7 @@ class TestSolveBsb:
             da = complex(*rng.uniform(-0.35, 0.35, 2))
             db = complex(*rng.uniform(-0.35, 0.35, 2))
             seed = ParamPoint(anchor.point.a + da, anchor.point.b + db)
-            point, _ = solve_period_targets(1j * math.pi, 1j * math.pi, seed)
+            point, _ = solve_period_targets([(1j * math.pi, 1j * math.pi)], seed)
             targets.append(point)
         for point in targets:
             assert abs(point.a - anchor.point.a) < 1e-8
@@ -142,7 +141,7 @@ class TestDescendant:
 
     def test_k1_period_is_3_i_pi(self, anchor):
         d1 = descendant(anchor, 1)
-        chi2 = period(Potential(d1.point.a, d1.point.b), CycleId.C_MINUS1)
+        chi2 = PeriodData.compute(Potential(d1.point.a, d1.point.b)).chi2
         assert abs(chi2 - 3j * math.pi) < 1e-10
         assert d1.residual < 1e-10
 
@@ -205,7 +204,7 @@ def test_newton_diverges_on_exhausted_budget(anchor, monkeypatch):
     monkeypatch.setattr(elliptic, "NEWTON_MAX_ITER", 1)
     seed = ParamPoint(anchor.point.a + 0.3, anchor.point.b + 0.1)
     with pytest.raises(NewtonDiverged, match="in 1 steps"):
-        solve_period_targets(1j * math.pi, 1j * math.pi, seed)
+        solve_period_targets([(1j * math.pi, 1j * math.pi)], seed)
 
 
 def _assert_first_step_diverges(monkeypatch, capsys, jacobian, cause):
@@ -224,7 +223,7 @@ def _assert_first_step_diverges(monkeypatch, capsys, jacobian, cause):
 
     monkeypatch.setattr(bsb, "_period_residual", bad)
     with pytest.raises(NewtonDiverged, match=cause):
-        solve_period_targets(1j * math.pi, 1j * math.pi, PRIMITIVE_11_SEED)
+        solve_period_targets([(1j * math.pi, 1j * math.pi)], PRIMITIVE_11_SEED)
     assert len(calls) == 1
     assert main(["bsb", "--n", "1", "--m", "1"]) == 3
     assert "NewtonDiverged" in capsys.readouterr().err

@@ -11,10 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tritronquee import catalog, config
-from tritronquee.bsb import QuantumPair
-from tritronquee.catalog import (CatalogEntry, build_catalog,
-                                 compute_entry,
+from tritronquee import bsb, catalog, config, oscillator
+from tritronquee.bsb import QuantumPair, solve_bsb
+from tritronquee.catalog import (CatalogEntry, build_catalog, compute_entry,
                                  convergence_report, entry_from_json,
                                  entry_to_json, pole_scatter, read_catalog,
                                  write_catalog)
@@ -119,7 +118,7 @@ class TestConvergence:
 
 class TestPipeline:
     def test_single_entry_seed_matches_reference(self):
-        entry = compute_entry(QuantumPair(1, 1), 0)
+        entry = compute_entry(solve_bsb(QuantumPair(1, 1)))
         assert entry.status == "ok"
         assert abs(entry.seed_a - (-2.34)) < 0.01
         assert abs(entry.seed_b - (-0.064)) < 0.005
@@ -127,7 +126,7 @@ class TestPipeline:
         assert entry.error_a == abs(entry.pole_a - entry.seed_a)
 
     def test_painleve_crosscheck_entry(self):
-        entry = compute_entry(QuantumPair(1, 1), 0, painleve=True)
+        entry = compute_entry(solve_bsb(QuantumPair(1, 1)), painleve=True)
         assert entry.painleve_a is not None
         assert abs(entry.painleve_a - entry.pole_a) < 1e-4
         assert abs(entry.painleve_b - entry.pole_b) < 1e-4
@@ -195,6 +194,27 @@ class TestPipeline:
         doc = build_catalog(q_list, 3)
         assert len(calls) == len(q_list)
         assert [e["k"] for e in doc["entries"]] == [0, 1, 2, 3] * 2
+
+    def test_production_runs_the_named_layers(self, monkeypatch):
+        """The catalog runs route 1 and route 2 through the public layers
+        that the API and the benchmark's tracer name, not through forks."""
+        calls = {}
+
+        def counting(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(catalog, "compute_entry")
+        counting(oscillator, "dependence_residual")
+        counting(bsb, "solve_period_targets")
+        build_catalog([QuantumPair(1, 1)], K=1)
+        assert calls["compute_entry"] == 2
+        assert calls["solve_period_targets"] == 1
+        assert calls["dependence_residual"] >= 2
 
     def test_pole_scatter(self):
         doc = _synthetic_doc(n=3)

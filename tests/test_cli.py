@@ -190,6 +190,28 @@ def test_missing_catalog_io_exit_code(tmp_path, capsys):
     assert code == 4
 
 
+def test_malformed_catalog_bad_args_exit_code(tmp_path, capsys):
+    """An entry without a key or with text for a number, and a document
+    that is a JSON list, are bad arguments named on stderr, like invalid
+    JSON, not a traceback."""
+    out = tmp_path / "cat.json"
+    assert main(["catalog", "--q", "1,1", "--K", "0", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    text = json.loads(out.read_text())
+    text["entries"][0]["error_a"] = "small"
+    del doc["entries"][0]["seed_a"]
+    capsys.readouterr()
+    for name, bad, message in (
+            ("no-key.json", doc, "entry 0 is malformed: KeyError 'seed_a'"),
+            ("list.json", [doc], '"entries" list'),
+            ("text.json", text, "entry 0 is malformed: ValueError")):
+        path = tmp_path / name
+        path.write_text(json.dumps(bad))
+        code = main(["convergence", "--catalog", str(path), "--q", "1/1"])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+
 def test_refine_command(capsys):
     code = main(["refine", "--n", "1", "--m", "1", "--k", "0", "--no-gap",
                  "--json"])

@@ -13,9 +13,8 @@ from tritronquee.errors import (NewtonDiverged, OdeToleranceNotMet,
                                 OutsideDisc, PathNearTurningPoint,
                                 StepUnderflow)
 from tritronquee.oscillator import (RaySpec, dependence_residual,
-                                    dependence_system, match_point,
-                                    psi_logderivative, ray_spec, refine_pole,
-                                    u_values, _wkb_logderivative)
+                                    match_point, psi_logderivative, ray_spec,
+                                    refine_pole, u_values, _wkb_logderivative)
 
 import oracles
 from oracles import bits, linear_logderivative
@@ -213,17 +212,17 @@ class TestLogDerivative:
 
 class TestDependenceResidual:
     def test_conjugation_symmetry_real_slice(self, anchor):
-        r = dependence_residual(_pot(anchor.point))
+        r, _ = dependence_residual(_pot(anchor.point))
         assert abs(r[1] - r[0].conjugate()) < 1e-9
 
     def test_regression_anchor_at_generic_point(self):
-        r = dependence_residual(Potential(0.0, 1.0))
+        r, _ = dependence_residual(Potential(0.0, 1.0))
         assert abs(r[0]) > 1.0 and abs(r[1]) > 1.0
         assert abs(r[0] - DEP_AT_0_1[0]) < 1e-6
         assert abs(r[1] - DEP_AT_0_1[1]) < 1e-6
 
     def test_small_but_nonzero_near_solution(self, anchor):
-        r = dependence_residual(_pot(anchor.point))
+        r, _ = dependence_residual(_pot(anchor.point))
         norm = abs(r[0]) + abs(r[1])
         assert 1e-4 < norm < 1.0
 
@@ -234,7 +233,7 @@ class TestDependenceResidual:
         for seed in q1_sequence:
             pot = _pot(seed.point)
             samples = {}
-            G, _ = dependence_system(pot, samples=samples)
+            G, _ = dependence_residual(pot, samples=samples)
             assert G[1] == G[0].conjugate()
             tp = turning_points(pot)
             lam = match_point(tp)
@@ -258,7 +257,7 @@ class TestDependenceResidual:
         monkeypatch.setattr(oscillator, "turning_points", counted)
         pot = _pot(anchor.point)
         samples = {}
-        dependence_system(pot, samples=samples)
+        dependence_residual(pot, samples=samples)
         u_values(pot, samples=samples)
         assert len(calls) == 2
 
@@ -270,11 +269,11 @@ def test_jacobian_matches_central_differences(anchor, where):
     a, b = ((anchor.point.a, anchor.point.b) if where == "seed"
             else (-1.0 + 0.7j, 0.3 - 0.2j))
     lam = match_point(turning_points(Potential(a, b)))
-    G, J = dependence_system(Potential(a, b), lam_match=lam)
-    assert G == dependence_residual(Potential(a, b), lam_match=lam)
+    _, J = dependence_residual(Potential(a, b), lam_match=lam)
 
     def residual(av, bv):
-        return np.array(dependence_residual(Potential(av, bv), lam_match=lam))
+        G, _ = dependence_residual(Potential(av, bv), lam_match=lam)
+        return np.array(G)
 
     ha, hb = 1e-5 * (1.0 + abs(a)), 1e-5 * (1.0 + abs(b))
     fd = np.column_stack([(residual(a + ha, b) - residual(a - ha, b)) / (2 * ha),
@@ -342,7 +341,7 @@ class TestRefinePole:
         def nan_jacobian(pot, lam_match=None, rtol=None, samples=None):
             return (0.1 + 0.0j, 0.1 + 0.0j), ((1.0, math.nan), (0.0, 1.0))
 
-        monkeypatch.setattr(oscillator, "dependence_system", nan_jacobian)
+        monkeypatch.setattr(oscillator, "dependence_residual", nan_jacobian)
         with pytest.raises(NewtonDiverged):
             refine_pole(anchor, compute_gap=False)
 
@@ -353,7 +352,7 @@ class TestRefinePole:
         def singular(pot, lam_match=None, rtol=None, samples=None):
             return (0.1 + 0.0j, 0.1 + 0.0j), ((1.0, 2.0), (0.5, 1.0))
 
-        monkeypatch.setattr(oscillator, "dependence_system", singular)
+        monkeypatch.setattr(oscillator, "dependence_residual", singular)
         with pytest.raises(NewtonDiverged, match="singular dependence"):
             refine_pole(anchor, compute_gap=False)
         assert main(["refine", "--n", "1", "--m", "1"]) == 3
@@ -373,7 +372,7 @@ class TestRefinePole:
             return ((pot.a - pole[0] + noise, pot.b - pole[1] + noise),
                     ((1.0, 0.0), (0.0, 1.0)))
 
-        monkeypatch.setattr(oscillator, "dependence_system", noisy_linear)
+        monkeypatch.setattr(oscillator, "dependence_residual", noisy_linear)
         rec = refine_pole(anchor, compute_gap=False)
         # the seed, the Newton step to the pole, one polish trial
         assert len(calls) == 3
@@ -386,7 +385,7 @@ class TestRefinePole:
         trial, like one that does not lower the residual: the step is
         halved, and the refinement goes on to the same pole."""
         points = []
-        system = oscillator.dependence_system
+        system = oscillator.dependence_residual
 
         def blocked_first_trial(pot, *args, **kwargs):
             points.append((pot.a, pot.b))
@@ -394,7 +393,7 @@ class TestRefinePole:
                 raise PathNearTurningPoint("blocked trial")
             return system(pot, *args, **kwargs)
 
-        monkeypatch.setattr(oscillator, "dependence_system",
+        monkeypatch.setattr(oscillator, "dependence_residual",
                             blocked_first_trial)
         rec = refine_pole(anchor, compute_gap=False)
         seed, full, half = points[:3]
@@ -420,7 +419,7 @@ class TestRefinePole:
     @staticmethod
     def _legs_and_passes(seed, monkeypatch):
         passes, legs = [], []
-        system = oscillator.dependence_system
+        system = oscillator.dependence_residual
         psi = oscillator.psi_logderivative
 
         def counting_system(*args, **kwargs):
@@ -431,7 +430,7 @@ class TestRefinePole:
             legs.append(1)
             return psi(*args, **kwargs)
 
-        monkeypatch.setattr(oscillator, "dependence_system", counting_system)
+        monkeypatch.setattr(oscillator, "dependence_residual", counting_system)
         monkeypatch.setattr(oscillator, "psi_logderivative", counting_psi)
         refine_pole(seed)
         return len(legs), len(passes)
@@ -469,9 +468,9 @@ class TestProportionality:
 
 
 def _samples(pot):
-    """The inward legs of one ``dependence_system`` pass at ``pot``."""
+    """The inward legs of one ``dependence_residual`` pass at ``pot``."""
     samples = {}
-    dependence_system(pot, samples=samples)
+    dependence_residual(pot, samples=samples)
     return samples
 
 
@@ -503,14 +502,14 @@ class TestUValues:
     def test_reused_samples_give_identical_values(self, anchor):
         pot = _pot(anchor.point)
         samples = {}
-        dependence_system(pot, samples=samples)
+        dependence_residual(pot, samples=samples)
         assert sorted(samples) == [-2, -1, 1, 2]
         assert u_values(pot, samples) == u_values(pot, _samples(pot))
 
     def test_samples_from_another_match_point_rejected(self, anchor):
         pot = _pot(anchor.point)
         samples = {}
-        dependence_system(pot, lam_match=match_point(turning_points(pot))
+        dependence_residual(pot, lam_match=match_point(turning_points(pot))
                           + 0.1, samples=samples)
         with pytest.raises(ValueError):
             u_values(pot, samples=samples)
@@ -568,7 +567,7 @@ class TestUValues:
         and 5.8e-8 off at k = 0, 2 and 4."""
         pot = _pot(q1_sequence[k].point)
         samples = {}
-        dependence_system(pot, samples=samples)
+        dependence_residual(pot, samples=samples)
         u = u_values(pot, samples=samples)
         monkeypatch.setattr(oscillator, "_integrate_pair_outward",
                             oracles.pair_outward)
@@ -595,7 +594,7 @@ class TestUValues:
             return res
 
         samples = {}
-        dependence_system(pot, samples=samples)
+        dependence_residual(pot, samples=samples)
         monkeypatch.setattr(complex_ode, "taylor_leg", watching)
         u = u_values(pot, samples=samples)
         assert ends == [True] * 4

@@ -16,7 +16,8 @@ from tritronquee.errors import (DegenerateTurningPoints, NumericalError,
 from tritronquee.stokes import (ASYMPTOTIC, TURNING_POINT, classify_graph,
                                 polylines, trace_stokes_lines)
 
-from oracles import closure_trace_stokes_lines, polyline_action_drift
+from oracles import (closure_trace_stokes_lines, polyline_action_drift,
+                     scaled_point)
 
 #: labels recorded from the oracle runs of the tracer
 LABEL_10_0 = "g0,g2,tA;g3,g4,tI;g0,g1,g2"
@@ -451,14 +452,14 @@ def test_label_scaling_invariance(anchor):
     base_points = [anchor.point]
     for _ in range(49):
         s, t = rng.uniform(2.2, 4.8, 2)
-        point, _ = solve_period_targets(1j * s, 1j * t, anchor.point)
+        point, _ = solve_period_targets([(1j * s, 1j * t)], anchor.point)
         base_points.append(point)
     for point in base_points:
         label = classify_graph(trace_stokes_lines(Potential(point.a, point.b)))
         assert label == "320"
         # at x = 1e-10 the roots lie near 1e-10
         for x in (0.5, 2.0, 3.0, 1e-10):
-            scaled = point.scaled(x)
+            scaled = scaled_point(point, x)
             g = trace_stokes_lines(Potential(scaled.a, scaled.b))
             assert classify_graph(g) == label
 
