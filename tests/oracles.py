@@ -348,17 +348,22 @@ def pi_leg(z0: complex, dz: complex):
 
 def numpy_turning_points(pot: Potential) -> TurningPoints:
     """Frozen copy of ``turning_points`` on ``np.roots``: the companion
-    matrix's eigenvalues, two numpy Newton passes, the same degeneracy
-    check (separation below 1e-6 max |root|) and the same canonical
-    order."""
+    matrix's eigenvalues, two numpy Newton passes that stop a root once a
+    step does not lower |V| (at a double root V' is rounding), the same
+    degeneracy check (separation below 1e-6 max |root|) and the same
+    canonical order."""
     a, b = pot.a, pot.b
     roots = np.roots([4.0, 0.0, -2.0 * a, -28.0 * b]).astype(complex)
+    v = 4.0 * roots ** 3 - 2.0 * a * roots - 28.0 * b
+    live = np.ones(roots.shape, dtype=bool)
     for _ in range(2):
-        v = 4.0 * roots ** 3 - 2.0 * a * roots - 28.0 * b
         dv = 12.0 * roots ** 2 - 2.0 * a
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            step = v / dv
-        roots = np.where(np.isfinite(step), roots - step, roots)
+            new = roots - v / dv
+            v_new = 4.0 * new ** 3 - 2.0 * a * new - 28.0 * b
+            live &= np.abs(v_new) < np.abs(v)
+        roots = np.where(live, new, roots)
+        v = np.where(live, v_new, v)
     r = [complex(z) for z in roots]
     size = max(abs(z) for z in r)
     sep = min(abs(r[0] - r[1]), abs(r[0] - r[2]), abs(r[1] - r[2]))

@@ -147,6 +147,7 @@ class TestTurningPoints:
 
     @settings(max_examples=300, deadline=None)
     @given(_potentials)
+    @example(Potential(15.115314727655097 - 0j, -1.1424333475899184 + 0j))
     def test_matches_numpy_roots(self, pot):
         """The roots of the frozen ``np.roots`` solve, in its canonical
         order: where that order is decided by a margin above rounding, the
