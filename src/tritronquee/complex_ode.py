@@ -53,6 +53,24 @@ The right-hand side is an ``Rhs``: source lines over named parameters.
   that keeps a closure's operations in the closure's order gives the
   closure's values bit for bit; any other order (a polynomial in Horner
   form, a sum taken in another order) changes the rounding.
+- ``Rhs.stop``, when given, is a stop source: lines that read ``T`` and
+  ``Y0``, ... (or ``Y``) at the accepted state and the parameters, may
+  use locals of their own, and set ``STOP``.  The kernel runs it after
+  every accepted step, before ``on_accept``; a true ``STOP`` ends the run
+  as a hook's ``STOP`` does.  The oscillator's inward legs carry their
+  chart switch this way, so their steps make no Python call at all.
+
+The kernel writes the tableau's weights as complex constants
+(``(0.2+0j) * _k1``) and the step as ``_hc = _h + 0j``.  CPython 3.10 to
+3.13 promote a float operand of a complex operation to complex(x, 0.0)
+before they compute, so a complex operand gives every value the same
+bits; it only skips the float slot, which fails on a complex argument
+before the complex one runs: about 45 against 31 ns a product on Python
+3.11, and a 3-component step has about 97 such operations.  Python 3.14
+computes float-complex operations in mixed mode (a float times a complex
+multiplies each part), which differs at signed zeros, infinities and
+NaNs; there the complex operands keep the values of 3.13, and
+``tests/test_complex_ode.py`` fails on the promotion it relies on.
 
 Both integrators take one hook protocol: ``on_accept(t, y) -> action``
 runs after every accepted step, sees the state and ends the run when it
@@ -136,15 +154,17 @@ class IntegrationResult:
 
 @dataclass(frozen=True)
 class Rhs:
-    """A right-hand side given as source lines over named parameters.
+    """A right-hand side given as source lines over named parameters, with
+    an optional stop source.
 
-    The module docstring states what the source may read and must set;
+    The module docstring states what the sources may read and must set;
     ``integrate`` takes the parameter values in ``args``, in the order of
     ``params``.  Compared and hashed by value: the kernel cache keys on it.
     """
 
     params: tuple[str, ...]
     source: str
+    stop: str | None = None
 
 
 #: The callable shorthand: ``integrate`` runs a callable ``g`` as this
@@ -153,8 +173,10 @@ CALL = Rhs(("g",), "F = g(T, Y)")
 
 
 def _combination(coefs, names) -> str:
-    """Source of sum(c * name) over the nonzero coefficients, left to right."""
-    return " + ".join(f"{c!r} * {name}" for c, name in zip(coefs, names) if c)
+    """Source of sum(c * name) over the nonzero coefficients, left to right,
+    each coefficient a complex constant (the module docstring says why)."""
+    return " + ".join(f"{complex(c)!r} * {name}"
+                      for c, name in zip(coefs, names) if c)
 
 
 def _components(arity: int | None) -> list[str]:
@@ -167,16 +189,35 @@ def _pack(names, arity: int | None) -> str:
     return names[0] if arity is None else f"({', '.join(names)},)"
 
 
+def _names(source: str, params=()) -> set[str]:
+    """The names that ``source`` reads or sets, and ``params``; those that
+    begin with an underscore belong to the kernel and are refused."""
+    names = {node.id for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Name)} | set(params)
+    if any(name.startswith("_") for name in names):
+        raise ValueError("names beginning with '_' belong to the kernel")
+    return names
+
+
+def _bind(names: set[str], t: str, inputs, arity: int | None) -> list[str]:
+    """Lines that set the time ``T`` and the state ``Y0``.. (and ``Y``) to
+    ``t`` and ``inputs``, those of them that ``names`` reads."""
+    lines = [f"T = {t}"] if "T" in names else []
+    lines += [f"Y{i} = {v}" for i, v in enumerate(inputs)
+              if "Y" in names or f"Y{i}" in names]
+    if "Y" in names:
+        packed = _pack([f"Y{i}" for i in range(len(inputs))], arity)
+        lines.append(f"Y = {packed}")
+    return lines
+
+
 def _rhs_writer(rhs: Rhs, arity: int | None):
     """``write(stage, t, inputs)``: the lines of one evaluation of ``rhs``
     at time ``t`` and the state components ``inputs``, storing the
     derivative in the components of ``_k<stage>``."""
     source = textwrap.dedent(rhs.source).strip()
-    names = {node.id for node in ast.walk(ast.parse(source))
-             if isinstance(node, ast.Name)} | set(rhs.params)
+    names = _names(source, rhs.params)
     n = 1 if arity is None else arity
-    if any(name.startswith("_") for name in names):
-        raise ValueError("names beginning with '_' belong to the kernel")
     if "F" not in names and not {f"F{i}" for i in range(n)} <= names:
         raise ValueError(f"the source must set F or F0..F{n - 1}")
     body = source.splitlines()
@@ -185,17 +226,26 @@ def _rhs_writer(rhs: Rhs, arity: int | None):
     def write(stage, t, inputs):
         ks = [f"_k{stage}{c}" for c in comps]
         packed = ks[0] if arity is None else ", ".join(ks) + ","
-        lines = [f"T = {t}"] if "T" in names else []
-        lines += [f"Y{i} = {v}" for i, v in enumerate(inputs)
-                  if "Y" in names or f"Y{i}" in names]
-        if "Y" in names:
-            lines.append(f"Y = {_pack([f'Y{i}' for i in range(n)], arity)}")
-        lines += [re.sub(r"\bF(\d*)\b",
-                         lambda m: ks[int(m[1])] if m[1] else packed, line)
-                  for line in body]
-        return lines
+        return _bind(names, t, inputs, arity) + [
+            re.sub(r"\bF(\d*)\b",
+                   lambda m: ks[int(m[1])] if m[1] else packed, line)
+            for line in body]
 
     return write
+
+
+def _stop_lines(rhs: Rhs, arity: int | None) -> list[str]:
+    """The stop source at the accepted state and the return it takes when
+    it sets ``STOP`` true; no lines without one."""
+    if rhs.stop is None:
+        return []
+    source = textwrap.dedent(rhs.stop).strip()
+    names = _names(source)
+    if "STOP" not in names:
+        raise ValueError("the stop source must set STOP")
+    ys = [f"_y{c}" for c in _components(arity)]
+    return (_bind(names, "_t", ys, arity) + source.splitlines()
+            + ["if STOP:", f"    return _t, {_pack(ys, arity)}, True, _count"])
 
 
 def _attempt_lines(arity: int | None, write) -> list[str]:
@@ -205,7 +255,8 @@ def _attempt_lines(arity: int | None, write) -> list[str]:
 
     Every component is advanced as ``y + h * (a . k)`` with the products
     summed left to right, the operation order of the scalar formula, so
-    each component's value does not depend on the arity.
+    each component's value does not depend on the arity.  The weights and
+    the step ``_hc`` enter as complex operands; the nodes stay floats.
     """
     comps = _components(arity)
 
@@ -215,13 +266,13 @@ def _attempt_lines(arity: int | None, write) -> list[str]:
     def node(c):
         return "_t + _h" if c == 1.0 else f"_t + {c!r} * _h"
 
-    lines = []
+    lines = ["_hc = _h + 0j"]
     for stage, row in enumerate(DP54.rows, start=2):
         lines += write(stage, node(DP54.nodes[stage - 2]),
-                       [f"_y{c} + _h * ({_combination(row, stages(c, stage - 1))})"
+                       [f"_y{c} + _hc * ({_combination(row, stages(c, stage - 1))})"
                         for c in comps])
     for c in comps:
-        lines.append(f"_n{c} = _y{c} + _h * "
+        lines.append(f"_n{c} = _y{c} + _hc * "
                      f"({_combination(DP54.weights, stages(c, _FSAL - 1))})")
     lines += write(_FSAL, node(DP54.nodes[-1]), [f"_n{c}" for c in comps])
     c = comps[0]
@@ -229,7 +280,7 @@ def _attempt_lines(arity: int | None, write) -> list[str]:
     # max(|y|, |n|) as a conditional expression, NaN included
     return lines + [
         f"_a{c} = abs(_y{c})", f"_b{c} = abs(_n{c})",
-        f"_r{c} = abs(_h * ({err})) / "
+        f"_r{c} = abs(_hc * ({err})) / "
         f"(_atol + _rtol * (_b{c} if _b{c} > _a{c} else _a{c}))",
         f"_enorm = _r{c}"]
 
@@ -272,6 +323,7 @@ def leg(_t, _t1, _y, _rtol, _atol, _on_accept, _max_steps, {params}):
         _t += _h
 {advance}
         _count += 1
+{stop}
         if _on_accept is not None:
 {pack}
             if _on_accept(_t, _y) == _STOP:
@@ -302,6 +354,7 @@ def _kernel_source(arity: int | None, rhs: Rhs) -> str:
         attempt=_block(_attempt_lines(arity, write), 2),
         advance=_block([f"_y{c} = _n{c}" for c in comps]
                        + [f"_k1{c} = _k{_FSAL}{c}" for c in comps], 2),
+        stop=_block(_stop_lines(rhs, arity), 2),
         pack=_block([] if arity is None else [f"_y = {_pack(ys, arity)}"],
                     3))
 
@@ -332,7 +385,8 @@ def integrate(g, t0: float, t1: float, y0, rtol: float = 1e-12,
     ``g`` is an ``Rhs`` whose parameter values are ``args``, or a callable
     ``g(t, y)`` (then ``args`` is unused).  ``y0`` is a number (scalar
     state) or a sequence of numbers (tuple state).  ``on_accept(t, y) ->
-    action`` runs after each accepted step; action ``STOP`` ends the
+    action`` runs after each accepted step, after ``g``'s stop source;
+    action ``STOP``, or a true ``STOP`` of the stop source, ends the
     integration at that point.
 
     Only the leading component of a tuple state enters the error norm and

@@ -20,7 +20,9 @@ seeds, on the damped Newton that route 1's period system runs on
 legs carry the derivatives of the log-derivative in a and b (the
 variational equations), so one ``dependence_residual`` pass gives the
 residual together with its exact Jacobian.
-They run on ``complex_ode``'s DP5(4).  At real (a, b), where the turning
+They run on ``complex_ode``'s DP5(4), and each chart carries the test
+that ends it, the hysteresis of the chart switch, as its stop source, so
+a step makes no Python call.  At real (a, b), where the turning
 points are real or an exact conjugate pair and the match point is real, a
 pass integrates two legs and takes the other two as their mirror images;
 there the Newton steps are real, and the q = 1 poles stay on the axis.
@@ -28,8 +30,10 @@ there the Newton steps are real, and the q = 1 poles stay on the axis.
 The asymptotic-value ratios (``u_values``, the WKB gap of a pole record)
 come from outward legs that carry two dominant solutions of
 ``psi'' = V psi`` from the match point until their log-derivatives are one
-float, and read off their ratio there.  ``psi`` is entire, so nothing on
-these legs is singular, and V is a cubic, so the Taylor coefficients of
+float, and read off their ratio there; of the ray-0 inward leg they start
+from only s is read, so it runs on value-only charts.  ``psi`` is entire,
+so nothing on these legs is singular, and V is a cubic, so the Taylor
+coefficients of
 ``psi`` follow from a four-term recurrence: the legs step with the
 solutions' own Taylor series of order 20, ``complex_ode.taylor_leg`` on
 the equation ``_PSI_PAIR``, the generator that route 3's legs run on too
@@ -270,27 +274,57 @@ def _path_to(tp: TurningPoints, z0: complex, z1: complex) -> list[complex]:
 #: sides run in the leg parameter t in [0, 1] on z = z0 + t dz, with dz
 #: folded in, and evaluate V = 4 z^3 - 2a z - 28b with the operations of
 #: ``Potential.__call__`` over c2a = 2a and c28b = 28b, so V has its values.
+#: Their float constants are written as complex ones, which CPython 3.10 to
+#: 3.13 promote them to anyway (``complex_ode`` says why this is faster).
 _LEG_PARAMS = ("z0", "dz", "m2dz", "c2a", "c28b")
+_V = "(4+0j) * Z * Z * Z - c2a * Z - c28b"
 
-# (s, ds/da, ds/db): s' = V - s^2, (ds/da)' = -2z - 2s ds/da,
-# (ds/db)' = -28 - 2s ds/db
-_S_CHART = complex_ode.Rhs(_LEG_PARAMS, """
+# The charts' stop sources, the hysteresis of the chart switch: the s chart
+# stops where |s| > P (1 + |V|^(1/2)), the r = 1/s chart where
+# |r| (1 + |V|^(1/2)) > 2 / P, with P = _POLE_FACTOR.  Most steps of the s
+# chart end at |s| <= P, before z and V are formed.
+_S_STOP = f"""
+    A = abs(Y0)
+    STOP = A > {_POLE_FACTOR!r}
+    if STOP:
+        Z = z0 + T * dz
+        STOP = A > {_POLE_FACTOR!r} * (1.0 + abs({_V}) ** 0.5)
+"""
+_R_STOP = f"""
     Z = z0 + T * dz
-    F0 = (4.0 * Z * Z * Z - c2a * Z - c28b - Y0 * Y0) * dz
+    STOP = abs(Y0) * (1.0 + abs({_V}) ** 0.5) > {2.0 / _POLE_FACTOR!r}
+"""
+
+# s' = V - s^2, then (ds/da)' = -2z - 2s ds/da and (ds/db)' = -28 - 2s ds/db
+_S_VALUE = f"""
+    Z = z0 + T * dz
+    F0 = ({_V} - Y0 * Y0) * dz
+"""
+_S_VARIATIONS = """
     F1 = (Z + Y0 * Y1) * m2dz
-    F2 = (14.0 + Y0 * Y2) * m2dz
-""")
+    F2 = ((14+0j) + Y0 * Y2) * m2dz
+"""
 
-# the inverse chart r = 1/s: r' = 1 - V r^2, (dr/da)' = 2z r^2 - 2V r dr/da,
-# (dr/db)' = 28 r^2 - 2V r dr/db
-_R_CHART = complex_ode.Rhs(_LEG_PARAMS, """
+# the inverse chart r = 1/s: r' = 1 - V r^2, then
+# (dr/da)' = 2z r^2 - 2V r dr/da and (dr/db)' = 28 r^2 - 2V r dr/db
+_R_VALUE = f"""
     Z = z0 + T * dz
-    V = 4.0 * Z * Z * Z - c2a * Z - c28b
+    V = {_V}
+    F0 = ((1+0j) - V * Y0 * Y0) * dz
+"""
+_R_VARIATIONS = """
     R = (Y0 + Y0) * dz
-    F0 = (1.0 - V * Y0 * Y0) * dz
     F1 = (Z * Y0 - V * Y1) * R
-    F2 = (14.0 * Y0 - V * Y2) * R
-""")
+    F2 = ((14+0j) * Y0 - V * Y2) * R
+"""
+
+#: The (s, r) charts of the state (x, dx/da, dx/db), and of x alone: the
+#: value-only charts give x the steps and values of the first.
+_S_CHART = complex_ode.Rhs(_LEG_PARAMS, _S_VALUE + _S_VARIATIONS, _S_STOP)
+_R_CHART = complex_ode.Rhs(_LEG_PARAMS, _R_VALUE + _R_VARIATIONS, _R_STOP)
+_S_VALUE_CHART = complex_ode.Rhs(_LEG_PARAMS, _S_VALUE, _S_STOP)
+_R_VALUE_CHART = complex_ode.Rhs(_LEG_PARAMS, _R_VALUE, _R_STOP)
+
 
 def _leg_args(pot: Potential, z0: complex, dz: complex) -> tuple:
     """Values of ``_LEG_PARAMS`` for the segment z0 -> z0 + dz."""
@@ -335,24 +369,33 @@ def _adiabatic_handoff(pot: Potential, ray: RaySpec,
 
 
 def _invert(y):
-    """Chart switch x -> 1/x of (x, dx/da, dx/db): d(1/x) = -dx / x^2."""
+    """Chart switch x -> 1/x of x, or of (x, dx/da, dx/db):
+    d(1/x) = -dx / x^2."""
+    if isinstance(y, complex):
+        return 1.0 / y
     inv = 1.0 / y[0]
     inv2 = inv * inv
     return (inv, -y[1] * inv2, -y[2] * inv2)
 
 
 def _integrate_s_inward(pot: Potential, ray: RaySpec, waypoints: list[complex],
-                        rtol: float):
+                        rtol: float, value_only: bool = False):
     """Follow the recessive log-derivative from the ray start to the path end.
 
     Adiabatic WKB phase far out, then explicit Riccati integration with
     inverse-chart excursions across poles of s (with hysteresis).  The
     state is (s, ds/da, ds/db): the variational equations ride along on the
     steps that the error control of s alone chooses, so s takes exactly the
-    steps of a scalar run.  Returns the state at the path end.
+    steps of a scalar run, which ``value_only`` runs instead.  Each chart
+    carries its hysteresis test as its stop source, so a leg that stops
+    has reached a chart switch.  Returns the state at the path end.
     """
+    charts = ((_S_VALUE_CHART, _R_VALUE_CHART) if value_only
+              else (_S_CHART, _R_CHART))
     value, remaining = _adiabatic_handoff(pot, ray, waypoints)
-    chart = "s"
+    if value_only:
+        value = value[0]
+    inverse = False
     idx = 0
     z_cur = remaining[0]
     guard = 0
@@ -365,62 +408,39 @@ def _integrate_s_inward(pot: Potential, ray: RaySpec, waypoints: list[complex],
         if dz == 0:
             idx += 1
             continue
-        switch = {"to": None}
-
-        if chart == "s":
-            rhs = _S_CHART
-
-            def on_accept(t, y):
-                s_abs = abs(y[0])
-                # the bound is at least _POLE_FACTOR: most steps stop here
-                if s_abs <= _POLE_FACTOR:
-                    return complex_ode.CONTINUE
-                z = z0 + t * dz
-                if s_abs > _POLE_FACTOR * (1.0 + abs(pot(z)) ** 0.5):
-                    switch["to"] = "r"
-                    return complex_ode.STOP
-                return complex_ode.CONTINUE
-        else:  # inverse chart r = 1/s
-            rhs = _R_CHART
-
-            def on_accept(t, y):
-                z = z0 + t * dz
-                if abs(y[0]) * (1.0 + abs(pot(z)) ** 0.5) > 2.0 / _POLE_FACTOR:
-                    switch["to"] = "s"
-                    return complex_ode.STOP
-                return complex_ode.CONTINUE
-
-        res = complex_ode.integrate(rhs, 0.0, 1.0, value, rtol=rtol,
-                                    atol=ATOL_ODE, on_accept=on_accept,
+        res = complex_ode.integrate(charts[inverse], 0.0, 1.0, value,
+                                    rtol=rtol, atol=ATOL_ODE,
                                     args=_leg_args(pot, z0, dz))
         value = res.y
-        z_cur = z0 + res.t * dz
-        if not res.stopped:
+        if res.stopped:
+            value = _invert(value)
+            inverse = not inverse
+            z_cur = z0 + res.t * dz
+        else:
             idx += 1
             z_cur = z1
-            continue
-        if switch["to"] is not None:
-            value = _invert(value)
-            chart = switch["to"]
-    if chart == "r":
-        value = _invert(value)
-    return value
+    return _invert(value) if inverse else value
 
 
 def psi_logderivative(pot: Potential, ray: RaySpec, lam_match: complex,
-                      rtol: float = TOL_ODE,
-                      tp: TurningPoints | None = None) -> LogDerivativeSample:
+                      rtol: float = TOL_ODE, tp: TurningPoints | None = None,
+                      *, _value_only: bool = False) -> LogDerivativeSample:
     """Log-derivative of the recessive solution on ray k, continued to
     ``lam_match`` along a turning-point-avoiding path, with its derivatives
     in a and b at that point.  ``tp`` is ``turning_points(pot)``, solved
-    here unless the caller already holds it."""
+    here unless the caller already holds it.  ``_value_only``, for
+    ``u_values``, carries s alone: the same s, and NaN derivatives."""
     if tp is None:
         tp = turning_points(pot)
     if min(abs(lam_match - r) for r in tp.roots) < 0.3 * _PATH_MARGIN * tp.min_separation:
         raise PathNearTurningPoint(
             f"match point {lam_match} too close to a turning point")
     waypoints = _path_to(tp, ray.start_point, complex(lam_match))
-    s, ds_da, ds_db = _integrate_s_inward(pot, ray, waypoints, rtol)
+    if _value_only:
+        s = _integrate_s_inward(pot, ray, waypoints, rtol, value_only=True)
+        ds_da = ds_db = complex(math.nan, math.nan)
+    else:
+        s, ds_da, ds_db = _integrate_s_inward(pot, ray, waypoints, rtol)
     return LogDerivativeSample(lam=complex(lam_match), s=s, k=ray.k,
                                ds_da=ds_da, ds_db=ds_db)
 
@@ -562,14 +582,16 @@ def u_values(pot: Potential, samples: dict,
 
     The legs of rays 2 and -2 come from ``samples``, filled by a
     ``dependence_residual`` pass at this potential with the same ``rtol``;
-    only the ray-0 leg is integrated here.
+    only the ray-0 leg is integrated here, on the value-only charts, since
+    only its s is read.
     """
     tp = turning_points(pot)
     lam = match_point(tp)
     radius = 6.0 * tp.scale if eval_radius is None else float(eval_radius)
     if samples[2].lam != lam or samples[-2].lam != lam:
         raise ValueError("samples were taken at another match point")
-    s = {0: psi_logderivative(pot, ray_spec(pot, 0), lam, rtol, tp=tp).s,
+    s = {0: psi_logderivative(pot, ray_spec(pot, 0), lam, rtol, tp=tp,
+                              _value_only=True).s,
          2: samples[2].s, -2: samples[-2].s}
     if abs(s[0] - s[2]) < 1e-10 or abs(s[0] - s[-2]) < 1e-10:
         raise DependentBasis(

@@ -19,7 +19,10 @@ Hairer's 8(5,3) pair with its combined 5th/3rd-order error estimate, built
 from scipy's coefficient tables.  ``s_chart``, ``r_chart``, ``pair_leg``
 and ``pi_leg`` are the closures the oscillator and the Painleve legs ran
 on it; on DOP853, ``pi_leg`` and ``pair_leg`` are the references for the
-Taylor legs that replaced them.
+Taylor legs that replaced them.  ``s_chart_hook`` and ``r_chart_hook``
+are the hooks that switched the inward legs' charts before the charts
+carried the test as their stop sources, and ``chart_loop_inward`` is the
+chart loop of those legs on them.
 ``closure_trace_stokes_lines`` is a frozen copy of the Stokes tracer
 whose tangent was a closure over ``branch_sqrt`` and whose hook projected
 each accepted point back onto Re int sqrt(V) dlam = 0, run on
@@ -322,6 +325,81 @@ def r_chart(pot: Potential, z0: complex, dz: complex):
                 (14.0 * r - vz * r_b) * r2dz)
 
     return f
+
+
+#: The hysteresis factor of the chart hooks below.
+_POLE_FACTOR = 50.0
+
+
+def s_chart_hook(pot: Potential, z0: complex, dz: complex):
+    """The s chart's hook on the leg z0 + t dz: stop where
+    |s| > 50 (1 + |V|^(1/2)), to switch to the r chart."""
+    def on_accept(t, y):
+        s_abs = abs(y[0])
+        if s_abs <= _POLE_FACTOR:
+            return complex_ode.CONTINUE
+        z = z0 + t * dz
+        if s_abs > _POLE_FACTOR * (1.0 + abs(pot(z)) ** 0.5):
+            return complex_ode.STOP
+        return complex_ode.CONTINUE
+
+    return on_accept
+
+
+def r_chart_hook(pot: Potential, z0: complex, dz: complex):
+    """The r chart's hook on the same leg: stop where
+    |r| (1 + |V|^(1/2)) > 2 / 50, to switch back to the s chart."""
+    def on_accept(t, y):
+        z = z0 + t * dz
+        if abs(y[0]) * (1.0 + abs(pot(z)) ** 0.5) > 2.0 / _POLE_FACTOR:
+            return complex_ode.STOP
+        return complex_ode.CONTINUE
+
+    return on_accept
+
+
+def _invert(y):
+    inv = 1.0 / y[0]
+    inv2 = inv * inv
+    return (inv, -y[1] * inv2, -y[2] * inv2)
+
+
+def chart_loop_inward(pot: Potential, ray: RaySpec, waypoints, rtol: float):
+    """(s, ds/da, ds/db) at the end of ``waypoints``: the inward legs'
+    chart loop with its hooks, on ``closure_integrate`` with ``s_chart``
+    and ``r_chart``.  The legs start where ``_adiabatic_handoff`` hands
+    over, and every stop of a leg is a chart switch."""
+    charts = {"s": (s_chart, s_chart_hook, "r"),
+              "r": (r_chart, r_chart_hook, "s")}
+    value, remaining = _adiabatic_handoff(pot, ray, waypoints)
+    chart = "s"
+    idx = 0
+    z_cur = remaining[0]
+    guard = 0
+    while idx < len(remaining) - 1:
+        guard += 1
+        if guard > 600:
+            raise OdeToleranceNotMet("chart switching did not settle")
+        z0, z1 = z_cur, remaining[idx + 1]
+        dz = z1 - z0
+        if dz == 0:
+            idx += 1
+            continue
+        rhs, hook, other = charts[chart]
+        on_accept = hook(pot, z0, dz)
+        res = closure_integrate(rhs(pot, z0, dz), 0.0, 1.0, value, rtol=rtol,
+                                atol=1e-13,
+                                on_accept=lambda t, y: (y, on_accept(t, y)),
+                                error_dims=1)
+        value = res.y
+        z_cur = z0 + res.t * dz
+        if not res.stopped:
+            idx += 1
+            z_cur = z1
+            continue
+        value = _invert(value)
+        chart = other
+    return _invert(value) if chart == "r" else value
 
 
 def pair_leg(pot: Potential, z0: complex, dz: complex):

@@ -180,6 +180,66 @@ def test_stop_ends_the_run():
     assert 0.5 < res.t < 3.0
 
 
+@pytest.mark.parametrize("y0", [0.3 - 0.2j, (0.3 - 0.2j, 1.0)],
+                         ids=["scalar", "tuple"])
+def test_stop_source_ends_the_run_as_the_hook_does(y0):
+    """A stop source ends the run where a hook making the same test
+    returns STOP, with the same end; it runs before ``on_accept``, which
+    does not see the step it stops on."""
+    source = ("F0 = c - Y0 * Y0 + T * Y0" if isinstance(y0, complex)
+              else "F0 = c - Y0 * Y0 + T * Y0\nF1 = -Y1")
+    stop = "A = abs(Y0)\nSTOP = A > 1.0 and T > 0.2"
+    seen = []
+
+    def hook(t, y):
+        seen.append(t)
+        return complex_ode.CONTINUE
+
+    def testing(t, y):
+        y0 = y if isinstance(y, complex) else y[0]
+        return complex_ode.STOP if abs(y0) > 1.0 and t > 0.2 else hook(t, y)
+
+    by_stop = complex_ode.integrate(complex_ode.Rhs(("c",), source, stop),
+                                    0.0, 3.0, y0, on_accept=hook,
+                                    args=(1.5j,))
+    by_hook_seen = seen[:]
+    seen.clear()
+    by_hook = complex_ode.integrate(complex_ode.Rhs(("c",), source), 0.0,
+                                    3.0, y0, on_accept=testing, args=(1.5j,))
+    assert by_stop == by_hook
+    assert by_stop.stopped and 0.2 < by_stop.t < 3.0
+    assert by_hook_seen == seen and len(seen) == by_stop.n_steps - 1
+
+
+@pytest.mark.parametrize("stop", ["STOP = _c > 1.0", "HALT = True"],
+                         ids=["kernel name", "no STOP"])
+def test_malformed_stop_source_rejected(stop):
+    with pytest.raises(ValueError):
+        complex_ode.integrate(complex_ode.Rhs((), "F0 = Y0", stop), 0.0,
+                              1.0, 1.0)
+
+
+_PART_VALUES = (0.0, -0.0, 1.5, -2.25, 1e-310, math.inf, -math.inf,
+                math.nan)
+
+
+@pytest.mark.parametrize("c", [0.2, -3.7, 0.0, -0.0, 5e-324])
+def test_float_operands_promote_to_complex(c):
+    """The DP5(4) kernel and the oscillator's charts write their float
+    constants and the step as complex operands, which keeps every value's
+    bits only where a float operand of a complex operation is promoted to
+    complex(c, 0.0) first, as CPython 3.10 to 3.13 do.  Python 3.14's
+    mixed-mode arithmetic works on the real operand's one part, which
+    changes results with signed zeros, infinities and NaNs; this test then
+    fails first, with the reason."""
+    for re, im in ((re, im) for re in _PART_VALUES for im in _PART_VALUES):
+        z = complex(re, im)
+        promoted = complex(c)
+        assert oracles.bits([c * z]) == oracles.bits([promoted * z]), z
+        assert oracles.bits([z * c]) == oracles.bits([z * promoted]), z
+        assert oracles.bits([c + z]) == oracles.bits([promoted + z]), z
+
+
 @pytest.mark.parametrize("t1", [0.0, -1.0])
 def test_empty_span_rejected(t1):
     with pytest.raises(ValueError):

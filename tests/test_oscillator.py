@@ -9,9 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 from tritronquee import complex_ode, oscillator
 from tritronquee.bsb import QuantumPair, descendant, solve_bsb
 from tritronquee.elliptic import Potential, facing_sqrt, turning_points
-from tritronquee.errors import (NewtonDiverged, OdeToleranceNotMet,
-                                OutsideDisc, PathNearTurningPoint,
-                                StepUnderflow)
+from tritronquee.errors import (NewtonDiverged, NumericalError,
+                                OdeToleranceNotMet, OutsideDisc,
+                                PathNearTurningPoint, StepUnderflow)
 from tritronquee.oscillator import (RaySpec, dependence_residual,
                                     match_point, psi_logderivative, ray_spec,
                                     refine_pole, u_values, _wkb_logderivative)
@@ -58,12 +58,21 @@ def _outcome(run):
 @given(a=_complex(3.0), b=_complex(1.0), z0=_complex(2.0), dz=_complex(1.5),
        state=st.tuples(_complex(2.0), _complex(2.0), _complex(2.0)),
        stop_at=st.floats(2.0, 100.0))
+# at V near 0 the state creeps through the switch thresholds, |s| = 50 on
+# the s chart and |r| = 0.04 on the r chart, over many steps, so a
+# threshold that is off moves the stop
+@example(a=0j, b=0j, z0=0j, dz=0.001 + 0j, state=(-49 + 0j, 0j, 0j),
+         stop_at=100.0)
+@example(a=0j, b=0j, z0=0j, dz=0.01 + 0j, state=(0.039 + 0j, 0j, 0j),
+         stop_at=100.0)
 def test_inlined_legs_match_the_closure_path(leg, a, b, z0, dz, state,
                                              stop_at):
-    """Each right-hand side written into the generated kernel takes the
-    steps and values of the closure it replaced on the old integrator
-    (frozen in ``oracles``, whose hook hands back the state with the
-    action), bit for bit, including its failures."""
+    """Each right-hand side written into the generated kernel, with its
+    stop source, takes the steps and values of the closure it replaced on
+    the old integrator with the chart loop's hook (both frozen in
+    ``oracles``, whose hook hands back the state with the action), bit
+    for bit, including its failures.  Both also run the test's own hook;
+    the stop source runs before it."""
     stop = _stopping_hook(stop_at)
     pot = Potential(a, b)
     rtol = 1e-10
@@ -76,13 +85,61 @@ def test_inlined_legs_match_the_closure_path(leg, a, b, z0, dz, state,
             max_steps=3000, args=oscillator._leg_args(pot, z0, dz))
 
     def closure_path():
-        closure = {"s-chart": oracles.s_chart, "r-chart": oracles.r_chart}[leg]
+        closure, hook = {
+            "s-chart": (oracles.s_chart, oracles.s_chart_hook),
+            "r-chart": (oracles.r_chart, oracles.r_chart_hook)}[leg]
+        switch = hook(pot, z0, dz)
+
+        def on_accept(t, y):
+            if switch(t, y) == complex_ode.STOP:
+                return y, complex_ode.STOP
+            return y, stop(t, y)
+
         return oracles.closure_integrate(
             closure(pot, z0, dz), 0.0, 1.0, state, rtol=rtol, atol=1e-13,
-            on_accept=lambda t, y: (y, stop(t, y)), max_steps=3000,
-            error_dims=1)
+            on_accept=on_accept, max_steps=3000, error_dims=1)
 
     assert _outcome(new_path) == _outcome(closure_path)
+
+
+def _inward_outcome(pot, k, lam, value_only=False):
+    """The bits of (s, ds/da, ds/db) of ``psi_logderivative``, of s alone
+    for its value-only leg, or its error."""
+    try:
+        x = psi_logderivative(pot, ray_spec(pot, k), lam,
+                              _value_only=value_only)
+    except (NumericalError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return bits([x.s] if value_only else [x.s, x.ds_da, x.ds_db])
+
+
+@settings(max_examples=30, deadline=None)
+@given(a=_complex(12.0), b=_complex(1.0), k=st.integers(-2, 2),
+       lam=_complex(3.0))
+# zeros of psi_0 on the real axis of (10, 0), as in
+# TestLogDerivative::test_blow_through_psi_zeros: the leg to 0.7 ends in the
+# r chart, the one to 1.7 passes into it and back
+@example(a=10 + 0j, b=0j, k=0, lam=0.7 + 0j)
+@example(a=10 + 0j, b=0j, k=0, lam=1.7 + 0j)
+# turning points of modulus 1e-36: no sample of the straight path passes
+# the hand-off threshold, so the WKB jet is taken at lam = 0 beside the
+# roots, where 8 V^2 w^2 underflows to 0, before any chart runs
+@example(a=0j, b=2.4236067487187673e-110j, k=0, lam=0j)
+def test_compiled_chart_switch_matches_the_chart_loop(a, b, k, lam):
+    """An inward leg whose charts switch by their stop sources gives the
+    chart loop with the hooks (frozen in ``oracles``) bit for bit, errors
+    included (numerical ones and the hand-off's arithmetic ones), and the
+    value-only leg gives its s."""
+    pot = Potential(a, b)
+    compiled = _inward_outcome(pot, k, lam)
+    value_only = _inward_outcome(pot, k, lam, value_only=True)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oscillator, "_integrate_s_inward",
+                      oracles.chart_loop_inward)
+        frozen = _inward_outcome(pot, k, lam)
+    assert compiled == frozen
+    assert value_only == (compiled[:1] if isinstance(compiled, list)
+                          else compiled)
 
 
 def _psi_pair_outcome(leg, state, pot, z0, dz, stop_at):
@@ -191,17 +248,31 @@ class TestLogDerivative:
             s_lin = linear_logderivative(pot, tp, rs, lam)
             assert abs(s_ric - s_lin) < 1e-8 * abs(s_ric)
 
-    def test_blow_through_psi_zeros(self):
+    def test_blow_through_psi_zeros(self, monkeypatch):
         """On the real axis of (10, 0) the recessive solution oscillates, so
-        the log-derivative passes through poles; the inverse chart carries
-        the flow across and the linear oracle confirms the value."""
+        the log-derivative passes through poles.  The leg to 1.7 runs
+        from the edge of the disc about sqrt(5) through a zero of psi, and
+        the inverse chart carries the flow across (two chart switches);
+        the leg to 0.7 ends near a zero, in the inverse chart (one).  The
+        linear oracle confirms both values."""
+        stops = []
+        integrate = complex_ode.integrate
+
+        def counting(*args, **kwargs):
+            res = integrate(*args, **kwargs)
+            stops.append(res.stopped)
+            return res
+
+        monkeypatch.setattr(complex_ode, "integrate", counting)
         pot = Potential(10.0, 0.0)
         tp = turning_points(pot)
-        lam = 1.1
         rs = ray_spec(pot, 0)
-        s_ric = psi_logderivative(pot, rs, lam).s
-        s_lin = linear_logderivative(pot, tp, rs, lam)
-        assert abs(s_ric - s_lin) < 1e-8 * max(1.0, abs(s_ric))
+        for lam, switches in ((1.7, 2), (0.7, 1)):
+            stops.clear()
+            s_ric = psi_logderivative(pot, rs, lam).s
+            assert sum(stops) == switches
+            s_lin = linear_logderivative(pot, tp, rs, lam)
+            assert abs(s_ric - s_lin) < 1e-8 * max(1.0, abs(s_ric))
 
     def test_match_point_near_turning_point_rejected(self, anchor):
         pot = _pot(anchor.point)
@@ -325,7 +396,6 @@ class TestRefinePole:
         3, the certificate is 1.03e-9 (1 + |a|), just above the gate.
         Every entry is within 1e-8 of route 3, or a named error, never the
         unmoved seed returned as a pole."""
-        from tritronquee.errors import NumericalError
         from tritronquee.painleve import seed_asymptotic, track
 
         _, route3 = track(seed_asymptotic(40.0), [40.0, -42.0])
@@ -540,7 +610,8 @@ class TestUValues:
 
         def counting(*args):
             res = leg(*args)
-            steps.append(res.n_steps)
+            if args[0] is oscillator._PSI_PAIR:
+                steps.append(res.n_steps)
             return res
 
         def rescale_only(t, y):
@@ -558,6 +629,35 @@ class TestUValues:
         u_on = u_values(pot, samples)
         assert max(abs(x - y) for x, y in zip(u, u_on)) <= 5e-15
         assert sum(steps) > 1000
+
+    def test_value_only_ray_0_leg(self, q1_sequence, coprime_primitives,
+                                  monkeypatch):
+        """At the q = 1 seeds k = 0..4 and the (2, 1) seeds k = 0..2 the
+        ray-0 leg on the value-only charts gives the s of the
+        3-component leg bit for bit, and ``u_values`` the values it gives
+        on the 3-component leg."""
+        primitive = coprime_primitives[QuantumPair(2, 1)]
+        seeds = list(q1_sequence) + [descendant(primitive, k) if k
+                                     else primitive for k in range(3)]
+        psi = oscillator.psi_logderivative
+
+        def three_components(*args, _value_only=False, **kwargs):
+            return psi(*args, **kwargs)
+
+        for seed in seeds:
+            pot = _pot(seed.point)
+            tp = turning_points(pot)
+            lam = match_point(tp)
+            ray = ray_spec(pot, 0)
+            leg = psi(pot, ray, lam, tp=tp, _value_only=True)
+            assert bits([leg.s]) == bits([psi(pot, ray, lam, tp=tp).s])
+            assert cmath.isnan(leg.ds_da) and cmath.isnan(leg.ds_db)
+            samples = _samples(pot)
+            u = u_values(pot, samples)
+            with monkeypatch.context() as patch:
+                patch.setattr(oscillator, "psi_logderivative",
+                              three_components)
+                assert u_values(pot, samples) == u
 
     @pytest.mark.parametrize("k, bound", [(0, 5e-14), (2, 2e-11), (4, 1e-8)])
     def test_against_dop853_reference(self, q1_sequence, k, bound,
@@ -588,6 +688,8 @@ class TestUValues:
 
         def watching(*args):
             res = leg(*args)
+            if args[0] is not oscillator._PSI_PAIR:
+                return res
             pa, dpa, pb, dpb = res.y
             if res.stopped and abs(pb) <= oscillator._RESCALE:
                 ends.append(dpa / pa == dpb / pb)
