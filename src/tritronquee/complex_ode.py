@@ -83,10 +83,30 @@ right-hand side can read.
 one template (``_taylor_source``) that writes the loop, the step control,
 the errors and the Horner advance.  Two equations run on it, both second
 order with each state value a series' value or derivative: ``painleve``'s
-y'' = 6 y^2 - z (244 steps from 40 to -12, where DOP853 took 2,033 and
-DP54 16,247) and the oscillator's outward legs, two solutions of
-psi'' = V psi with V cubic (936 steps per ``catalog`` pass).  Its hook
-sees the state.
+y'' = 6 y^2 - z (244 steps from 40 to -12, 211 in ``track`` and 33 in
+the seed's cross-check, where DOP853 took 2,033 and DP54 16,247) and the
+oscillator's outward legs, two solutions of psi'' = V psi with V cubic
+(936 steps per ``catalog`` pass).  Its hook sees the state, as floats
+on a real leg.
+
+A Taylor kernel computes in one of two number types, ``complex`` or
+``float``; the one generated text that depends on the type is the
+literal that starts a sum, ``ZERO`` in a recurrence (``0j`` or ``0.0``).
+``taylor_leg`` runs the float kernel on the real parts when every input
+is real: z0, dz, each state value and each parameter has the imaginary
+part +0.0, and no part is -0.0.  Any other input runs the complex
+kernel.  The bits match because a complex operation on zero imaginary
+parts gives the float result as its real part: a product's real part is
+xr yr - xi yi = xr yr - (+-0), a sum's xr + yr, ``abs`` gives |xr|, and
+a float or int operand is promoted to complex(x, 0.0) (on Python 3.14
+multiplied part by part).  Each state value ends in a sum with the
+previous value, or with 1 times it, so its imaginary part stays +0.0.
+On finite values the two kernels could differ only in the sign of a
+component that is exactly zero, so the float kernel keeps the complex
+kernel's operations in the same order; a coefficient that is not finite
+raises the same error in both.  On random legs and on grids of signed
+zeros they differed only where an input had a part -0.0, which is why
+such an input runs complex.  Checked on CPython 3.10 to 3.13.
 """
 
 from __future__ import annotations
@@ -470,7 +490,8 @@ class TaylorEquation:
       constants that the leg takes after ``z0, dz``.
     - ``recurrence``: source lines that set the Taylor coefficients
       ``<c>0`` .. ``<c>N``, N = ``TAYLOR_ORDER``, of each series c about
-      the point ``zc`` from the state and the parameters.
+      the point ``zc`` from the state and the parameters.  They may read
+      ``ZERO``, the zero of the kernel's number type.
     - ``sources``: for each state value, its series and 0 if it is the
       series' value, 1 if its derivative.
     - ``guard``: the series whose terms N-4..N-2 bound the step where its
@@ -573,12 +594,19 @@ def leg({args}, rtol, on_accept):
 """
 
 
-def _taylor_source(eq: TaylorEquation, name: str) -> str:
+#: The number types of a Taylor kernel and the literal of each one's zero.
+_ZERO = {complex: "0j", float: "0.0"}
+
+
+def _taylor_source(eq: TaylorEquation, name: str,
+                   number: type = complex) -> str:
     """Source of the generated function ``name`` of ``eq`` at order
-    ``TAYLOR_ORDER``: ``coefficients(*state, zc, *params) -> (the
-    coefficients of each series)``, ``evaluate(coefs, s) -> state`` or
-    ``leg(*state, z0, dz, *params, rtol, on_accept) -> (t, state, stopped,
-    n_steps)``."""
+    ``TAYLOR_ORDER`` in the number type ``number``: ``coefficients(*state,
+    zc, *params) -> (the coefficients of each series)``, ``evaluate(coefs,
+    s) -> state`` or ``leg(*state, z0, dz, *params, rtol, on_accept) -> (t,
+    state, stopped, n_steps)``."""
+    zero = _ZERO[number]
+    recurrence = [re.sub(r"\bZERO\b", zero, line) for line in eq.recurrence]
     n = TAYLOR_ORDER
     state = ", ".join(eq.state)
     values = ", ".join(_horner(c, n, d) for c, d in eq.sources)
@@ -586,22 +614,33 @@ def _taylor_source(eq: TaylorEquation, name: str) -> str:
     coefs = ", ".join(f"{c}{k}" for c in series for k in range(n + 1))
     if name == "coefficients":
         return (f"def coefficients({', '.join(eq.state + ('zc',) + eq.params)}"
-                f"):\n{_block(eq.recurrence, 1)}\n    return ({coefs},)\n")
+                f"):\n{_block(recurrence, 1)}\n    return ({coefs},)\n")
     if name == "evaluate":
         return (f"def evaluate(coefs, s):\n    {coefs}, = coefs\n"
                 f"    return {values}\n")
     return _TAYLOR_TEMPLATE.format(
         args=", ".join(eq.state + ("z0", "dz") + eq.params),
         target=TAYLOR_TARGET, max_steps=TAYLOR_MAX_STEPS,
-        coefficients=_block(eq.recurrence, 2),
+        coefficients=_block(recurrence, 2),
         control=_block(_step_control(eq, n), 2), state=state, values=values)
 
 
 @functools.cache
-def taylor_kernel(eq: TaylorEquation, name: str):
-    """The generated function ``name`` (``_taylor_source``) of ``eq``,
-    compiled on first use."""
-    return _compile(_taylor_source(eq, name), name)
+def taylor_kernel(eq: TaylorEquation, name: str, number: type = complex):
+    """The generated function ``name`` (``_taylor_source``) of ``eq`` in the
+    number type ``number``, ``complex`` or ``float``, compiled on first
+    use."""
+    return _compile(_taylor_source(eq, name, number), name)
+
+
+def _real_parts(values: list[complex]) -> list[float] | None:
+    """The real parts of ``values`` if each is real, with the imaginary
+    part +0.0 and no part -0.0; None otherwise."""
+    for v in values:
+        if (v.imag or math.copysign(1.0, v.imag) < 0.0
+                or not v.real and math.copysign(1.0, v.real) < 0.0):
+            return None
+    return [v.real for v in values]
 
 
 def taylor_leg(eq: TaylorEquation, y0, z0: complex, dz: complex,
@@ -628,7 +667,17 @@ def taylor_leg(eq: TaylorEquation, y0, z0: complex, dz: complex,
     limit ``OdeToleranceNotMet``.  The whole leg is one generated function
     (``taylor_kernel``): the recurrence, the step control and the Horner
     sums are straight-line code over locals.
+
+    The inputs y0, z0, dz and ``args`` are taken as complex.  When each is
+    real (the module docstring states the rule), the leg runs the float
+    kernel on the real parts, bit for bit, and ``on_accept`` sees the state
+    as the floats the leg carries; otherwise it sees complex values.  The
+    result holds complex values either way.
     """
-    t, y, stopped, n = taylor_kernel(eq, "leg")(
-        *[complex(v) for v in y0], z0, dz, *args, rtol, on_accept)
-    return IntegrationResult(t, y, stopped, n)
+    values = [complex(v) for v in (*y0, z0, dz, *args)]
+    real = _real_parts(values)
+    if real is None:
+        t, y, stopped, n = taylor_kernel(eq, "leg")(*values, rtol, on_accept)
+        return IntegrationResult(t, y, stopped, n)
+    t, y, stopped, n = taylor_kernel(eq, "leg", float)(*real, rtol, on_accept)
+    return IntegrationResult(t, tuple(map(complex, y)), stopped, n)

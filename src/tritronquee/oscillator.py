@@ -141,6 +141,8 @@ def _wkb_jet(pot: Potential, z: complex, w: complex):
 
     Differentiates ``_wkb_logderivative`` with dV/da = -2z, dV'/da = -2,
     dV/db = -28, dV'/db = 0, V'' independent of (a, b) and dw = dV / (2w).
+    Beside a turning point V^2 w^2 can underflow: a division by zero
+    there, or a jet that is not finite, raises ``PathNearTurningPoint``.
     """
     v = pot(z)
     vp = pot.deriv(z)
@@ -153,7 +155,15 @@ def _wkb_jet(pot: Potential, z: complex, w: complex):
                 + 5.0 * vp * (2.0 * dvp * v * w - vp * (2.0 * dv * w + v * dw))
                 / (32.0 * v * v * v * w * w))
 
-    return _wkb_logderivative(pot, z, w), d(-2.0 * z, -2.0), d(-28.0, 0.0)
+    try:
+        jet = (_wkb_logderivative(pot, z, w), d(-2.0 * z, -2.0),
+               d(-28.0, 0.0))
+    except ZeroDivisionError:
+        jet = None
+    if jet is None or not all(map(cmath.isfinite, jet)):
+        raise PathNearTurningPoint(f"WKB hand-off at {z}: the jet is not "
+                                   f"finite")
+    return jet
 
 
 def _eps_wkb(pot: Potential, z: complex) -> float:

@@ -7,8 +7,9 @@ series: the right-hand side is a quadratic polynomial, so the coefficients
 about any point follow exactly from an O(N^2) recurrence, and one step of
 order 20 spans about a ninth of the distance to the nearest pole (the
 local-series approach of Fornberg & Weideman, J. Comput. Phys. 230, 2011).
-From 40 to -12, through four poles, that is 244 steps where the
-8th-order DOP853 Runge-Kutta pair took 2,033.  Movable double poles are
+From 40 to -12, through four poles, that is 244 steps (211 in ``track``
+and 33 in the seed's cross-check) where the 8th-order DOP853 Runge-Kutta
+pair took 2,033.  Movable double poles are
 detected from the blow-up of y, fitted in the local Laurent frame
 
     y = (z-a)^(-2) + (a/10)(z-a)^2 + (1/6)(z-a)^3 + b (z-a)^4 + ...
@@ -20,11 +21,15 @@ Both inner loops run as straight-line code, generated as source and
 compiled by ``complex_ode._compile``, the one compile path of the package.
 A Taylor leg is ``complex_ode.taylor_leg`` on ``_PI``, this equation
 given as data, the generator the oscillator's outward legs run on
-too: each step computes a_0..a_20 by the recurrence, 98 complex products
-and 17 scalings, then the step control and the Horner sums of y and y',
-all over local variables; it costs about 16 us on a 2-vCPU Xeon under
-Python 3.11.  A ``LaurentTable`` compiles its own ``eval_frame``
-body, since its order is a config key.  Every operation runs in the order
+too: each step computes a_0..a_20 by the recurrence, 98 products and 17
+scalings, then the step control and the Horner sums of y and y', all
+over local variables.  On the real axis, where the state, z0 and dz are
+real, the leg runs in float arithmetic, bit for bit: a step costs about
+4.6 us there and 11 us in complex arithmetic on a 2-vCPU Xeon under
+Python 3.11.  ``track`` hands the next leg a pole's exit state with
+imaginary parts +0.0, so every leg of a real track runs in floats.  A
+``LaurentTable`` compiles its own ``eval_frame`` body, since its order
+is a config key, and stays complex.  Every operation runs in the order
 of the loops these replaced, which the tests keep as frozen references, so
 every pole, b, fit residual and dense point is the same bit for bit.
 """
@@ -263,15 +268,16 @@ def _coefficient_lines(n: int) -> tuple[str, ...]:
 
         (k+1)(k+2) a_{k+2} = 6 sum_{i+j=k} a_i a_j - [k=0] zc - [k=1],
 
-    with the convolution summed from 0j over its symmetric half, left to
-    right, doubled, and its middle square added for even k.
+    with the convolution summed from ``ZERO`` (the kernel's zero, 0j or
+    0.0) over its symmetric half, left to right, doubled, and its middle
+    square added for even k.
     """
     lines = ["a0 = y", "a1 = yp", "a2 = 3.0 * y * y - 0.5 * zc",
              "a3 = 2.0 * y * yp - 1.0 / 6.0"]
     for k in range(2, n - 1):
         half = " + ".join(f"a{i} * a{k - i}" for i in range((k + 1) // 2))
         conv = "c + c" + (f" + a{k // 2} * a{k // 2}" if k % 2 == 0 else "")
-        lines += [f"c = 0j + {half}",
+        lines += [f"c = ZERO + {half}",
                   f"a{k + 2} = ({conv}) * {6.0 / ((k + 1) * (k + 2))!r}"]
     return tuple(lines)
 
@@ -424,8 +430,11 @@ def track(state: TritronqueeState, waypoints, fit_radius: float = FIT_RADIUS,
         def on_accept(t, y, z0=z0, dz=dz):
             z = z0 + t * dz
             if record_to is not None:
-                record_to.extend(_dense_points(*step_start, z, y))
-                step_start[:] = z, y
+                # a leg on the real axis carries floats; the trail keeps
+                # complex values
+                y_c = (complex(y[0]), complex(y[1]))
+                record_to.extend(_dense_points(*step_start, z, y_c))
+                step_start[:] = z, y_c
             ay = abs(y[0])
             if ay < 8.0 or abs(y[1]) == 0.0:
                 return complex_ode.CONTINUE
@@ -469,7 +478,9 @@ def track(state: TritronqueeState, waypoints, fit_radius: float = FIT_RADIUS,
         z_exit = a2 - (z_b - a2)
         yF, ypF, *_ = table.eval_frame(a2, b2, z_exit)
         z_cur = z_exit
-        y_cur = (yF, ypF)
+        # on the real axis the frame leaves imaginary parts -0.0; with
+        # +0.0 the next leg runs in real arithmetic (``taylor_leg``)
+        y_cur = tuple(complex(v.real, v.imag + 0.0) for v in (yF, ypF))
         # if the exit overshoots the current leg, move to the next one
         t_exit = ((z_exit - z0) / dz).real
         if t_exit >= 1.0:

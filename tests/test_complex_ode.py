@@ -4,9 +4,9 @@ import math
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from tritronquee import complex_ode
+from tritronquee import complex_ode, oscillator, painleve
 from tritronquee.errors import OdeToleranceNotMet, StepUnderflow
 
 import oracles
@@ -293,3 +293,126 @@ def test_single_taylor_integrator():
         elif isinstance(node, ast.Import):
             imported |= {a.name for a in node.names}
     assert not any("painleve" in name for name in imported), imported
+
+
+# ---------------------------------------------------------------------------
+# Taylor legs on the real axis
+
+
+def _reals(low, high):
+    """Floats in [low, high] and both signed zeros."""
+    return st.one_of(st.sampled_from([0.0, -0.0]),
+                     st.floats(low, high, allow_nan=False))
+
+
+def _has_negative_zero(values):
+    return any(v == 0 and math.copysign(1.0, v) < 0 for v in values)
+
+
+def _taylor_outcome(run, stop_at):
+    """What a Taylor leg does: the (t, state) its hook sees at every step
+    and the types of the state values, then its end (t, state, stop, step
+    count) or its error by type and message."""
+    seen, types = [], set()
+
+    def on_accept(t, y):
+        seen.append((t, oracles.bits([complex(v) for v in y])))
+        types.update(type(v) for v in y)
+        if abs(y[0]) > stop_at:
+            return complex_ode.STOP
+        return complex_ode.CONTINUE
+
+    try:
+        t, y, stopped, n = run(on_accept)
+    except (OdeToleranceNotMet, StepUnderflow) as exc:
+        return seen, types, (type(exc), str(exc))
+    return seen, types, (t, oracles.bits(y), stopped, n)
+
+
+def _assert_real_leg_matches_complex_kernel(eq, y0, z0, dz, rtol, stop_at,
+                                            args=()):
+    """``taylor_leg`` on real inputs against the complex kernel on the same
+    values as complex: equal hook values at every step and an equal end,
+    bit for bit.  Its hook sees floats unless an input has a part -0.0."""
+    def real(on_accept):
+        res = complex_ode.taylor_leg(eq, y0, z0, dz, rtol, on_accept, args)
+        return res.t, res.y, res.stopped, res.n_steps
+
+    def reference(on_accept):
+        return complex_ode.taylor_kernel(eq, "leg")(
+            *[complex(v) for v in (*y0, z0, dz, *args)], rtol, on_accept)
+
+    seen, types, end = _taylor_outcome(real, stop_at)
+    ref_seen, ref_types, ref_end = _taylor_outcome(reference, stop_at)
+    assert seen == ref_seen
+    assert end == ref_end
+    assert ref_types <= {complex}
+    if seen:
+        assert types == ({complex} if _has_negative_zero((*y0, z0, dz, *args))
+                         else {float})
+
+
+_RTOLS = st.sampled_from([1e-14, 1e-12, 1e-10, 1e-8])
+_STOPS = st.sampled_from([1e3, 1e8, math.inf])
+#: ``seed_asymptotic(40.0)``'s state, where ``track`` starts
+_SEED_40 = (-2.5820019166970036, -0.03227421035757117)
+
+
+@settings(max_examples=60, deadline=None)
+@given(y0=st.tuples(_reals(-10.0, 10.0), _reals(-10.0, 10.0)),
+       z0=_reals(-20.0, 40.0), dz=_reals(-30.0, 30.0), rtol=_RTOLS,
+       stop_at=_STOPS)
+# the track start: 40 -> -12 stops at the first pole, or without a hook
+# ends in StepUnderflow there
+@example(y0=_SEED_40, z0=40.0, dz=-52.0, rtol=1e-13, stop_at=1e3)
+@example(y0=_SEED_40, z0=40.0, dz=-52.0, rtol=1e-13, stop_at=math.inf)
+# the fixed point of y(z) -> w^2 y(w z): a_19 = a_20 = 0 at every step
+@example(y0=(0.0, 0.0), z0=0.0, dz=1.0, rtol=1e-13, stop_at=math.inf)
+def test_real_painleve_leg_matches_complex_kernel(y0, z0, dz, rtol, stop_at):
+    _assert_real_leg_matches_complex_kernel(painleve._PI, y0, z0, dz, rtol,
+                                            stop_at)
+
+
+@settings(max_examples=60, deadline=None)
+@given(y0=st.tuples(*[_reals(-3.0, 3.0)] * 4), z0=_reals(-4.0, 4.0),
+       dz=_reals(-4.0, 4.0), a=_reals(-3.0, 3.0), b=_reals(-1.0, 1.0),
+       rtol=_RTOLS, stop_at=_STOPS)
+# a = b = 0 at z = 0: psi_A alone bounds the step
+@example(y0=(1.0, 0.0, 0.0, 1.0), z0=0.0, dz=1.0, a=0.0, b=0.0, rtol=1e-12,
+         stop_at=math.inf)
+def test_real_psi_pair_leg_matches_complex_kernel(y0, z0, dz, a, b, rtol,
+                                                 stop_at):
+    _assert_real_leg_matches_complex_kernel(
+        oscillator._PSI_PAIR, y0, z0, dz, rtol, stop_at, (2.0 * a, 28.0 * b))
+
+
+#: an outward leg's state (psi_A, psi_A', psi_B, psi_B'), z0, dz, 2a and 28b
+_PSI_PAIR_INPUTS = (1.0, 0.5, 1.0, -0.5, 0.25, 1.0, 2.0, -0.5)
+
+
+@pytest.mark.parametrize("index", range(len(_PSI_PAIR_INPUTS)))
+@pytest.mark.parametrize("perturb", [
+    lambda v: v + 5e-324j, lambda v: complex(v, -0.0),
+    lambda v: complex(-0.0, 0.0)],
+    ids=["imag-5e-324", "imag-minus-0", "real-minus-0"])
+def test_real_inputs_select_the_float_kernel(index, perturb):
+    """A leg whose inputs are all real runs the float kernel, and its hook
+    sees floats; an imaginary part of 5e-324, or a part -0.0, in any of
+    y0, z0, dz or the parameters runs the complex kernel."""
+    def hook_types(inputs):
+        types = set()
+
+        def on_accept(t, y):
+            types.update(type(v) for v in y)
+            return complex_ode.STOP
+
+        res = complex_ode.taylor_leg(oscillator._PSI_PAIR, inputs[:4],
+                                     inputs[4], inputs[5], 1e-12, on_accept,
+                                     inputs[6:])
+        assert all(type(v) is complex for v in res.y)
+        return types
+
+    assert hook_types(_PSI_PAIR_INPUTS) == {float}
+    inputs = list(_PSI_PAIR_INPUTS)
+    inputs[index] = perturb(inputs[index])
+    assert hook_types(tuple(inputs)) == {complex}

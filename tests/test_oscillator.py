@@ -218,6 +218,22 @@ class TestRaySpec:
             ray_spec(_pot(anchor.point), 3)
 
 
+@pytest.mark.parametrize("pot, z", [
+    # the end-of-path hand-off at lam = 0 beside roots of modulus 1e-36,
+    # where 8 V^2 w^2 underflows to 0
+    (Potential(0j, 2.4236067487187673e-110j), None),
+    # V^2 overflows
+    (Potential(0j, 0j), 1e150 + 0j)])
+def test_wkb_jet_that_is_not_finite_is_named(pot, z):
+    """A WKB jet that divides by zero or is not finite raises
+    ``PathNearTurningPoint``, not ``ZeroDivisionError``."""
+    with pytest.raises(PathNearTurningPoint, match="jet is not finite"):
+        if z is None:
+            psi_logderivative(pot, ray_spec(pot, 0), 0j)
+        else:
+            oscillator._wkb_jet(pot, z, 1.0 + 0j)
+
+
 class TestLogDerivative:
     def test_initialization_is_wkb(self, anchor):
         """At the start point the value agrees with -(sqrt(V) + V'/(4V)) up

@@ -330,6 +330,23 @@ def test_route_three_work_count(monkeypatch):
     assert sum(steps) <= 400
 
 
+def test_real_track_runs_float_legs(monkeypatch):
+    """On the real axis every Taylor leg, the seed's cross-check and the
+    nine of ``track`` to -12, runs the float kernel, also after each pole,
+    whose Laurent frame leaves imaginary parts -0.0."""
+    numbers = []
+    kernel = complex_ode.taylor_kernel
+
+    def spy(eq, name, number=complex):
+        numbers.append(number)
+        return kernel(eq, name, number)
+
+    monkeypatch.setattr(complex_ode, "taylor_kernel", spy)
+    _, poles = track(seed_asymptotic(40.0), [40.0, -12.0])
+    assert len(poles) == 4
+    assert numbers == [float] * 10
+
+
 def test_track_many_waypoints():
     """249 legs that pass no pole: the guard bounds pole passes per leg,
     not the number of legs."""
