@@ -6,14 +6,17 @@ the period derivatives; it is ``elliptic``'s damped Newton, which route 2's
 dependence system runs on too: steps by Cramer's rule
 (``elliptic.solve_2x2``), halved until they lower the residual, and one
 polish step at the tolerance.  New quantum numbers are reached by a
-homotopy in the right-hand side starting from the real (1,1) solution,
-with targets at most 0.6 pi apart.  The homotopy is followed by Euler-Newton
-continuation (Allgower & Georg, Numerical Continuation Methods, 1990):
-one damped step per intermediate target (``elliptic.damped_step``), which
-is both the predictor for the new target and the corrector for the last
-one, and a Newton solve to the tolerance at the final target only
-(``elliptic.newton_2x2``).  Solutions with coprime odd integers generate
-whole q-sequences by exact rescaling.
+homotopy in the right-hand side from the real (1,1) solution to the
+targets divided by M = max(2n-1, 2m-1), within pi of the anchor's, with
+targets at most 0.6 pi apart, followed by Euler-Newton continuation
+(Allgower & Georg, Numerical Continuation Methods, 1990): one damped step
+per intermediate target (``elliptic.damped_step``), which is both the
+predictor for the new target and the corrector for the last one, and a
+Newton solve to the tolerance at the final target only
+(``elliptic.newton_2x2``).  The periods scale exactly, chi(x^2 a, x^3 b)
+= x^(5/2) chi(a, b), so the point rescaled by x^(5/2) = M is polished at
+the true targets, and solutions with coprime odd integers generate whole
+q-sequences.
 """
 
 from __future__ import annotations
@@ -88,13 +91,20 @@ def _period_system(target2: complex, targetm2: complex):
 
 
 def _homotopy_targets(quantum: QuantumPair):
-    """Straight-line homotopy of the right-hand side from the (1,1) anchor."""
-    d2 = quantum.odd_n * math.pi - math.pi
-    dm2 = quantum.odd_m * math.pi - math.pi
-    n_steps = max(1, int(math.ceil(max(d2, dm2) / (0.6 * math.pi))))
+    """Straight-line homotopy of the right-hand side from the (1,1) anchor
+    to i pi (2n-1, 2m-1) / M, M = max(2n-1, 2m-1): at most 2 targets."""
+    scale = max(quantum.odd_n, quantum.odd_m)
+    d2 = quantum.odd_n / scale * math.pi - math.pi
+    dm2 = quantum.odd_m / scale * math.pi - math.pi
+    n_steps = max(1, int(math.ceil(max(-d2, -dm2) / (0.6 * math.pi))))
     for i in range(1, n_steps + 1):
         t = i / n_steps
         yield 1j * (math.pi + d2 * t), 1j * (math.pi + dm2 * t)
+
+
+def _rescaled(point: ParamPoint, factor: float) -> ParamPoint:
+    """(factor^(4/5) a, factor^(6/5) b): periods times ``factor``."""
+    return ParamPoint(factor ** 0.8 * point.a, factor ** 1.2 * point.b)
 
 
 def solve_period_targets(targets, seed: ParamPoint,
@@ -121,17 +131,23 @@ def solve_bsb(quantum: QuantumPair, seed: ParamPoint | None = None,
     """Solve the quantization system for the given quantum numbers.
 
     Without an explicit seed, the (1,1) case starts from the known real
-    point and other cases continue from it along a homotopy in the
-    right-hand side: one Newton step per intermediate target, then Newton
-    to ``tol_newton`` and one polish step at the last one
-    (``solve_period_targets``).  An explicit seed has the final target
+    point and other cases continue from it along the homotopy to
+    i pi (2n-1, 2m-1) / M (``solve_period_targets``), and ``descendant``'s
+    rescale by M carries that point to the true targets, where Newton
+    runs with its polish step.  Solutions move by exact rescaling along
+    the ray between the two, so this reaches the branch of the straight
+    line from (i pi, i pi) unless the Jacobian is singular inside the
+    triangle the two routes span.  An explicit seed has the final target
     alone.  The converged point is checked to carry a "320" graph.
     """
-    if seed is not None:
-        targets = [(1j * math.pi * quantum.odd_n, 1j * math.pi * quantum.odd_m)]
-    else:
-        targets = list(_homotopy_targets(quantum))
+    if seed is None:
         seed = PRIMITIVE_11_SEED
+        scale = max(quantum.odd_n, quantum.odd_m)
+        if scale > 1:
+            point, _ = solve_period_targets(list(_homotopy_targets(quantum)),
+                                            seed, tol_newton)
+            seed = _rescaled(point, float(scale))
+    targets = [(1j * math.pi * quantum.odd_n, 1j * math.pi * quantum.odd_m)]
     point, res = solve_period_targets(targets, seed, tol_newton)
     if verify_graph:
         label = classify_graph(trace_stokes_lines(Potential(point.a, point.b)))
@@ -160,9 +176,7 @@ def descendant(primitive: BsbSolution, k: int) -> BsbSolution:
         raise ValueError("k must be a nonnegative integer")
     if k == 0:
         return primitive
-    factor = float(2 * k + 1)
-    point = ParamPoint(factor ** 0.8 * primitive.point.a,
-                       factor ** 1.2 * primitive.point.b)
+    point = _rescaled(primitive.point, float(2 * k + 1))
     pd = PeriodData.compute(Potential(point.a, point.b))
     target2 = 1j * math.pi * primitive.quantum.odd_n * (2 * k + 1)
     targetm2 = 1j * math.pi * primitive.quantum.odd_m * (2 * k + 1)

@@ -16,9 +16,8 @@ baked into ``g``.  It runs one explicit pair, ``DP54``: Dormand-Prince
 5(4), 6 stages per step, with the first-same-as-last (FSAL) property and
 local extrapolation (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.5).
 Two callers run it: the Stokes tracer's tangent, a complex square root of
-V with its branch choice (each stage writes its root into a list, from
-which ``on_accept`` takes the new point's as the next reference), and the
-oscillator's inward legs.
+V with its branch choice (its stop source makes the FSAL stage's root the
+next reference, a kernel local), and the oscillator's inward legs.
 ``integrate_along_path`` does the same along polylines; no module of the
 package calls it, and it stays because the benchmark's tracer resolves it
 by name.
@@ -57,8 +56,10 @@ The right-hand side is an ``Rhs``: source lines over named parameters.
   ``Y0``, ... (or ``Y``) at the accepted state and the parameters, may
   use locals of their own, and set ``STOP``.  The kernel runs it after
   every accepted step, before ``on_accept``; a true ``STOP`` ends the run
-  as a hook's ``STOP`` does.  The oscillator's inward legs carry their
-  chart switch this way, so their steps make no Python call at all.
+  as a hook's ``STOP`` does.  What it assigns persists to the next step,
+  and it reads the right-hand side's locals as the FSAL stage left them.
+  The oscillator's inward legs carry their chart switch this way, and the
+  Stokes tracer its branch reference and the pre-test of its termini.
 
 The kernel writes the tableau's weights as complex constants
 (``(0.2+0j) * _k1``) and the step as ``_hc = _h + 0j``.  CPython 3.10 to
@@ -75,9 +76,8 @@ NaNs; there the complex operands keep the values of 3.13, and
 Both integrators take one hook protocol: ``on_accept(t, y) -> action``
 runs after every accepted step, sees the state and ends the run when it
 returns ``STOP``.  It cannot replace the state, so every step starts from
-the FSAL stage of the last; what a hook needs to carry from step to step
-(the Stokes tracer's branch reference) it keeps in a parameter that the
-right-hand side can read.
+the FSAL stage of the last; what must carry from step to step into the
+right-hand side belongs in a stop source, which can assign a parameter.
 
 ``taylor_leg`` runs a ``TaylorEquation``, an equation given as data, on
 one template (``_taylor_source``) that writes the loop, the step control,

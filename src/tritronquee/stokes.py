@@ -19,8 +19,9 @@ with g_k the coefficients of sqrt(V(r + eps) / (V'(r) eps)), converges for
 the start on Re S = 0.  From the start, a line follows the tangent
 i conj(w) / |w|, w = sqrt(V), in arc length: w dlam = i |w| ds is
 imaginary, so Re of the action stays constant up to the integrator's
-tolerance, with no projection.  The hook after each step only reads: the
-tangent's FSAL stage left w at the new point, the next branch reference.
+tolerance, with no projection.  No hook runs: the tangent's stop source
+takes w at the new point as the next branch reference, and tests the
+termini below only past EARLY_FACTOR scale or inside a start circle.
 
 A line ends at turning point p, its own or another, on the step that
 crosses into p's start circle at a point on one of p's Stokes lines by p's
@@ -119,18 +120,28 @@ def _gap_index(angle: float) -> int:
 
 
 #: The unit tangent i conj(w) / |w| of a Stokes line in arc length, with
-#: w the value of sqrt(V(lam)) closer to near[0]: V in
+#: w the value of sqrt(V(lam)) closer to ``ref``: V in
 #: ``Potential.__call__``'s operation order over c2a = 2a and c28b = 28b,
-#: and ``elliptic.branch_sqrt``'s sign rule.  Each stage stores its w in
-#: near[1]; the last stage before an accepted step's hook is the FSAL stage
-#: at the new point, so there near[1] is sqrt(V) at that point.
-_TANGENT = complex_ode.Rhs(("c2a", "c28b", "near", "sqrt"), """
+#: and ``elliptic.branch_sqrt``'s sign rule.  The stop source makes the
+#: FSAL stage's w, sqrt(V) at the accepted point, the next ``ref``, and
+#: calls ``terminus`` only past ``early`` or inside a start circle.
+_TANGENT = complex_ode.Rhs(
+    ("c2a", "c28b", "ref", "sqrt", "points", "ends", "circles", "early",
+     "escape", "terminus", "r0", "rho0", "r1", "rho1", "r2", "rho2"), """
     w = sqrt(4.0 * Y0 * Y0 * Y0 - c2a * Y0 - c28b)
-    ref = near[0]
     if abs(w - ref) > abs(w + ref):
         w = -w
-    near[1] = w
     F = 1j * w.conjugate() / abs(w)
+""", """
+    ref = w
+    points.append(Y0)
+    STOP = False
+    if (abs(Y0) >= early or abs(Y0 - r0) < rho0 or abs(Y0 - r1) < rho1
+            or abs(Y0 - r2) < rho2):
+        end = terminus(Y0, points[-2], ref, circles, early, escape)
+        if end is not None:
+            ends.append(end)
+            STOP = True
 """)
 
 
@@ -210,60 +221,55 @@ def _leaving_line(directions: list[float], offset: complex) -> int | None:
     return None
 
 
+def _terminus(lam: complex, prev: complex, w: complex, circles: list,
+              early_radius: float, escape_radius: float):
+    """(kind, index) where a line reaches ``lam`` from ``prev``, sqrt(V) =
+    ``w`` at ``lam``, and ends there by the rules of the module docstring,
+    circles[p] = (root, rho, directions, series); None where it goes on."""
+    if abs(lam) >= escape_radius:
+        # atan2, where cmath.phase raises on an underflowing angle
+        return ASYMPTOTIC, _gap_index(math.atan2(lam.imag, lam.real))
+    gap = _escaping_gap(lam, w, early_radius)
+    if gap is not None:
+        return ASYMPTOTIC, gap
+    for p, (root, rho, directions, series) in enumerate(circles):
+        eps = lam - root
+        if not abs(eps) < rho <= abs(prev - root):
+            continue
+        # |Re S| is the same on either branch of eps^(3/2)
+        s, _ = _action_series(*series, abs(eps),
+                              math.atan2(eps.imag, eps.real))
+        if (abs(s.real) <= ACTION_TOL * abs(s)
+                and _leaving_line(directions, eps) is not None):
+            return TURNING_POINT, p
+    return None
+
+
 def _trace_single(pot: Potential, circles: list, origin: int,
                   start: complex, w_start: complex, early_radius: float,
                   escape_radius: float, rtol: float,
                   atol: float) -> StokesLine:
-    """The line from ``start`` on, to the first point past ``early_radius``
-    that ``_escaping_gap`` places in a gap, the escape radius, or the first
-    turning point p whose circle ``circles[p]`` = (root, rho, directions,
-    series) it enters on one of p's Stokes lines."""
-    # near[0], the branch reference, starts as w_start: the sign rule
-    # depends on its phase only
-    near = [w_start, None]
+    """The line from ``start`` on, to its ``_terminus``; the branch
+    reference starts as ``w_start``, since the sign rule depends on its
+    phase only."""
     points = [start]
-    terminus = (STALLED, None)
-
-    def on_accept(t, lam):
-        nonlocal terminus
-        near[0] = near[1]
-        prev = points[-1]
-        points.append(lam)
-        if abs(lam) >= escape_radius:
-            # atan2, where cmath.phase raises on an underflowing angle
-            terminus = (ASYMPTOTIC, _gap_index(math.atan2(lam.imag, lam.real)))
-            return complex_ode.STOP
-        gap = _escaping_gap(lam, near[0], early_radius)
-        if gap is not None:
-            terminus = (ASYMPTOTIC, gap)
-            return complex_ode.STOP
-        for p, (root, rho, directions, series) in enumerate(circles):
-            eps = lam - root
-            if not abs(eps) < rho <= abs(prev - root):
-                continue
-            # |Re S| is the same on either branch of eps^(3/2)
-            s, _ = _action_series(*series, abs(eps),
-                                  math.atan2(eps.imag, eps.real))
-            if (abs(s.real) <= ACTION_TOL * abs(s)
-                    and _leaving_line(directions, eps) is not None):
-                terminus = (TURNING_POINT, p)
-                return complex_ode.STOP
-        return complex_ode.CONTINUE
-
+    ends = []
+    disks = [x for root, rho, _, _ in circles for x in (root, rho)]
     max_arc = 40.0 * escape_radius
     try:
         complex_ode.integrate(_TANGENT, 0.0, max_arc, start, rtol=rtol,
-                              atol=atol, on_accept=on_accept,
-                              max_steps=400_000,
-                              args=(2.0 * pot.a, 28.0 * pot.b, near,
-                                    cmath.sqrt))
+                              atol=atol, max_steps=400_000,
+                              args=(2.0 * pot.a, 28.0 * pot.b, w_start,
+                                    cmath.sqrt, points, ends, circles,
+                                    early_radius, escape_radius, _terminus,
+                                    *disks))
     except StepUnderflow:
         raise TraceStalled(
             f"stokes trace from turning point {origin} stalled near {points[-1]}")
     except OdeToleranceNotMet:
         pass  # recorded as a stalled terminus below
 
-    kind, index = terminus
+    kind, index = ends[0] if ends else (STALLED, None)
     return StokesLine(origin=origin, points=tuple(points),
                       terminus_kind=kind, terminus_index=index)
 

@@ -27,7 +27,9 @@ chart loop of those legs on them.
 whose tangent was a closure over ``branch_sqrt`` and whose hook projected
 each accepted point back onto Re int sqrt(V) dlam = 0, run on
 ``closure_integrate``, and ``homotopy_solve`` a frozen copy of route 1's
-homotopy that solved every intermediate target to the Newton tolerance.
+homotopy that solved every intermediate target to the Newton tolerance,
+on ``straight_line_targets``, the frozen path from (i pi, i pi) to
+i pi (2n-1, 2m-1) itself.
 ``cycle_period`` and ``scaled_point`` read one cycle's period and
 derivatives and rescale a point for the tests.
 ``taylor_coefficients``, ``taylor_eval`` and ``taylor_leg`` are frozen
@@ -58,7 +60,7 @@ from scipy.integrate._ivp import dop853_coefficients as _dop
 
 from tritronquee import complex_ode, painleve, stokes
 from tritronquee.bsb import (PRIMITIVE_11_SEED, TOL_NEWTON, QuantumPair,
-                             _homotopy_targets, solve_period_targets)
+                             solve_period_targets)
 from tritronquee.elliptic import (_SIGMA_CHI2, _SIGMA_CHIM2, CycleId,
                                   ParamPoint, PeriodData, Potential,
                                   TurningPoints, branch_sqrt,
@@ -807,12 +809,23 @@ def closure_trace_stokes_lines(pot: Potential) -> stokes.StokesGraph:
     return stokes.StokesGraph(turning_points=tp, lines=tuple(lines))
 
 
+def straight_line_targets(quantum: QuantumPair):
+    """The right-hand sides from the (1,1) anchor to i pi (2n-1, 2m-1),
+    at most 0.6 pi apart."""
+    d2 = quantum.odd_n * math.pi - math.pi
+    dm2 = quantum.odd_m * math.pi - math.pi
+    n_steps = max(1, int(math.ceil(max(d2, dm2) / (0.6 * math.pi))))
+    for i in range(1, n_steps + 1):
+        t = i / n_steps
+        yield 1j * (math.pi + d2 * t), 1j * (math.pi + dm2 * t)
+
+
 def homotopy_solve(quantum: QuantumPair,
                    tol_newton: float = TOL_NEWTON) -> tuple[ParamPoint, float]:
     """Route 1 from the (1,1) seed with every homotopy target solved to
     ``tol_newton``: (point, residual) at the last target."""
     point = PRIMITIVE_11_SEED
-    for t2, tm2 in _homotopy_targets(quantum):
+    for t2, tm2 in straight_line_targets(quantum):
         point, res = solve_period_targets([(t2, tm2)], point, tol_newton)
     return point, res
 

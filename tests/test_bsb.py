@@ -78,7 +78,9 @@ class TestSolveBsb:
 
 
 class TestContinuation:
-    """Route 1's homotopy: one Newton step per intermediate target."""
+    """Route 1's homotopy to the targets divided by M: one Newton step per
+    intermediate target, then the rescale by M and Newton at the true
+    targets."""
 
     def test_matches_solving_every_target(self, coprime_primitives):
         assert len(coprime_primitives) == 19
@@ -87,6 +89,24 @@ class TestContinuation:
             assert abs(sol.point.a - point.a) < 1e-12, quantum
             assert abs(sol.point.b - point.b) < 1e-12, quantum
             assert sol.residual < TOL_NEWTON
+
+    def test_short_homotopy_follows_the_straight_line(self):
+        """Every coprime (n, m) with n, m <= 12, M = max(2n-1, 2m-1) up to
+        23: the rescaled point of the normalised homotopy is the point of
+        the frozen straight line from the anchor, the exact mirror of its
+        swap, converged, and "320" (``solve_bsb`` checks the graph)."""
+        pairs = [QuantumPair(n, m) for n in range(1, 13)
+                 for m in range(1, 13)]
+        solved = {q: solve_bsb(q) for q in pairs if q.is_primitive}
+        assert len(solved) == 117
+        for quantum, sol in solved.items():
+            point, _ = oracles.homotopy_solve(quantum)
+            assert abs(sol.point.a - point.a) < 1e-12 * abs(point.a), quantum
+            assert abs(sol.point.b - point.b) < 1e-12 * abs(point.b), quantum
+            mirror = solved[QuantumPair(quantum.m, quantum.n)]
+            assert sol.point.a == mirror.point.a.conjugate(), quantum
+            assert sol.point.b == mirror.point.b.conjugate(), quantum
+            assert sol.residual < TOL_NEWTON, quantum
 
     @staticmethod
     def _period_evaluations(monkeypatch, quantum):
@@ -102,10 +122,11 @@ class TestContinuation:
         return len(calls)
 
     def test_one_period_evaluation_per_intermediate_target(self, monkeypatch):
-        # 14 targets: the seed, one step for each of the 13 intermediate
-        # ones, 3 Newton steps at the last, whose first starts from the
-        # residual and Jacobian that the last step left, and the polish
-        assert self._period_evaluations(monkeypatch, QuantumPair(4, 5)) == 18
+        # M = 9 puts the one normalised target i pi (7/9, 1) within 0.6 pi
+        # of the anchor: the seed, 3 Newton steps and the polish there,
+        # then the rescaled point's residual, already below the tolerance,
+        # and the polish at i pi (7, 9)
+        assert self._period_evaluations(monkeypatch, QuantumPair(4, 5)) == 7
 
     def test_single_target_work_unchanged(self, monkeypatch):
         # the seed, 2 Newton steps and the polish

@@ -1,4 +1,6 @@
 import cmath
+import hashlib
+import inspect
 import math
 
 import numpy as np
@@ -352,8 +354,8 @@ def test_escaping_gap_off_every_bisector(j):
 
 
 def test_trace_evaluates_sqrt_v_only_in_its_kernel(anchor, monkeypatch):
-    """The hook takes sqrt(V) at each new point from the FSAL stage of the
-    generated tangent: a trace evaluates V nowhere else."""
+    """The stop source takes sqrt(V) at each new point from the FSAL stage
+    of the generated tangent: a trace evaluates V nowhere else."""
     def forbidden(*args):
         raise AssertionError("sqrt(V) evaluated outside the kernel")
 
@@ -361,6 +363,61 @@ def test_trace_evaluates_sqrt_v_only_in_its_kernel(anchor, monkeypatch):
     monkeypatch.setattr(Potential, "__call__", forbidden)
     pot = Potential(anchor.point.a, anchor.point.b)
     assert classify_graph(trace_stokes_lines(pot)) == "320"
+
+
+def test_terminus_rules_run_only_where_a_line_can_end(anchor, monkeypatch):
+    """Each tangent run carries its stop test in the kernel, with no hook,
+    and the terminus rules run only on the steps that pass its pre-test,
+    past the early radius or inside a start circle: fewer than a fifth of
+    the accepted steps of a "320" graph."""
+    integrate, terminus = complex_ode.integrate, stokes._terminus
+    signature = inspect.signature(integrate)
+    steps, ends = [], []
+
+    def spy_integrate(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        assert bound.arguments["g"] is stokes._TANGENT
+        assert bound.arguments["on_accept"] is None
+        res = integrate(*args, **kwargs)
+        steps.append(res.n_steps)
+        return res
+
+    def spy_terminus(*args):
+        ends.append(args)
+        return terminus(*args)
+
+    monkeypatch.setattr(complex_ode, "integrate", spy_integrate)
+    monkeypatch.setattr(stokes, "_terminus", spy_terminus)
+    graph = trace_stokes_lines(Potential(anchor.point.a, anchor.point.b))
+    assert classify_graph(graph) == "320"
+    assert len(steps) == 7
+    assert 5 * len(ends) < sum(steps)
+
+
+#: sha256 of ``_fingerprint`` for the (1, 1) and (4, 5) points of the
+#: straight-line homotopy, from the tracer whose hook ran after every step
+#: (CPython 3.11, glibc 2.36)
+GRAPH_FINGERPRINTS = [
+    ((-2.3475919931566716+0j), (-0.06399774265973303+0j),
+     "b7358ad22ad3853d5c477ee00b763506049703f07af6352b4786c8f9fb702361"),
+    ((-12.383902701795549-1.0132306419878134j),
+     (-0.7771452488534297+0.0859007308668312j),
+     "7a15d754ce406c0ed0410867cb30797e2171f0323b79a25d7b4cbe7bfdfa51a8"),
+]
+
+
+def _fingerprint(graph):
+    """Every line's origin and terminus and the bits of its points."""
+    rows = [(ln.origin, ln.terminus_kind, ln.terminus_index,
+             [(z.real.hex(), z.imag.hex()) for z in ln.points])
+            for ln in graph.lines]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("a, b, digest", GRAPH_FINGERPRINTS)
+def test_graph_bits_match_the_hook_tracer(a, b, digest):
+    assert _fingerprint(trace_stokes_lines(Potential(a, b))) == digest
 
 
 def test_overflowing_potential_is_a_stalled_trace():
