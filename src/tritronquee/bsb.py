@@ -35,6 +35,9 @@ TOL_NEWTON = 1e-10
 
 #: Seed for the real primitive solution with n = m = 1.
 PRIMITIVE_11_SEED = ParamPoint(-2.34, -0.064)
+#: its periods, which every unseeded solve starts from
+_SEED_PERIODS = PeriodData.compute(Potential(PRIMITIVE_11_SEED.a,
+                                             PRIMITIVE_11_SEED.b))
 
 
 @dataclass(frozen=True)
@@ -77,7 +80,8 @@ class BsbSolution:
 
 
 def _period_residual(point: ParamPoint, target2: complex, targetm2: complex):
-    pd = PeriodData.compute(Potential(point.a, point.b))
+    pd = (_SEED_PERIODS if point is PRIMITIVE_11_SEED
+          else PeriodData.compute(Potential(point.a, point.b)))
     F = (pd.chi2 - target2, pd.chi_m2 - targetm2)
     J = ((pd.dchi2_da, pd.dchi2_db),
          (pd.dchim2_da, pd.dchim2_db))

@@ -11,7 +11,6 @@ integer literal; every other key is a float and takes any finite number
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, fields, replace
 
@@ -46,6 +45,8 @@ class ToolConfig:
         return "\n".join(lines) + "\n"
 
     def digest(self) -> str:
+        import hashlib  # here only, so that importing the package skips it
+
         return hashlib.sha256(self.canonical_dump().encode()).hexdigest()[:16]
 
 

@@ -8,7 +8,7 @@ connection).  The resulting embedded graph is summarized by a canonical
 label; the label of the configuration that controls the pole region is
 reported as "320".
 
-Every line starts on the exact Stokes line at rho = min(0.1 scale, d/4)
+Every line starts on the exact Stokes line at rho = min(0.2 scale, d/4)
 from its turning point r, d the distance to the nearest other one: the
 local action series
 
@@ -43,7 +43,7 @@ Re S along which Im S grows: it turns towards a bisector, where
 That bound alone does not put every line within pi/10 at 2 scale, so the
 radius rests on a measured margin: on 695 potentials (the 19 pool
 primitives with k = 0..4 and 600 draws with a in [-6, 6]^2, b in
-[-2, 2]^2) the 5,875 escaping lines crossed 2 scale at most 7.18 degrees
+[-2, 2]^2) the 5,875 escaping lines crossed 2 scale at most 7.41 degrees
 from the bisector of the gap they reach at 10 scale, against the rule's
 18, and no line that ends at a turning point reached 2 scale.
 """
@@ -64,17 +64,19 @@ ESCAPE_FACTOR = 10.0
 #: a line ends at EARLY_FACTOR scale or beyond on a step whose point lies
 #: within pi/10 of a gap's bisector with the tangent pointing outward
 EARLY_FACTOR = 2.0
-TRACE_RTOL = 1e-9
+#: saddle connections end within 5.9e-9 (95 pool potentials), every other
+#: crossing of a start circle lies at 5.1e-4 or more (1,200 random ones)
+ACTION_TOL = 1e-6
+#: the one rule that reads the trace's accuracy is ACTION_TOL's test of
+#: Re S at an arrival: a hundredth of it leaves that test its margin
+TRACE_RTOL = ACTION_TOL / 100
 #: a line starts at min(START_FACTOR scale, d / 4) from its turning point
-START_FACTOR = 0.1
+START_FACTOR = 0.2
 #: terms of the action series: at |eps| = d / 4 the terms past these move
 #: S by at most 3e-16 of |S| (300 random potentials)
 SERIES_TERMS = 24
 START_MAX_ITER = 8
 START_ANGLE_TOL = 1e-12
-#: saddle connections end within 1.4e-9 (76 pool potentials), every other
-#: crossing of a start circle lies at 1.4e-2 or more (1,200 random ones)
-ACTION_TOL = 1e-6
 
 ASYMPTOTIC = "asymptotic"
 TURNING_POINT = "turning_point"
@@ -85,7 +87,7 @@ STALLED = "stalled"
 class StokesLine:
     """One traced Stokes line.
 
-    ``points`` are the start point, up to 0.1 scale from the origin turning
+    ``points`` are the start point, up to 0.2 scale from the origin turning
     point, and then every accepted step, the last of an escaping line
     usually the first past 2 scale; the line of a saddle connection's end
     point holds the traced line's points, reversed.  ``terminus_index``
@@ -159,7 +161,7 @@ def _escaping_gap(lam: complex, w: complex, radius: float) -> int | None:
     return j if abs(turn) <= math.pi / 10.0 else None
 
 
-def _action_series(sqrt_vp: complex, g: list, rho: float,
+def _action_series(sqrt_vp: complex, coeffs: list, rho: float,
                    phi: float) -> tuple[complex, complex]:
     """(S, eps dS/deps) at eps = rho e^(i phi) from the local series.
 
@@ -169,16 +171,17 @@ def _action_series(sqrt_vp: complex, g: list, rho: float,
     """
     eps = rho * cmath.exp(1j * phi)
     s = w = 0j
-    for k in range(len(g) - 1, -1, -1):
-        s = s * eps + g[k] / (k + 1.5)
-        w = w * eps + g[k]
+    for c, g in reversed(coeffs):
+        s = s * eps + c
+        w = w * eps + g
     lead = sqrt_vp * rho ** 1.5 * cmath.exp(1.5j * phi)
     return lead * s, lead * w
 
 
 def _series(pot: Potential, root: complex) -> tuple[complex, list]:
-    """(sqrt(V'(root)), g): the action series' factor and the coefficients
-    g_k of sqrt(V(root + eps) / (V'(root) eps))."""
+    """(sqrt(V'(root)), coeffs): the action series' factor and the pairs
+    (g_k / (k + 3/2), g_k), g_k the coefficients of sqrt(V(root + eps) /
+    (V'(root) eps))."""
     vp = pot.deriv(root)
     # sqrt(1 + alpha eps + beta eps^2) = sqrt(V(root + eps) / (V' eps)):
     # h g' = h' g / 2 gives a three-term recurrence for its coefficients
@@ -187,7 +190,7 @@ def _series(pot: Potential, root: complex) -> tuple[complex, list]:
     for n in range(1, SERIES_TERMS - 1):
         g.append((alpha * (0.5 - n) * g[n] + beta * (2 - n) * g[n - 1])
                  / (n + 1))
-    return cmath.sqrt(vp), g
+    return cmath.sqrt(vp), [(c / (k + 1.5), c) for k, c in enumerate(g)]
 
 
 def _series_start(series: tuple, root: complex, rho: float,

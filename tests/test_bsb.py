@@ -123,14 +123,16 @@ class TestContinuation:
 
     def test_one_period_evaluation_per_intermediate_target(self, monkeypatch):
         # M = 9 puts the one normalised target i pi (7/9, 1) within 0.6 pi
-        # of the anchor: the seed, 3 Newton steps and the polish there,
-        # then the rescaled point's residual, already below the tolerance,
-        # and the polish at i pi (7, 9)
-        assert self._period_evaluations(monkeypatch, QuantumPair(4, 5)) == 7
+        # of the anchor: 3 Newton steps and the polish there, the seed's
+        # periods being computed once at import, then the rescaled point's
+        # residual, already below the tolerance, and the polish at
+        # i pi (7, 9)
+        assert self._period_evaluations(monkeypatch, QuantumPair(4, 5)) == 6
 
     def test_single_target_work_unchanged(self, monkeypatch):
-        # the seed, 2 Newton steps and the polish
-        assert self._period_evaluations(monkeypatch, QuantumPair(1, 1)) == 4
+        # 2 Newton steps and the polish; the seed's periods are computed
+        # once at import
+        assert self._period_evaluations(monkeypatch, QuantumPair(1, 1)) == 3
 
     def test_swapped_pairs_are_exact_mirrors(self, coprime_primitives):
         """Swapping n and m conjugates the targets, and a real V's turning

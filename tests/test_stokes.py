@@ -47,8 +47,8 @@ def _coalescing(b, branch, rel):
 
 
 def _start_radius(tp, i):
-    """rho_i = min(0.1 scale, d_i / 4): where the lines of turning point i
-    start, and the circle inside which lines end at i."""
+    """rho_i = min(START_FACTOR scale, d_i / 4): where the lines of turning
+    point i start, and the circle inside which lines end at i."""
     root = tp.roots[i]
     return min(stokes.START_FACTOR * tp.scale,
                0.25 * min(abs(root - r) for r in tp.roots if r != root))
@@ -396,8 +396,8 @@ def test_terminus_rules_run_only_where_a_line_can_end(anchor, monkeypatch):
 
 
 #: sha256 of ``_fingerprint`` for the (1, 1) and (4, 5) points of the
-#: straight-line homotopy, from the tracer whose hook ran after every step
-#: (CPython 3.11, glibc 2.36)
+#: straight-line homotopy, from the tracer whose hook ran after every step,
+#: at rtol 1e-9 and START_FACTOR 0.1 (CPython 3.11, glibc 2.36)
 GRAPH_FINGERPRINTS = [
     ((-2.3475919931566716+0j), (-0.06399774265973303+0j),
      "b7358ad22ad3853d5c477ee00b763506049703f07af6352b4786c8f9fb702361"),
@@ -416,8 +416,39 @@ def _fingerprint(graph):
 
 
 @pytest.mark.parametrize("a, b, digest", GRAPH_FINGERPRINTS)
-def test_graph_bits_match_the_hook_tracer(a, b, digest):
-    assert _fingerprint(trace_stokes_lines(Potential(a, b))) == digest
+def test_graph_bits_match_the_hook_tracer(a, b, digest, monkeypatch):
+    monkeypatch.setattr(stokes, "START_FACTOR", 0.1)
+    graph = trace_stokes_lines(Potential(a, b), rtol=1e-9)
+    assert _fingerprint(graph) == digest
+
+
+def test_trace_tolerance_leaves_the_arrival_test_its_margin(
+        coprime_primitives):
+    """On the 19 pool primitives with k = 0..4 the labels at TRACE_RTOL are
+    those at rtol 1e-10, and every saddle connection arrives with |Re S_p|
+    at most ACTION_TOL / 50 of |S_p|, S_p the action from the turning
+    point it reaches: a fiftieth of the terminus rule's tolerance."""
+    arrivals = 0
+    for sol in coprime_primitives.values():
+        for k in range(5):
+            point = descendant(sol, k).point
+            pot = Potential(point.a, point.b)
+            graph = trace_stokes_lines(pot)
+            assert (classify_graph(graph)
+                    == classify_graph(trace_stokes_lines(pot, rtol=1e-10)))
+            roots = graph.turning_points.roots
+            for ln in graph.lines:
+                p = ln.terminus_index
+                if ln.terminus_kind != TURNING_POINT or p == ln.origin:
+                    continue
+                eps = ln.points[-1] - roots[p]
+                s, _ = stokes._action_series(
+                    *stokes._series(pot, roots[p]), abs(eps),
+                    math.atan2(eps.imag, eps.real))
+                assert abs(s.real) <= stokes.ACTION_TOL / 50 * abs(s)
+                arrivals += 1
+    # two saddle connections per "320" graph, stored at both ends
+    assert arrivals == 4 * 95
 
 
 def test_overflowing_potential_is_a_stalled_trace():
