@@ -104,28 +104,29 @@ def entry_from_json(data: dict) -> CatalogEntry:
     )
 
 
-def _painleve_crosscheck(pole_a: complex, cfg: ToolConfig):
-    """Track from the asymptotic sector to just past the predicted pole."""
+def _route3(entries: list[CatalogEntry], cfg: ToolConfig) -> list:
+    """``entries`` of one q-sequence, each with the route-3 pole nearest its
+    seed a within 0.1 (1 + |a|)^(-1/4).  One track passes all the seeds, on
+    a ray through 0: along the real axis to 0, then past the largest seed."""
     state = seed_asymptotic(complex(cfg.z_seed, 0.0), tol_seed=cfg.tol_seed,
                             tol_match=cfg.tol_match, margin=cfg.seed_margin)
-    direction = (pole_a - state.z) / abs(pole_a - state.z)
-    end = pole_a + 0.6 * direction
-    _, poles = track(state, [state.z, end], fit_radius=cfg.fit_radius,
+    end = entries[-1].seed_a
+    _, poles = track(state, [state.z, 0.0, end + 0.6 * end / abs(end)],
+                     fit_radius=cfg.fit_radius,
                      blowup_threshold=cfg.blowup_threshold,
                      laurent_order=cfg.laurent_order, tol_fit=cfg.tol_fit)
-    best = None
-    for p in poles:
-        if best is None or abs(p.a - pole_a) < abs(best.a - pole_a):
-            best = p
-    if best is not None and abs(best.a - pole_a) < 0.1 * (1.0 + abs(pole_a)):
-        return best.a, best.b
-    return None, None
+    for i, e in enumerate(entries):
+        a = e.seed_a
+        p = min(poles, key=lambda pole: abs(pole.a - a), default=None)
+        if p is not None and abs(p.a - a) < 0.1 * (1.0 + abs(a)) ** -0.25:
+            entries[i] = dataclasses.replace(e, painleve_a=p.a, painleve_b=p.b)
+    return entries
 
 
-def compute_entry(seed: BsbSolution, painleve: bool = False,
+def compute_entry(seed: BsbSolution,
                   cfg: ToolConfig | None = None) -> CatalogEntry:
     """Refine one quantization seed (a ``solve_bsb`` primitive or one of
-    its descendants) and, with ``painleve``, cross-check it by route 3."""
+    its descendants) by route 2; a ``NumericalError`` makes an error entry."""
     cfg = cfg or ToolConfig()
     known = dict(q=seed.q, k=seed.k, seed_a=seed.point.a,
                  seed_b=seed.point.b, bsb_residual=seed.residual)
@@ -138,14 +139,10 @@ def compute_entry(seed: BsbSolution, painleve: bool = False,
                             pole_b=complex(nan, nan), dep_residual=nan,
                             wkb_gap2=nan, wkb_gapm2=nan, error_a=nan,
                             status=f"error:{type(exc).__name__}")
-    pa, pb = (None, None)
-    if painleve:
-        pa, pb = _painleve_crosscheck(rec.pole.a, cfg)
     return CatalogEntry(**known, pole_a=rec.pole.a, pole_b=rec.pole.b,
                         dep_residual=rec.dep_residual,
                         wkb_gap2=rec.wkb_gap[0], wkb_gapm2=rec.wkb_gap[1],
-                        error_a=abs(rec.pole.a - seed.point.a),
-                        painleve_a=pa, painleve_b=pb)
+                        error_a=abs(rec.pole.a - seed.point.a))
 
 
 def build_catalog(q_list, K: int, cfg: ToolConfig | None = None,
@@ -153,7 +150,8 @@ def build_catalog(q_list, K: int, cfg: ToolConfig | None = None,
     """Catalog document for all (q, k <= K), deterministically ordered.
 
     Each primitive is solved, Stokes check included, once per q; its
-    k-seeds are rescalings of it.
+    k-seeds are rescalings of it.  ``painleve`` adds route 3 by one track
+    per q-sequence (``_route3``), whose ``NumericalError`` ends the run.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, not {jobs}")
@@ -169,10 +167,12 @@ def build_catalog(q_list, K: int, cfg: ToolConfig | None = None,
         # imported here: loading it costs every other run about 19 ms
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            entries = list(pool.map(compute_entry, seeds, repeat(painleve),
-                                    repeat(cfg)))
+            entries = list(pool.map(compute_entry, seeds, repeat(cfg)))
     else:
-        entries = [compute_entry(seed, painleve, cfg) for seed in seeds]
+        entries = [compute_entry(seed, cfg) for seed in seeds]
+    if painleve:  # K + 1 entries per q-sequence
+        for i in range(0, len(entries), K + 1):
+            entries[i:i + K + 1] = _route3(entries[i:i + K + 1], cfg)
     entries.sort(key=lambda e: (e.q, e.k))
     return {
         "meta": {

@@ -132,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest descendant index")
     p.add_argument("--out", required=True, help="catalog path")
     p.add_argument("--painleve", action="store_true",
-                   help="cross-check each pole by direct integration")
+                   help="add route 3: one track per q-sequence through z = 0")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers")
 
     p = sub.add_parser("convergence", parents=[json_opt],

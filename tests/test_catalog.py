@@ -13,12 +13,18 @@ from hypothesis import given, settings, strategies as st
 
 from tritronquee import bsb, catalog, config, oscillator
 from tritronquee.bsb import QuantumPair, solve_bsb
-from tritronquee.catalog import (CatalogEntry, build_catalog, compute_entry,
-                                 convergence_report, entry_from_json,
-                                 entry_to_json, pole_scatter, read_catalog,
-                                 write_catalog)
+from tritronquee.catalog import (CatalogEntry, build_catalog, catalog_entries,
+                                 compute_entry, convergence_report,
+                                 entry_from_json, entry_to_json, pole_scatter,
+                                 read_catalog, write_catalog)
 from tritronquee.config import ToolConfig, load_config
 from tritronquee.errors import InsufficientData, NewtonDiverged
+
+
+def _seed_as_pole(seed, **kwargs):
+    """A ``refine_pole`` stand-in that returns the seed as the pole."""
+    return SimpleNamespace(pole=seed.point, dep_residual=0.0,
+                           wkb_gap=(0.0, 0.0))
 
 
 def _synthetic_doc(exponent=-1.2, C=0.05, n=5, q=Fraction(1)):
@@ -126,10 +132,60 @@ class TestPipeline:
         assert entry.error_a == abs(entry.pole_a - entry.seed_a)
 
     def test_painleve_crosscheck_entry(self):
-        entry = compute_entry(solve_bsb(QuantumPair(1, 1)), painleve=True)
+        doc = build_catalog([QuantumPair(1, 1)], 0, painleve=True)
+        [entry] = catalog_entries(doc)
         assert entry.painleve_a is not None
         assert abs(entry.painleve_a - entry.pole_a) < 1e-4
         assert abs(entry.painleve_b - entry.pole_b) < 1e-4
+
+    def test_painleve_off_axis_sequence(self, monkeypatch):
+        """(1, 3), q = 1/5, off the real axis, where a straight track from
+        z_seed to each seed leaves the directions in which perturbations are
+        neutral: the track through z = 0 passes every seed."""
+        monkeypatch.setattr(catalog, "refine_pole", _seed_as_pole)
+        doc = build_catalog([QuantumPair(1, 3)], 16, painleve=True)
+        for e in catalog_entries(doc)[8:]:
+            assert e.painleve_a is not None, e.k
+            assert abs(e.painleve_a - e.seed_a) < 1e-3, e.k
+
+    def test_painleve_decay_rate(self, monkeypatch):
+        """The paper's |pole - seed| ~ (2k+1)^(-6/5), with route 3 for the
+        pole: it never reads route 2.  A track seeded at 60 agrees."""
+        monkeypatch.setattr(catalog, "refine_pole", _seed_as_pole)
+        pairs = [QuantumPair(n, m)
+                 for n, m in ((1, 1), (1, 2), (1, 3), (2, 3), (3, 5))]
+        entries = catalog_entries(build_catalog(pairs, 16, painleve=True))
+        far = catalog_entries(build_catalog(
+            pairs, 16, dataclasses.replace(ToolConfig(), z_seed=60.0),
+            painleve=True))
+        for e, f in zip(entries, far):
+            assert abs(e.painleve_a - f.painleve_a) < 1e-10, (e.q, e.k)
+        for q in {e.q for e in entries}:
+            rows = [e for e in entries if e.q == q and e.k >= 2]
+            x = np.log([2 * e.k + 1 for e in rows])
+            y = np.log([abs(e.seed_a - e.painleve_a) for e in rows])
+            slope = np.polyfit(x, y, 1)[0]
+            assert -1.3 <= slope <= -1.1, (q, slope)
+
+    def test_failed_entry_keeps_route_three(self, monkeypatch):
+        """Route 3 does not read route 2: an entry whose refinement failed
+        still gets its route-3 pole."""
+        def refine(seed, **kwargs):
+            if seed.k == 2:
+                raise NewtonDiverged("refinement failed")
+            return _seed_as_pole(seed)
+
+        monkeypatch.setattr(catalog, "refine_pole", _seed_as_pole)
+        clean = catalog_entries(
+            build_catalog([QuantumPair(1, 1)], 3, painleve=True))
+        monkeypatch.setattr(catalog, "refine_pole", refine)
+        entries = catalog_entries(
+            build_catalog([QuantumPair(1, 1)], 3, painleve=True))
+        assert [e.status for e in entries] == [
+            "ok", "ok", "error:NewtonDiverged", "ok"]
+        assert entries[2].painleve_a is not None
+        for e, c in zip(entries, clean):
+            assert (e.painleve_a, e.painleve_b) == (c.painleve_a, c.painleve_b)
 
     def test_two_q_catalog(self, tmp_path):
         doc = build_catalog([QuantumPair(1, 1), QuantumPair(3, 1)], 3)
@@ -173,9 +229,11 @@ class TestPipeline:
         assert json.dumps(doc1) == json.dumps(doc2)
 
     def test_parallel_matches_serial(self):
-        serial = build_catalog([QuantumPair(1, 1)], 1)
-        parallel = build_catalog([QuantumPair(1, 1)], 1, jobs=2)
-        assert json.dumps(serial) == json.dumps(parallel)
+        for painleve in (False, True):
+            serial = build_catalog([QuantumPair(1, 1)], 1, painleve=painleve)
+            parallel = build_catalog([QuantumPair(1, 1)], 1,
+                                     painleve=painleve, jobs=2)
+            assert json.dumps(serial) == json.dumps(parallel)
 
     def test_primitive_solved_once_per_q(self, monkeypatch):
         solve = catalog.solve_bsb
