@@ -104,35 +104,44 @@ def entry_from_json(data: dict) -> CatalogEntry:
     )
 
 
-def _route3(entries: list[CatalogEntry], cfg: ToolConfig) -> list:
-    """``entries`` of one q-sequence, each with the route-3 pole nearest its
-    seed a within 0.1 (1 + |a|)^(-1/4).  One track passes all the seeds, on
-    a ray through 0: along the real axis to 0, then past the largest seed."""
+def _route3(seeds: list[BsbSolution], cfg: ToolConfig) -> list:
+    """Route-3 pole (a, b) of each seed of one q-sequence, the passed pole
+    nearest its seed a within 0.1 (1 + |a|)^(-1/4), else None.  One track on
+    a ray through 0: along the real axis to 0, then past the largest seed;
+    a ``NumericalError`` of it leaves every seed without a pole."""
     state = seed_asymptotic(complex(cfg.z_seed, 0.0), tol_seed=cfg.tol_seed,
                             tol_match=cfg.tol_match, margin=cfg.seed_margin)
-    end = entries[-1].seed_a
-    _, poles = track(state, [state.z, 0.0, end + 0.6 * end / abs(end)],
-                     fit_radius=cfg.fit_radius,
-                     blowup_threshold=cfg.blowup_threshold,
-                     laurent_order=cfg.laurent_order, tol_fit=cfg.tol_fit)
-    for i, e in enumerate(entries):
-        a = e.seed_a
+    end = seeds[-1].point.a
+    try:
+        _, poles = track(state, [state.z, 0.0, end + 0.6 * end / abs(end)],
+                         fit_radius=cfg.fit_radius,
+                         blowup_threshold=cfg.blowup_threshold,
+                         laurent_order=cfg.laurent_order, tol_fit=cfg.tol_fit)
+    except NumericalError:
+        return [None] * len(seeds)
+    starts = []
+    for seed in seeds:
+        a = seed.point.a
         p = min(poles, key=lambda pole: abs(pole.a - a), default=None)
-        if p is not None and abs(p.a - a) < 0.1 * (1.0 + abs(a)) ** -0.25:
-            entries[i] = dataclasses.replace(e, painleve_a=p.a, painleve_b=p.b)
-    return entries
+        near = p is not None and abs(p.a - a) < 0.1 * (1.0 + abs(a)) ** -0.25
+        starts.append((p.a, p.b) if near else None)
+    return starts
 
 
-def compute_entry(seed: BsbSolution,
-                  cfg: ToolConfig | None = None) -> CatalogEntry:
-    """Refine one quantization seed (a ``solve_bsb`` primitive or one of
-    its descendants) by route 2; a ``NumericalError`` makes an error entry."""
+def compute_entry(seed: BsbSolution, cfg: ToolConfig | None = None,
+                  start: tuple[complex, complex] | None = None
+                  ) -> CatalogEntry:
+    """Refine one quantization seed by route 2 from ``start``, its route-3
+    pole (a, b) kept as ``painleve_a``/``painleve_b``, or from the seed if
+    None; a ``NumericalError`` makes an error entry."""
     cfg = cfg or ToolConfig()
+    painleve_a, painleve_b = start or (None, None)
     known = dict(q=seed.q, k=seed.k, seed_a=seed.point.a,
-                 seed_b=seed.point.b, bsb_residual=seed.residual)
+                 seed_b=seed.point.b, bsb_residual=seed.residual,
+                 painleve_a=painleve_a, painleve_b=painleve_b)
     try:
         rec = refine_pole(seed, radius_policy=(cfg.disc_alpha, cfg.disc_eps),
-                          tol_dep=cfg.tol_dep, rtol=cfg.tol_ode)
+                          tol_dep=cfg.tol_dep, rtol=cfg.tol_ode, start=start)
     except NumericalError as exc:
         nan = float("nan")
         return CatalogEntry(**known, pole_a=complex(nan, nan),
@@ -146,33 +155,33 @@ def compute_entry(seed: BsbSolution,
 
 
 def build_catalog(q_list, K: int, cfg: ToolConfig | None = None,
-                  painleve: bool = False, jobs: int = 1) -> dict:
+                  jobs: int = 1) -> dict:
     """Catalog document for all (q, k <= K), deterministically ordered.
 
     Each primitive is solved, Stokes check included, once per q; its
-    k-seeds are rescalings of it.  ``painleve`` adds route 3 by one track
-    per q-sequence (``_route3``), whose ``NumericalError`` ends the run.
+    k-seeds are rescalings of it.  Route 3 runs first, one track per
+    q-sequence (``_route3``), and route 2 refines each seed from its
+    route-3 pole, or from the seed where route 3 has none.  With ``jobs``
+    > 1 the tracks run here and the refinements in a process pool.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, not {jobs}")
     if K < 0:
         raise ValueError(f"K must be at least 0, not {K}")
     cfg = cfg or ToolConfig()
-    seeds = []
+    seeds, starts = [], []
     for q in q_list:
         primitive = solve_bsb(q, tol_newton=cfg.tol_newton)
-        seeds.append(primitive)
-        seeds += [descendant(primitive, k) for k in range(1, K + 1)]
+        sequence = [descendant(primitive, k) for k in range(K + 1)]
+        seeds += sequence
+        starts += _route3(sequence, cfg)
     if jobs > 1 and len(seeds) > 1:
         # imported here: loading it costs every other run about 19 ms
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            entries = list(pool.map(compute_entry, seeds, repeat(cfg)))
+            entries = list(pool.map(compute_entry, seeds, repeat(cfg), starts))
     else:
-        entries = [compute_entry(seed, cfg) for seed in seeds]
-    if painleve:  # K + 1 entries per q-sequence
-        for i in range(0, len(entries), K + 1):
-            entries[i:i + K + 1] = _route3(entries[i:i + K + 1], cfg)
+        entries = list(map(compute_entry, seeds, repeat(cfg), starts))
     entries.sort(key=lambda e: (e.q, e.k))
     return {
         "meta": {

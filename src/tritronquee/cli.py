@@ -131,8 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", type=int, default=0,
                    help="largest descendant index")
     p.add_argument("--out", required=True, help="catalog path")
-    p.add_argument("--painleve", action="store_true",
-                   help="add route 3: one track per q-sequence through z = 0")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers")
 
     p = sub.add_parser("convergence", parents=[json_opt],
@@ -275,8 +273,7 @@ def _cmd_catalog(args, cfg: ToolConfig) -> int:
     for q in args.q:
         if not q.is_primitive:
             raise ValueError(f"quantum pair ({q.n},{q.m}) is not primitive")
-    doc = build_catalog(args.q, args.K, cfg, painleve=args.painleve,
-                        jobs=args.jobs)
+    doc = build_catalog(args.q, args.K, cfg, jobs=args.jobs)
     write_catalog(doc, args.out)
     if args.emit_plot:
         _emit_plot(args.emit_plot, pole_scatter(doc))

@@ -28,7 +28,7 @@ class ToolConfig:
     disc_alpha: float = oscillator.DISC_ALPHA
     disc_eps: float = oscillator.DISC_EPS
 
-    # Painleve tracker (track; the catalog reads it with --painleve only)
+    # Painleve tracker (track; the catalog's route 3, which starts route 2)
     tol_seed: float = painleve.TOL_SEED
     tol_match: float = painleve.TOL_MATCH
     tol_fit: float = painleve.TOL_FIT

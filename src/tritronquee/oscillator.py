@@ -30,16 +30,15 @@ there the Newton steps are real, and the q = 1 poles stay on the axis.
 The asymptotic-value ratios (``u_values``, the WKB gap of a pole record)
 come from outward legs that carry two dominant solutions of
 ``psi'' = V psi`` from the match point until their log-derivatives are one
-float, and read off their ratio there; of the ray-0 inward leg they start
-from only s is read, so it runs on value-only charts.  ``psi`` is entire,
-so nothing on these legs is singular, and V is a cubic, so the Taylor
-coefficients of
-``psi`` follow from a four-term recurrence: the legs step with the
-solutions' own Taylor series of order 20, ``complex_ode.taylor_leg`` on
-the equation ``_PSI_PAIR``, the generator that route 3's legs run on too
-(936 steps per ``catalog`` pass).  At the q = 1 primitive they lie 4.6e-15
-from a DOP853 reference at rtol 1e-14, and 4.3e-9 at its k = 4
-descendant.  No pole depends on these legs.
+float, and read off their ratio there; of the inward legs of rays 0 and
++-2 they start from only s is read, so they run on value-only charts.
+``psi`` is entire, so nothing on these legs is singular, and V is a cubic,
+so the Taylor coefficients of ``psi`` follow from a four-term recurrence:
+the legs step with the solutions' own Taylor series of order 20,
+``complex_ode.taylor_leg`` on the equation ``_PSI_PAIR``, the generator
+that route 3's legs run on too (936 steps per ``catalog`` pass).  At the
+q = 1 primitive they lie 4.6e-15 from a DOP853 reference at rtol 1e-14,
+and 4.3e-9 at its k = 4 descendant.  No pole depends on these legs.
 """
 
 from __future__ import annotations
@@ -456,7 +455,7 @@ def psi_logderivative(pot: Potential, ray: RaySpec, lam_match: complex,
 
 
 def dependence_residual(pot: Potential, lam_match: complex | None = None,
-                        rtol: float = TOL_ODE, samples: dict | None = None):
+                        rtol: float = TOL_ODE):
     """Dependence residual G and its Jacobian J = dG/d(a, b), in one pass.
 
     G = (s_-1 - s_2, s_1 - s_-2) at the match point (the centroid rule of
@@ -474,10 +473,6 @@ def dependence_residual(pot: Potential, lam_match: complex | None = None,
     integrated then; rays 1 and -2 are their conjugates, with ds/da and
     ds/db conjugated too, so G_1 = conj(G_0) exactly and the Newton step
     J^-1 G is real.  Every other input integrates all four rays.
-
-    ``samples``, when given, is a dict that receives the four inward legs
-    (``LogDerivativeSample`` by ray index), so that ``u_values`` at the
-    same point can take over the legs of rays 2 and -2.
     """
     tp = turning_points(pot)
     lam = match_point(tp) if lam_match is None else complex(lam_match)
@@ -490,8 +485,6 @@ def dependence_residual(pot: Potential, lam_match: complex | None = None,
             s[-k] = LogDerivativeSample(lam, x.s.conjugate(), -k,
                                         x.ds_da.conjugate(),
                                         x.ds_db.conjugate())
-    if samples is not None:
-        samples.update(s)
     G = (s[-1].s - s[2].s, s[1].s - s[-2].s)
     J = ((s[-1].ds_da - s[2].ds_da, s[-1].ds_db - s[2].ds_db),
          (s[1].ds_da - s[-2].ds_da, s[1].ds_db - s[-2].ds_db))
@@ -578,8 +571,7 @@ def _integrate_pair_outward(pot: Potential, tp: TurningPoints, sA0: complex,
     return y[0]
 
 
-def u_values(pot: Potential, samples: dict,
-             eval_radius: float | None = None,
+def u_values(pot: Potential, eval_radius: float | None = None,
              rtol: float = TOL_ODE) -> tuple[complex, complex]:
     """Monodromy ratios (u_2, u_-2) from asymptotic-value ratios.
 
@@ -590,19 +582,19 @@ def u_values(pot: Potential, samples: dict,
     ``eval_radius`` (default ``6 * scale``) is the farthest a leg may run
     before that.
 
-    The legs of rays 2 and -2 come from ``samples``, filled by a
-    ``dependence_residual`` pass at this potential with the same ``rtol``;
-    only the ray-0 leg is integrated here, on the value-only charts, since
-    only its s is read.
+    The outward legs start from the inward legs of rays 0 and +-2, on the
+    value-only charts since only their s is read; at real (a, b) ray -2 is
+    ray 2's mirror image, as in ``dependence_residual``.
     """
     tp = turning_points(pot)
     lam = match_point(tp)
     radius = 6.0 * tp.scale if eval_radius is None else float(eval_radius)
-    if samples[2].lam != lam or samples[-2].lam != lam:
-        raise ValueError("samples were taken at another match point")
-    s = {0: psi_logderivative(pot, ray_spec(pot, 0), lam, rtol, tp=tp,
-                              _value_only=True).s,
-         2: samples[2].s, -2: samples[-2].s}
+    mirror = pot.a.imag == 0.0 and pot.b.imag == 0.0 and lam.imag == 0.0
+    s = {k: psi_logderivative(pot, ray_spec(pot, k), lam, rtol, tp=tp,
+                              _value_only=True).s
+         for k in ((0, 2) if mirror else (0, 2, -2))}
+    if mirror:
+        s[-2] = s[2].conjugate()
     if abs(s[0] - s[2]) < 1e-10 or abs(s[0] - s[-2]) < 1e-10:
         raise DependentBasis(
             "psi_0 and psi_(+-2) are numerically linearly dependent")
@@ -623,8 +615,9 @@ def u_values(pot: Potential, samples: dict,
 def refine_pole(seed: BsbSolution,
                 radius_policy: tuple[float, float] = (DISC_ALPHA, DISC_EPS),
                 tol_dep: float = TOL_DEP, rtol: float = TOL_ODE,
-                compute_gap: bool = True) -> PoleRecord:
-    """Newton on the dependence residual starting from a quantization seed.
+                compute_gap: bool = True,
+                start: tuple[complex, complex] | None = None) -> PoleRecord:
+    """Newton on the dependence residual from ``start`` (a, b) or the seed.
 
     Each trial point costs one ``dependence_residual`` pass, which returns
     the residual G with its exact Jacobian J.  The iteration is
@@ -633,29 +626,26 @@ def refine_pole(seed: BsbSolution,
     finite or does not lower |G_0| + |G_1|, and once that falls below
     ``tol_dep`` one polish step is kept if it lowers it further.  A
     singular J, a non-finite step or an exhausted line search raises
-    ``NewtonDiverged``.  From a real seed every step is real
+    ``NewtonDiverged``.  From a real start every step is real
     (``dependence_residual``'s mirror), so the pole stays exactly on the
     real axis.  The refined point must stay within ``k^(-alpha) eps`` of
     the seed in the a coordinate (the disc policy); the refined b is the
     quartic Laurent coefficient of the tritronquee expansion at the pole.
     The record carries cond(J) (``elliptic.cond_2x2``) and |J^-1 G|_inf at
     the pole as its Newton certificate, and one above ``TOL_STEP``
-    (1 + |a|) raises ``NewtonDiverged``.  The WKB gaps come from
-    ``u_values`` at the seed, which takes over the rays 2 and -2 legs of
-    the seed's own pass.
+    (1 + |a|) raises ``NewtonDiverged``.  The disc and the WKB gaps, from
+    ``u_values`` at the seed, are measured from the seed whatever the
+    start.
     """
     alpha, eps = radius_policy
     if not 0.2 < alpha < 1.2:
         raise ValueError("disc exponent alpha must lie in (1/5, 6/5)")
 
-    def system(x, samples=None):
-        return dependence_residual(Potential(x[0], x[1]), rtol=rtol,
-                                   samples=samples)
+    def system(x):
+        return dependence_residual(Potential(x[0], x[1]), rtol=rtol)
 
-    # the seed's legs, reused by u_values at the same point
-    seed_samples: dict[int, LogDerivativeSample] = {}
-    x = (seed.point.a, seed.point.b)
-    G, J = system(x, seed_samples)
+    x = (seed.point.a, seed.point.b) if start is None else start
+    G, J = system(x)
     (a, b), G, J, res, iterations = newton_2x2(system, x, G, J, tol_dep,
                                                "dependence")
     certificate = max(map(abs, newton_step(J, G, "dependence")))
@@ -671,8 +661,7 @@ def refine_pole(seed: BsbSolution,
 
     gap = (math.nan, math.nan)
     if compute_gap:
-        u2, um2 = u_values(Potential(seed.point.a, seed.point.b), rtol=rtol,
-                           samples=seed_samples)
+        u2, um2 = u_values(Potential(seed.point.a, seed.point.b), rtol=rtol)
         tu2, tum2 = tilde_U(seed.point)
         gap = (abs(u2 - (tu2 + 1.0)), abs(um2 - (tum2 + 1.0)))
     return PoleRecord(q=seed.q, k=seed.k, seed=seed.point,

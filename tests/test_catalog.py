@@ -132,7 +132,7 @@ class TestPipeline:
         assert entry.error_a == abs(entry.pole_a - entry.seed_a)
 
     def test_painleve_crosscheck_entry(self):
-        doc = build_catalog([QuantumPair(1, 1)], 0, painleve=True)
+        doc = build_catalog([QuantumPair(1, 1)], 0)
         [entry] = catalog_entries(doc)
         assert entry.painleve_a is not None
         assert abs(entry.painleve_a - entry.pole_a) < 1e-4
@@ -143,7 +143,7 @@ class TestPipeline:
         z_seed to each seed leaves the directions in which perturbations are
         neutral: the track through z = 0 passes every seed."""
         monkeypatch.setattr(catalog, "refine_pole", _seed_as_pole)
-        doc = build_catalog([QuantumPair(1, 3)], 16, painleve=True)
+        doc = build_catalog([QuantumPair(1, 3)], 16)
         for e in catalog_entries(doc)[8:]:
             assert e.painleve_a is not None, e.k
             assert abs(e.painleve_a - e.seed_a) < 1e-3, e.k
@@ -154,10 +154,9 @@ class TestPipeline:
         monkeypatch.setattr(catalog, "refine_pole", _seed_as_pole)
         pairs = [QuantumPair(n, m)
                  for n, m in ((1, 1), (1, 2), (1, 3), (2, 3), (3, 5))]
-        entries = catalog_entries(build_catalog(pairs, 16, painleve=True))
+        entries = catalog_entries(build_catalog(pairs, 16))
         far = catalog_entries(build_catalog(
-            pairs, 16, dataclasses.replace(ToolConfig(), z_seed=60.0),
-            painleve=True))
+            pairs, 16, dataclasses.replace(ToolConfig(), z_seed=60.0)))
         for e, f in zip(entries, far):
             assert abs(e.painleve_a - f.painleve_a) < 1e-10, (e.q, e.k)
         for q in {e.q for e in entries}:
@@ -177,15 +176,55 @@ class TestPipeline:
 
         monkeypatch.setattr(catalog, "refine_pole", _seed_as_pole)
         clean = catalog_entries(
-            build_catalog([QuantumPair(1, 1)], 3, painleve=True))
+            build_catalog([QuantumPair(1, 1)], 3))
         monkeypatch.setattr(catalog, "refine_pole", refine)
         entries = catalog_entries(
-            build_catalog([QuantumPair(1, 1)], 3, painleve=True))
+            build_catalog([QuantumPair(1, 1)], 3))
         assert [e.status for e in entries] == [
             "ok", "ok", "error:NewtonDiverged", "ok"]
         assert entries[2].painleve_a is not None
         for e, c in zip(entries, clean):
             assert (e.painleve_a, e.painleve_b) == (c.painleve_a, c.painleve_b)
+
+    def test_route_three_failure_keeps_the_catalog(self, monkeypatch):
+        """On (3, 5) the track fails a pole fit near |a| = 254, short of
+        the k = 32 seed: the catalog still completes, with no route-3
+        value in that sequence, and route 2 starts from the seeds."""
+        starts = []
+
+        def refine(seed, start=None, **kwargs):
+            starts.append(start)
+            return _seed_as_pole(seed)
+
+        monkeypatch.setattr(catalog, "refine_pole", refine)
+        entries = catalog_entries(build_catalog([QuantumPair(3, 5)], 32))
+        assert len(entries) == 33
+        assert all(e.painleve_a is None and e.painleve_b is None
+                   for e in entries)
+        assert starts == [None] * 33
+
+    def test_route_two_starts_from_route_three(self, monkeypatch):
+        """Newton starts at each entry's route-3 pole, within its
+        certificate of the root: q = 1, K = 4 makes 10 dependence passes,
+        where 20 started from the seeds."""
+        passes, starts = [], []
+        system = oscillator.dependence_residual
+        refine = catalog.refine_pole
+
+        def counting(*args, **kwargs):
+            passes.append(1)
+            return system(*args, **kwargs)
+
+        def spy(seed, **kwargs):
+            starts.append(kwargs["start"])
+            return refine(seed, **kwargs)
+
+        monkeypatch.setattr(oscillator, "dependence_residual", counting)
+        monkeypatch.setattr(catalog, "refine_pole", spy)
+        entries = catalog_entries(build_catalog([QuantumPair(1, 1)], 4))
+        assert len(passes) == 10
+        assert [e.status for e in entries] == ["ok"] * 5
+        assert starts == [(e.painleve_a, e.painleve_b) for e in entries]
 
     def test_two_q_catalog(self, tmp_path):
         doc = build_catalog([QuantumPair(1, 1), QuantumPair(3, 1)], 3)
@@ -229,11 +268,9 @@ class TestPipeline:
         assert json.dumps(doc1) == json.dumps(doc2)
 
     def test_parallel_matches_serial(self):
-        for painleve in (False, True):
-            serial = build_catalog([QuantumPair(1, 1)], 1, painleve=painleve)
-            parallel = build_catalog([QuantumPair(1, 1)], 1,
-                                     painleve=painleve, jobs=2)
-            assert json.dumps(serial) == json.dumps(parallel)
+        serial = build_catalog([QuantumPair(1, 1)], 1)
+        parallel = build_catalog([QuantumPair(1, 1)], 1, jobs=2)
+        assert json.dumps(serial) == json.dumps(parallel)
 
     def test_primitive_solved_once_per_q(self, monkeypatch):
         solve = catalog.solve_bsb
@@ -348,7 +385,7 @@ class TestConfig:
         monkeypatch.setattr(catalog, "seed_asymptotic",
                             spy("seed", catalog.seed_asymptotic))
         monkeypatch.setattr(catalog, "track", spy("track", catalog.track))
-        doc = build_catalog([QuantumPair(1, 1)], 0, cfg, painleve=True)
+        doc = build_catalog([QuantumPair(1, 1)], 0, cfg)
         assert doc["entries"][0]["painleve_a"] is not None
         assert seen["seed"] == {"tol_seed": 2e-10, "tol_match": 2e-8,
                                 "margin": 0.2}

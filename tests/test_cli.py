@@ -299,6 +299,15 @@ def test_unread_option_rejected(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_catalog_has_no_painleve_option(tmp_path, capsys):
+    """Route 3 runs on every catalog, so the option that added it is gone."""
+    out = str(tmp_path / "cat.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["catalog", "--q", "1,1", "--out", out, "--painleve"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --painleve" in capsys.readouterr().err
+
+
 def _run_script(script):
     """Run ``script`` in a fresh interpreter on this package; it must exit 0."""
     src = str(Path(tritronquee.__file__).resolve().parents[1])

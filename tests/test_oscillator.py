@@ -314,27 +314,36 @@ class TestDependenceResidual:
         assert 1e-4 < norm < 1.0
 
     def test_mirrored_legs_match_integrated_ones(self, q1_sequence):
-        """At the real q = 1 seeds the legs of rays 1 and -2 are the mirror
-        images of rays -1 and 2: they agree with the legs integrated on
-        those rays, and G_1 is the exact conjugate of G_0."""
+        """At the real q = 1 seeds a pass takes the legs of rays 1 and -2 as
+        the mirror images of rays -1 and 2: G and J are those of the
+        integrated rays -1 and 2 and their conjugates, G_1 is the exact
+        conjugate of G_0, and the mirror images agree with the legs
+        integrated on rays 1 and -2."""
         for seed in q1_sequence:
             pot = _pot(seed.point)
-            samples = {}
-            G, _ = dependence_residual(pot, samples=samples)
+            G, J = dependence_residual(pot)
             assert G[1] == G[0].conjugate()
             tp = turning_points(pot)
             lam = match_point(tp)
+            leg = {k: psi_logderivative(pot, ray_spec(pot, k), lam, tp=tp)
+                   for k in (-1, 2, 1, -2)}
+            mirror = {k: [getattr(leg[-k], name).conjugate()
+                          for name in ("s", "ds_da", "ds_db")]
+                      for k in (1, -2)}
+            assert G == (leg[-1].s - leg[2].s, mirror[1][0] - mirror[-2][0])
+            assert J == ((leg[-1].ds_da - leg[2].ds_da,
+                          leg[-1].ds_db - leg[2].ds_db),
+                         (mirror[1][1] - mirror[-2][1],
+                          mirror[1][2] - mirror[-2][2]))
             for k in (1, -2):
-                leg = psi_logderivative(pot, ray_spec(pot, k), lam, tp=tp)
-                for name in ("s", "ds_da", "ds_db"):
-                    want = getattr(leg, name)
-                    got = getattr(samples[k], name)
+                for name, got in zip(("s", "ds_da", "ds_db"), mirror[k]):
+                    want = getattr(leg[k], name)
                     assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
 
     def test_one_turning_point_solve_per_pass(self, anchor, monkeypatch):
         """The four inward legs take the pass's turning points instead of
-        solving the cubic again; ``u_values`` hands its own to the ray-0
-        leg."""
+        solving the cubic again; ``u_values`` hands its own to its inward
+        legs."""
         calls = []
 
         def counted(pot, *args):
@@ -343,9 +352,8 @@ class TestDependenceResidual:
 
         monkeypatch.setattr(oscillator, "turning_points", counted)
         pot = _pot(anchor.point)
-        samples = {}
-        dependence_residual(pot, samples=samples)
-        u_values(pot, samples=samples)
+        dependence_residual(pot)
+        u_values(pot)
         assert len(calls) == 2
 
 
@@ -424,7 +432,7 @@ class TestRefinePole:
             assert min(abs(rec.pole.a - p.a) for p in route3) < 1e-8, k
 
     def test_non_finite_jacobian_is_newton_diverged(self, anchor, monkeypatch):
-        def nan_jacobian(pot, lam_match=None, rtol=None, samples=None):
+        def nan_jacobian(pot, lam_match=None, rtol=None):
             return (0.1 + 0.0j, 0.1 + 0.0j), ((1.0, math.nan), (0.0, 1.0))
 
         monkeypatch.setattr(oscillator, "dependence_residual", nan_jacobian)
@@ -435,7 +443,7 @@ class TestRefinePole:
                                                    capsys):
         from tritronquee.cli import main
 
-        def singular(pot, lam_match=None, rtol=None, samples=None):
+        def singular(pot, lam_match=None, rtol=None):
             return (0.1 + 0.0j, 0.1 + 0.0j), ((1.0, 2.0), (0.5, 1.0))
 
         monkeypatch.setattr(oscillator, "dependence_residual", singular)
@@ -451,7 +459,7 @@ class TestRefinePole:
         pole = anchor.point.a + 1e-3, anchor.point.b + 1e-4
         calls = []
 
-        def noisy_linear(pot, lam_match=None, rtol=None, samples=None):
+        def noisy_linear(pot, lam_match=None, rtol=None):
             # exact on the seed and the first step, then 1e-13 of noise
             noise = 1e-13 if len(calls) >= 2 else 0.0
             calls.append(pot)
@@ -521,20 +529,20 @@ class TestRefinePole:
         refine_pole(seed)
         return len(legs), len(passes)
 
-    def test_gap_reuses_the_seed_legs(self, anchor, monkeypatch):
-        """``u_values`` at the seed takes over the rays 2 and -2 legs of the
-        seed's dependence pass and integrates only ray 0.  The anchor and
-        its Newton iterates are exactly real, so each pass integrates two
-        legs and mirrors the other two."""
+    def test_gap_mirrors_ray_two_on_the_axis(self, anchor, monkeypatch):
+        """The anchor and its Newton iterates are exactly real, so each pass
+        integrates two legs and mirrors the other two, and ``u_values`` at
+        the seed integrates rays 0 and 2 and mirrors ray -2."""
         legs, passes = self._legs_and_passes(anchor, monkeypatch)
-        assert legs == 2 * passes + 1
+        assert legs == 2 * passes + 2
 
     def test_off_the_axis_every_leg_is_integrated(self, coprime_primitives,
                                                   monkeypatch):
-        """A non-real seed has no mirror: four legs a pass, plus ray 0."""
+        """A non-real seed has no mirror: four legs a pass, plus rays 0, 2
+        and -2 for the gap."""
         seed = coprime_primitives[QuantumPair(1, 2)]
         legs, passes = self._legs_and_passes(seed, monkeypatch)
-        assert legs == 4 * passes + 1
+        assert legs == 4 * passes + 3
 
 
 class TestProportionality:
@@ -553,18 +561,11 @@ class TestProportionality:
             assert abs(s_m1 - s_p2) < 1e-8 * max(1.0, abs(s_m1))
 
 
-def _samples(pot):
-    """The inward legs of one ``dependence_residual`` pass at ``pot``."""
-    samples = {}
-    dependence_residual(pot, samples=samples)
-    return samples
-
-
 class TestUValues:
     def test_unity_at_refined_pole(self, pole_table):
         pole = pole_table["records"][0].pole
         pot = Potential(pole.a, pole.b)
-        u2, um2 = u_values(pot, _samples(pot))
+        u2, um2 = u_values(pot)
         assert abs(u2 - 1.0) < 1e-8
         assert abs(um2 - 1.0) < 1e-8
 
@@ -581,31 +582,15 @@ class TestUValues:
                 / ((s[2] - s[-2]) * (s[-1] - s[0])))
         um2_x = ((s[-2] - s[0]) * (s[1] - s[2])
                  / ((s[-2] - s[2]) * (s[1] - s[0])))
-        u2, um2 = u_values(pot, _samples(pot))
+        u2, um2 = u_values(pot)
         assert abs(u2 - u2_x) < 1e-8 * abs(u2)
         assert abs(um2 - um2_x) < 1e-8 * abs(um2)
-
-    def test_reused_samples_give_identical_values(self, anchor):
-        pot = _pot(anchor.point)
-        samples = {}
-        dependence_residual(pot, samples=samples)
-        assert sorted(samples) == [-2, -1, 1, 2]
-        assert u_values(pot, samples) == u_values(pot, _samples(pot))
-
-    def test_samples_from_another_match_point_rejected(self, anchor):
-        pot = _pot(anchor.point)
-        samples = {}
-        dependence_residual(pot, lam_match=match_point(turning_points(pot))
-                          + 0.1, samples=samples)
-        with pytest.raises(ValueError):
-            u_values(pot, samples=samples)
 
     def test_evaluation_radius_stability(self, anchor):
         pot = _pot(anchor.point)
         tp = turning_points(pot)
-        samples = _samples(pot)
-        u_a = u_values(pot, samples)
-        u_b = u_values(pot, samples, eval_radius=12.0 * tp.scale)
+        u_a = u_values(pot)
+        u_b = u_values(pot, eval_radius=12.0 * tp.scale)
         assert abs(u_b[0] - u_a[0]) < 1e-6 * abs(u_a[0])
         assert abs(u_b[1] - u_a[1]) < 1e-6 * abs(u_a[1])
 
@@ -636,13 +621,12 @@ class TestUValues:
             return complex_ode.CONTINUE
 
         pot = _pot(anchor.point)
-        samples = _samples(pot)
         monkeypatch.setattr(complex_ode, "taylor_leg", counting)
-        u = u_values(pot, samples)
+        u = u_values(pot)
         assert 0 < sum(steps) <= 200
         steps.clear()
         monkeypatch.setattr(oscillator, "_coalesced_or_large", rescale_only)
-        u_on = u_values(pot, samples)
+        u_on = u_values(pot)
         assert max(abs(x - y) for x, y in zip(u, u_on)) <= 5e-15
         assert sum(steps) > 1000
 
@@ -651,7 +635,7 @@ class TestUValues:
         """At the q = 1 seeds k = 0..4 and the (2, 1) seeds k = 0..2 the
         ray-0 leg on the value-only charts gives the s of the
         3-component leg bit for bit, and ``u_values`` the values it gives
-        on the 3-component leg."""
+        on 3-component legs."""
         primitive = coprime_primitives[QuantumPair(2, 1)]
         seeds = list(q1_sequence) + [descendant(primitive, k) if k
                                      else primitive for k in range(3)]
@@ -668,12 +652,11 @@ class TestUValues:
             leg = psi(pot, ray, lam, tp=tp, _value_only=True)
             assert bits([leg.s]) == bits([psi(pot, ray, lam, tp=tp).s])
             assert cmath.isnan(leg.ds_da) and cmath.isnan(leg.ds_db)
-            samples = _samples(pot)
-            u = u_values(pot, samples)
+            u = u_values(pot)
             with monkeypatch.context() as patch:
                 patch.setattr(oscillator, "psi_logderivative",
                               three_components)
-                assert u_values(pot, samples) == u
+                assert u_values(pot) == u
 
     @pytest.mark.parametrize("k, bound", [(0, 5e-14), (2, 2e-11), (4, 1e-8)])
     def test_against_dop853_reference(self, q1_sequence, k, bound,
@@ -682,12 +665,10 @@ class TestUValues:
         inward legs; the DP5(4) legs they replaced were 3.8e-13, 1.6e-10
         and 5.8e-8 off at k = 0, 2 and 4."""
         pot = _pot(q1_sequence[k].point)
-        samples = {}
-        dependence_residual(pot, samples=samples)
-        u = u_values(pot, samples=samples)
+        u = u_values(pot)
         monkeypatch.setattr(oscillator, "_integrate_pair_outward",
                             oracles.pair_outward)
-        ref = u_values(pot, samples=samples)
+        ref = u_values(pot)
         assert max(abs(x - r) for x, r in zip(u, ref)) <= bound
 
     def test_legs_pass_a_zero_of_psi(self, monkeypatch):
@@ -711,13 +692,11 @@ class TestUValues:
                 ends.append(dpa / pa == dpb / pb)
             return res
 
-        samples = {}
-        dependence_residual(pot, samples=samples)
         monkeypatch.setattr(complex_ode, "taylor_leg", watching)
-        u = u_values(pot, samples=samples)
+        u = u_values(pot)
         assert ends == [True] * 4
         monkeypatch.undo()
         monkeypatch.setattr(oscillator, "_integrate_pair_outward",
                             oracles.pair_outward_linear)
-        ref = u_values(pot, samples=samples)
+        ref = u_values(pot)
         assert max(abs(x - r) for x, r in zip(u, ref)) <= 1e-10

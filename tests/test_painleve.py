@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import time
 from fractions import Fraction
@@ -22,6 +23,10 @@ FIRST_POLE_A = -2.3841687695685
 FIRST_POLE_B = -0.0621357388
 #: fifth real pole (k = 4), where route 2's reference is least certain
 FIFTH_POLE_A = -13.6179947029
+#: y(0) and y'(0) of the tritronquee solution, independent of this module:
+#: Joshi & Kitaev (2001) and Fornberg & Weideman (2011), under z = -x
+Y_AT_0 = -0.1875543083404949
+YP_AT_0 = -0.3049055602612289
 
 
 #: Relative agreement of a Taylor leg at rtol 1e-13 with DOP853 at rtol
@@ -165,6 +170,19 @@ class TestTrack:
         for pole, (a, b) in zip(poles, ref):
             assert abs(pole.a - a) <= 1e-12
             assert abs(pole.b - b) <= 1e-10
+
+    def test_value_at_zero_against_the_literature(self):
+        """Route 3 from the seed at 40 to z = 0, where every catalog track
+        turns, lands within 1e-14 of the published y(0) and y'(0)
+        (measured: 1.8e-15 and 2.9e-15).  The bound sees the seed: moving
+        its y by 1e-12 moves y(0) by 1.4e-12."""
+        state = seed_asymptotic(40.0)
+        for shift, inside in ((0.0, True), (1e-12, False)):
+            start = dataclasses.replace(state, y=state.y + shift)
+            final, poles = track(start, [40.0, 0.0])
+            assert final.z == 0.0 and final.chart == "regular" and not poles
+            gaps = abs(final.y - Y_AT_0), abs(final.yp - YP_AT_0)
+            assert (max(gaps) <= 1e-14) is inside, (shift, gaps)
 
     def test_chart_parameter_invariance(self):
         st = seed_asymptotic(40.0)
